@@ -9,15 +9,16 @@ but changes the *representation*:
 * **Dictionary encoding** — every value (node ids, text values, tags) is
   interned once in a shared :class:`ValueDictionary`, so all columns are
   flat lists of small ints and equality on codes is equality on values.
-* **Columnar relations** — a :class:`ColumnarRelation` stores parallel
-  column arrays (one Python list of codes per column) and converts to/from
-  a row-set representation lazily; both forms are cached, so an operator
-  picks whichever is cheapest (index-vector passes over columns for
-  selection/projection, set algebra over rows for union/difference).
+* **Columnar relations** — a :class:`ColumnarRelation` holds parallel
+  column arrays (one Python list of codes per column), a row set, or
+  both.  Operators read their input in the form it was produced in:
+  grouping, adjacency and semijoin passes iterate a row-set relation's
+  rows directly, and only passes that work column-wise (selection's
+  index vectors) ask for the column arrays.
 * **Batched operators** — :class:`ColumnarExecutor` evaluates each
-  operator over whole columns: selections narrow an index vector,
-  projections gather + dedupe through one ``set(zip(...))`` call,
-  composes/joins are hash joins over grouped column arrays, and the
+  operator over a whole relation at once: selections narrow an index
+  vector, projections gather + dedupe through one ``set(zip(...))`` call,
+  composes/joins are hash joins over row tuples grouped by key, and the
   fixpoint operators run per-origin breadth-first search over an adjacency
   map built once per base relation (the semi-naive frontier collapses to
   int-set reachability).  Recursive unions batch the frontier per
@@ -36,6 +37,7 @@ import threading
 import time
 import weakref
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -157,10 +159,13 @@ class ColumnarRelation:
     """A relation stored as parallel column arrays of dictionary codes.
 
     Either representation — a tuple of per-column code lists (``cols``) or a
-    set of code-tuple rows (``rows``) — can seed the relation; the other is
-    derived lazily (one C-level ``zip`` transpose) and cached, so operators
-    use whichever form fits.  Relations are immutable once built; the
-    constructors take ownership of the containers they are handed.
+    set of code-tuple rows (``rows``) — can seed the relation.  Operators
+    that scan a relation read whichever form exists through
+    :meth:`iter_rows` and :meth:`column`, which build nothing; :meth:`cols`
+    and :meth:`rows` derive the other form (one ``itemgetter`` pass per
+    column, or one ``zip``) and cache it, for passes that need that form.
+    Relations are immutable once built; the constructors take ownership of
+    the containers they are handed.
 
     ``memo`` attaches derived structures (hash-join groupings, fixpoint
     adjacency maps) to the relation they describe.  On base relations those
@@ -215,14 +220,39 @@ class ColumnarRelation:
             ) from None
 
     def cols(self) -> Tuple[List[int], ...]:
-        """The column arrays (derived from the row set on first use)."""
+        """The column arrays (derived from the row set on first use).
+
+        Each column is one ``itemgetter`` pass over the set; an unchanged
+        set iterates in the same order every time, so the columns stay
+        row-aligned.
+        """
         if self._cols is None:
             rows = self._rows
-            if rows:
-                self._cols = tuple(map(list, zip(*rows)))
-            else:
-                self._cols = tuple([] for _ in self.columns)
+            self._cols = tuple(
+                list(map(itemgetter(index), rows)) if rows else []
+                for index in range(len(self.columns))
+            )
         return self._cols
+
+    def has_rows(self) -> bool:
+        """Whether the row-set form exists (produced or already derived)."""
+        return self._rows is not None
+
+    def iter_rows(self) -> Iterable[Tuple[int, ...]]:
+        """Every row once, read from whichever form exists; caches nothing."""
+        if self._rows is not None:
+            return self._rows
+        return zip(*self._cols)
+
+    def column(self, index: int) -> Iterable[int]:
+        """The codes of column ``index``, read from whichever form exists.
+
+        Row-aligned with :meth:`iter_rows` and with every other
+        ``column`` of the relation; caches nothing.
+        """
+        if self._cols is not None:
+            return self._cols[index]
+        return map(itemgetter(index), self._rows)
 
     def rows(self) -> Set[Tuple[int, ...]]:
         """The row set (derived from the column arrays on first use).
@@ -276,11 +306,10 @@ class ColumnarDatabase:
         encode = self._dictionary.encode_column
         for name in database:
             relation = database.relation(name)
-            if relation.rows:
-                raw = list(zip(*relation.rows))
-            else:
-                raw = [() for _ in relation.columns]
-            cols = tuple(encode(column) for column in raw)
+            cols = tuple(
+                encode(map(itemgetter(index), relation.rows))
+                for index in range(len(relation.columns))
+            )
             self._relations[name] = ColumnarRelation(
                 relation.columns, cols=cols, name=name
             )
@@ -565,9 +594,8 @@ class ColumnarExecutor:
         out_columns = expr.aliases if expr.aliases else expr.columns
         if len(out_columns) != len(expr.columns):
             raise SchemaError("projection aliases must match projected columns")
-        cols = relation.cols()
         if indexes:
-            rows = set(zip(*(cols[i] for i in indexes)))
+            rows = set(zip(*(relation.column(i) for i in indexes)))
         else:
             rows = {()} if len(relation) else set()
         self.stats.tuples_materialized += len(rows)
@@ -577,34 +605,37 @@ class ColumnarExecutor:
         relation = self._evaluate(expr.input, temps, program)
         fi, ti, vi = (relation.column_index(c) for c in (F, T, V))
         tag_code = self._store.dictionary.encode(expr.tag)
-        cols = relation.cols()
         rows = set(
-            zip(cols[fi], cols[ti], cols[vi], itertools.repeat(tag_code, len(relation)))
+            zip(
+                relation.column(fi),
+                relation.column(ti),
+                relation.column(vi),
+                itertools.repeat(tag_code, len(relation)),
+            )
         )
         return ColumnarRelation(_TAG_COLUMNS, rows=rows)
 
     @staticmethod
-    def _group_pairs(
-        relation: ColumnarRelation, key_index: int, a_index: int, b_index: int
-    ) -> Dict[int, List[Tuple[int, int]]]:
-        """Group ``(col_a, col_b)`` pairs by the key column's code.
+    def _group_rows(
+        relation: ColumnarRelation, key_index: int
+    ) -> Dict[int, List[Tuple[int, ...]]]:
+        """The relation's row tuples, bucketed by the key column's code.
 
-        Callers always group a three-column relation by all three of its
-        columns, and relations hold distinct rows by construction, so the
-        per-key pair lists are distinct without any dedup pass.
+        Buckets hold the row tuples themselves, not a new pair per row, so
+        they are distinct because the relation's rows are.
         """
 
-        def build() -> Dict[int, List[Tuple[int, int]]]:
-            groups: Dict[int, List[Tuple[int, int]]] = {}
-            cols = relation.cols()
-            for key, a, b in zip(cols[key_index], cols[a_index], cols[b_index]):
+        def build() -> Dict[int, List[Tuple[int, ...]]]:
+            groups: Dict[int, List[Tuple[int, ...]]] = {}
+            for row in relation.iter_rows():
+                key = row[key_index]
                 bucket = groups.get(key)
                 if bucket is None:
                     groups[key] = bucket = []
-                bucket.append((a, b))
+                bucket.append(row)
             return groups
 
-        return relation.memo(("pairs", key_index, a_index, b_index), build)  # type: ignore[return-value]
+        return relation.memo(("rows-by", key_index), build)  # type: ignore[return-value]
 
     def _compose(self, expr: Compose, temps, program) -> ColumnarRelation:
         left = self._evaluate(expr.left, temps, program)
@@ -615,30 +646,18 @@ class ColumnarExecutor:
             return ColumnarRelation(NODE_COLUMNS)
         lf, lt = left.column_index(F), left.column_index(T)
         rf, rt, rv = (right.column_index(c) for c in (F, T, V))
-
-        def build_left() -> Dict[int, Set[int]]:
-            groups: Dict[int, Set[int]] = {}
-            cols = left.cols()
-            for origin, key in zip(cols[lf], cols[lt]):
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = set()
-                bucket.add(origin)
-            return groups
-
-        left_groups = left.memo(("origins", lt, lf), build_left)
-        right_pairs = self._group_pairs(right, rf, rt, rv)
+        # Hash join: the right side grouped by the join key (memoized, so a
+        # base relation is grouped once per store, and the fixpoints reuse
+        # that grouping), probed with each row of the left side.
         rows: Set[Tuple[int, ...]] = set()
-        update = rows.update
-        get_pairs = right_pairs.get
-        for key, origins in left_groups.items():  # type: ignore[union-attr]
-            pairs = get_pairs(key)
-            if pairs:
-                update(
-                    (origin, target, value)
-                    for origin in origins
-                    for target, value in pairs
-                )
+        add = rows.add
+        get_matches = self._group_rows(right, rf).get
+        for row in left.iter_rows():
+            matches = get_matches(row[lt])
+            if matches:
+                origin = row[lf]
+                for match in matches:
+                    add((origin, match[rt], match[rv]))
         self.stats.join_output_rows += len(rows)
         return ColumnarRelation(NODE_COLUMNS, rows=rows)
 
@@ -675,9 +694,16 @@ class ColumnarExecutor:
         if not len(left):
             return ColumnarRelation(left.columns)
         right = self._evaluate(expr.right, temps, program)
-        keys = set(right.cols()[right.column_index(expr.right_column)])
+        keys = set(right.column(right.column_index(expr.right_column)))
+        index = left.column_index(expr.left_column)
+        if left.has_rows():
+            if keep_matching:
+                rows = {row for row in left.rows() if row[index] in keys}
+            else:
+                rows = {row for row in left.rows() if row[index] not in keys}
+            return ColumnarRelation(left.columns, rows=rows)
         cols = left.cols()
-        column = cols[left.column_index(expr.left_column)]
+        column = cols[index]
         if keep_matching:
             keep = [i for i, c in enumerate(column) if c in keys]
         else:
@@ -703,7 +729,7 @@ class ColumnarExecutor:
                 raise SchemaError(
                     f"union over mismatched columns {rel.columns} vs {columns}"
                 )
-            rows |= rel.rows()
+            rows.update(rel.iter_rows())
         self.stats.union_output_rows += len(rows)
         return ColumnarRelation(columns, rows=rows)
 
@@ -726,21 +752,24 @@ class ColumnarExecutor:
     # (b, t, v) with b ∈ reach(a) — which visits each (origin, node) pair
     # once instead of once per extension path.
 
-    @staticmethod
+    @classmethod
     def _adjacency(
-        relation: ColumnarRelation, from_index: int, to_index: int, tag: str
+        cls, relation: ColumnarRelation, from_index: int, to_index: int
     ) -> Dict[int, List[int]]:
-        def build() -> Dict[int, List[int]]:
-            adjacency: Dict[int, Set[int]] = {}
-            cols = relation.cols()
-            for source, target in zip(cols[from_index], cols[to_index]):
-                bucket = adjacency.get(source)
-                if bucket is None:
-                    adjacency[source] = bucket = set()
-                bucket.add(target)
-            return {source: list(bucket) for source, bucket in adjacency.items()}
+        """``from`` code -> its ``to`` codes, read off :meth:`_group_rows`.
 
-        return relation.memo((tag, from_index, to_index), build)  # type: ignore[return-value]
+        A target may repeat in a list when rows share an edge but differ
+        elsewhere; :meth:`_reach` visits each node once regardless.
+        """
+
+        def build() -> Dict[int, List[int]]:
+            pick = itemgetter(to_index)
+            return {
+                source: list(map(pick, bucket))
+                for source, bucket in cls._group_rows(relation, from_index).items()
+            }
+
+        return relation.memo(("adjacency", from_index, to_index), build)  # type: ignore[return-value]
 
     @staticmethod
     def _reach(start: int, adjacency: Dict[int, List[int]]) -> Set[int]:
@@ -766,24 +795,24 @@ class ColumnarExecutor:
         if expr.target_anchor is not None and expr.source_anchor is None:
             return self._fixpoint_backward(expr, base, fi, ti, vi, temps, program)
 
-        adjacency = self._adjacency(base, fi, ti, "fp-adj")
-        out_pairs = self._group_pairs(base, fi, ti, vi)
+        adjacency = self._adjacency(base, fi, ti)
+        out_rows = self._group_rows(base, fi)
         if expr.source_anchor is not None:
             anchor = self._evaluate(expr.source_anchor, temps, program)
-            allowed = set(anchor.cols()[anchor.column_index(T)])
-            origins = [origin for origin in out_pairs if origin in allowed]
+            allowed = set(anchor.column(anchor.column_index(T)))
+            origins = [origin for origin in out_rows if origin in allowed]
         else:
-            origins = list(out_pairs)
+            origins = list(out_rows)
 
         result: Set[Tuple[int, ...]] = set()
         update = result.update
-        get_pairs = out_pairs.get
+        get_rows = out_rows.get
         for origin in origins:
             self.stats.fixpoint_iterations += 1
             for node in self._reach(origin, adjacency):
-                pairs = get_pairs(node)
-                if pairs:
-                    update((origin, target, value) for target, value in pairs)
+                matches = get_rows(node)
+                if matches:
+                    update((origin, match[ti], match[vi]) for match in matches)
         self.stats.tuples_materialized += len(result)
         return ColumnarRelation(NODE_COLUMNS, rows=result)
 
@@ -791,20 +820,20 @@ class ColumnarExecutor:
         self, expr: Fixpoint, base: ColumnarRelation, fi, ti, vi, temps, program
     ) -> ColumnarRelation:
         anchor = self._evaluate(expr.target_anchor, temps, program)
-        allowed = set(anchor.cols()[anchor.column_index(F)])
-        reverse = self._adjacency(base, ti, fi, "fp-radj")
+        allowed = set(anchor.column(anchor.column_index(F)))
+        reverse = self._adjacency(base, ti, fi)
 
         # Seed rows are the base rows whose T lands in the anchor; group
         # their (t, v) payloads by source so each distinct source runs one
         # ancestor search.
-        cols = base.cols()
         seeds: Dict[int, Set[Tuple[int, int]]] = {}
-        for source, target, value in zip(cols[fi], cols[ti], cols[vi]):
-            if target in allowed:
+        for row in base.iter_rows():
+            if row[ti] in allowed:
+                source = row[fi]
                 bucket = seeds.get(source)
                 if bucket is None:
                     seeds[source] = bucket = set()
-                bucket.add((target, value))
+                bucket.add((row[ti], row[vi]))
 
         result: Set[Tuple[int, ...]] = set()
         update = result.update
@@ -829,32 +858,33 @@ class ColumnarExecutor:
         def build_intervals() -> Dict[int, Tuple[int, int]]:
             # Node code -> (pre, size), decoded once: the window arithmetic
             # needs the integer ranks, not their dictionary codes.
-            cols = order.cols()
-            t_col = cols[order.column_index(T)]
-            pre_col = cols[order.column_index(PRE)]
-            size_col = cols[order.column_index(SIZE)]
             return {
                 t: (int(decode(p)), int(decode(s)))
-                for t, p, s in zip(t_col, pre_col, size_col)
+                for t, p, s in zip(
+                    order.column(order.column_index(T)),
+                    order.column(order.column_index(PRE)),
+                    order.column(order.column_index(SIZE)),
+                )
             }
 
         interval = order.memo("ivj-intervals", build_intervals)
 
         def build_targets() -> Tuple[List[int], List[Tuple[int, int, int]]]:
-            cols = right.cols()
-            t_col = cols[right.column_index(T)]
-            v_col = cols[right.column_index(V)]
             ordered = sorted(
-                (interval[t][0], t, v) for t, v in zip(t_col, v_col) if t in interval
+                (interval[t][0], t, v)
+                for t, v in zip(
+                    right.column(right.column_index(T)),
+                    right.column(right.column_index(V)),
+                )
+                if t in interval
             )
             return [pre for pre, _, _ in ordered], ordered
 
         pres, targets = right.memo(("ivj-targets", order.name), build_targets)
-        lt_col = left.cols()[left.column_index(T)]
         rows: Set[Tuple[int, ...]] = set()
         add = rows.add
         get = interval.get
-        for ancestor in set(lt_col):
+        for ancestor in set(left.column(left.column_index(T))):
             window = get(ancestor)
             if window is None:
                 continue
@@ -878,15 +908,22 @@ class ColumnarExecutor:
         for step in expr.steps:
             relation = self._evaluate(step.relation, temps, program)
             rf, rt, rv = (relation.column_index(c) for c in (F, T, V))
-            pairs = self._group_pairs(relation, rf, rt, rv)
-            steps.append((encode(step.parent_tag), encode(step.child_tag), pairs))
+            steps.append(
+                (
+                    encode(step.parent_tag),
+                    encode(step.child_tag),
+                    self._group_rows(relation, rf),
+                    rt,
+                    rv,
+                )
+            )
 
         # Semi-naive: each iteration extends only the tuples discovered in
         # the previous one, with the frontier batched per parent tag.  (The
         # tuple executor deliberately re-scans the whole accumulated
         # relation each round — the SQL'99 cost model; the fixpoint is the
         # same set either way.)
-        result: Set[Tuple[int, ...]] = set(init.rows())
+        result: Set[Tuple[int, ...]] = set(init.iter_rows())
         frontier = result
         while frontier:
             self.stats.recursive_union_iterations += 1
@@ -895,17 +932,17 @@ class ColumnarExecutor:
                 by_tag.setdefault(tag, []).append((origin, node))
             new: Set[Tuple[int, ...]] = set()
             add = new.add
-            for parent_tag, child_tag, pairs in steps:
+            for parent_tag, child_tag, groups, rt, rv in steps:
                 frontier_rows = by_tag.get(parent_tag)
                 if not frontier_rows:
                     continue
                 produced = 0
-                get_pairs = pairs.get
+                get_rows = groups.get
                 for origin, node in frontier_rows:
-                    extensions = get_pairs(node)
+                    extensions = get_rows(node)
                     if extensions:
-                        for target, value in extensions:
-                            candidate = (origin, target, value, child_tag)
+                        for match in extensions:
+                            candidate = (origin, match[rt], match[rv], child_tag)
                             if candidate not in result:
                                 add(candidate)
                                 produced += 1

@@ -17,6 +17,11 @@ allows — separate processes:
   owner — stores are rebuilt inside each owner rather than shipped,
   because backends may be process-affine
   (:attr:`~repro.backends.base.Backend.process_affine`);
+* each worker sizes its cyclic garbage collector for bulk relational
+  allocation once at start (:data:`WORKER_GC_THRESHOLD`) and meters every
+  collection into ``worker.gc_collections.gen<N>`` / ``worker.gc_seconds``;
+* registration ships a document to all its owners at once, and drops it
+  again from the owners that built it when another owner failed;
 * worker crashes are detected (per-worker receiver threads notice the
   process dying), the worker is respawned, its documents re-registered
   from the recipes the parent retains — with every retained mutation
@@ -35,6 +40,8 @@ connections and caches never do.
 
 from __future__ import annotations
 
+import collections
+import gc
 import hashlib
 import itertools
 import multiprocessing
@@ -45,7 +52,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import errors as _errors
 from repro import obs
@@ -67,6 +74,18 @@ from repro.live.mutations import mutation_to_dict
 from repro.xmltree.tree import XMLTree
 
 __all__ = ["PoolAnswer", "ProcessQueryService", "default_start_method"]
+
+#: Generation-0 threshold of a pool worker's cyclic garbage collector.
+#: Cold execution allocates row tuples by the hundred thousand, and every
+#: collection re-traverses the live relations.  Registering an
+#: 8,000-element document on two workers and answering the five paper
+#: queries cold took 0.63-0.75 s at CPython's default of 700 (961
+#: collections, 7 full, 0.24-0.29 s) and 0.55-0.62 s at 10,000 (65
+#: collections, none full, 0.11 s); at 50,000 the 12 collections took the
+#: same 0.10-0.11 s.  The collector stays enabled because deleting a subtree leaves cyclic
+#: garbage (``XMLNode.parent``), and only workers set it: a library
+#: ``QueryService`` leaves its host's collector alone.
+WORKER_GC_THRESHOLD = 10_000
 
 
 def default_start_method() -> str:
@@ -136,6 +155,41 @@ def _answer_one(service, worker_index, document_id, query, include_nodes):
     )
 
 
+class _CollectorMeter:
+    """Counts and times the worker's garbage collections.
+
+    ``gc.callbacks`` run inside whatever allocation triggered a collection,
+    possibly while that thread holds a metric instrument's lock, so the
+    callback only appends to a deque; the worker loop calls :meth:`flush`
+    as each message arrives, which moves the records into the registry.
+    """
+
+    def __init__(self, registry: obs.MetricsRegistry) -> None:
+        self._collections = [
+            registry.counter(f"worker.gc_collections.gen{generation}")
+            for generation in range(len(gc.get_count()))
+        ]
+        self._seconds = registry.histogram("worker.gc_seconds")
+        self._pending: "collections.deque[Tuple[int, float]]" = collections.deque()
+        self._started = 0.0
+        gc.callbacks.append(self._observe)
+
+    def _observe(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self._pending.append(
+                (info["generation"], time.perf_counter() - self._started)
+            )
+
+    def flush(self) -> None:
+        pending = self._pending
+        while pending:
+            generation, seconds = pending.popleft()
+            self._collections[generation].inc()
+            self._seconds.observe(seconds)
+
+
 def _worker_main(
     worker_index: int,
     dtd_text: str,
@@ -157,6 +211,8 @@ def _worker_main(
     # inherit (and double-count) every metric the parent recorded.
     obs.set_registry(obs.MetricsRegistry())
     registry = obs.registry()
+    gc.set_threshold(WORKER_GC_THRESHOLD, *gc.get_threshold()[1:])
+    collector = _CollectorMeter(registry)
     registry.counter("worker.starts").inc()
     registry.gauge("worker.pid").set(os.getpid())
     dtd = parse_dtd(dtd_text, name=dtd_name)
@@ -168,6 +224,7 @@ def _worker_main(
             pass  # warmup is best-effort; real requests report real errors
     while True:
         message = request_queue.get()
+        collector.flush()
         kind, request_id = message[0], message[1]
         if kind == "shutdown":
             response_queue.put(
@@ -184,6 +241,11 @@ def _worker_main(
                 document_id, spec = message[2], message[3]
                 service.register_document(document_id, spec.generate(dtd))
                 registry.gauge("worker.documents").add(1)
+                payload = document_id
+            elif kind == "unregister":
+                document_id = message[2]
+                service.unregister_document(document_id)
+                registry.gauge("worker.documents").add(-1)
                 payload = document_id
             elif kind == "answer":
                 document_id, query, include_nodes = message[2:5]
@@ -366,6 +428,9 @@ class ProcessQueryService:
         # document id -> (payload kind, payload, owner worker indices)
         self._documents: "OrderedDict[str, Tuple[str, Any, Tuple[int, ...]]]"
         self._documents = OrderedDict()
+        # Ids whose registration is in flight: a second registration of the
+        # same id fails at once instead of racing the first on the owners.
+        self._registering: Set[str] = set()
         # document id -> applied mutation scripts (JSON-safe dicts), in
         # order.  Retained for the document's lifetime: a respawned worker
         # replays registration first, then these scripts, so its rebuilt
@@ -432,15 +497,37 @@ class ProcessQueryService:
     def _register(self, document_id: str, kind: str, payload: Any) -> Tuple[int, ...]:
         self._check_open()
         with self._lock:
-            if document_id in self._documents:
+            if document_id in self._documents or document_id in self._registering:
                 raise DuplicateDocumentError(
                     f"document {document_id!r} is already registered"
                 )
-        owner_indices = self._owner_indices(document_id)
-        for index in owner_indices:
-            self._call(index, kind, document_id, payload)
-        with self._lock:
-            self._documents[document_id] = (kind, payload, owner_indices)
+            self._registering.add(document_id)
+        try:
+            owner_indices = self._owner_indices(document_id)
+            # All owners build their stores at once.  The document is
+            # recorded only when every owner succeeded; otherwise the owners
+            # that succeeded drop their store again, so a retry can succeed,
+            # and the first failure in owner order is raised.
+            with ThreadPoolExecutor(max_workers=len(owner_indices)) as executor:
+                futures = [
+                    executor.submit(self._call, index, kind, document_id, payload)
+                    for index in owner_indices
+                ]
+            failures = [future.exception() for future in futures]
+            first = next((exc for exc in failures if exc is not None), None)
+            if first is not None:
+                for index, failure in zip(owner_indices, failures):
+                    if failure is None:
+                        try:
+                            self._call(index, "unregister", document_id)
+                        except ReproError:
+                            pass  # a respawned owner lost the store anyway
+                raise first
+            with self._lock:
+                self._documents[document_id] = (kind, payload, owner_indices)
+        finally:
+            with self._lock:
+                self._registering.discard(document_id)
         self._metrics.gauge("pool.documents").add(1)
         return owner_indices
 
@@ -474,9 +561,13 @@ class ProcessQueryService:
         scripts in the same order (updates on one pool serialize through
         this method), so even a script that fails validation mid-way fails
         identically everywhere, leaving every replica with the same applied
-        prefix.  The script is appended to the retained mutation log either
-        way — a respawned owner replays registration plus the log and
-        converges on the same state.
+        prefix.  Every owner is sent the script even when another one
+        failed.  The script joins the retained mutation log when at least
+        one owner applied it, or its valid prefix: a respawned owner replays
+        registration plus the log and converges on the state of the owners
+        that applied it.  A script no owner applied stays out of the log, so
+        replaying it cannot stop a respawn.  The first failure in owner
+        order is raised once every owner has run.
 
         Returns the last owner's summary dict plus the owner indices.
         """
@@ -489,14 +580,21 @@ class ProcessQueryService:
         owner_indices = self.owners(document_id)
         start = time.perf_counter()
         summary: Dict[str, Any] = {}
-        failure: Optional[MutationError] = None
+        failure: Optional[Exception] = None
+        applied = False
         for index in owner_indices:
             try:
                 summary = self._call(index, "update", document_id, script)
             except MutationError as exc:
-                failure = exc
-        with self._lock:
-            self._mutation_log.setdefault(document_id, []).append(script)
+                applied = True  # its valid prefix stands, on every owner
+                failure = failure or exc
+            except Exception as exc:  # a crash after the retry, say
+                failure = failure or exc
+            else:
+                applied = True
+        if applied:
+            with self._lock:
+                self._mutation_log.setdefault(document_id, []).append(script)
         self._metrics.counter("pool.updates").inc()
         self._metrics.histogram("pool.update_seconds").observe(
             time.perf_counter() - start

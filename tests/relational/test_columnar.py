@@ -106,6 +106,17 @@ class TestColumnarRelation:
         relation = ColumnarRelation(("F", "T"), rows={(1, 3), (2, 4)})
         cols = relation.cols()
         assert sorted(zip(*cols)) == [(1, 3), (2, 4)]
+        # Each column is its own pass over the row set; for any arity the
+        # columns must still line up row by row.
+        for arity in (1, 3, 4):
+            rows = {
+                tuple((i * (7 + 3 * k)) % 41 for k in range(arity))
+                for i in range(40)
+            }
+            cols = ColumnarRelation("FTVX"[:arity], rows=rows).cols()
+            assert len(cols) == arity
+            assert all(len(column) == len(rows) for column in cols)
+            assert set(zip(*cols)) == rows
 
     def test_empty_either_way(self):
         from_rows = ColumnarRelation(("F",), rows=set())
@@ -288,6 +299,95 @@ class TestOperatorParity:
     def test_unknown_relation(self, database):
         with pytest.raises(ExecutionError):
             ColumnarExecutor(database).evaluate(Scan("nope"))
+
+
+def _store_in_form(database, form):
+    """A fresh store whose base relations exist as ``rows``, ``cols`` or ``both``."""
+    store = ColumnarDatabase(database)
+    for name in database:
+        encoded = store.relation(name)
+        rows = set(zip(*encoded.cols()))
+        cols = encoded.cols() if form in ("cols", "both") else None
+        store._relations[name] = ColumnarRelation(
+            encoded.columns,
+            cols=cols,
+            rows=rows if form in ("rows", "both") else None,
+            name=name,
+        )
+    return store
+
+
+@pytest.fixture()
+def cyclic():
+    """Edges with a cycle (1 -> 2 -> 3 -> 1) and a tail, split by tag."""
+    schema = DatabaseSchema(
+        [
+            RelationSchema("R_r", NODE_COLUMNS),
+            RelationSchema("R_a", NODE_COLUMNS),
+            RelationSchema("R_b", NODE_COLUMNS),
+        ],
+        node_relations=["R_r", "R_a", "R_b"],
+        element_relations={"r": "R_r", "a": "R_a", "b": "R_b"},
+    )
+    db = Database(schema)
+    db.set_relation("R_r", Relation(NODE_COLUMNS, {("_", 0, "_")}))
+    db.set_relation(
+        "R_a",
+        Relation(
+            NODE_COLUMNS,
+            {(0, 1, "a-1"), (2, 3, "a-3"), (4, 5, "a-5"), (6, 7, "a-7")},
+        ),
+    )
+    db.set_relation(
+        "R_b",
+        Relation(
+            NODE_COLUMNS,
+            {(1, 2, "b-2"), (3, 1, "b-1"), (3, 4, "b-4"), (5, 6, "b-6"), (1, 8, "b-8")},
+        ),
+    )
+    return db
+
+
+_BASE = Union((Scan("R_a"), Scan("R_b")))
+
+#: Operators whose inputs are base relations, so the store decides the form
+#: each one reads: as produced (rows or columns) or with both cached.
+_FORM_CASES = {
+    "compose": Compose(Scan("R_a"), Scan("R_b")),
+    "compose-reversed": Compose(Scan("R_b"), Scan("R_a")),
+    "fixpoint-forward": Fixpoint(Scan("R_b")),
+    "fixpoint-union-base": Fixpoint(_BASE, source_anchor=Scan("R_r")),
+    "fixpoint-source-anchored": Fixpoint(Scan("R_b"), source_anchor=Scan("R_a")),
+    "fixpoint-backward": Fixpoint(Scan("R_b"), target_anchor=Scan("R_a")),
+    "recursive-union": RecursiveUnion(
+        TagProject(SemiJoin(Scan("R_a"), Scan("R_r"), "F", "T"), "a"),
+        (EdgeStep(Scan("R_b"), "a", "b"), EdgeStep(Scan("R_a"), "b", "a")),
+    ),
+    "semijoin": SemiJoin(Scan("R_b"), Scan("R_a"), "T", "F"),
+    "antijoin": AntiJoin(Scan("R_b"), Scan("R_a"), "T", "F"),
+    "project": Project(Scan("R_b"), ("T", "F"), aliases=("x", "y")),
+    "tag-project": TagProject(Scan("R_b"), "b"),
+}
+
+
+class TestInputForms:
+    """Operators read rows or columns as produced, with identical results."""
+
+    @pytest.mark.parametrize("form", ["rows", "cols", "both"])
+    @pytest.mark.parametrize("case", sorted(_FORM_CASES))
+    def test_every_form_matches_the_tuple_executor(self, cyclic, case, form):
+        expected = Executor(cyclic).evaluate(_FORM_CASES[case])
+        store = _store_in_form(cyclic, form)
+        assert ColumnarExecutor(store).evaluate(_FORM_CASES[case]) == expected
+
+    @pytest.mark.parametrize(
+        "case", ["compose", "fixpoint-forward", "fixpoint-backward", "semijoin"]
+    )
+    def test_row_inputs_are_not_transposed(self, cyclic, case):
+        store = _store_in_form(cyclic, "rows")
+        ColumnarExecutor(store).evaluate(_FORM_CASES[case])
+        for name in ("R_a", "R_b"):
+            assert store.relation(name)._cols is None
 
 
 class TestProgramsAndWarmTemps:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import threading
 
 import pytest
 
@@ -12,10 +14,13 @@ from repro.errors import (
     DuplicateDocumentError,
     SessionClosedError,
     UnknownDocumentError,
+    WorkerCrashError,
+    WorkerError,
     XPathSyntaxError,
 )
 from repro.fuzz.cases import DocumentSpec
 from repro.service import PoolAnswer, ProcessQueryService, QueryService
+from repro.service.pool import WORKER_GC_THRESHOLD
 from repro.xmltree.generator import generate_document
 
 pytestmark = pytest.mark.skipif(
@@ -145,6 +150,82 @@ class TestSharding:
             assert len(pool.owners("d")) == 2
 
 
+class TestRegistration:
+    def test_owners_register_at_the_same_time(self, monkeypatch):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork"
+        ) as pool:
+            # Each owner's call waits for the other's to start: one after
+            # another, the first would break the barrier.
+            barrier = threading.Barrier(2, timeout=10)
+            call = pool._call
+
+            def meet_then_call(index, kind, *rest):
+                barrier.wait()
+                return call(index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_call", meet_then_call)
+            owners = pool.register_generated("d", DocumentSpec(max_elements=20))
+            assert len(owners) == 2
+            assert pool.document_ids() == ["d"]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first-owner", "second-owner"])
+    def test_one_failing_owner_registers_nothing(self, monkeypatch, failing):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork"
+        ) as pool:
+            call = pool._call
+            broken = pool._owner_indices("d")[failing]
+
+            def one_owner_fails(index, kind, *rest):
+                if kind == "register_spec" and index == broken:
+                    raise WorkerCrashError(f"pool worker {index} crashed again")
+                return call(index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_call", one_owner_fails)
+            with pytest.raises(WorkerCrashError):
+                pool.register_generated("d", DocumentSpec(max_elements=20))
+            assert pool.document_ids() == []
+            monkeypatch.undo()
+            # The owner that succeeded dropped its store again, so the
+            # same id registers cleanly on every owner.
+            assert len(pool.register_generated("d", DocumentSpec(max_elements=20))) == 2
+            answers = {
+                tuple(pool._call(index, "answer", "d", "a//d", False).node_ids)
+                for index in pool.owners("d")
+            }
+            assert len(answers) == 1
+
+    def test_a_registration_in_flight_rejects_the_same_id(self, monkeypatch):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(dtd, workers=1, start_method="fork") as pool:
+            started, release = threading.Event(), threading.Event()
+            call = pool._call
+
+            def hold_the_first_registration(index, kind, *rest):
+                if kind == "register_spec" and not started.is_set():
+                    started.set()
+                    release.wait(10)
+                return call(index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_call", hold_the_first_registration)
+            first = threading.Thread(
+                target=pool.register_generated,
+                args=("d", DocumentSpec(max_elements=20)),
+            )
+            first.start()
+            try:
+                assert started.wait(10)
+                with pytest.raises(DuplicateDocumentError):
+                    pool.register_generated("d", DocumentSpec(max_elements=20))
+            finally:
+                release.set()
+                first.join(10)
+            assert pool.document_ids() == ["d"]
+
+
 class TestCrashRecovery:
     def test_killed_worker_respawns_and_answers_again(self):
         dtd = samples.cross_dtd()
@@ -223,3 +304,39 @@ class TestStatsAndLifecycle:
             worker_pids = {worker.process.pid for worker in pool._workers}
             assert os.getpid() not in worker_pids
             assert len(worker_pids) == 2
+
+
+class _CollectorProbe(DocumentSpec):
+    """A document recipe that reports, from inside a worker, its collector."""
+
+    def generate(self, dtd):
+        raise RuntimeError(
+            f"collector enabled={gc.isenabled()} gen0={gc.get_threshold()[0]}"
+        )
+
+
+class TestWorkerCollector:
+    def test_collections_are_metered_and_the_collector_stays_on(self):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(dtd, workers=1, start_method="fork") as pool:
+            pool.register_generated(
+                "doc", DocumentSpec(x_l=14, x_r=4, max_elements=1000, seed=3)
+            )
+            pool.answer("a//d", "doc")  # cold: encodes the store, runs fixpoints
+            metrics = pool.stats()["metrics"]
+            assert metrics["worker.gc_collections.gen0"]["value"] > 0
+            assert metrics["worker.gc_seconds"]["count"] > 0
+            assert metrics["worker.gc_seconds"]["sum"] > 0
+            with pytest.raises(
+                WorkerError, match=f"enabled=True gen0={WORKER_GC_THRESHOLD}$"
+            ):
+                pool.register_generated("probe", _CollectorProbe())
+            assert pool.document_ids() == ["doc"]
+
+    def test_the_host_process_keeps_its_own_collector(self):
+        threshold = gc.get_threshold()
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(dtd, workers=1, start_method="fork") as pool:
+            pool.register_generated("doc", DocumentSpec(max_elements=50))
+            pool.answer("a//d", "doc")
+        assert gc.get_threshold() == threshold

@@ -12,9 +12,14 @@ import pytest
 
 from repro import obs
 from repro.dtd import samples
-from repro.errors import MutationError, UnknownDocumentError
+from repro.errors import MutationError, UnknownDocumentError, WorkerCrashError
 from repro.live.fuzzer import MutationGenConfig, RandomMutationGenerator
-from repro.live.mutations import DeleteSubtree, InsertSubtree, ReplaceText
+from repro.live.mutations import (
+    DeleteSubtree,
+    InsertSubtree,
+    ReplaceText,
+    mutation_to_dict,
+)
 from repro.service import ProcessQueryService, QueryService
 from repro.service.http import QueryHTTPServer
 from repro.xmltree.generator import generate_document
@@ -161,6 +166,74 @@ class TestProcessPoolUpdate:
             for index in range(2):  # kill both owners, one at a time
                 pool._kill_worker(index)
                 assert list(pool.answer(QUERY, "doc").node_ids) == expected
+
+    @pytest.mark.parametrize("crashing", [0, 1], ids=["first-owner", "second-owner"])
+    def test_owner_crash_after_retry_still_logs_the_script(self, monkeypatch, crashing):
+        # One owner crashes for good (a WorkerCrashError after the retry, not
+        # a MutationError) and the other applies the script.  The other
+        # owner must still be sent it, and the script must reach the
+        # mutation log, or the crashed owner would respawn from the
+        # pre-update document.
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork", warmup=[QUERY]
+        ) as pool:
+            tree = generate_document(dtd, seed=3, max_elements=200)
+            pool.register_document("doc", tree)
+            owners = pool.owners("doc")
+            dead, survivor = owners[crashing], owners[1 - crashing]
+            before = list(pool._call(survivor, "answer", "doc", QUERY, False).node_ids)
+            script = _script(dtd, tree, seed=8)  # deletes and inserts d nodes
+            call = pool._call
+
+            def crash_one_owner(index, kind, *rest):
+                if kind == "update" and index == dead:
+                    pool._kill_worker(index)
+                    raise WorkerCrashError(f"pool worker {index} crashed again")
+                return call(index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_call", crash_one_owner)
+            with pytest.raises(WorkerCrashError):
+                pool.update_document(script, "doc")
+            monkeypatch.undo()
+            assert pool._mutation_log["doc"] == [
+                [mutation_to_dict(mutation) for mutation in script]
+            ]
+            after = list(pool._call(survivor, "answer", "doc", QUERY, False).node_ids)
+            assert after != before  # the script moved the answer
+            # The dead owner respawns on this call and replays the log.
+            respawned = pool._call(dead, "answer", "doc", QUERY, False)
+            assert list(respawned.node_ids) == after
+
+    def test_script_no_owner_applied_stays_out_of_the_log(self, monkeypatch):
+        # Every owner crashes on the script.  Logging it anyway would make
+        # every later respawn replay a script no replica ever applied.
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork", warmup=[QUERY]
+        ) as pool:
+            tree = generate_document(dtd, seed=3, max_elements=200)
+            pool.register_document("doc", tree)
+            before = list(pool.answer(QUERY, "doc").node_ids)
+            call = pool._call
+            sent = []
+
+            def crash_every_owner(index, kind, *rest):
+                if kind == "update":
+                    sent.append(index)
+                    pool._kill_worker(index)
+                    raise WorkerCrashError(f"pool worker {index} crashed again")
+                return call(index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_call", crash_every_owner)
+            with pytest.raises(WorkerCrashError):
+                pool.update_document(_script(dtd, tree, seed=8), "doc")
+            monkeypatch.undo()
+            assert sent == list(pool.owners("doc"))
+            assert pool._mutation_log.get("doc", []) == []
+            for index in pool.owners("doc"):  # both respawn on this call
+                respawned = pool._call(index, "answer", "doc", QUERY, False)
+                assert list(respawned.node_ids) == before
 
 
 @fork_only
