@@ -149,7 +149,11 @@ class MemoryBackend(Backend):
             relation = executor.run(program)
             stats: Dict[str, float] = executor.stats.as_dict()
             stats["rows"] = len(relation)
-            sp.set(rows=len(relation))
+            sp.set(
+                rows=len(relation),
+                temporaries_evaluated=executor.stats.temporaries_evaluated,
+                temporaries_reused=executor.stats.temporaries_reused,
+            )
         return BackendResult(
             backend=self.name,
             columns=tuple(relation.columns),

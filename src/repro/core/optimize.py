@@ -61,6 +61,7 @@ from repro.relational.algebra import (
     SemiJoin,
     TagProject,
     Union,
+    rename_scans,
 )
 from repro.relational.schema import F, NODE_COLUMNS, T, V
 from repro.shredding.inlining import MISSING_VALUE, ROOT_PARENT, SimpleMapping
@@ -121,88 +122,27 @@ def push_selection_options() -> TranslationOptions:
     return TranslationOptions(use_small_seed=True, push_selections=True)
 
 
-def _rewrite(expr: RAExpr, renames: Dict[str, str]) -> RAExpr:
-    """Rebuild ``expr`` with temporary names substituted per ``renames``."""
-    if isinstance(expr, Scan):
-        return Scan(renames.get(expr.name, expr.name))
-    if isinstance(expr, Select):
-        return Select(_rewrite(expr.input, renames), expr.conditions)
-    if isinstance(expr, Project):
-        return Project(_rewrite(expr.input, renames), expr.columns, expr.aliases)
-    if isinstance(expr, TagProject):
-        return TagProject(_rewrite(expr.input, renames), expr.tag)
-    if isinstance(expr, Compose):
-        return Compose(_rewrite(expr.left, renames), _rewrite(expr.right, renames))
-    if isinstance(expr, EquiJoin):
-        return EquiJoin(
-            _rewrite(expr.left, renames),
-            _rewrite(expr.right, renames),
-            expr.left_column,
-            expr.right_column,
-            expr.output,
-        )
-    if isinstance(expr, SemiJoin):
-        return SemiJoin(
-            _rewrite(expr.left, renames),
-            _rewrite(expr.right, renames),
-            expr.left_column,
-            expr.right_column,
-        )
-    if isinstance(expr, AntiJoin):
-        return AntiJoin(
-            _rewrite(expr.left, renames),
-            _rewrite(expr.right, renames),
-            expr.left_column,
-            expr.right_column,
-        )
-    if isinstance(expr, Union):
-        return Union(tuple(_rewrite(child, renames) for child in expr.inputs))
-    if isinstance(expr, Difference):
-        return Difference(_rewrite(expr.left, renames), _rewrite(expr.right, renames))
-    if isinstance(expr, Intersect):
-        return Intersect(_rewrite(expr.left, renames), _rewrite(expr.right, renames))
-    if isinstance(expr, Fixpoint):
-        return Fixpoint(
-            _rewrite(expr.base, renames),
-            None if expr.source_anchor is None else _rewrite(expr.source_anchor, renames),
-            None if expr.target_anchor is None else _rewrite(expr.target_anchor, renames),
-        )
-    if isinstance(expr, RecursiveUnion):
-        return RecursiveUnion(
-            _rewrite(expr.init, renames),
-            tuple(
-                EdgeStep(_rewrite(step.relation, renames), step.parent_tag, step.child_tag)
-                for step in expr.steps
-            ),
-        )
-    if isinstance(expr, IntervalJoin):
-        return IntervalJoin(
-            _rewrite(expr.left, renames),
-            _rewrite(expr.right, renames),
-            _rewrite(expr.order, renames),
-        )
-    return expr
-
-
 def eliminate_common_subexpressions(program: Program) -> Program:
     """Merge assignments whose (rename-normalised) expressions are identical.
 
     Two temporaries computed from structurally equal expressions always hold
     the same relation, so later references to the duplicate are redirected to
-    the first occurrence and the duplicate assignment is dropped.
+    the first occurrence and the duplicate assignment is dropped.  The key is
+    the renamed expression itself (:func:`~repro.relational.algebra.rename_scans`,
+    the form the columnar store shares temporaries by), so every field takes
+    part — join columns, projection aliases, the type of a selection constant.
     """
     renames: Dict[str, str] = {}
-    canonical: Dict[str, str] = {}
+    canonical: Dict[RAExpr, str] = {}
     assignments: List[Assignment] = []
     for assignment in program.assignments:
-        rewritten = _rewrite(assignment.expression, renames)
-        key = str(rewritten)
-        if key in canonical:
-            renames[assignment.target] = canonical[key]
+        rewritten = rename_scans(assignment.expression, renames)
+        if rewritten in canonical:
+            renames[assignment.target] = canonical[rewritten]
             continue
-        canonical[key] = assignment.target
+        canonical[rewritten] = assignment.target
         assignments.append(Assignment(assignment.target, rewritten))
-    result = _rewrite(program.result, renames)
+    result = rename_scans(program.result, renames)
     return Program(assignments, result).pruned()
 
 
@@ -283,9 +223,9 @@ def _simplify_expr(expr: RAExpr, schema_env: Dict[str, Tuple[str, ...]]) -> RAEx
                 flattened.append(simplified)
         # Deduplicate structurally equal branches, then drop constant-empty
         # ones (keeping at least one operand so the node stays well-formed).
-        seen: Dict[str, RAExpr] = {}
+        seen: Dict[RAExpr, RAExpr] = {}
         for child in flattened:
-            seen.setdefault(str(child), child)
+            seen.setdefault(child, child)
         children = list(seen.values())
         non_empty = [c for c in children if not isinstance(c, EmptyRelation)]
         children = non_empty or children[:1]

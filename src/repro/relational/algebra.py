@@ -24,8 +24,8 @@ what Table 5 and Exp-5 report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "RAExpr",
@@ -50,6 +50,7 @@ __all__ = [
     "Assignment",
     "Program",
     "OperatorProfile",
+    "rename_scans",
 ]
 
 
@@ -71,20 +72,34 @@ class Scan(RAExpr):
     name: str
 
     def __str__(self) -> str:
-        return self.name
+        return str(self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Condition:
     """An atomic selection condition ``column op value``.
 
     ``op`` is one of ``'='`` and ``'!='``; values are compared for equality
-    against stored values (which are strings or ``None``).
+    against stored values (which are strings or ``None``).  Two conditions
+    are equal only when their values also have the same type: ``1``,
+    ``1.0`` and ``True`` compare equal in Python but are distinct
+    constants, so expressions that differ only there stay apart.
     """
 
     column: str
     op: str
     value: object
+
+    def _identity(self) -> Tuple[object, ...]:
+        return (self.column, self.op, type(self.value), self.value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Condition):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     def __str__(self) -> str:
         return f"{self.column} {self.op} {self.value!r}"
@@ -525,3 +540,68 @@ def _scan_names(expr: RAExpr) -> Iterator[str]:
         yield expr.name
     for child in expr.children():
         yield from _scan_names(child)
+
+
+def rename_scans(expr: RAExpr, renames: Mapping[str, Hashable]) -> RAExpr:
+    """Rebuild ``expr`` with every ``Scan`` name in ``renames`` substituted.
+
+    This is the canonical form of an assignment's expression: with each
+    temporary it reads renamed to a representative, two structurally equal
+    results denote the same relation.  The optimizer's common-subexpression
+    elimination renames to the first temporary computed the same way; the
+    columnar store renames to its shared-table entries (any hashable works,
+    because a canonical key is compared, never evaluated).
+    """
+    if isinstance(expr, Scan):
+        name = renames.get(expr.name)
+        return expr if name is None else Scan(name)  # type: ignore[arg-type]
+    if isinstance(expr, Select):
+        return Select(rename_scans(expr.input, renames), expr.conditions)
+    if isinstance(expr, Project):
+        return Project(rename_scans(expr.input, renames), expr.columns, expr.aliases)
+    if isinstance(expr, TagProject):
+        return TagProject(rename_scans(expr.input, renames), expr.tag)
+    if isinstance(expr, Compose):
+        return Compose(rename_scans(expr.left, renames), rename_scans(expr.right, renames))
+    if isinstance(expr, EquiJoin):
+        return EquiJoin(
+            rename_scans(expr.left, renames),
+            rename_scans(expr.right, renames),
+            expr.left_column,
+            expr.right_column,
+            expr.output,
+        )
+    if isinstance(expr, (SemiJoin, AntiJoin)):
+        return type(expr)(
+            rename_scans(expr.left, renames),
+            rename_scans(expr.right, renames),
+            expr.left_column,
+            expr.right_column,
+        )
+    if isinstance(expr, Union):
+        return Union(tuple(rename_scans(child, renames) for child in expr.inputs))
+    if isinstance(expr, (Difference, Intersect)):
+        return type(expr)(
+            rename_scans(expr.left, renames), rename_scans(expr.right, renames)
+        )
+    if isinstance(expr, Fixpoint):
+        return Fixpoint(
+            rename_scans(expr.base, renames),
+            None if expr.source_anchor is None else rename_scans(expr.source_anchor, renames),
+            None if expr.target_anchor is None else rename_scans(expr.target_anchor, renames),
+        )
+    if isinstance(expr, RecursiveUnion):
+        return RecursiveUnion(
+            rename_scans(expr.init, renames),
+            tuple(
+                EdgeStep(rename_scans(step.relation, renames), step.parent_tag, step.child_tag)
+                for step in expr.steps
+            ),
+        )
+    if isinstance(expr, IntervalJoin):
+        return IntervalJoin(
+            rename_scans(expr.left, renames),
+            rename_scans(expr.right, renames),
+            rename_scans(expr.order, renames),
+        )
+    return expr

@@ -32,13 +32,28 @@ asserts node-for-node equivalence between the two.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
 import threading
 import time
 import weakref
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import obs
 from repro.errors import ExecutionError, SchemaError
@@ -61,6 +76,7 @@ from repro.relational.algebra import (
     SemiJoin,
     TagProject,
     Union,
+    rename_scans,
 )
 from repro.relational.database import Database
 from repro.relational.executor import ExecutionStats
@@ -73,6 +89,7 @@ __all__ = [
     "COLUMNAR_MIN_ROWS",
     "ValueDictionary",
     "ColumnarRelation",
+    "TemporaryEntry",
     "ColumnarDatabase",
     "ColumnarExecutor",
     "columnar_store",
@@ -168,9 +185,12 @@ class ColumnarRelation:
     the containers they are handed.
 
     ``memo`` attaches derived structures (hash-join groupings, fixpoint
-    adjacency maps) to the relation they describe.  On base relations those
-    memos live as long as the :class:`ColumnarDatabase`, so repeated queries
-    over one store reuse them; on temporaries they die with the program run.
+    adjacency maps) to the relation they describe, and they live as long as
+    the relation.  A base relation lives as long as its
+    :class:`ColumnarDatabase`; a materialized temporary lives in the store's
+    shared table for as long as some live program uses it (see
+    :meth:`ColumnarDatabase.temps_for`).  Either way, every query over the
+    store that reads the relation reuses its memos.
     """
 
     __slots__ = ("columns", "name", "_cols", "_rows", "_memo")
@@ -274,6 +294,32 @@ class ColumnarRelation:
         return value
 
 
+class TemporaryEntry:
+    """One temporary in a store's shared table (see :meth:`ColumnarDatabase.temps_for`).
+
+    ``key`` is the temporary's canonical expression, ``relation`` its
+    materialized value (``None`` until a run evaluates it) and ``users`` the
+    number of live programs whose namespace holds the entry.  Entries compare
+    and hash by identity, so a canonical key can name the temporaries it
+    reads by their entries.
+    """
+
+    __slots__ = ("key", "relation", "users")
+
+    def __init__(self, key: RAExpr) -> None:
+        self.key = key
+        self.relation: Optional[ColumnarRelation] = None
+        self.users = 0
+
+    def __str__(self) -> str:
+        # How keys that read this entry print: its own key, braced.
+        return f"{{{self.key}}}"
+
+    def __repr__(self) -> str:
+        state = "empty" if self.relation is None else f"rows={len(self.relation)}"
+        return f"TemporaryEntry({self}, {state}, users={self.users})"
+
+
 class ColumnarDatabase:
     """A :class:`~repro.relational.database.Database` encoded columnarly.
 
@@ -283,15 +329,16 @@ class ColumnarDatabase:
     The store snapshots the database's version counter; :func:`columnar_store`
     rebuilds stale stores after ``set_relation`` mutations.
 
-    The store also keeps, per prepared :class:`~repro.relational.algebra.Program`,
-    the temporaries that program materialized against this (immutable)
-    encoding — see :meth:`temps_for`.  That is the columnar engine's
-    warm-plan fast path: a plan cached by the service re-executes by
-    resolving its already-materialized temporaries instead of re-running
-    every join, and only the result expression plus decoding is paid per
-    call.  Entries are evicted when the program is garbage-collected (its
-    lifetime is the plan cache's), and the whole cache dies with the store
-    when the database version moves.
+    The store also keeps one table of materialized temporaries for every
+    :class:`~repro.relational.algebra.Program` run against it, keyed by each
+    temporary's canonical expression — see :meth:`temps_for`.  Plans that
+    compute the same closure (the paper's lowering emits the same fixpoints
+    over the same edge relations for many queries over one DTD) share one
+    entry, so the store evaluates it once; a cached plan that runs again
+    resolves its temporaries from the table and pays only the result
+    expression plus decoding.  An entry lives while some program that uses
+    it lives (the plan cache bounds those), and :meth:`apply_delta` drops
+    the whole table.
     """
 
     def __init__(self, database: Database) -> None:
@@ -300,9 +347,17 @@ class ColumnarDatabase:
         self._dictionary = ValueDictionary()
         self._relations: Dict[str, ColumnarRelation] = {}
         self._identity: Optional[ColumnarRelation] = None
-        self._program_temps: Dict[
-            int, Tuple[weakref.ref, Dict[str, ColumnarRelation]]
-        ] = {}
+        # The shared temporary table and each live program's view of it.
+        # ``_lock`` guards both; a program's weakref callback only queues
+        # its release on ``_released`` and applies it if the lock is free,
+        # because the callback can run inside ``temps_for`` on the thread
+        # that holds the lock (see ``_drain``).
+        self._entries: Dict[RAExpr, TemporaryEntry] = {}
+        self._views: Dict[int, Tuple[weakref.ref, Dict[str, TemporaryEntry]]] = {}
+        self._lock = threading.Lock()
+        self._released: Deque[
+            Tuple[int, weakref.ref, Tuple[TemporaryEntry, ...]]
+        ] = collections.deque()
         encode = self._dictionary.encode_column
         for name in database:
             relation = database.relation(name)
@@ -367,11 +422,11 @@ class ColumnarDatabase:
         shared dictionary is append-only so every existing code stays valid,
         and untouched relations keep their encodings *and* their memoized
         join structures.  The identity relation is rebuilt only when a node
-        relation changed, and the per-program temporaries are dropped
-        wholesale (they may read any relation).  ``version`` is the database
-        version counter after the delta was applied to the row store;
-        adopting it keeps :func:`columnar_store` returning this patched
-        store instead of re-encoding from scratch.
+        relation changed, and the shared temporary table is dropped
+        wholesale (its entries may read any relation).  ``version`` is the
+        database version counter after the delta was applied to the row
+        store; adopting it keeps :func:`columnar_store` returning this
+        patched store instead of re-encoding from scratch.
 
         Relations where the delta is as large as the relation itself (the
         common case for ``DOC_ORDER``, whose pre/post numbers shift globally
@@ -401,37 +456,111 @@ class ColumnarDatabase:
             self._relations[name] = ColumnarRelation(old.columns, rows=rows, name=name)
             if name in node_relations:
                 self._identity = None
-        self._program_temps.clear()
+        with self._locked():
+            # Dropping the views drops their weakrefs, so the callbacks of
+            # the programs they served never fire against the new table.
+            self._entries.clear()
+            self._views.clear()
         self._version = version
 
-    def temps_for(self, program: Program) -> Dict[str, ColumnarRelation]:
-        """The materialized-temporary namespace for ``program`` on this store.
+    def temps_for(self, program: Program) -> Dict[str, TemporaryEntry]:
+        """``program``'s temporaries on this store: name → shared table entry.
 
         The store encodes an immutable snapshot of the database and a
         prepared :class:`~repro.relational.algebra.Program` is itself
-        immutable, so any temporary the program materializes against this
-        store is valid for as long as both live.  Executing a cached plan a
-        second time therefore resolves its temporaries from this dict
-        instead of re-running every join — the warm-plan steady state pays
-        only the result expression and decoding.  The entry is dropped when
-        the program is garbage-collected (i.e. when the plan cache evicts
-        it), and the whole table dies with the store when the database
-        version moves.
+        immutable, so a temporary materialized against this store is valid
+        for as long as both live — and so is any temporary of any program
+        computed the same way.  On a program's first call the store
+        canonicalizes it once: each assignment's expression, with every
+        temporary it reads renamed to that temporary's entry
+        (:func:`~repro.relational.algebra.rename_scans`), is looked up in
+        the table, and equal keys share one entry.  A temporary that shadows
+        a base relation or is read before its assignment is renamed to a
+        fresh placeholder instead, so keys that read it are never shared.
+
+        Each entry counts the live programs that use it.  When a program is
+        garbage-collected (the plan cache evicted it), a weakref callback
+        releases its entries, and an entry no live program uses leaves the
+        table — so the table never holds more than the per-program
+        namespaces it replaced.  :meth:`apply_delta` drops the whole table.
         """
-        key = id(program)
-        entry = self._program_temps.get(key)
-        if entry is not None:
-            ref, temps = entry
-            if ref() is program:
-                return temps
-        temps = {}
-        store = self._program_temps
+        program_id = id(program)
+        record = self._views.get(program_id)
+        if record is not None and record[0]() is program:
+            return record[1]
+        with self._locked():
+            record = self._views.get(program_id)
+            if record is not None and record[0]() is program:
+                view = record[1]
+            else:
+                view = self._canonicalize(program)
+                entries = tuple(set(view.values()))
+                for entry in entries:
+                    entry.users += 1
+                store = weakref.ref(self)
 
-        def evict(_ref: weakref.ref, _key: int = key) -> None:
-            store.pop(_key, None)
+                def release(ref: weakref.ref) -> None:
+                    owner = store()
+                    if owner is not None:
+                        owner._released.append((program_id, ref, entries))
+                        owner._drain()
 
-        store[key] = (weakref.ref(program, evict), temps)
-        return temps
+                self._views[program_id] = (weakref.ref(program, release), view)
+        return view
+
+    def shared_temporaries(self) -> Tuple[TemporaryEntry, ...]:
+        """A snapshot of the entries in the shared temporary table."""
+        with self._locked():
+            entries = tuple(self._entries.values())
+        return entries
+
+    def _canonicalize(self, program: Program) -> Dict[str, TemporaryEntry]:
+        """Map each temporary of ``program`` to its table entry (lock held)."""
+        renames: Dict[str, Hashable] = {name: object() for name in program.temporaries()}
+        view: Dict[str, TemporaryEntry] = {}
+        for assignment in program.assignments:
+            name = assignment.target
+            if name in view:
+                continue  # the first assignment of a name is the one that runs
+            key = rename_scans(assignment.expression, renames)
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = TemporaryEntry(key)
+            view[name] = entry
+            if name not in self._relations:
+                renames[name] = entry
+        return view
+
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold the table lock, then apply the releases queued meanwhile."""
+        try:
+            with self._lock:
+                yield
+        finally:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Apply queued releases, unless another frame holds the lock.
+
+        Every frame that takes the lock goes through :meth:`_locked`, which
+        drains after letting go, so a release queued meanwhile is never
+        stranded.
+        """
+        released = self._released
+        while released and self._lock.acquire(blocking=False):
+            try:
+                while released:
+                    program_id, ref, entries = released.popleft()
+                    record = self._views.get(program_id)
+                    if record is not None and record[0] is ref:
+                        del self._views[program_id]
+                    for entry in entries:
+                        entry.users -= 1
+                        if not entry.users and self._entries.get(entry.key) is entry:
+                            del self._entries[entry.key]
+            finally:
+                self._lock.release()
 
 
 def columnar_store(database: Database) -> ColumnarDatabase:
@@ -451,6 +580,20 @@ def columnar_store(database: Database) -> ColumnarDatabase:
         store = ColumnarDatabase(database)
         database._columnar_store = store  # type: ignore[attr-defined]
     return store
+
+
+class _Scope:
+    """What one run resolves names through: the program, its entries in the
+    store's shared table, and the temporaries this run already resolved."""
+
+    __slots__ = ("program", "shared", "resolved")
+
+    def __init__(
+        self, program: Optional[Program], shared: Mapping[str, TemporaryEntry]
+    ) -> None:
+        self.program = program
+        self.shared = shared
+        self.resolved: Dict[str, ColumnarRelation] = {}
 
 
 class ColumnarExecutor:
@@ -484,31 +627,30 @@ class ColumnarExecutor:
     def run(self, program: Program) -> Relation:
         """Execute a program and return the (decoded) result relation.
 
-        Temporaries are materialized into the store's per-program namespace
-        (:meth:`ColumnarDatabase.temps_for`), so re-running a cached plan
-        against the same store skips straight to the result expression —
-        ``stats.temporaries_evaluated`` is 0 on such warm runs.
+        Temporaries resolve through the store's shared table
+        (:meth:`ColumnarDatabase.temps_for`): one already materialized —
+        by an earlier run of this plan or by any plan that computes it the
+        same way — is taken from the table and counted in
+        ``stats.temporaries_reused``; only the rest are evaluated (and
+        published to the table) and counted in
+        ``stats.temporaries_evaluated``.  A warm re-run of a cached plan
+        evaluates none.
         """
         self.stats.reset()
         start = time.perf_counter()
-        temps = self._store.temps_for(program)
-        if self._lazy:
-            result = self._evaluate(program.result, temps, program)
-        else:
+        scope = _Scope(program, self._store.temps_for(program))
+        if not self._lazy:
             for assignment in program.assignments:
-                if assignment.target not in temps:
-                    temps[assignment.target] = self._evaluate(
-                        assignment.expression, temps, program
-                    )
-                    self.stats.temporaries_evaluated += 1
-            result = self._evaluate(program.result, temps, program)
+                if assignment.target not in scope.resolved:
+                    self._temporary(assignment.target, scope)
+        result = self._evaluate(program.result, scope)
         decoded = self._decode(result)
         self.stats.elapsed_seconds += time.perf_counter() - start
         return decoded
 
     def evaluate(self, expr: RAExpr) -> Relation:
         """Evaluate a standalone expression (no temporaries in scope)."""
-        return self._decode(self._evaluate(expr, {}, None))
+        return self._decode(self._evaluate(expr, _Scope(None, {})))
 
     # -- internals --------------------------------------------------------------
 
@@ -516,40 +658,41 @@ class ColumnarExecutor:
         rows = self._store.dictionary.decode_rows(relation.rows())
         return Relation._from_parts(relation.columns, rows, name=relation.name)
 
-    def _resolve_scan(
-        self,
-        name: str,
-        temps: Dict[str, ColumnarRelation],
-        program: Optional[Program],
-    ) -> ColumnarRelation:
-        if name in temps:
-            return temps[name]
+    def _resolve_scan(self, name: str, scope: _Scope) -> ColumnarRelation:
+        relation = scope.resolved.get(name)
+        if relation is not None:
+            return relation
         if name in self._store:
             return self._store.relation(name)
-        if program is not None and self._lazy:
-            try:
-                expression = program.expression_for(name)
-            except KeyError:
-                raise ExecutionError(f"unknown relation {name!r}") from None
-            relation = self._evaluate(expression, temps, program)
-            temps[name] = relation
-            self.stats.temporaries_evaluated += 1
-            return relation
-        raise ExecutionError(f"unknown relation {name!r}")
+        entry = scope.shared.get(name)
+        if entry is None or (entry.relation is None and not self._lazy):
+            raise ExecutionError(f"unknown relation {name!r}")
+        return self._temporary(name, scope)
 
-    def _evaluate(
-        self,
-        expr: RAExpr,
-        temps: Dict[str, ColumnarRelation],
-        program: Optional[Program],
-    ) -> ColumnarRelation:
+    def _temporary(self, name: str, scope: _Scope) -> ColumnarRelation:
+        """Temporary ``name``: taken from its table entry, or evaluated and
+        published there."""
+        entry = scope.shared[name]
+        relation = entry.relation
+        if relation is None:
+            # Runs on two threads may both evaluate an entry; their results
+            # are equal, so whichever is published last is as good.
+            expression = scope.program.expression_for(name)  # type: ignore[union-attr]
+            relation = entry.relation = self._evaluate(expression, scope)
+            self.stats.temporaries_evaluated += 1
+        else:
+            self.stats.temporaries_reused += 1
+        scope.resolved[name] = relation
+        return relation
+
+    def _evaluate(self, expr: RAExpr, scope: _Scope) -> ColumnarRelation:
         if isinstance(expr, Scan):
-            return self._resolve_scan(expr.name, temps, program)
+            return self._resolve_scan(expr.name, scope)
         handler = self._HANDLERS.get(type(expr))
         if handler is None:
             raise ExecutionError(f"unknown relational expression {expr!r}")
         with obs.span(self._SPAN_NAMES[type(expr)]) as sp:
-            relation = handler(self, expr, temps, program)
+            relation = handler(self, expr, scope)
             if sp:
                 sp.set(rows=len(relation))
         self._batch_rows.observe(len(relation))
@@ -557,14 +700,14 @@ class ColumnarExecutor:
 
     # -- operators ---------------------------------------------------------------
 
-    def _identity(self, expr, temps, program) -> ColumnarRelation:
+    def _identity(self, expr, scope) -> ColumnarRelation:
         return self._store.identity()
 
-    def _empty(self, expr, temps, program) -> ColumnarRelation:
+    def _empty(self, expr, scope) -> ColumnarRelation:
         return ColumnarRelation(NODE_COLUMNS)
 
-    def _select(self, expr: Select, temps, program) -> ColumnarRelation:
-        relation = self._evaluate(expr.input, temps, program)
+    def _select(self, expr: Select, scope) -> ColumnarRelation:
+        relation = self._evaluate(expr.input, scope)
         cols = relation.cols()
         encode = self._store.dictionary.encode
         keep: Optional[List[int]] = None
@@ -588,8 +731,8 @@ class ColumnarExecutor:
         gathered = tuple([column[i] for i in keep] for column in cols)
         return ColumnarRelation(relation.columns, cols=gathered)
 
-    def _project(self, expr: Project, temps, program) -> ColumnarRelation:
-        relation = self._evaluate(expr.input, temps, program)
+    def _project(self, expr: Project, scope) -> ColumnarRelation:
+        relation = self._evaluate(expr.input, scope)
         indexes = [relation.column_index(c) for c in expr.columns]
         out_columns = expr.aliases if expr.aliases else expr.columns
         if len(out_columns) != len(expr.columns):
@@ -601,8 +744,8 @@ class ColumnarExecutor:
         self.stats.tuples_materialized += len(rows)
         return ColumnarRelation(out_columns, rows=rows)
 
-    def _tag_project(self, expr: TagProject, temps, program) -> ColumnarRelation:
-        relation = self._evaluate(expr.input, temps, program)
+    def _tag_project(self, expr: TagProject, scope) -> ColumnarRelation:
+        relation = self._evaluate(expr.input, scope)
         fi, ti, vi = (relation.column_index(c) for c in (F, T, V))
         tag_code = self._store.dictionary.encode(expr.tag)
         rows = set(
@@ -637,11 +780,11 @@ class ColumnarExecutor:
 
         return relation.memo(("rows-by", key_index), build)  # type: ignore[return-value]
 
-    def _compose(self, expr: Compose, temps, program) -> ColumnarRelation:
-        left = self._evaluate(expr.left, temps, program)
+    def _compose(self, expr: Compose, scope) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope)
         if not len(left):
             return ColumnarRelation(NODE_COLUMNS)
-        right = self._evaluate(expr.right, temps, program)
+        right = self._evaluate(expr.right, scope)
         if not len(right):
             return ColumnarRelation(NODE_COLUMNS)
         lf, lt = left.column_index(F), left.column_index(T)
@@ -661,9 +804,9 @@ class ColumnarExecutor:
         self.stats.join_output_rows += len(rows)
         return ColumnarRelation(NODE_COLUMNS, rows=rows)
 
-    def _equijoin(self, expr: EquiJoin, temps, program) -> ColumnarRelation:
-        left = self._evaluate(expr.left, temps, program)
-        right = self._evaluate(expr.right, temps, program)
+    def _equijoin(self, expr: EquiJoin, scope) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope)
+        right = self._evaluate(expr.right, scope)
         left_idx = left.column_index(expr.left_column)
         right_idx = right.column_index(expr.right_column)
         out_columns = tuple(alias for _, _, alias in expr.output)
@@ -689,11 +832,11 @@ class ColumnarExecutor:
         self.stats.join_output_rows += len(rows)
         return ColumnarRelation(out_columns, rows=rows)
 
-    def _semijoin(self, expr, temps, program, keep_matching: bool) -> ColumnarRelation:
-        left = self._evaluate(expr.left, temps, program)
+    def _semijoin(self, expr, scope, keep_matching: bool) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope)
         if not len(left):
             return ColumnarRelation(left.columns)
-        right = self._evaluate(expr.right, temps, program)
+        right = self._evaluate(expr.right, scope)
         keys = set(right.column(right.column_index(expr.right_column)))
         index = left.column_index(expr.left_column)
         if left.has_rows():
@@ -711,14 +854,14 @@ class ColumnarExecutor:
         gathered = tuple([col[i] for i in keep] for col in cols)
         return ColumnarRelation(left.columns, cols=gathered)
 
-    def _semi(self, expr: SemiJoin, temps, program) -> ColumnarRelation:
-        return self._semijoin(expr, temps, program, keep_matching=True)
+    def _semi(self, expr: SemiJoin, scope) -> ColumnarRelation:
+        return self._semijoin(expr, scope, keep_matching=True)
 
-    def _anti(self, expr: AntiJoin, temps, program) -> ColumnarRelation:
-        return self._semijoin(expr, temps, program, keep_matching=False)
+    def _anti(self, expr: AntiJoin, scope) -> ColumnarRelation:
+        return self._semijoin(expr, scope, keep_matching=False)
 
-    def _union(self, expr: Union, temps, program) -> ColumnarRelation:
-        relations = [self._evaluate(child, temps, program) for child in expr.inputs]
+    def _union(self, expr: Union, scope) -> ColumnarRelation:
+        relations = [self._evaluate(child, scope) for child in expr.inputs]
         non_empty = [rel for rel in relations if rel.columns]
         if not non_empty:
             return ColumnarRelation(NODE_COLUMNS)
@@ -733,14 +876,14 @@ class ColumnarExecutor:
         self.stats.union_output_rows += len(rows)
         return ColumnarRelation(columns, rows=rows)
 
-    def _difference(self, expr: Difference, temps, program) -> ColumnarRelation:
-        left = self._evaluate(expr.left, temps, program)
-        right = self._evaluate(expr.right, temps, program)
+    def _difference(self, expr: Difference, scope) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope)
+        right = self._evaluate(expr.right, scope)
         return ColumnarRelation(left.columns, rows=left.rows() - right.rows())
 
-    def _intersect(self, expr: Intersect, temps, program) -> ColumnarRelation:
-        left = self._evaluate(expr.left, temps, program)
-        right = self._evaluate(expr.right, temps, program)
+    def _intersect(self, expr: Intersect, scope) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope)
+        right = self._evaluate(expr.right, scope)
         return ColumnarRelation(left.columns, rows=left.rows() & right.rows())
 
     # -- fixpoints ---------------------------------------------------------------
@@ -789,16 +932,16 @@ class ColumnarExecutor:
                         push(target)
         return seen
 
-    def _fixpoint(self, expr: Fixpoint, temps, program) -> ColumnarRelation:
-        base = self._evaluate(expr.base, temps, program)
+    def _fixpoint(self, expr: Fixpoint, scope) -> ColumnarRelation:
+        base = self._evaluate(expr.base, scope)
         fi, ti, vi = (base.column_index(c) for c in (F, T, V))
         if expr.target_anchor is not None and expr.source_anchor is None:
-            return self._fixpoint_backward(expr, base, fi, ti, vi, temps, program)
+            return self._fixpoint_backward(expr, base, fi, ti, vi, scope)
 
         adjacency = self._adjacency(base, fi, ti)
         out_rows = self._group_rows(base, fi)
         if expr.source_anchor is not None:
-            anchor = self._evaluate(expr.source_anchor, temps, program)
+            anchor = self._evaluate(expr.source_anchor, scope)
             allowed = set(anchor.column(anchor.column_index(T)))
             origins = [origin for origin in out_rows if origin in allowed]
         else:
@@ -817,9 +960,9 @@ class ColumnarExecutor:
         return ColumnarRelation(NODE_COLUMNS, rows=result)
 
     def _fixpoint_backward(
-        self, expr: Fixpoint, base: ColumnarRelation, fi, ti, vi, temps, program
+        self, expr: Fixpoint, base: ColumnarRelation, fi, ti, vi, scope
     ) -> ColumnarRelation:
-        anchor = self._evaluate(expr.target_anchor, temps, program)
+        anchor = self._evaluate(expr.target_anchor, scope)
         allowed = set(anchor.column(anchor.column_index(F)))
         reverse = self._adjacency(base, ti, fi)
 
@@ -845,14 +988,14 @@ class ColumnarExecutor:
         self.stats.tuples_materialized += len(result)
         return ColumnarRelation(NODE_COLUMNS, rows=result)
 
-    def _interval_join(self, expr: IntervalJoin, temps, program) -> ColumnarRelation:
-        left = self._evaluate(expr.left, temps, program)
+    def _interval_join(self, expr: IntervalJoin, scope) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope)
         if not len(left):
             return ColumnarRelation(NODE_COLUMNS)
-        right = self._evaluate(expr.right, temps, program)
+        right = self._evaluate(expr.right, scope)
         if not len(right):
             return ColumnarRelation(NODE_COLUMNS)
-        order = self._evaluate(expr.order, temps, program)
+        order = self._evaluate(expr.order, scope)
         decode = self._store.dictionary.decode
 
         def build_intervals() -> Dict[int, Tuple[int, int]]:
@@ -896,8 +1039,8 @@ class ColumnarExecutor:
         self.stats.join_output_rows += len(rows)
         return ColumnarRelation(NODE_COLUMNS, rows=rows)
 
-    def _recursive_union(self, expr: RecursiveUnion, temps, program) -> ColumnarRelation:
-        init = self._evaluate(expr.init, temps, program)
+    def _recursive_union(self, expr: RecursiveUnion, scope) -> ColumnarRelation:
+        init = self._evaluate(expr.init, scope)
         if tuple(init.columns) != _TAG_COLUMNS:
             raise SchemaError(
                 f"recursive union init must have columns {_TAG_COLUMNS}, "
@@ -906,7 +1049,7 @@ class ColumnarExecutor:
         encode = self._store.dictionary.encode
         steps = []
         for step in expr.steps:
-            relation = self._evaluate(step.relation, temps, program)
+            relation = self._evaluate(step.relation, scope)
             rf, rt, rv = (relation.column_index(c) for c in (F, T, V))
             steps.append(
                 (

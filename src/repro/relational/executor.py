@@ -60,6 +60,10 @@ class ExecutionStats:
     union_output_rows: int = 0
     tuples_materialized: int = 0
     temporaries_evaluated: int = 0
+    #: Temporaries a run took already materialized from the columnar
+    #: store's shared table instead of evaluating them (the tuple executor
+    #: shares nothing, so it always reports 0).
+    temporaries_reused: int = 0
     elapsed_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
@@ -71,6 +75,7 @@ class ExecutionStats:
             "union_output_rows": self.union_output_rows,
             "tuples_materialized": self.tuples_materialized,
             "temporaries_evaluated": self.temporaries_evaluated,
+            "temporaries_reused": self.temporaries_reused,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -82,6 +87,7 @@ class ExecutionStats:
         self.union_output_rows = 0
         self.tuples_materialized = 0
         self.temporaries_evaluated = 0
+        self.temporaries_reused = 0
         self.elapsed_seconds = 0.0
 
 

@@ -95,6 +95,10 @@ class DocumentStore:
         # lock so two concurrent mutation scripts cannot interleave.
         self._mutator: Optional[DocumentMutator] = None
         self._update_lock = threading.Lock()
+        # Bumped by every invalidation: a result computed while the
+        # generation moved may predate the update, so it is not memoized.
+        self._generation = 0
+        self._results_lock = threading.Lock()
 
     def mutator(self, dtd: DTD) -> DocumentMutator:
         """This store's document mutator (created on first use)."""
@@ -109,9 +113,19 @@ class DocumentStore:
 
         Prepared programs survive: preparation is pruning plus statement
         rendering, both functions of the plan alone — a mutation changes
-        the data the statements run over, not the statements.
+        the data the statements run over, not the statements.  The result
+        generation moves, so :meth:`store_result` refuses any answer whose
+        execution began before this call.
         """
-        self._results.clear()
+        with self._results_lock:
+            self._generation += 1
+            self._results.clear()
+
+    @property
+    def generation(self) -> int:
+        """The result generation: read it before executing, pass it to
+        :meth:`store_result`."""
+        return self._generation
 
     @property
     def tree(self) -> XMLTree:
@@ -134,10 +148,16 @@ class DocumentStore:
             return None
         return self._results.get(key)
 
-    def store_result(self, key: Optional[PlanKey], result: BackendResult) -> None:
-        """Memoize ``result`` under ``key``."""
-        if key is not None:
-            self._results.put(key, result)
+    def store_result(
+        self, key: Optional[PlanKey], result: BackendResult, generation: int
+    ) -> None:
+        """Memoize ``result`` under ``key``, unless the results were
+        invalidated since ``generation`` was read (the answer may be stale)."""
+        if key is None:
+            return
+        with self._results_lock:
+            if generation == self._generation:
+                self._results.put(key, result)
 
     def result_cache_info(self) -> CacheInfo:
         """Counters of this store's result cache."""
@@ -400,7 +420,9 @@ class QueryService:
         a scratch copy first.  Updates on one store serialize on a lock;
         interleaving an update with in-flight queries on the *same* store
         from other threads is the caller's race to avoid (the process pool
-        serializes per worker, so the serving tier is safe).
+        serializes per worker, so the serving tier is safe).  The result
+        cache is safe either way: an answer whose execution began before
+        the invalidation is never memoized (:meth:`DocumentStore.store_result`).
 
         Returns a summary dict: applied mutation count and delta row counts.
         """
@@ -500,9 +522,10 @@ class QueryService:
                 answer_sp.set(result_cache_hit=True)
                 return cached
             answer_sp.set(result_cache_hit=False)
+            generation = store.generation
             prepared = store.prepared_program(key, self.plan(parsed))
             result = store.backend.execute_prepared(prepared)
-            store.store_result(key, result)
+            store.store_result(key, result, generation)
             return result
 
     def answer(

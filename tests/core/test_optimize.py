@@ -26,6 +26,7 @@ from repro.relational.algebra import (
     Condition,
     Difference,
     EmptyRelation,
+    EquiJoin,
     Fixpoint,
     Program,
     Project,
@@ -98,6 +99,59 @@ class TestCommonSubexpressionElimination:
         optimized = eliminate_common_subexpressions(program)
         assert len(optimized) == 2
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                SemiJoin(Scan("R_a"), Scan("R_b"), "T", "F"),
+                SemiJoin(Scan("R_a"), Scan("R_b"), "F", "T"),
+            ),
+            (
+                AntiJoin(Scan("R_a"), Scan("R_b"), "T", "F"),
+                AntiJoin(Scan("R_a"), Scan("R_b"), "F", "T"),
+            ),
+            (
+                Project(Scan("R_a"), ("T", "T", "V"), ("F", "T", "V")),
+                Project(Scan("R_a"), ("T", "T", "V")),
+            ),
+            (
+                EquiJoin(Scan("R_a"), Scan("R_b"), "T", "F", (("L", "F", "F"), ("R", "T", "T"))),
+                EquiJoin(Scan("R_a"), Scan("R_b"), "T", "F", (("L", "F", "F"), ("L", "T", "T"))),
+            ),
+            (
+                Select(Scan("R_a"), (Condition("V", "=", 1),)),
+                Select(Scan("R_a"), (Condition("V", "=", True),)),
+            ),
+            (
+                Select(Scan("R_a"), (Condition("V", "=", 1),)),
+                Select(Scan("R_a"), (Condition("V", "=", 1.0),)),
+            ),
+        ],
+        ids=["semijoin-columns", "antijoin-columns", "project-aliases",
+             "equijoin-output", "condition-bool", "condition-float"],
+    )
+    def test_expressions_equal_only_in_print_stay_apart(self, first, second):
+        # Each pair prints alike or compares equal field by field in Python
+        # (1 == 1.0 == True), yet the two temporaries hold different relations.
+        program = Program(
+            [Assignment("T1", first), Assignment("T2", second)],
+            Union((Scan("T1"), Scan("T2"))),
+        )
+        optimized = eliminate_common_subexpressions(program)
+        assert optimized.temporaries() == ["T1", "T2"]
+        assert str(optimized.result) == "(T1 UNION T2)"
+
+    def test_equal_conditions_still_merge(self):
+        program = Program(
+            [
+                Assignment("T1", Select(Scan("R_a"), (Condition("V", "=", 1),))),
+                Assignment("T2", Select(Scan("R_a"), (Condition("V", "=", 1),))),
+            ],
+            Union((Scan("T1"), Scan("T2"))),
+        )
+        optimized = eliminate_common_subexpressions(program)
+        assert optimized.temporaries() == ["T1"]
+
     def test_semantics_preserved_on_real_translation(self, dept_dtd, dept_tree, dept_shredded):
         translator = XPathToSQLTranslator(dept_dtd)
         result = translator.translate("dept//student/qualified//course")
@@ -150,6 +204,17 @@ class TestSimplifyProgram:
         result = simplified.result
         assert isinstance(result, Union)
         assert [str(child) for child in result.inputs] == ["R_a", "R_b"]
+
+    def test_union_keeps_branches_that_differ_in_join_columns(self):
+        union = Union(
+            (
+                SemiJoin(Scan("R_a"), Scan("R_b"), "T", "F"),
+                SemiJoin(Scan("R_a"), Scan("R_b"), "F", "T"),
+            )
+        )
+        result = simplify_program(Program([], union)).result
+        assert isinstance(result, Union)
+        assert [child.left_column for child in result.inputs] == ["T", "F"]
 
     def test_operators_over_empty_inputs_fold(self):
         empty = EmptyRelation()

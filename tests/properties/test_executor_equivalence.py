@@ -16,11 +16,15 @@ ways:
   ``.../opt/tuple`` oracle arm per strategy — plus an explicit
   per-corpus-case executor comparison at both optimize levels;
 * lazy and eager evaluation agree per executor (the strategies share the
-  warm-temporaries namespace, so this also exercises temp reuse).
+  warm-temporaries namespace, so this also exercises temp reuse);
+* one columnar store answers a DTD's sample queries in a seeded order, so
+  plans take temporaries from the store's shared table that other plans
+  materialized, and every answer still equals the tuple executor's.
 """
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -34,7 +38,8 @@ from repro.fuzz.cases import FuzzCase
 from repro.fuzz.harness import replay_corpus
 from repro.fuzz.oracle import default_engines
 from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
-from repro.relational.columnar import EXECUTOR_NAMES
+from repro.relational.columnar import EXECUTOR_NAMES, ColumnarDatabase, ColumnarExecutor
+from repro.relational.executor import Executor
 from repro.shredding.shredder import shred_document
 from repro.xmltree.generator import generate_document
 from repro.xpath.evaluator import evaluate_xpath
@@ -157,3 +162,32 @@ class TestLazyEagerAgreePerExecutor:
                 executor,
                 query_text,
             )
+
+
+class TestSharedTemporariesAcrossPlans:
+    @pytest.mark.parametrize("dtd_name", ALL_SAMPLE_DTDS)
+    def test_one_store_answers_many_plans_like_the_tuple_executor(
+        self, sample_documents, dtd_name
+    ):
+        dtd, tree, shredded = sample_documents[dtd_name]
+        database = shredded.database
+        queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=47)).queries(8)
+        translator = XPathToSQLTranslator(dtd)
+        # Every program stays alive, so its entries stay in the table.
+        programs = [translator.translate(query).program for query in queries]
+        expected = [Executor(database).run(program) for program in programs]
+        rng = random.Random(f"shared:{dtd_name}")
+        order = list(range(len(programs))) * 2
+        rng.shuffle(order)
+        store = ColumnarDatabase(database)
+        seen = set()
+        reused_cold = 0
+        for index in order:
+            executor = ColumnarExecutor(store, lazy=rng.random() < 0.5)
+            assert executor.run(programs[index]) == expected[index], queries[index]
+            if index not in seen:
+                seen.add(index)
+                reused_cold += executor.stats.temporaries_reused
+        # Cold runs took entries other plans had materialized.
+        assert reused_cold > 0
+        assert len(store.shared_temporaries()) < sum(len(p) for p in programs)

@@ -9,8 +9,11 @@ from repro.relational.algebra import (
     Condition,
     Difference,
     EdgeStep,
+    EquiJoin,
     Fixpoint,
     IdentityRelation,
+    Intersect,
+    IntervalJoin,
     Program,
     Project,
     RecursiveUnion,
@@ -19,6 +22,7 @@ from repro.relational.algebra import (
     SemiJoin,
     TagProject,
     Union,
+    rename_scans,
 )
 
 
@@ -117,3 +121,42 @@ class TestExpressionStrings:
         assert compose.children() == (Scan("a"), Scan("b"))
         fixpoint = Fixpoint(Scan("a"), source_anchor=Scan("s"), target_anchor=Scan("t"))
         assert len(fixpoint.children()) == 3
+
+
+class TestCanonicalForm:
+    def test_condition_equality_includes_the_value_type(self):
+        assert Condition("V", "=", 1) == Condition("V", "=", 1)
+        assert hash(Condition("V", "=", 1)) == hash(Condition("V", "=", 1))
+        assert Condition("V", "=", 1) != Condition("V", "=", True)
+        assert Condition("V", "=", 1) != Condition("V", "=", 1.0)
+        assert len({Condition("V", "=", 1), Condition("V", "=", True)}) == 2
+
+    def test_rename_reaches_every_scan(self):
+        scans = [Scan(f"t{index}") for index in range(12)]
+        expr = Union(
+            (
+                Select(scans[0], (Condition("F", "=", "_"),)),
+                Project(scans[1], ("T", "T", "V"), ("F", "T", "V")),
+                TagProject(scans[2], "c"),
+                Compose(scans[3], IdentityRelation()),
+                EquiJoin(scans[4], scans[5], "T", "F", (("L", "F", "F"),)),
+                SemiJoin(scans[6], scans[7], "F", "T"),
+                AntiJoin(scans[8], Scan("base")),
+                Difference(Intersect(scans[9], scans[10]), scans[11]),
+                Fixpoint(Scan("t0"), source_anchor=Scan("t1"), target_anchor=Scan("t2")),
+                RecursiveUnion(Scan("t3"), (EdgeStep(Scan("t4"), "a", "b"),)),
+                IntervalJoin(Scan("t5"), Scan("t6"), Scan("t7")),
+            )
+        )
+        renamed = rename_scans(expr, {f"t{index}": f"u{index}" for index in range(12)})
+        names = {node.name for node in _walk(renamed) if isinstance(node, Scan)}
+        assert names == {f"u{index}" for index in range(12)} | {"base"}
+        # Everything but the names is kept, so renaming back restores expr.
+        back = rename_scans(renamed, {f"u{index}": f"t{index}" for index in range(12)})
+        assert back == expr
+
+
+def _walk(expr):
+    yield expr
+    for child in expr.children():
+        yield from _walk(child)

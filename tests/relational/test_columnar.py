@@ -4,16 +4,23 @@ The node-for-node equivalence of the two executors over real translated
 programs lives in ``tests/properties/test_executor_equivalence.py``; this
 module pins the columnar substrate itself — the value dictionary, the
 lazy cols/rows representations, the store cache and its invalidation, the
-per-program warm-temporaries namespace, and operator/error parity with
-the tuple executor on a hand-built database.
+shared temporary table, and operator/error parity with the tuple
+executor on a hand-built database.
 """
 
+import gc
 import pickle
+import sys
+import threading
 
 import pytest
 
+from repro import obs
+from repro.core.pipeline import XPathToSQLTranslator
 from repro.errors import ExecutionError, SchemaError
 from repro.backends.memory import MemoryBackend
+from repro.live.delta import ShredDelta, apply_delta_to_database
+from repro.relational import columnar
 from repro.relational.algebra import (
     AntiJoin,
     Assignment,
@@ -45,6 +52,7 @@ from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.relation import Relation
 from repro.relational.schema import NODE_COLUMNS, DatabaseSchema, RelationSchema
+from repro.workloads.queries import CROSS_QUERIES, SCALABILITY_QUERY
 
 
 @pytest.fixture()
@@ -458,6 +466,252 @@ class TestProgramsAndWarmTemps:
         result = ColumnarExecutor(database).run(self._program())
         assert isinstance(result, Relation)
         assert result.columns == NODE_COLUMNS
+
+
+def _closure_program(prefix, result=None):
+    """A closure over ``R_a ∘ R_b``; ``prefix`` names the temporaries."""
+    ab, lfp = f"{prefix}_ab", f"{prefix}_lfp"
+    return Program(
+        [
+            Assignment(ab, Compose(Scan("R_a"), Scan("R_b"))),
+            Assignment(lfp, Fixpoint(Union((Scan(ab), Scan("R_b"))))),
+        ],
+        result if result is not None else Scan(lfp),
+    )
+
+
+def _keys(store):
+    return sorted(str(entry.key) for entry in store.shared_temporaries())
+
+
+class TestSharedTemporaries:
+    """Structurally equal temporaries share one entry per store."""
+
+    def test_equal_canonical_expressions_are_evaluated_once(self, cyclic):
+        first = _closure_program("x")
+        second = _closure_program(
+            "y", Select(Scan("y_lfp"), (Condition("F", "=", 1),))
+        )
+        store = columnar_store(cyclic)
+        cold = ColumnarExecutor(store)
+        assert cold.run(first) == Executor(cyclic).run(first)
+        assert cold.stats.temporaries_evaluated == 2
+        assert cold.stats.temporaries_reused == 0
+        other = ColumnarExecutor(store)
+        assert other.run(second) == Executor(cyclic).run(second)
+        assert other.stats.temporaries_evaluated == 0
+        assert other.stats.temporaries_reused == 1  # y_lfp; y_ab is never read
+        assert other.stats.fixpoint_iterations == 0
+        assert len(store.shared_temporaries()) == 2
+        assert all(entry.users == 2 for entry in store.shared_temporaries())
+
+    def test_eager_runs_share_too(self, cyclic):
+        store = columnar_store(cyclic)
+        first = _closure_program("x")
+        ColumnarExecutor(store).run(first)
+        eager = ColumnarExecutor(store, lazy=False)
+        program = _closure_program("y")
+        assert eager.run(program) == Executor(cyclic).run(program)
+        assert eager.stats.temporaries_evaluated == 0
+        assert eager.stats.temporaries_reused == 2
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                SemiJoin(Scan("R_b"), Scan("R_a"), "T", "F"),
+                SemiJoin(Scan("R_b"), Scan("R_a"), "F", "T"),
+            ),
+            (
+                Project(Scan("R_b"), ("T", "T", "V"), ("F", "T", "V")),
+                Project(Scan("R_b"), ("T", "T", "V")),
+            ),
+            (
+                Select(Scan("R_b"), (Condition("V", "=", 1),)),
+                Select(Scan("R_b"), (Condition("V", "=", True),)),
+            ),
+        ],
+        ids=["semijoin-columns", "project-aliases", "condition-type"],
+    )
+    def test_distinct_temporaries_are_not_shared(self, cyclic, first, second):
+        store = columnar_store(cyclic)
+        programs = [Program([Assignment("t", e)], Scan("t")) for e in (first, second)]
+        for program in programs:
+            executor = ColumnarExecutor(store)
+            assert executor.run(program) == Executor(cyclic).run(program)
+            assert executor.stats.temporaries_evaluated == 1
+            assert executor.stats.temporaries_reused == 0
+        assert len(store.shared_temporaries()) == 2
+
+    def test_reads_of_a_shadowing_temporary_are_not_shared(self, cyclic):
+        # The lazy executor resolves R_a to the base relation, the eager one
+        # (after the assignment) to the temporary: keys that read it must
+        # not match another program's.
+        shadowing = Program(
+            [
+                Assignment("R_a", Scan("R_b")),
+                Assignment("t", Compose(Scan("R_a"), Scan("R_b"))),
+            ],
+            Scan("t"),
+        )
+        plain = Program(
+            [
+                Assignment("u", Scan("R_b")),
+                Assignment("t", Compose(Scan("u"), Scan("R_b"))),
+            ],
+            Scan("t"),
+        )
+        store = columnar_store(cyclic)
+        for program in (shadowing, plain):
+            assert ColumnarExecutor(store).run(program) == Executor(cyclic).run(program)
+        assert _keys(store).count("R_b") == 1
+        assert len(store.shared_temporaries()) == 3
+
+    def test_an_entry_lives_while_a_program_uses_it(self, cyclic):
+        store = columnar_store(cyclic)
+        survivor = _closure_program("x")
+        doomed = Program(
+            [
+                Assignment("ab", Compose(Scan("R_a"), Scan("R_b"))),
+                Assignment("ba", Compose(Scan("R_b"), Scan("R_a"))),
+            ],
+            Union((Scan("ab"), Scan("ba"))),
+        )
+        ColumnarExecutor(store).run(survivor)
+        ColumnarExecutor(store).run(doomed)
+        assert _keys(store) == [
+            "(R_a . R_b)", "(R_b . R_a)", "LFP(({(R_a . R_b)} UNION R_b))"
+        ]
+        shared = store.temps_for(survivor)["x_ab"]
+        assert shared.users == 2
+        del doomed
+        gc.collect()
+        assert shared.users == 1
+        assert set(store.shared_temporaries()) == set(store.temps_for(survivor).values())
+        del survivor
+        gc.collect()
+        assert store.shared_temporaries() == ()
+
+    def test_apply_delta_drops_the_table(self, cyclic):
+        store = columnar_store(cyclic)
+        programs = [_closure_program("x"), _closure_program("y", Scan("y_ab"))]
+        for program in programs:
+            ColumnarExecutor(store).run(program)
+        assert store.shared_temporaries()
+        delta = ShredDelta.build(
+            deletes={"R_b": [(3, 1, "b-1")]}, inserts={"R_b": [(7, 2, "b-9")]}
+        )
+        apply_delta_to_database(cyclic, delta)
+        store.apply_delta(delta, cyclic.version)
+        assert columnar_store(cyclic) is store
+        assert store.shared_temporaries() == ()
+        fresh = ColumnarDatabase(cyclic)
+        for program in programs:
+            patched = ColumnarExecutor(store)
+            answer = patched.run(program)
+            assert answer == ColumnarExecutor(fresh).run(program)
+            assert answer == Executor(cyclic).run(program)
+        assert patched.stats.temporaries_reused == 1  # the first program's x_ab
+
+    def test_threads_sharing_temporaries_match_a_serial_run(
+        self, cross_dtd, cross_shredded
+    ):
+        # The paper's cross-DTD queries: their CycleEX programs share most
+        # of their closures, under different temporary names.
+        translator = XPathToSQLTranslator(cross_dtd)
+        queries = list(CROSS_QUERIES.values()) + [SCALABILITY_QUERY]
+        programs = [translator.translate(query).program for query in queries]
+        database = cross_shredded.database
+        serial = [ColumnarExecutor(ColumnarDatabase(database)).run(p) for p in programs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-operator
+        try:
+            for round_ in range(5):
+                store = ColumnarDatabase(database)
+                barrier = threading.Barrier(len(programs))
+                answers = [None] * len(programs)
+
+                def run(index):
+                    barrier.wait()
+                    answers[index] = ColumnarExecutor(
+                        store, lazy=bool(index % 2)
+                    ).run(programs[index])
+
+                threads = [
+                    threading.Thread(target=run, args=(index,))
+                    for index in range(len(programs))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                    assert not thread.is_alive()
+                assert answers == serial, round_
+                # No lost update: each entry counts every program using it.
+                for entry in store.shared_temporaries():
+                    users = sum(
+                        entry in store.temps_for(p).values() for p in programs
+                    )
+                    assert entry.users == users, round_
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(store.shared_temporaries()) < sum(len(p) for p in programs)
+
+    @pytest.mark.parametrize("same_thread", [True, False], ids=["same-thread", "other-thread"])
+    def test_collection_inside_temps_for_does_not_deadlock(
+        self, cyclic, monkeypatch, same_thread
+    ):
+        store = columnar_store(cyclic)
+        doomed = [Program([Assignment("t", Compose(Scan("R_b"), Scan("R_a")))], Scan("t"))]
+        ColumnarExecutor(store).run(doomed[0])
+        inside, resume = threading.Event(), threading.Event()
+        rename = columnar.rename_scans
+
+        def collect():
+            doomed.clear()
+            gc.collect()
+
+        def rename_then_wait(expr, renames):
+            # Runs while temps_for holds the table lock.
+            if same_thread:
+                collect()
+            else:
+                inside.set()
+                resume.wait(10)
+            return rename(expr, renames)
+
+        monkeypatch.setattr(columnar, "rename_scans", rename_then_wait)
+        survivor = Program([Assignment("u", Compose(Scan("R_a"), Scan("R_b")))], Scan("u"))
+        worker = threading.Thread(target=store.temps_for, args=(survivor,), daemon=True)
+        worker.start()
+        if not same_thread:
+            assert inside.wait(10)
+            collector = threading.Thread(target=collect, daemon=True)
+            collector.start()
+            collector.join(10)
+            assert not collector.is_alive(), "the release waited on the table lock"
+            resume.set()
+        worker.join(10)
+        assert not worker.is_alive(), "temps_for deadlocked"
+        # The queued release was applied when temps_for let go of the lock.
+        assert _keys(store) == ["(R_a . R_b)"]
+
+    def test_memory_backend_span_reports_reuse(self, cyclic):
+        # Enough rows that the backend routes to the columnar engine.
+        cyclic.set_relation(
+            "R_b",
+            Relation(NODE_COLUMNS, {(index, index + 1, "b") for index in range(80)}),
+        )
+        backend = MemoryBackend(cyclic, executor="columnar")
+        first = _closure_program("x")
+        backend.execute(first)
+        program = _closure_program("y")
+        with obs.trace("root") as root:
+            result = backend.execute(program)
+        attrs = root.find("execute").attrs
+        assert attrs["temporaries_evaluated"] == 0
+        assert attrs["temporaries_reused"] == 1
+        assert result.stats["temporaries_reused"] == 1
 
 
 class TestMemoryBackendKnob:

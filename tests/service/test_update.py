@@ -128,6 +128,33 @@ class TestQueryServiceUpdate:
             )
             assert answered == _evaluator_ids(live_tree)
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_answer_computed_across_an_update_is_not_cached(self, backend):
+        # The backend finishes executing, then an update lands before the
+        # service stores the (now stale) result.
+        dtd = samples.cross_dtd()
+        tree = generate_document(dtd, seed=3, max_elements=200)
+        with QueryService(dtd, backend=backend) as service:
+            service.register_document("doc", tree)
+            store = service.store("doc")
+            before = _evaluator_ids(tree)
+            script = _script(dtd, tree.copy(), seed=11, mutations=8)
+            execute = store.backend.execute_prepared
+
+            def execute_then_update(prepared):
+                result = execute(prepared)
+                store.backend.execute_prepared = execute
+                service.update_document(script, "doc")
+                return result
+
+            store.backend.execute_prepared = execute_then_update
+            stale = sorted(n.node_id for n in service.answer(QUERY, document_id="doc"))
+            assert stale == before
+            after = _evaluator_ids(store.shredded.tree)
+            assert after != before, "the script must change the answer"
+            answered = sorted(n.node_id for n in service.answer(QUERY, document_id="doc"))
+            assert answered == after
+
     def test_unknown_document_rejected(self):
         dtd = samples.cross_dtd()
         with QueryService(dtd) as service:
