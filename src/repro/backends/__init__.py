@@ -3,14 +3,18 @@
 Two implementations ship today:
 
 * :class:`~repro.backends.memory.MemoryBackend` — the pure-Python
-  hash-join/LFP engine (an adapter over ``relational.executor``);
+  engines of ``repro.relational`` (columnar or tuple-at-a-time); every
+  in-process execution route, :class:`~repro.core.pipeline.XPathToSQLTranslator`
+  and the GAV views included, runs through it;
 * :class:`~repro.backends.sqlite.SqliteBackend` — real execution on SQLite
   via the ``SQLITE`` SQL dialect (``WITH RECURSIVE`` for the LFP operator).
 
 Use :func:`create_backend` to instantiate one by name; the registry is the
 single point future backends (DuckDB, Postgres, sharded execution) hook
-into.  :mod:`repro.backends.differential` runs every workload query on all
-backends and asserts identical answer sets.
+into.  Cross-backend correctness is checked by
+:class:`repro.fuzz.DifferentialOracle`, which answers every case on every
+backend of its engine grid against the XPath evaluator (``repro diff``
+replays the workload queries through it).
 """
 
 from __future__ import annotations

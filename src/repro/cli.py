@@ -94,8 +94,10 @@ This module is CLI plumbing, not public API — scripts should import
     and an optional ``--backend`` axis.
 
 ``diff``
-    Run the differential suite: every workload query on every backend,
-    asserting identical answer sets.
+    Replay the fixed workloads — every query of
+    :mod:`repro.workloads.queries` plus a non-recursive DTD, one fuzz case
+    per distinct (DTD, query) pair — through the differential oracle: every
+    engine of the default grid must return the XPath evaluator's answer.
 
 ``generate``
     Generate a DTD-conforming document with explicit shape knobs
@@ -113,7 +115,8 @@ This module is CLI plumbing, not public API — scripts should import
     applies a random schema-valid mutation script and every engine answers
     twice — once through the incremental delta path and once over a
     from-scratch reshred of the mutated tree — so an unsound delta shows up
-    as a cross-arm disagreement.
+    as a cross-arm disagreement.  ``--replay`` runs each saved case the
+    way its format says: mutation cases on both arms, read-only cases once.
 
 ``mutate``
     Generate a document, register it with the query service, push a seeded
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     diff = commands.add_parser(
-        "diff", help="differentially validate all backends on the workload queries"
+        "diff", help="replay the workload queries on every engine against the evaluator"
     )
     diff.add_argument("--quick", action="store_true", help="smaller documents")
 
@@ -905,9 +908,28 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.backends import differential
+    from repro.fuzz.oracle import default_engines
+    from repro.workloads.cases import workload_cases
 
-    return differential.main(["--quick"] if args.quick else [])
+    cases = workload_cases(max_elements=200 if args.quick else 400)
+    return _replay(cases, default_engines(), "workload")
+
+
+def _replay(source: object, engines: List[EngineConfig], noun: str) -> int:
+    """Replay cases (a corpus path or the cases themselves, see
+    :func:`~repro.fuzz.harness.replay_corpus`) through the oracle, print
+    each verdict and an N/M summary; exit status 1 when any case disagrees."""
+    from repro.fuzz import replay_corpus
+
+    outcomes = replay_corpus(source, engines)
+    for outcome in outcomes:
+        print(outcome.describe())
+    failed = sum(1 for outcome in outcomes if not outcome.ok)
+    print(
+        f"{len(outcomes) - failed}/{len(outcomes)} {noun} case(s) agree "
+        f"on {len(engines)} engine(s)"
+    )
+    return 1 if failed else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -1097,7 +1119,7 @@ def _cmd_bench_serving(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import DocumentSpec, FuzzConfig, default_engines, replay_corpus, run_fuzz
+    from repro.fuzz import DocumentSpec, FuzzConfig, default_engines, run_fuzz
 
     strategies = None
     if args.strategies:
@@ -1125,20 +1147,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
 
     if args.replay:
-        oracle = None
-        if args.mutations:
-            from repro.live.fuzzer import MutationOracle
-
-            oracle = MutationOracle(engines)
         try:
-            outcomes = replay_corpus(args.replay, engines, oracle=oracle)
+            return _replay(args.replay, engines, "corpus")
         except (FileNotFoundError, ValueError) as exc:
             raise SystemExit(f"cannot replay {args.replay!r}: {exc}") from None
-        for outcome in outcomes:
-            print(outcome.describe())
-        failed = sum(1 for outcome in outcomes if not outcome.ok)
-        print(f"{len(outcomes) - failed}/{len(outcomes)} corpus case(s) agree")
-        return 1 if failed else 0
 
     if args.budget < 0:
         raise SystemExit("--budget must be >= 0")
@@ -1151,25 +1163,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.max_cycle_edges < 0:
         raise SystemExit("--max-cycle-edges must be >= 0")
 
-    if args.mutations:
-        from repro.live.fuzzer import MutationFuzzConfig, run_mutation_fuzz
-
-        if args.mutations_per_case < 1:
-            raise SystemExit("--mutations-per-case must be >= 1")
-        mutation_config = MutationFuzzConfig(
-            seed=args.seed,
-            budget=args.budget,
-            queries_per_dtd=args.queries_per_dtd,
-            min_types=args.min_types,
-            max_types=args.max_types,
-            max_cycle_edges=args.max_cycle_edges,
-            document=DocumentSpec(x_l=args.x_l, x_r=args.x_r, max_elements=args.elements),
-            mutations_per_case=args.mutations_per_case,
-            corpus_dir=args.save_failures,
-        )
-        report = run_mutation_fuzz(mutation_config, engines)
-        print(report.describe())
-        return 0 if report.ok else 1
+    if args.mutations and args.mutations_per_case < 1:
+        raise SystemExit("--mutations-per-case must be >= 1")
 
     config = FuzzConfig(
         seed=args.seed,
@@ -1181,6 +1176,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         document=DocumentSpec(x_l=args.x_l, x_r=args.x_r, max_elements=args.elements),
         shrink=not args.no_shrink,
         corpus_dir=args.save_failures,
+        mutations_per_case=args.mutations_per_case if args.mutations else 0,
     )
     report = run_fuzz(config, engines)
     print(report.describe())

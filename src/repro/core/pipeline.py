@@ -9,7 +9,7 @@
    (EXpToSQL), optionally with the Sect. 5.2 optimisations.
 
 It can also *answer* queries: shred a document, run the translated program
-on the in-memory engine, and map the resulting node ids back to XML nodes —
+on the in-memory backend, and map the resulting node ids back to XML nodes —
 which is how the test suite checks the central invariant
 ``Q(T) = Q'(tau_d(T))`` against the direct XPath evaluator.
 """
@@ -23,6 +23,8 @@ from typing import Dict, List, Optional, Union as TUnion
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.backends.base import BackendResult
+from repro.backends.memory import MemoryBackend
 from repro.core.expath_to_sql import ExtendedToSQL, TranslationOptions
 from repro.core.optimize import (
     DEFAULT_OPTIMIZE_LEVEL,
@@ -42,10 +44,6 @@ from repro.dtd.model import DTD
 from repro.expath.ast import ExtendedXPathQuery
 from repro.expath.metrics import OperatorCounts, count_operators
 from repro.relational.algebra import OperatorProfile, Program
-from repro.relational.columnar import COLUMNAR_MIN_ROWS, ColumnarExecutor
-from repro.relational.executor import ExecutionStats, Executor
-from repro.relational.relation import Relation
-from repro.relational.schema import T as T_COLUMN
 from repro.relational.sqlgen import SQLDialect, program_to_sql
 from repro.shredding.inlining import SimpleMapping
 from repro.shredding.shredder import ShreddedDocument, shred_document
@@ -373,27 +371,16 @@ class XPathToSQLTranslator:
 
     def execute(
         self, query: QueryLike, shredded: ShreddedDocument, lazy: bool = True
-    ) -> tuple:
-        """Translate and execute; returns ``(result relation, execution stats)``.
+    ) -> BackendResult:
+        """Translate and execute on the in-memory backend.
 
-        The executor is picked by the config's ``executor`` knob: the
-        columnar batch engine (default) or the tuple-at-a-time engine.
-        Cold tiny documents (fewer than
-        :data:`~repro.relational.columnar.COLUMNAR_MIN_ROWS` stored rows)
-        fall back to the tuple engine — dictionary-encoding a handful of
-        rows costs more than it saves.
+        The :class:`~repro.backends.memory.MemoryBackend` runs the config's
+        ``executor`` (and routes tiny documents to the tuple engine, as it
+        does everywhere); the result's ``stats`` carry the executor's
+        counters.
         """
-        result = self.translate(query)
-        use_columnar = (
-            self._config.executor == "columnar"
-            and shredded.database.total_rows() >= COLUMNAR_MIN_ROWS
-        )
-        if use_columnar:
-            executor: object = ColumnarExecutor(shredded.database, lazy=lazy)
-        else:
-            executor = Executor(shredded.database, lazy=lazy)
-        relation = executor.run(result.program)
-        return relation, executor.stats
+        backend = MemoryBackend(shredded.database, lazy=lazy, executor=self._config.executor)
+        return backend.execute(self.translate(query).program)
 
     def answer(
         self, query: QueryLike, shredded: ShreddedDocument, lazy: bool = True
@@ -403,9 +390,8 @@ class XPathToSQLTranslator:
         The answer is the set of nodes whose ids appear in the ``T`` column
         of the translated program's result relation, in document order.
         """
-        relation, _ = self.execute(query, shredded, lazy=lazy)
-        node_ids = relation.column_values(T_COLUMN)
-        return shredded.nodes_for_ids(node_ids)
+        result = self.execute(query, shredded, lazy=lazy)
+        return shredded.nodes_for_ids(result.node_ids())
 
 
 def answer_xpath(

@@ -13,14 +13,23 @@ queries.  This package turns the invariant into an *unbounded* test oracle:
   ``text() = c`` comparisons target declared text types — so generated
   queries always parse and resolve;
 * :class:`~repro.fuzz.oracle.DifferentialOracle` answers each generated
-  (DTD, document, query) triple on every engine — the direct XPath
-  evaluator, the in-memory engine under all descendant strategies and
-  optimisation settings, and SQLite — and reports any disagreement;
+  (DTD, document, query) triple on every engine of the grid — a list of
+  :class:`~repro.api.EngineConfig` spanning the in-memory engine under all
+  descendant strategies and optimisation settings, and SQLite — compares
+  each against the direct XPath evaluator and reports any disagreement.
+  A case carrying a mutation script runs each engine twice: through
+  ``Backend.apply_delta`` on the base document (the delta arm) and over
+  a fresh shred of the mutated tree (the ``@scratch`` arm);
 * :func:`~repro.fuzz.shrink.shrink_case` reduces a failing triple to a
   minimal repro (smaller document, shorter query, fewer element types);
 * :func:`~repro.fuzz.harness.run_fuzz` drives the whole loop from one seed
-  and budget, optionally writing failures to a replayable JSON corpus.
+  and budget, optionally attaching a random mutation script to every case
+  (``FuzzConfig.mutations_per_case``) and writing failures to a replayable
+  JSON corpus; :func:`~repro.fuzz.harness.replay_corpus` re-runs one (or
+  any list of cases).
 
+``repro diff`` replays the fixed paper workloads
+(:func:`repro.workloads.cases.workload_cases`) through the same oracle.
 Everything is deterministic per seed: the same ``FuzzConfig`` always
 produces the same cases, so a failure found in CI replays locally.
 """
@@ -32,8 +41,8 @@ from repro.fuzz.oracle import (
     CaseOutcome,
     DifferentialOracle,
     EngineDisagreement,
-    EngineSpec,
     default_engines,
+    engine_name,
 )
 from repro.fuzz.shrink import shrink_case
 from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
@@ -45,11 +54,11 @@ __all__ = [
     "RandomXPathGenerator",
     "DocumentSpec",
     "FuzzCase",
-    "EngineSpec",
     "EngineDisagreement",
     "CaseOutcome",
     "DifferentialOracle",
     "default_engines",
+    "engine_name",
     "shrink_case",
     "FuzzConfig",
     "FuzzFailure",

@@ -12,7 +12,7 @@ format.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path as FilePath
 from typing import Dict, Optional, Tuple, Union
 
@@ -203,26 +203,3 @@ class FuzzCase:
     def load(cls, path: Union[str, FilePath]) -> "FuzzCase":
         """Read a case back from a JSON file."""
         return cls.from_json(FilePath(path).read_text(encoding="utf-8"))
-
-    # -- integration ------------------------------------------------------------
-
-    def to_differential_spec(self, **overrides: object):
-        """View this case as a backend-level :class:`DifferentialSpec`.
-
-        This is the bridge into :mod:`repro.backends.differential`: the
-        generated case joins the fixed paper workloads in the same
-        backend-vs-backend sweep.
-        """
-        from repro.backends.differential import DifferentialSpec
-
-        spec = DifferentialSpec(
-            label=self.label,
-            dtd=self.dtd(),
-            queries={self.label: self.query},
-            x_l=self.document.x_l,
-            x_r=self.document.x_r,
-            seed=self.document.seed,
-            max_elements=self.document.max_elements,
-            distinct_values=self.document.distinct_values,
-        )
-        return replace(spec, **overrides) if overrides else spec

@@ -4,10 +4,12 @@
 it derives a deterministic stream of (DTD, query, document) cases, answers
 each on every engine of the :class:`~repro.fuzz.oracle.DifferentialOracle`,
 auto-shrinks any disagreement to a minimal repro and (optionally) writes
-both the original and the shrunk case into a JSON corpus directory.
-Replaying a corpus (``repro fuzz --replay``, or the checked-in regression
-corpus under ``tests/fuzz/corpus/``) re-runs saved cases through the same
-oracle.
+both the original and the shrunk case into a JSON corpus directory.  With
+``FuzzConfig.mutations_per_case`` above 0 every case also carries a random
+valid mutation script, which the oracle checks on its delta and scratch
+arms.  Replaying a corpus (``repro fuzz --replay``, or the checked-in
+regression corpus under ``tests/fuzz/corpus/``) re-runs saved cases
+through the same oracle.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from pathlib import Path as FilePath
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import obs
+from repro.api.config import EngineConfig
 from repro.fuzz.cases import DocumentSpec, FuzzCase
 from repro.fuzz.dtd_gen import DTDGenConfig, RandomDTDGenerator
-from repro.fuzz.oracle import CaseOutcome, DifferentialOracle, EngineSpec
+from repro.fuzz.oracle import CaseOutcome, DifferentialOracle, engine_name
 from repro.fuzz.shrink import shrink_case
 from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
 
@@ -36,6 +39,11 @@ class FuzzConfig:
     ``budget`` counts *cases* (query/document pairs); every DTD serves
     ``queries_per_dtd`` cases before a fresh one is generated, so a default
     run sweeps both many schemas and many queries per schema.
+    ``mutations_per_case`` above 0 attaches a random valid mutation script
+    of that length to every case (0 = read-only cases).  Mutation cases are
+    never shrunk: a script names exact node ids of the generated document,
+    so a smaller document would invalidate the script instead of
+    minimising the repro.
     """
 
     seed: int = 0
@@ -47,6 +55,7 @@ class FuzzConfig:
     document: DocumentSpec = field(default_factory=DocumentSpec)
     shrink: bool = True
     corpus_dir: Optional[str] = None
+    mutations_per_case: int = 0
 
 
 @dataclass
@@ -112,7 +121,7 @@ class FuzzReport:
 
 def run_fuzz(
     config: Optional[FuzzConfig] = None,
-    engines: Optional[Sequence[EngineSpec]] = None,
+    engines: Optional[Sequence[EngineConfig]] = None,
     on_case: Optional[Callable[[CaseOutcome], None]] = None,
 ) -> FuzzReport:
     """Run one seeded differential-fuzzing sweep.
@@ -130,6 +139,8 @@ def run_fuzz(
     config = config or FuzzConfig()
     if config.queries_per_dtd < 1:
         raise ValueError("queries_per_dtd must be >= 1")
+    if config.mutations_per_case < 0:
+        raise ValueError("mutations_per_case must be >= 0")
     oracle = DifferentialOracle(engines)
     rng = random.Random(config.seed)
     corpus_dir: Optional[FilePath] = None
@@ -140,7 +151,7 @@ def run_fuzz(
     report = FuzzReport(
         seed=config.seed,
         cases_run=0,
-        engines=[engine.name for engine in oracle.engines],
+        engines=[engine_name(engine) for engine in oracle.engines],
     )
     sweep_timer = obs.Timer()
     with sweep_timer:
@@ -158,6 +169,12 @@ def _fuzz_loop(
     on_case: Optional[Callable[[CaseOutcome], None]],
 ) -> None:
     """The generate/run/shrink/save loop of :func:`run_fuzz` (timed by it)."""
+    mutating = config.mutations_per_case > 0
+    prefix = "mutfuzz" if mutating else "fuzz"
+    if mutating:
+        # Imported on demand: repro.live.fuzzer is not part of the package's
+        # import-time footprint.
+        from repro.live.fuzzer import MutationGenConfig, RandomMutationGenerator
     while report.cases_run < config.budget:
         dtd_config = DTDGenConfig(
             seed=rng.randrange(_SEED_SPACE),
@@ -172,30 +189,38 @@ def _fuzz_loop(
         for _ in range(config.queries_per_dtd):
             if report.cases_run >= config.budget:
                 break
+            document = replace(config.document, seed=rng.randrange(_SEED_SPACE))
+            script: tuple = ()
+            if mutating:
+                generator = RandomMutationGenerator(
+                    dtd,
+                    random.Random(rng.randrange(_SEED_SPACE)),
+                    MutationGenConfig(mutations=config.mutations_per_case),
+                )
+                script = generator.script(document.generate(dtd))
             case = FuzzCase(
-                label=f"fuzz-{config.seed}-{report.cases_run:05d}",
+                label=f"{prefix}-{config.seed}-{report.cases_run:05d}",
                 dtd_text=dtd.to_text(),
                 query=query_generator.generate(),
-                document=replace(config.document, seed=rng.randrange(_SEED_SPACE)),
+                document=document,
+                mutations=script,
             )
             outcome = oracle.run(case)
             report.cases_run += 1
-            for engine_name, seconds in outcome.engine_seconds.items():
-                report.engine_seconds[engine_name] = (
-                    report.engine_seconds.get(engine_name, 0.0) + seconds
-                )
+            for name, seconds in outcome.engine_seconds.items():
+                report.engine_seconds[name] = report.engine_seconds.get(name, 0.0) + seconds
             if on_case is not None:
                 on_case(outcome)
             if outcome.ok:
                 continue
             shrunk = case
             final_outcome = outcome
-            if config.shrink:
+            if config.shrink and not mutating:
                 # Shrink against only the engines that disagreed (usually a
                 # small subset of the grid), then confirm the shrunk repro
                 # on the full grid for the report.
                 failing_names = {d.engine for d in outcome.disagreements}
-                focused = [e for e in oracle.engines if e.name in failing_names]
+                focused = [e for e in oracle.engines if engine_name(e) in failing_names]
                 shrink_oracle = DifferentialOracle(focused) if focused else oracle
                 shrunk = shrink_case(case, lambda c: not shrink_oracle.run(c).ok)
                 if shrunk is not case:
@@ -224,25 +249,23 @@ def _fuzz_loop(
 
 
 def replay_corpus(
-    path: Union[str, FilePath],
-    engines: Optional[Sequence[EngineSpec]] = None,
-    oracle: Optional[object] = None,
+    source: Union[str, FilePath, Sequence[FuzzCase]],
+    engines: Optional[Sequence[EngineConfig]] = None,
 ) -> List[CaseOutcome]:
-    """Re-run saved cases (one ``.json`` file or a directory of them).
+    """Re-run cases: saved ones (one ``.json`` file or a directory of them,
+    in file-name order) or the given :class:`FuzzCase` objects.
 
-    Returns one :class:`CaseOutcome` per case, in file-name order.  Pass
-    ``oracle`` (anything with ``run(case) -> CaseOutcome``, e.g. a
-    :class:`repro.live.fuzzer.MutationOracle`) to replay with a different
-    arbiter than the default :class:`DifferentialOracle` — mutation-carrying
-    format-2 cases need the mutation oracle's delta/scratch arms.
+    Returns one :class:`CaseOutcome` per case.  Each case's own format
+    decides what runs: a case with a mutation script is answered on the
+    oracle's delta and scratch arms, a read-only case on one shared shred.
     """
-    root = FilePath(path)
-    if root.is_dir():
-        files = sorted(root.glob("*.json"))
+    if isinstance(source, (str, FilePath)):
+        root = FilePath(source)
+        files = sorted(root.glob("*.json")) if root.is_dir() else [root]
+        if not files:
+            raise FileNotFoundError(f"no fuzz cases found under {root}")
+        cases: Sequence[FuzzCase] = [FuzzCase.load(file) for file in files]
     else:
-        files = [root]
-    if not files:
-        raise FileNotFoundError(f"no fuzz cases found under {root}")
-    if oracle is None:
-        oracle = DifferentialOracle(engines)
-    return [oracle.run(FuzzCase.load(file)) for file in files]  # type: ignore[attr-defined]
+        cases = source
+    oracle = DifferentialOracle(engines)
+    return [oracle.run(case) for case in cases]

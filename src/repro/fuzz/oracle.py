@@ -3,15 +3,25 @@
 For one :class:`~repro.fuzz.cases.FuzzCase` the oracle computes the answer
 set of the query on every configured *engine* and compares each against the
 reference — the direct XPath evaluator over the XML tree, which implements
-the paper's ``Q(T)`` semantics directly.  An engine is one point on the
-(backend × descendant strategy × optimisation) grid:
+the paper's ``Q(T)`` semantics directly.  An engine is one
+:class:`~repro.api.EngineConfig`, a point on the (backend × descendant
+strategy × optimisation) grid:
 
 * ``memory`` engines run the translated program on the in-memory
-  relational engine, under CycleEX, CycleE or SQLGen-R, each with the
+  relational engine, under every descendant strategy, each with the
   optimisations off (``baseline``) or fully on (selection pushing +
   small seeds, ``opt``);
 * ``sqlite`` engines render the same programs in the SQLITE dialect and
   run them for real (``WITH RECURSIVE`` and all).
+
+A case that carries a mutation script is answered twice per engine, and
+the reference is the evaluator run on the *mutated* tree:
+
+* the **delta arm** shreds the original document, applies the script's
+  merged :class:`~repro.live.delta.ShredDelta` through
+  ``Backend.apply_delta``, then runs the query — the live-update path;
+* the **scratch arm** (engine names suffixed ``@scratch``) shreds the
+  mutated tree from nothing — the paper's static ``Q'(tau_d(T))`` path.
 
 Every engine must produce exactly the evaluator's node set — any missing
 or extra node id (or an engine crash) is a disagreement, and the case is a
@@ -22,161 +32,76 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.api.config import EngineConfig
 from repro.backends import create_backend
-from repro.relational.columnar import DEFAULT_EXECUTOR
-from repro.core.expath_to_sql import TranslationOptions
+from repro.backends.base import Backend
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.fuzz.cases import FuzzCase
+from repro.live.mutations import DocumentMutator
+from repro.relational.algebra import Program
+from repro.relational.columnar import DEFAULT_EXECUTOR
 from repro.shredding.shredder import shred_document
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
 
 __all__ = [
-    "EngineSpec",
+    "SCRATCH_SUFFIX",
     "EngineDisagreement",
     "CaseOutcome",
     "DifferentialOracle",
     "default_engines",
+    "engine_name",
 ]
 
-REFERENCE_ENGINE = "evaluator"
+SCRATCH_SUFFIX = "@scratch"
 
 
-class EngineSpec:
-    """One engine of the oracle — a thin, named view over :class:`EngineConfig`.
+def engine_name(config: EngineConfig) -> str:
+    """Display name of one engine, e.g. ``memory/cycleex/opt``.
 
-    Historically this dataclass carried its own copy of the engine knobs;
-    it is now a wrapper so that a knob added to
-    :class:`~repro.api.EngineConfig` is automatically part of the fuzz grid
-    identity, serialization and program-sharing key with no oracle change.
-    The legacy constructor shape (``backend``, ``strategy``, ``optimized``,
-    ``optimize_level``) still works: ``optimized`` maps onto the config's
-    lowering options (``True`` = small seeds + pushed selections, the
-    Sect. 5.2 "opt" setting; ``False`` = the full-seed baseline), and
-    ``optimize_level`` is the *program-optimizer* level (PR 4's pass
-    pipeline; ``None`` means the pipeline default).
+    ``opt`` marks pushed selections (the Sect. 5.2 setting), ``baseline``
+    their absence.  A pinned optimizer level, a non-default executor and a
+    non-default emission each add a trailing segment
+    (``memory/cycleex/opt/O0``, ``memory/cycleex/opt/tuple``,
+    ``sqlite/interval/opt/single``).
     """
+    level = "opt" if config.push_selections else "baseline"
+    suffix = "" if config.optimize_level is None else f"/O{config.optimize_level}"
+    if config.executor != DEFAULT_EXECUTOR:
+        suffix += f"/{config.executor}"
+    if config.emission != "multi":
+        suffix += f"/{config.emission}"
+    return f"{config.backend}/{config.strategy.value}/{level}{suffix}"
 
-    __slots__ = ("_config",)
 
-    def __init__(
-        self,
-        backend: Optional[str] = None,
-        strategy: Optional[DescendantStrategy] = None,
-        optimized: bool = True,
-        optimize_level: Optional[int] = None,
-        executor: Optional[str] = None,
-        emission: Optional[str] = None,
-        config: Optional[EngineConfig] = None,
-    ) -> None:
-        if config is None:
-            if backend is None or strategy is None:
-                raise ValueError("EngineSpec needs backend+strategy or config=")
-            config = EngineConfig(
-                backend=backend,
-                strategy=strategy,
-                optimize_level=optimize_level,
-                executor=DEFAULT_EXECUTOR if executor is None else executor,
-                emission="multi" if emission is None else emission,
-                use_small_seed=bool(optimized),
-                push_selections=bool(optimized),
-            )
-        elif (
-            backend is not None
-            or strategy is not None
-            or executor is not None
-            or emission is not None
-        ):
-            raise ValueError("pass either config= or backend/strategy, not both")
-        object.__setattr__(self, "_config", config)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("EngineSpec is immutable")
-
-    @property
-    def config(self) -> EngineConfig:
-        """The full engine configuration this spec denotes."""
-        return self._config
-
-    @property
-    def backend(self) -> str:
-        """Execution-backend name."""
-        return self._config.backend
-
-    @property
-    def strategy(self) -> DescendantStrategy:
-        """Descendant-axis expansion strategy."""
-        return self._config.strategy
-
-    @property
-    def optimized(self) -> bool:
-        """True when the Sect. 5.2 lowering optimisations are on."""
-        return self._config.push_selections
-
-    @property
-    def optimize_level(self) -> Optional[int]:
-        """Pinned program-optimizer level (``None`` = pipeline default)."""
-        return self._config.optimize_level
-
-    @property
-    def executor(self) -> str:
-        """The in-memory executor this engine runs on."""
-        return self._config.executor
-
-    @property
-    def emission(self) -> str:
-        """The SQL statement shape (``multi`` or ``single``)."""
-        return self._config.emission
-
-    @property
-    def name(self) -> str:
-        """Display name, e.g. ``memory/cycleex/opt`` or ``memory/auto/opt/O0``.
-
-        A non-default executor or emission shows up as a trailing segment
-        (``memory/cycleex/opt/tuple``, ``sqlite/interval/opt/single``), so
-        the historical grid names are unchanged.
-        """
-        level = "opt" if self.optimized else "baseline"
-        suffix = "" if self.optimize_level is None else f"/O{self.optimize_level}"
-        if self.executor != DEFAULT_EXECUTOR:
-            suffix += f"/{self.executor}"
-        if self.emission != "multi":
-            suffix += f"/{self.emission}"
-        return f"{self.backend}/{self.strategy.value}/{level}{suffix}"
-
-    def options(self) -> TranslationOptions:
-        """The lowering options this engine translates with."""
-        return self._config.translation_options()
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (exactly the underlying config's)."""
-        return self._config.to_dict()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "EngineSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(config=EngineConfig.from_dict(data))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EngineSpec) and self._config == other._config
-
-    def __hash__(self) -> int:
-        return hash(self._config)
-
-    def __repr__(self) -> str:
-        return f"EngineSpec(config={self._config!r})"
+def _engine(
+    backend: str,
+    strategy: DescendantStrategy,
+    optimized: bool,
+    optimize_level: Optional[int],
+    **knobs: str,
+) -> EngineConfig:
+    # ``optimized`` switches both lowering optimisations together: small
+    # seeds plus pushed selections, or the full-seed baseline.
+    return EngineConfig(
+        backend=backend,
+        strategy=strategy,
+        optimize_level=optimize_level,
+        use_small_seed=optimized,
+        push_selections=optimized,
+        **knobs,
+    )
 
 
 def default_engines(
     backends: Optional[Sequence[str]] = None,
     strategies: Optional[Sequence[DescendantStrategy]] = None,
     optimize_level: Optional[int] = None,
-) -> List[EngineSpec]:
+) -> List[EngineConfig]:
     """The default grid: memory × strategies × {baseline, opt}, plus SQLite.
 
     Every concrete strategy plus ``auto`` takes part, so the per-query
@@ -197,53 +122,28 @@ def default_engines(
     """
     backends = list(backends or ("memory", "sqlite"))
     strategies = list(strategies or DescendantStrategy)
-    engines: List[EngineSpec] = []
+    level = optimize_level
+    engines: List[EngineConfig] = []
     if "memory" in backends:
         for strategy in strategies:
-            engines.append(
-                EngineSpec("memory", strategy, optimized=False, optimize_level=optimize_level)
-            )
-            engines.append(
-                EngineSpec("memory", strategy, optimized=True, optimize_level=optimize_level)
-            )
+            engines.append(_engine("memory", strategy, False, level))
+            engines.append(_engine("memory", strategy, True, level))
             # The tuple-executor oracle arm: same plans, row-at-a-time
             # engine, so executor rewrites are cross-checked everywhere.
-            engines.append(
-                EngineSpec(
-                    "memory",
-                    strategy,
-                    optimized=True,
-                    optimize_level=optimize_level,
-                    executor="tuple",
-                )
-            )
+            engines.append(_engine("memory", strategy, True, level, executor="tuple"))
         if optimize_level != 0:
             # The unoptimized-program sentinel: raw lowering output.
-            engines.append(
-                EngineSpec(
-                    "memory", DescendantStrategy.CYCLEEX, optimized=True, optimize_level=0
-                )
-            )
+            engines.append(_engine("memory", DescendantStrategy.CYCLEEX, True, 0))
     for backend in backends:
         if backend == "memory":
             continue
         for strategy in strategies:
-            engines.append(
-                EngineSpec(backend, strategy, optimized=True, optimize_level=optimize_level)
-            )
+            engines.append(_engine(backend, strategy, True, level))
             if backend == "sqlite":
                 # The single-statement oracle arm: same program, fused into
                 # one WITH [RECURSIVE] statement, so the statement fuser is
                 # cross-checked on every case.
-                engines.append(
-                    EngineSpec(
-                        backend,
-                        strategy,
-                        optimized=True,
-                        optimize_level=optimize_level,
-                        emission="single",
-                    )
-                )
+                engines.append(_engine(backend, strategy, True, level, emission="single"))
     return engines
 
 
@@ -307,83 +207,95 @@ class DifferentialOracle:
     True
     """
 
-    def __init__(self, engines: Optional[Sequence[EngineSpec]] = None) -> None:
+    def __init__(self, engines: Optional[Sequence[EngineConfig]] = None) -> None:
         self._engines = list(engines or default_engines())
 
     @property
-    def engines(self) -> List[EngineSpec]:
+    def engines(self) -> List[EngineConfig]:
         """The engine grid this oracle compares."""
         return list(self._engines)
 
     def run(self, case: FuzzCase) -> CaseOutcome:
-        """Answer ``case`` on every engine; collect disagreements."""
+        """Answer ``case`` on every engine (both arms when it carries a
+        mutation script); collect disagreements."""
         outcome = CaseOutcome(case=case)
-        if case.mutations:
-            # Silently answering only the base document would report
-            # "agree" without exercising the script the case exists for.
-            outcome.setup_error = (
-                "case carries a mutation script; replay it with the mutation "
-                "oracle (repro fuzz --mutations --replay ...)"
-            )
-            return outcome
         try:
             dtd = case.dtd()
-            tree = case.tree()
             query = parse_xpath(case.query)
+            tree = case.tree()
+            delta = None
+            if case.mutations:
+                base = case.tree()
+                # One mutator run yields both the reference tree and the
+                # delta every delta-arm backend applies.
+                delta = DocumentMutator(tree, dtd).apply_script(case.mutations)
             outcome.expected = frozenset(
                 node.node_id for node in evaluate_xpath(tree, query)
             )
-            shredded = shred_document(tree, dtd)
+            shared = shred_document(tree, dtd).database
         except Exception:
             outcome.setup_error = traceback.format_exc(limit=3).strip()
             return outcome
 
-        backends: Dict[Tuple[str, str], object] = {}
+        def shared_backend(config: EngineConfig) -> Backend:
+            return create_backend(config, shared)
+
+        def delta_backend(config: EngineConfig) -> Backend:
+            # apply_delta mutates the database in place, so every delta-arm
+            # backend gets its own shred of the base document.
+            backend = create_backend(config, shred_document(base, dtd).database)
+            if not delta.is_empty():
+                backend.apply_delta(delta)
+            return backend
+
+        arms: Tuple[Tuple[str, Callable[[EngineConfig], Backend]], ...] = (
+            (("", shared_backend),)
+            if delta is None
+            else (("", delta_backend), (SCRATCH_SUFFIX, shared_backend))
+        )
+        backends: Dict[Tuple[str, str, str, str], Backend] = {}
         # Engines whose configs share a translation signature run the very
         # same program (e.g. memory/opt and sqlite/opt), so translate each
         # point once.
-        programs: Dict[Tuple[object, ...], object] = {}
+        programs: Dict[Tuple[object, ...], Program] = {}
         try:
-            for engine in self._engines:
-                timer = obs.Timer()
-                try:
-                    with timer:
-                        backend_key = (engine.backend, engine.executor, engine.emission)
-                        backend = backends.get(backend_key)
-                        if backend is None:
-                            backend = create_backend(engine.config, shredded.database)
-                            backends[backend_key] = backend
-                        program_key = engine.config.translation_signature()
-                        program = programs.get(program_key)
-                        if program is None:
-                            translator = XPathToSQLTranslator(dtd, config=engine.config)
-                            program = translator.translate(query).program
-                            programs[program_key] = program
-                        result = backend.execute(program)  # type: ignore[attr-defined]
-                        actual = frozenset(
-                            node.node_id
-                            for node in shredded.nodes_for_ids(result.node_ids())
+            for config in self._engines:
+                for suffix, make_backend in arms:
+                    name = engine_name(config) + suffix
+                    timer = obs.Timer()
+                    try:
+                        with timer:
+                            key = (suffix, config.backend, config.executor, config.emission)
+                            backend = backends.get(key)
+                            if backend is None:
+                                backend = backends[key] = make_backend(config)
+                            signature = config.translation_signature()
+                            program = programs.get(signature)
+                            if program is None:
+                                translator = XPathToSQLTranslator(dtd, config=config)
+                                program = translator.translate(query).program
+                                programs[signature] = program
+                            result = backend.execute(program)
+                            actual = frozenset(int(node_id) for node_id in result.node_ids())
+                    except Exception:
+                        outcome.engine_seconds[name] = timer.seconds
+                        outcome.disagreements.append(
+                            EngineDisagreement(
+                                engine=name, error=traceback.format_exc(limit=3).strip()
+                            )
                         )
-                except Exception:
-                    outcome.engine_seconds[engine.name] = timer.seconds
-                    outcome.disagreements.append(
-                        EngineDisagreement(
-                            engine=engine.name,
-                            error=traceback.format_exc(limit=3).strip(),
+                        continue
+                    outcome.engine_seconds[name] = timer.seconds
+                    outcome.engine_results[name] = actual
+                    if actual != outcome.expected:
+                        outcome.disagreements.append(
+                            EngineDisagreement(
+                                engine=name,
+                                missing=tuple(sorted(outcome.expected - actual)),
+                                extra=tuple(sorted(actual - outcome.expected)),
+                            )
                         )
-                    )
-                    continue
-                outcome.engine_seconds[engine.name] = timer.seconds
-                outcome.engine_results[engine.name] = actual
-                if actual != outcome.expected:
-                    outcome.disagreements.append(
-                        EngineDisagreement(
-                            engine=engine.name,
-                            missing=tuple(sorted(outcome.expected - actual)),
-                            extra=tuple(sorted(actual - outcome.expected)),
-                        )
-                    )
         finally:
             for backend in backends.values():
-                backend.close()  # type: ignore[attr-defined]
+                backend.close()
         return outcome

@@ -10,10 +10,13 @@ the backend owns; :meth:`repro.service.QueryService.update_document`
 threads the invalidation through the serving tier (result LRUs dropped,
 plan/prepared caches kept — plans depend only on the DTD).
 
-:mod:`repro.live.fuzzer` generates random valid mutation scripts and checks
-mutate-then-query against reshred-from-scratch-then-query differentially
-across the engine grid; :mod:`repro.live.bench` measures incremental
-updates against full re-registration (BENCH_8).
+:mod:`repro.live.fuzzer` generates random valid mutation scripts;
+``repro.fuzz.run_fuzz`` attaches them to cases
+(``FuzzConfig.mutations_per_case``) and its
+:class:`~repro.fuzz.DifferentialOracle` checks mutate-then-query against
+reshred-from-scratch-then-query across the engine grid.
+:mod:`repro.live.bench` measures incremental updates against full
+re-registration (BENCH_8).
 """
 
 from repro.live.delta import ShredDelta, apply_delta_to_database, merge_deltas

@@ -1,25 +1,12 @@
-"""Mutation fuzzing: random valid update scripts, differentially checked.
+"""Random valid update scripts for mutation fuzzing.
 
-The oracle here extends the read-only fuzz loop of :mod:`repro.fuzz` to
-live documents.  For one mutation-carrying
-:class:`~repro.fuzz.cases.FuzzCase` it answers the query two ways on every
-engine of the grid and compares both against the XPath evaluator run on
-the mutated tree:
-
-* the **delta arm** shreds the *original* document, applies the script's
-  merged :class:`~repro.live.delta.ShredDelta` through
-  ``Backend.apply_delta``, then runs the query — the production update
-  path;
-* the **scratch arm** (engine names suffixed ``@scratch``) re-shreds the
-  *mutated* tree from nothing and runs the same program — the paper's
-  static ``Q'(tau_d(T))`` path.
-
-Agreement of both arms with the evaluator is exactly the invariant a live
-update must preserve: mutate-then-query equals reshred-from-scratch-then-
-query equals the tree semantics.
-
-:class:`RandomMutationGenerator` produces the scripts.  Every mutation it
-emits is valid by construction — it rehearses the script on a scratch copy
+:class:`RandomMutationGenerator` produces the scripts that
+:func:`repro.fuzz.run_fuzz` attaches to cases when
+``FuzzConfig.mutations_per_case`` is above 0; the
+:class:`~repro.fuzz.oracle.DifferentialOracle` then checks each such case
+on its delta arm (``Backend.apply_delta``) and its scratch arm (a fresh
+shred of the mutated tree) against the XPath evaluator.  Every mutation
+the generator emits is valid by construction — it rehearses the script on a scratch copy
 of the document through the real :class:`DocumentMutator`, so DTD
 validation has already accepted the exact sequence — and node ids are
 deterministic, so a script replays bit-identically on a regenerated
@@ -29,12 +16,9 @@ document.
 from __future__ import annotations
 
 import random
-import traceback
-from dataclasses import dataclass, field, replace
-from pathlib import Path as FilePath
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro import obs
 from repro.dtd.model import (
     DTD,
     Choice,
@@ -46,15 +30,7 @@ from repro.dtd.model import (
     Star,
     TypeRef,
 )
-from repro.backends import create_backend
-from repro.core.pipeline import XPathToSQLTranslator
 from repro.errors import MutationError
-from repro.fuzz.cases import DocumentSpec, FuzzCase
-from repro.fuzz.dtd_gen import DTDGenConfig, RandomDTDGenerator
-from repro.fuzz.harness import FuzzFailure, FuzzReport
-from repro.fuzz.oracle import CaseOutcome, EngineDisagreement, EngineSpec, default_engines
-from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
-from repro.live.delta import ShredDelta, merge_deltas
 from repro.live.mutations import (
     DeleteSubtree,
     DocumentMutator,
@@ -63,22 +39,9 @@ from repro.live.mutations import (
     ReplaceText,
     SubtreeSpec,
 )
-from repro.shredding.shredder import shred_document
 from repro.xmltree.tree import XMLTree
-from repro.xpath.evaluator import evaluate_xpath
-from repro.xpath.parser import parse_xpath
 
-__all__ = [
-    "MutationGenConfig",
-    "RandomMutationGenerator",
-    "MutationOracle",
-    "MutationFuzzConfig",
-    "run_mutation_fuzz",
-]
-
-_SEED_SPACE = 2**32
-
-SCRATCH_SUFFIX = "@scratch"
+__all__ = ["MutationGenConfig", "RandomMutationGenerator"]
 
 # Small closed pool so replaced values sometimes collide with generator
 # output (value predicates stay selective but satisfiable).
@@ -275,221 +238,3 @@ class RandomMutationGenerator:
                     return word
             return []
         return None
-
-
-# -- the differential oracle ----------------------------------------------------
-
-
-class MutationOracle:
-    """Answer mutation cases on every engine, delta arm and scratch arm.
-
-    Each engine *backend* gets its own fresh shred of the base document —
-    ``apply_delta`` mutates the backing database in place and the memory
-    backend's staleness guard assumes exclusive ownership, so sharing one
-    database across backends (as the read-only oracle does) would be
-    unsound here.
-    """
-
-    def __init__(self, engines: Optional[Sequence[EngineSpec]] = None) -> None:
-        self._engines = list(engines or default_engines())
-
-    @property
-    def engines(self) -> List[EngineSpec]:
-        """The engine grid this oracle compares."""
-        return list(self._engines)
-
-    def run(self, case: FuzzCase) -> CaseOutcome:
-        """Answer ``case`` (mutations applied) on every engine, both arms."""
-        outcome = CaseOutcome(case=case)
-        try:
-            dtd = case.dtd()
-            query = parse_xpath(case.query)
-            # One mutator run yields both the reference tree and the delta
-            # every backend applies.
-            mutated = case.tree()
-            mutator = DocumentMutator(mutated, dtd)
-            delta = ShredDelta()
-            for mutation in case.mutations:
-                delta = merge_deltas(delta, mutator.apply(mutation))
-            outcome.expected = frozenset(
-                node.node_id for node in evaluate_xpath(mutated, query)
-            )
-        except Exception:
-            outcome.setup_error = traceback.format_exc(limit=3).strip()
-            return outcome
-
-        backends: Dict[Tuple[str, str, str, str], object] = {}
-        programs: Dict[Tuple[object, ...], object] = {}
-        try:
-            for engine in self._engines:
-                program_key = engine.config.translation_signature()
-                program = programs.get(program_key)
-                if program is None:
-                    try:
-                        translator = XPathToSQLTranslator(dtd, config=engine.config)
-                        program = translator.translate(query).program
-                        programs[program_key] = program
-                    except Exception:
-                        outcome.disagreements.append(
-                            EngineDisagreement(
-                                engine=engine.name,
-                                error=traceback.format_exc(limit=3).strip(),
-                            )
-                        )
-                        continue
-                for arm in ("delta", "scratch"):
-                    name = engine.name + (SCRATCH_SUFFIX if arm == "scratch" else "")
-                    timer = obs.Timer()
-                    try:
-                        with timer:
-                            key = (arm, engine.backend, engine.executor, engine.emission)
-                            backend = backends.get(key)
-                            if backend is None:
-                                backend = self._make_backend(engine, case, arm, delta)
-                                backends[key] = backend
-                            result = backend.execute(program)  # type: ignore[attr-defined]
-                            actual = frozenset(
-                                int(node_id) for node_id in result.node_ids()
-                            )
-                    except Exception:
-                        outcome.engine_seconds[name] = timer.seconds
-                        outcome.disagreements.append(
-                            EngineDisagreement(
-                                engine=name,
-                                error=traceback.format_exc(limit=3).strip(),
-                            )
-                        )
-                        continue
-                    outcome.engine_seconds[name] = timer.seconds
-                    outcome.engine_results[name] = actual
-                    if actual != outcome.expected:
-                        outcome.disagreements.append(
-                            EngineDisagreement(
-                                engine=name,
-                                missing=tuple(sorted(outcome.expected - actual)),
-                                extra=tuple(sorted(actual - outcome.expected)),
-                            )
-                        )
-        finally:
-            for backend in backends.values():
-                backend.close()  # type: ignore[attr-defined]
-        return outcome
-
-    def _make_backend(self, engine: EngineSpec, case: FuzzCase, arm: str, delta):
-        """A backend over its own database: base + delta, or mutated-from-scratch."""
-        dtd = case.dtd()
-        if arm == "scratch":
-            shredded = shred_document(case.mutated_tree(), dtd)
-            return create_backend(engine.config, shredded.database)
-        shredded = shred_document(case.tree(), dtd)
-        backend = create_backend(engine.config, shredded.database)
-        if not delta.is_empty():
-            backend.apply_delta(delta)
-        return backend
-
-
-# -- the fuzz loop --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MutationFuzzConfig:
-    """Knobs of one mutation-fuzzing sweep (mirrors ``FuzzConfig``)."""
-
-    seed: int = 0
-    budget: int = 50
-    queries_per_dtd: int = 4
-    min_types: int = 3
-    max_types: int = 7
-    max_cycle_edges: int = 3
-    document: DocumentSpec = field(default_factory=DocumentSpec)
-    mutations_per_case: int = 4
-    corpus_dir: Optional[str] = None
-
-
-def run_mutation_fuzz(
-    config: Optional[MutationFuzzConfig] = None,
-    engines: Optional[Sequence[EngineSpec]] = None,
-    on_case: Optional[Callable[[CaseOutcome], None]] = None,
-) -> FuzzReport:
-    """Run one seeded mutation-fuzzing sweep.
-
-    Mirrors :func:`repro.fuzz.harness.run_fuzz` but every case carries a
-    random valid mutation script and runs through :class:`MutationOracle`.
-    Failures are reported unshrunk — a script's mutations depend on the
-    exact node ids of the generated document, so document shrinking would
-    invalidate the script rather than minimise the repro.
-    """
-    config = config or MutationFuzzConfig()
-    if config.queries_per_dtd < 1:
-        raise ValueError("queries_per_dtd must be >= 1")
-    if config.mutations_per_case < 1:
-        raise ValueError("mutations_per_case must be >= 1")
-    oracle = MutationOracle(engines)
-    rng = random.Random(config.seed)
-    corpus_dir: Optional[FilePath] = None
-    if config.corpus_dir is not None:
-        corpus_dir = FilePath(config.corpus_dir)
-        corpus_dir.mkdir(parents=True, exist_ok=True)
-
-    report = FuzzReport(
-        seed=config.seed,
-        cases_run=0,
-        engines=[engine.name for engine in oracle.engines],
-    )
-    sweep_timer = obs.Timer()
-    with sweep_timer:
-        while report.cases_run < config.budget:
-            dtd_config = DTDGenConfig(
-                seed=rng.randrange(_SEED_SPACE),
-                min_types=config.min_types,
-                max_types=config.max_types,
-                cycle_edges=rng.randint(0, config.max_cycle_edges),
-            )
-            dtd = RandomDTDGenerator(dtd_config).generate()
-            query_generator = RandomXPathGenerator(
-                dtd, XPathGenConfig(seed=rng.randrange(_SEED_SPACE))
-            )
-            for _ in range(config.queries_per_dtd):
-                if report.cases_run >= config.budget:
-                    break
-                document = replace(config.document, seed=rng.randrange(_SEED_SPACE))
-                generator = RandomMutationGenerator(
-                    dtd,
-                    random.Random(rng.randrange(_SEED_SPACE)),
-                    MutationGenConfig(mutations=config.mutations_per_case),
-                )
-                script = generator.script(document.generate(dtd))
-                case = FuzzCase(
-                    label=f"mutfuzz-{config.seed}-{report.cases_run:05d}",
-                    dtd_text=dtd.to_text(),
-                    query=query_generator.generate(),
-                    document=document,
-                    mutations=script,
-                )
-                outcome = oracle.run(case)
-                report.cases_run += 1
-                for engine_name, seconds in outcome.engine_seconds.items():
-                    report.engine_seconds[engine_name] = (
-                        report.engine_seconds.get(engine_name, 0.0) + seconds
-                    )
-                if on_case is not None:
-                    on_case(outcome)
-                if outcome.ok:
-                    continue
-                failure = FuzzFailure(original=case, shrunk=case, outcome=outcome)
-                if corpus_dir is not None:
-                    path = corpus_dir / f"{case.label}.json"
-                    case.save(
-                        path,
-                        extra={
-                            "timing": {
-                                "engine_seconds": dict(
-                                    sorted(outcome.engine_seconds.items())
-                                )
-                            }
-                        },
-                    )
-                    failure.saved_paths.append(str(path))
-                report.failures.append(failure)
-    report.elapsed_seconds = sweep_timer.seconds
-    return report

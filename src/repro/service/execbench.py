@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.api.config import EngineConfig
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.fuzz.harness import FuzzConfig, run_fuzz
-from repro.fuzz.oracle import EngineSpec
 from repro.relational.columnar import EXECUTOR_NAMES
 from repro.service.bench import ServiceBenchConfig, _node_ids, _workloads
 from repro.service.service import QueryService
@@ -122,7 +121,12 @@ def _bench_fuzz_sweep(config: ExecutorBenchConfig) -> Dict[str, object]:
     clean: Dict[str, bool] = {}
     for executor in EXECUTOR_NAMES:
         engines = [
-            EngineSpec("memory", strategy, optimized=True, executor=executor)
+            EngineConfig(
+                backend="memory",
+                strategy=strategy,
+                push_selections=True,
+                executor=executor,
+            )
             for strategy in DescendantStrategy
         ]
         fuzz_config = FuzzConfig(

@@ -63,6 +63,7 @@ from repro.service.pool import ProcessQueryService
 __all__ = ["QueryHTTPServer", "run_loadtest"]
 
 _MAX_BODY = 8 * 1024 * 1024  # bytes; a batch of thousands of queries fits
+_MAX_HEADERS = 100  # header lines per request; the load client sends 3
 
 
 class _BadRequest(Exception):
@@ -82,11 +83,23 @@ def _json_response(status: int, payload: Any, keep_alive: bool) -> bytes:
     return head.encode("latin-1") + body
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:
+        # StreamReader's limit (64 KiB) overran before a newline arrived.
+        raise _BadRequest("request line or header line too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection."""
-    line = await reader.readline()
+    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection.
+
+    The head is bounded: an over-long line or more than
+    :data:`_MAX_HEADERS` header lines is a :class:`_BadRequest`.
+    """
+    line = await _read_line(reader)
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -94,12 +107,14 @@ async def _read_request(
         raise _BadRequest(f"malformed request line: {line!r}")
     method, target, _version = parts
     headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
+    for _ in range(_MAX_HEADERS + 1):
+        raw = await _read_line(reader)
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _BadRequest(f"more than {_MAX_HEADERS} header lines")
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:

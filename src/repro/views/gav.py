@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.backends.memory import MemoryBackend
 from repro.core.expath_to_sql import TranslationOptions
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy, XPathToExtended
@@ -136,12 +137,8 @@ class GAVView:
         rewritten = self.rewrite(query)
         program = translator.lower_extended(rewritten)
         shredded = translator.shred(source)
-        from repro.relational.executor import Executor
-        from repro.relational.schema import T as T_COLUMN
-
-        executor = Executor(shredded.database)
-        relation = executor.run(program)
-        return shredded.nodes_for_ids(relation.column_values(T_COLUMN))
+        backend = MemoryBackend(shredded.database, executor=translator.config.executor)
+        return shredded.nodes_for_ids(backend.execute(program).node_ids())
 
 
 def answer_on_view(query, view_dtd: DTD, source: XMLTree) -> List[XMLNode]:

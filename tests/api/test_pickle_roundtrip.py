@@ -42,8 +42,7 @@ def _round_trips(value, protocol):
 class TestEngineConfigPickle:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_full_fuzz_grid_round_trips_exactly_as_json(self, protocol):
-        for engine in default_engines():
-            config = engine.config
+        for config in default_engines():
             clone = _round_trips(config, protocol)
             # The pickle transport and the JSON wire form agree field by
             # field: a worker built from a pickled config is the same

@@ -112,17 +112,52 @@ class TestBackendFlags:
         assert main(["experiment", "exp3", "--quick", "--backend", "sqlite"]) == 0
         assert "Fig. 14" in capsys.readouterr().out
 
-    def test_diff_subcommand(self, capsys):
+    def test_diff_subcommand(self, narrow_diff_grid, capsys):
         assert main(["diff", "--quick"]) == 0
         output = capsys.readouterr().out
-        assert "comparisons agree" in output
+        assert "2/2 workload case(s) agree on 2 engine(s)" in output
         assert "MISMATCH" not in output
 
 
+@pytest.fixture
+def narrow_diff_grid(monkeypatch):
+    """Shrink ``repro diff`` to one memory and one SQLite engine and to two
+    workload cases, a recursive and a non-recursive one; CI replays every
+    case on the full grid."""
+    from repro.api.config import EngineConfig
+    from repro.fuzz import oracle
+    from repro.workloads import cases
+
+    every_case = cases.workload_cases
+    monkeypatch.setattr(
+        oracle,
+        "default_engines",
+        lambda: [EngineConfig(backend=backend) for backend in ("memory", "sqlite")],
+    )
+    monkeypatch.setattr(
+        cases,
+        "workload_cases",
+        lambda max_elements: [
+            case
+            for case in every_case(max_elements)
+            if case.label in ("cross-Qa", "library-NR1")
+        ],
+    )
+
+
 class TestDiffExitCodes:
-    def test_diff_reports_failure_with_nonzero_exit(self, injected_sqlite_bug, capsys):
+    def test_diff_reports_failure_with_nonzero_exit(
+        self, narrow_diff_grid, injected_sqlite_bug, capsys
+    ):
         assert main(["diff", "--quick"]) == 1
-        assert "MISMATCH" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "MISMATCH" in output
+        failing = {
+            line.strip().split(":", 1)[0]
+            for line in output.splitlines()
+            if line.startswith("  ")
+        }
+        assert failing == {"sqlite/cycleex/baseline"}
 
 
 class TestGenerateCommand:
@@ -219,6 +254,25 @@ class TestFuzzCommand:
 
         case = FuzzCase.load(saved[0])
         assert case.query  # replayable artifact
+
+    @pytest.mark.parametrize("flags, prefix", [(["--mutations"], "mutfuzz-"), ([], "fuzz-")])
+    def test_mutations_flag_attaches_a_script_to_every_case(
+        self, monkeypatch, capsys, flags, prefix
+    ):
+        import repro.fuzz as fuzz
+
+        cases = []
+        run_fuzz = fuzz.run_fuzz
+
+        def recording_run_fuzz(config, engines):
+            return run_fuzz(config, engines, on_case=lambda outcome: cases.append(outcome.case))
+
+        monkeypatch.setattr(fuzz, "run_fuzz", recording_run_fuzz)
+        argv = ["fuzz", *flags, "--seed", "0", "--budget", "1", "--backends", "memory"]
+        assert main(argv) == 0
+        [case] = cases
+        assert case.label.startswith(prefix)
+        assert len(case.mutations) == (4 if flags else 0)  # --mutations-per-case default
 
     def test_replay_corpus_exits_by_verdict(self, tmp_path, capsys, injected_sqlite_bug):
         from repro.dtd import samples

@@ -395,9 +395,9 @@ class TestPushSelectionEffect:
         query = 'a/b[text() = "b-0"]//c/d'
         pushed = XPathToSQLTranslator(cross_dtd, options=push_selection_options())
         plain = XPathToSQLTranslator(cross_dtd, options=standard_options())
-        _, push_stats = pushed.execute(query, cross_shredded)
-        _, plain_stats = plain.execute(query, cross_shredded)
-        assert push_stats.tuples_materialized <= plain_stats.tuples_materialized
+        push_stats = pushed.execute(query, cross_shredded).stats
+        plain_stats = plain.execute(query, cross_shredded).stats
+        assert push_stats["tuples_materialized"] <= plain_stats["tuples_materialized"]
 
     def test_push_and_plain_agree(self, cross_dtd, cross_tree, cross_shredded):
         query = 'a/b//c/d[text() = "d-1"]'

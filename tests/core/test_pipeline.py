@@ -77,9 +77,9 @@ class TestQueryAnswering:
 
     def test_execute_returns_stats(self, dept_dtd, dept_shredded):
         translator = XPathToSQLTranslator(dept_dtd)
-        relation, stats = translator.execute("dept//project", dept_shredded)
-        assert stats.elapsed_seconds >= 0
-        assert relation.columns == ("F", "T", "V")
+        result = translator.execute("dept//project", dept_shredded)
+        assert result.stats["elapsed_seconds"] >= 0
+        assert result.columns == ("F", "T", "V")
 
     def test_options_do_not_change_answers(self, dept_dtd, dept_tree, dept_shredded):
         expected = {

@@ -6,16 +6,20 @@ sqlgen bug (the SQLite result SELECT silently truncated), the harness must
 repro that still fails.
 """
 
+import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
 import repro.backends.sqlite as sqlite_backend
+from repro.api.config import EngineConfig
 from repro.dtd import samples
 from repro.fuzz.cases import DocumentSpec, FuzzCase
 from repro.fuzz.harness import FuzzConfig, replay_corpus, run_fuzz
-from repro.fuzz.oracle import DifferentialOracle, default_engines
+from repro.fuzz.oracle import DifferentialOracle, default_engines, engine_name
 from repro.fuzz.shrink import path_reductions, shrink_case
+from repro.live.fuzzer import RandomMutationGenerator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.xpath.ast import path_size
 from repro.xpath.parser import parse_xpath
@@ -33,7 +37,7 @@ def _cross_case(query: str = "a//d", seed: int = 3) -> FuzzCase:
 class TestEngineGrid:
     def test_default_grid_covers_all_strategies_and_both_settings(self):
         engines = default_engines()
-        names = {engine.name for engine in engines}
+        names = {engine_name(engine) for engine in engines}
         for strategy in DescendantStrategy:
             assert f"memory/{strategy.value}/baseline" in names
             assert f"memory/{strategy.value}/opt" in names
@@ -41,7 +45,7 @@ class TestEngineGrid:
 
     def test_grid_is_filterable(self):
         engines = default_engines(backends=["memory"], strategies=[DescendantStrategy.CYCLEEX])
-        assert [engine.name for engine in engines] == [
+        assert [engine_name(engine) for engine in engines] == [
             "memory/cycleex/baseline",
             "memory/cycleex/opt",
             # The tuple-executor oracle arm: same plans, row-at-a-time engine.
@@ -57,11 +61,16 @@ class TestEngineGrid:
             strategies=[DescendantStrategy.CYCLEEX],
             optimize_level=0,
         )
-        assert [engine.name for engine in engines] == [
+        assert [engine_name(engine) for engine in engines] == [
             "memory/cycleex/baseline/O0",
             "memory/cycleex/opt/O0",
             "memory/cycleex/opt/O0/tuple",
         ]
+
+    def test_engine_names_are_unique(self):
+        # Outcomes key each engine's answer by its name.
+        names = [engine_name(engine) for engine in default_engines()]
+        assert len(names) == len(set(names)) == 26
 
     def test_default_grid_runs_both_executors(self):
         engines = default_engines()
@@ -167,30 +176,28 @@ class TestHarness:
         with pytest.raises(FileNotFoundError):
             replay_corpus(tmp_path / "empty-dir-that-does-not-exist.json")
 
+    def test_replay_runs_each_case_the_way_its_format_says(self, tmp_path):
+        # A read-only case and a mutation case in one directory: both replay
+        # clean, the mutation case on its delta and @scratch arms.
+        dtd = samples.dept_dtd()
+        document = DocumentSpec(max_elements=120, seed=3)
+        read_only = FuzzCase("a-read-only", dtd.to_text(), "dept//project", document)
+        script = RandomMutationGenerator(dtd, random.Random(11)).script(
+            read_only.tree()
+        )
+        mutation = replace(read_only, label="b-mutation", mutations=script)
+        read_only.save(tmp_path / "a.json")
+        mutation.save(tmp_path / "b.json")
+        engines = [EngineConfig(backend=backend) for backend in ("memory", "sqlite")]
+        outcomes = replay_corpus(tmp_path, engines)
+        assert [outcome.case.label for outcome in outcomes] == ["a-read-only", "b-mutation"]
+        assert all(outcome.ok for outcome in outcomes), [o.describe() for o in outcomes]
+        assert len(outcomes[0].engine_results) == len(engines)
+        assert len(outcomes[1].engine_results) == 2 * len(engines)
+        assert outcomes[0].expected != outcomes[1].expected
+
     def test_memory_only_engine_grid(self):
         engines = default_engines(backends=["memory"])
         report = run_fuzz(FuzzConfig(seed=3, budget=6), engines)
         assert report.ok
         assert all(name.startswith("memory/") for name in report.engines)
-
-
-class TestDifferentialBridge:
-    def test_fuzz_case_joins_backend_differential_sweep(self):
-        from repro.backends.differential import run_differential
-
-        outcomes = run_differential([_cross_case().to_differential_spec()])
-        assert outcomes
-        assert all(outcome.matched for outcome in outcomes)
-
-    def test_explicit_document_spec(self):
-        from repro.backends.differential import DifferentialSpec, run_differential
-
-        case = _cross_case()
-        spec = DifferentialSpec(
-            label="explicit-doc",
-            dtd=case.dtd(),
-            queries={"Q": case.query},
-            document=case.tree(),
-        )
-        outcomes = run_differential([spec])
-        assert all(outcome.matched for outcome in outcomes)

@@ -32,7 +32,7 @@ from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
 from repro.fuzz.harness import replay_corpus
-from repro.fuzz.oracle import default_engines
+from repro.fuzz.oracle import default_engines, engine_name
 from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
 from repro.relational.columnar import EXECUTOR_NAMES
 from repro.relational.sqlgen import SQLDialect, program_to_single_sql
@@ -185,7 +185,7 @@ class TestIntervalStrategy:
 class TestCorpusReplayThroughNewArms:
     def test_grid_carries_the_new_arms(self):
         engines = default_engines()
-        names = {engine.name for engine in engines}
+        names = {engine_name(engine) for engine in engines}
         assert any(e.emission == "single" for e in engines)
         assert any(
             e.strategy is DescendantStrategy.INTERVAL for e in engines

@@ -7,10 +7,11 @@ ways:
 * schema-guided random queries over *all 8 sample DTDs*, the translated
   program executed on both executors at optimize levels 0 and 2 —
   identical node sets, and identical to the direct XPath evaluator;
-* every differential-sweep spec (the paper workloads plus the
-  non-recursive DTD, including the recursive-union and pushed-selection
-  configurations), with the sqlite backend as a third arm so both
-  backends' answers pin the executors;
+* every workload case (the paper workloads plus the non-recursive DTD)
+  under the default, recursive-union and pushed-selection
+  configurations: both executors, the sqlite backend and the raw
+  level-0 program return the same rows, and their ``T`` column is the
+  XPath evaluator's answer;
 * every case of the checked-in fuzz regression corpus replayed through
   the default engine grid, which since Issue 8 carries a
   ``.../opt/tuple`` oracle arm per strategy — plus an explicit
@@ -31,8 +32,8 @@ import pytest
 
 from repro.api.config import EngineConfig
 from repro.backends import create_backend
-from repro.backends.differential import default_specs
 from repro.core.pipeline import XPathToSQLTranslator
+from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
 from repro.fuzz.cases import FuzzCase
 from repro.fuzz.harness import replay_corpus
@@ -41,6 +42,7 @@ from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
 from repro.relational.columnar import EXECUTOR_NAMES, ColumnarDatabase, ColumnarExecutor
 from repro.relational.executor import Executor
 from repro.shredding.shredder import shred_document
+from repro.workloads.cases import workload_cases
 from repro.xmltree.generator import generate_document
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
@@ -94,28 +96,65 @@ class TestExecutorsAgreeOnSampleDTDs:
                 assert ids == expected, (dtd_name, executor, level, query_text)
 
 
-class TestExecutorsAgreeOnDifferentialSpecs:
-    SPECS = default_specs(max_elements=250)
+WORKLOAD_CASES = workload_cases(max_elements=300)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
-    def test_spec_queries_agree_across_executors_and_backends(self, spec):
-        shredded = shred_document(spec.materialize(), spec.dtd)
-        translator = XPathToSQLTranslator(spec.dtd, config=spec.engine_config())
+
+@pytest.fixture(scope="module")
+def workload_answers():
+    """Each workload case's tree and the XPath evaluator's answer on it."""
+    answers = {}
+    for case in WORKLOAD_CASES:
+        tree = case.tree()
+        expected = {str(n.node_id) for n in evaluate_xpath(tree, parse_xpath(case.query))}
+        answers[case.label] = (tree, expected)
+    return answers
+
+
+class TestExecutorsAgreeOnWorkloadCases:
+    CONFIGS = (
+        EngineConfig(),
+        EngineConfig(strategy=DescendantStrategy.RECURSIVE_UNION),
+        EngineConfig(push_selections=True),
+    )
+
+    @pytest.mark.parametrize("case", WORKLOAD_CASES, ids=lambda c: c.label)
+    def test_case_agrees_across_arms_and_with_the_evaluator(
+        self, workload_answers, case
+    ):
+        dtd = case.dtd()
+        tree, expected = workload_answers[case.label]
+        shredded = shred_document(tree, dtd)
         backends = _memory_backends(shredded.database)
         backends["sqlite"] = create_backend("sqlite", shredded.database)
         try:
-            for query_name, query in spec.queries.items():
-                program = translator.translate(query).program
-                answers = {
-                    name: backend.execute(program).rows
-                    for name, backend in backends.items()
+            for config in self.CONFIGS:
+                translator = XPathToSQLTranslator(dtd, config=config)
+                program = translator.translate(case.query).program
+                results = {
+                    name: backend.execute(program) for name, backend in backends.items()
                 }
-                reference = answers["tuple"]
-                for name, rows in answers.items():
-                    assert rows == reference, (spec.label, query_name, name)
+                # The raw-lowering sentinel: the optimizer's rewrites must
+                # not change the rows.
+                raw = XPathToSQLTranslator(dtd, config=config.with_(optimize_level=0))
+                results["O0"] = backends[config.executor].execute(
+                    raw.translate(case.query).program
+                )
+                reference = results["tuple"]
+                for name, result in results.items():
+                    assert result.rows == reference.rows, (
+                        case.label,
+                        config.describe(),
+                        name,
+                    )
+                assert reference.node_ids() == expected, (case.label, config.describe())
         finally:
             for backend in backends.values():
                 backend.close()
+
+    def test_most_cases_have_answers(self, workload_answers):
+        # Some queries must produce non-empty answers or the sweep is vacuous.
+        answered = sum(1 for _, expected in workload_answers.values() if expected)
+        assert answered > len(workload_answers) // 2
 
 
 class TestExecutorsAgreeOnFuzzCorpus:
@@ -124,7 +163,7 @@ class TestExecutorsAgreeOnFuzzCorpus:
     def test_corpus_case_executor_invariant(self, case_path, level):
         case = FuzzCase.load(case_path)
         dtd = case.dtd()
-        tree = case.tree()
+        tree = case.mutated_tree()
         query = parse_xpath(case.query)
         shredded = shred_document(tree, dtd)
         expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}

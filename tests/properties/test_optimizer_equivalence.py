@@ -79,7 +79,7 @@ class TestLevelsAgreeOnFuzzCorpus:
     def test_corpus_case_level_invariant(self, case_path, backend_name):
         case = FuzzCase.load(case_path)
         dtd = case.dtd()
-        tree = case.tree()
+        tree = case.mutated_tree()
         query = parse_xpath(case.query)
         shredded = shred_document(tree, dtd)
         expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import multiprocessing
+import socket
 import threading
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro.dtd import samples
 from repro.fuzz.cases import DocumentSpec
 from repro.service import ProcessQueryService, QueryService
-from repro.service.http import QueryHTTPServer, run_loadtest
+from repro.service.http import _MAX_HEADERS, QueryHTTPServer, run_loadtest
 from repro.xmltree.generator import generate_document
 
 pytestmark = pytest.mark.skipif(
@@ -66,6 +67,26 @@ def _request(server, method, path, payload=None):
         return response.status, json.loads(raw) if raw else None
     finally:
         connection.close()
+
+
+def _raw_exchange(server, head: bytes) -> bytes:
+    """Send raw request bytes; return everything the server sends back."""
+    host, port, _pool = server
+    received = []
+    with socket.create_connection((host, port), timeout=30) as sock:
+        try:
+            sock.sendall(head)
+        except ConnectionError:
+            pass  # the server may answer and close before reading it all
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(received)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +188,29 @@ class TestErrorStatuses:
             assert json.loads(response.read())["error"] == "BadRequest"
         finally:
             connection.close()
+
+
+class TestBoundedRequestHead:
+    def test_over_long_header_line_is_400(self, server):
+        head = b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n"
+        response = _raw_exchange(server, head)
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"too long" in response
+        assert b"Connection: close" in response
+
+    def test_header_count_is_capped(self, server):
+        def request(header_lines: int) -> bytes:
+            head = (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"X-Pad: 1\r\n" * (header_lines - 1)
+                + b"Connection: close\r\n\r\n"
+            )
+            return _raw_exchange(server, head)
+
+        assert request(_MAX_HEADERS).startswith(b"HTTP/1.1 200 ")
+        response = request(_MAX_HEADERS + 1)
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"header lines" in response
 
 
 class TestLoadtest:
