@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables/figures on a reduced
-dataset (see EXPERIMENTS.md for the scaling rationale and for how to run the
-figure-scale sweeps from ``python -m repro.experiments.expN``).  Datasets are
-built once per session and shared across benchmarks.
+dataset (:mod:`repro.workloads.datasets` explains the scaling; the
+figure-scale sweeps run from ``python -m repro.experiments.expN``).
+Datasets are built once per session and shared across benchmarks.
 """
 
 from __future__ import annotations

@@ -46,36 +46,6 @@ Installed as ``python -m repro`` (see ``repro.__main__``).  Subcommands:
     JSON report (rps, p50/p99, failures, mismatches) and exits non-zero
     on any failure or cross-engine mismatch.
 
-``bench-serving``
-    Measure the three serving tiers (serial, threaded, multiprocess) on
-    the BENCH_3 cross workload and optionally write the ``BENCH_5.json``
-    report (``--out``); ``--quick`` is the tiny-budget CI smoke
-    configuration.
-
-``bench-service``
-    Run the service throughput benchmark (cold vs warm-cache answering,
-    batch vs per-query, serial vs threaded) and optionally write the
-    ``BENCH_3.json`` report (``--out``); ``--quick`` is the tiny-budget CI
-    smoke configuration.
-
-``bench-optimizer``
-    Compare translation + execution across program-optimizer levels 0/1/2
-    on the recursive workloads (plus the schema-dead-query collapse and the
-    auto-strategy scenarios) and optionally write the ``BENCH_4.json``
-    report (``--out``).
-
-``bench-executor``
-    Compare the columnar batch executor against the tuple-at-a-time
-    executor on the memory backend (warm-plan steady state over the
-    BENCH_3 workloads plus a fuzz-sweep scenario) and optionally write
-    the ``BENCH_6.json`` report (``--out``).
-
-``bench-emission``
-    Compare multi-statement vs single-statement SQL emission on SQLite
-    (statement round trips and wall time) and the interval descendant
-    strategy against CycleEX/CycleE on the recursive workloads, and
-    optionally write the ``BENCH_7.json`` report (``--out``).
-
 The engine-configuration flags (``--strategy``, ``--dialect``,
 ``--backend``, ``--executor``, ``--optimize-level``,
 ``--push-selections``) are declared once in the shared
@@ -125,13 +95,6 @@ This module is CLI plumbing, not public API — scripts should import
     delta summary plus a query's answers before and after — the CLI face
     of :mod:`repro.live`.
 
-``bench-updates``
-    Measure incremental live updates (merged delta + ``apply_delta`` +
-    cache invalidation + warm re-query) against full re-registration on
-    the dept/cross/gedml workloads and optionally write the
-    ``BENCH_8.json`` report (``--out``); ``--quick`` is the tiny-budget CI
-    smoke configuration.
-
 Examples
 --------
 ::
@@ -141,7 +104,6 @@ Examples
     python -m repro translate cross "a/b//c/d" --strategy recursive-union
     python -m repro translate cross "a//d" --dialect sqlite
     python -m repro translate cross "a//d" --strategy auto --optimize-level 2
-    python -m repro bench-optimizer --quick --out BENCH_4.json
     python -m repro answer cross "a//d" --elements 2000 --seed 7
     python -m repro answer cross "a//d" --backend sqlite
     python -m repro answer cross "a//d" --repeat 50
@@ -149,15 +111,10 @@ Examples
     python -m repro explain dept "dept//project" --timing
     python -m repro stats dept "dept//project" --repeat 10
     python -m repro stats cross "a//d" --workers 2 --repeat 10
-    python -m repro bench-service --quick --out BENCH_3.json
     python -m repro serve cross --port 8080 --workers 2 --documents 3
     python -m repro loadtest --port 8080 --budget 1000 --concurrency 50
-    python -m repro bench-serving --quick --out BENCH_5.json
-    python -m repro bench-executor --quick --out BENCH_6.json
-    python -m repro bench-emission --quick --out BENCH_7.json
     python -m repro mutate dept "dept//project" --mutations 8
     python -m repro fuzz --mutations --budget 50
-    python -m repro bench-updates --quick --out BENCH_8.json
     python -m repro answer cross "a//d" --executor tuple
     python -m repro answer cross "a//d" --backend sqlite --emission single
     python -m repro translate cross "a//d" --strategy interval --dialect sqlite --emission single
@@ -408,31 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--out", default=None, help="write the XML to this file instead of stdout")
 
-    bench_service = commands.add_parser(
-        "bench-service",
-        help="measure query-service throughput (cold vs warm, batch, threads)",
-    )
-    bench_service.add_argument(
-        "--elements", type=int, default=None,
-        help="document element budget (default: 1200, or the --quick budget)",
-    )
-    bench_service.add_argument(
-        "--repeats", type=int, default=None,
-        help="workload repetitions per scenario (default: 5, or the --quick budget)",
-    )
-    bench_service.add_argument(
-        "--threads", type=int, default=None,
-        help="thread count of the concurrency scenario (default: 4, or the --quick budget)",
-    )
-    bench_service.add_argument(
-        "--quick", action="store_true",
-        help="tiny-budget defaults (CI smoke); explicit flags still override",
-    )
-    bench_service.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSON report (BENCH_3.json format) to PATH",
-    )
-
     fuzz = commands.add_parser(
         "fuzz",
         help="randomized cross-engine differential fuzzing",
@@ -559,127 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--out", metavar="PATH", default=None,
         help="additionally write the JSON report to PATH",
-    )
-
-    bench_serving = commands.add_parser(
-        "bench-serving",
-        help="measure serial vs threaded vs multiprocess serving tiers",
-    )
-    bench_serving.add_argument(
-        "--elements", type=int, default=None,
-        help="document element budget (default: 1000, or the --quick budget)",
-    )
-    bench_serving.add_argument(
-        "--repeats", type=int, default=None,
-        help="workload repetitions per tier (default: 5, or the --quick budget)",
-    )
-    bench_serving.add_argument(
-        "--threads", type=int, default=None,
-        help="dispatcher threads of the threaded tier (default: 4, or the --quick budget)",
-    )
-    bench_serving.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes of the multiprocess tier (default: min(4, max(2, cpu_count)))",
-    )
-    bench_serving.add_argument(
-        "--quick", action="store_true",
-        help="tiny-budget defaults (CI smoke); explicit flags still override",
-    )
-    bench_serving.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSON report (BENCH_5.json format) to PATH",
-    )
-
-    bench_executor = commands.add_parser(
-        "bench-executor",
-        help="measure the columnar vs tuple executor on the memory backend",
-    )
-    bench_executor.add_argument(
-        "--elements", type=int, default=None,
-        help="document element budget (default: 1200, or the --quick budget)",
-    )
-    bench_executor.add_argument(
-        "--repeats", type=int, default=None,
-        help="warm-pass repetitions per executor (default: 5, or the --quick budget)",
-    )
-    bench_executor.add_argument(
-        "--fuzz-budget", type=int, default=None,
-        help="cases of the fuzz-sweep scenario (default: 40, or the --quick budget)",
-    )
-    bench_executor.add_argument(
-        "--quick", action="store_true",
-        help="tiny-budget defaults (CI smoke); explicit flags still override",
-    )
-    bench_executor.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSON report (BENCH_6.json format) to PATH",
-    )
-
-    bench_emission = commands.add_parser(
-        "bench-emission",
-        help="measure single-statement emission and the interval strategy on SQLite",
-    )
-    bench_emission.add_argument(
-        "--elements", type=int, default=None,
-        help="document element budget (default: 1200, or the --quick budget)",
-    )
-    bench_emission.add_argument(
-        "--repeats", type=int, default=None,
-        help="warm-pass repetitions per configuration (default: 5, or the --quick budget)",
-    )
-    bench_emission.add_argument(
-        "--quick", action="store_true",
-        help="tiny-budget defaults (CI smoke); explicit flags still override",
-    )
-    bench_emission.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSON report (BENCH_7.json format) to PATH",
-    )
-
-    bench_optimizer = commands.add_parser(
-        "bench-optimizer",
-        help="measure translation+execution across optimizer levels 0/1/2",
-    )
-    bench_optimizer.add_argument(
-        "--elements", type=int, default=None,
-        help="document element budget (default: 1200, or the --quick budget)",
-    )
-    bench_optimizer.add_argument(
-        "--repeats", type=int, default=None,
-        help="translate/execute repetitions per rung (default: 5, or the --quick budget)",
-    )
-    bench_optimizer.add_argument(
-        "--quick", action="store_true",
-        help="tiny-budget defaults (CI smoke); explicit flags still override",
-    )
-    bench_optimizer.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSON report (BENCH_4.json format) to PATH",
-    )
-
-    bench_updates = commands.add_parser(
-        "bench-updates",
-        help="measure incremental live updates vs full re-registration",
-    )
-    bench_updates.add_argument(
-        "--elements", type=int, default=None,
-        help="document element budget (default: 2000, or the --quick budget)",
-    )
-    bench_updates.add_argument(
-        "--rounds", type=int, default=None,
-        help="update rounds per workload cell (default: 5, or the --quick budget)",
-    )
-    bench_updates.add_argument(
-        "--mutations", type=int, default=None,
-        help="mutations per round (default: 8, or the --quick budget)",
-    )
-    bench_updates.add_argument(
-        "--quick", action="store_true",
-        help="tiny-budget defaults (CI smoke); explicit flags still override",
-    )
-    bench_updates.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the JSON report (BENCH_8.json format) to PATH",
     )
 
     return parser
@@ -968,37 +779,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_service(args: argparse.Namespace) -> int:
-    from repro.service.bench import (
-        ServiceBenchConfig,
-        describe_report,
-        run_service_benchmark,
-        write_report,
-    )
-
-    from dataclasses import replace
-
-    config = ServiceBenchConfig.quick() if args.quick else ServiceBenchConfig()
-    overrides = {
-        name: value
-        for name, value in (
-            ("elements", args.elements),
-            ("repeats", args.repeats),
-            ("threads", args.threads),
-        )
-        if value is not None
-    }
-    if any(value < 1 for value in overrides.values()):
-        raise SystemExit("--elements, --repeats and --threads must be >= 1")
-    config = replace(config, **overrides)
-    report = run_service_benchmark(config)
-    print(describe_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot the process pool + HTTP front end and serve until a signal.
 
@@ -1083,38 +863,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    from repro.service.servebench import (
-        ServingBenchConfig,
-        describe_report,
-        run_serving_benchmark,
-        write_report,
-    )
-
-    from dataclasses import replace
-
-    config = ServingBenchConfig.quick() if args.quick else ServingBenchConfig()
-    overrides = {
-        name: value
-        for name, value in (
-            ("elements", args.elements),
-            ("repeats", args.repeats),
-            ("threads", args.threads),
-            ("workers", args.workers),
-        )
-        if value is not None
-    }
-    if any(value < 1 for value in overrides.values()):
-        raise SystemExit("--elements, --repeats, --threads and --workers must be >= 1")
-    config = replace(config, **overrides)
-    report = run_serving_benchmark(config)
-    print(describe_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
     return 0 if report["ok"] else 1
 
 
@@ -1247,122 +995,6 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_updates(args: argparse.Namespace) -> int:
-    from repro.live.bench import (
-        UpdateBenchConfig,
-        describe_report,
-        run_update_benchmark,
-        write_report,
-    )
-
-    from dataclasses import replace
-
-    config = UpdateBenchConfig.quick() if args.quick else UpdateBenchConfig()
-    overrides = {
-        name: value
-        for name, value in (
-            ("elements", args.elements),
-            ("rounds", args.rounds),
-            ("mutations_per_round", args.mutations),
-        )
-        if value is not None
-    }
-    if any(value < 1 for value in overrides.values()):
-        raise SystemExit("--elements, --rounds and --mutations must be >= 1")
-    config = replace(config, **overrides)
-    report = run_update_benchmark(config)
-    print(describe_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_bench_optimizer(args: argparse.Namespace) -> int:
-    from repro.core.optbench import (
-        OptimizerBenchConfig,
-        describe_report,
-        run_optimizer_benchmark,
-        write_report,
-    )
-
-    from dataclasses import replace
-
-    config = OptimizerBenchConfig.quick() if args.quick else OptimizerBenchConfig()
-    overrides = {
-        name: value
-        for name, value in (("elements", args.elements), ("repeats", args.repeats))
-        if value is not None
-    }
-    if any(value < 1 for value in overrides.values()):
-        raise SystemExit("--elements and --repeats must be >= 1")
-    config = replace(config, **overrides)
-    report = run_optimizer_benchmark(config)
-    print(describe_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_bench_executor(args: argparse.Namespace) -> int:
-    from repro.service.execbench import (
-        ExecutorBenchConfig,
-        describe_report,
-        run_executor_benchmark,
-        write_report,
-    )
-
-    from dataclasses import replace
-
-    config = ExecutorBenchConfig.quick() if args.quick else ExecutorBenchConfig()
-    overrides = {
-        name: value
-        for name, value in (
-            ("elements", args.elements),
-            ("repeats", args.repeats),
-            ("fuzz_budget", args.fuzz_budget),
-        )
-        if value is not None
-    }
-    if any(value < 1 for value in overrides.values()):
-        raise SystemExit("--elements, --repeats and --fuzz-budget must be >= 1")
-    config = replace(config, **overrides)
-    report = run_executor_benchmark(config)
-    print(describe_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_bench_emission(args: argparse.Namespace) -> int:
-    from repro.backends.emissionbench import (
-        EmissionBenchConfig,
-        describe_report,
-        run_emission_benchmark,
-        write_report,
-    )
-
-    from dataclasses import replace
-
-    config = EmissionBenchConfig.quick() if args.quick else EmissionBenchConfig()
-    overrides = {
-        name: value
-        for name, value in (("elements", args.elements), ("repeats", args.repeats))
-        if value is not None
-    }
-    if any(value < 1 for value in overrides.values()):
-        raise SystemExit("--elements and --repeats must be >= 1")
-    config = replace(config, **overrides)
-    report = run_emission_benchmark(config)
-    print(describe_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -1381,12 +1013,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "diff": _cmd_diff,
         "generate": _cmd_generate,
-        "bench-service": _cmd_bench_service,
-        "bench-serving": _cmd_bench_serving,
-        "bench-executor": _cmd_bench_executor,
-        "bench-emission": _cmd_bench_emission,
-        "bench-optimizer": _cmd_bench_optimizer,
-        "bench-updates": _cmd_bench_updates,
         "serve": _cmd_serve,
         "loadtest": _cmd_loadtest,
         "fuzz": _cmd_fuzz,

@@ -8,7 +8,8 @@ X = CycleEX) over documents of a fixed element budget whose *shape* varies:
 * sub-figures (b)(d)(f)(h): X_R in {4, 6, 8, 10} with X_L = 12.
 
 The paper fixes the document at 120,000 elements on DB2; the default here
-is that size divided by ``DEFAULT_SCALE`` (see EXPERIMENTS.md).  Run with
+is that size divided by ``DEFAULT_SCALE`` (see
+:mod:`repro.workloads.datasets`).  Run with
 ``python -m repro.experiments.exp1 [--quick]``.
 """
 

@@ -8,8 +8,7 @@ translated program can be executed on any registered execution backend
 (``memory`` — the in-memory engine — or ``sqlite``), so exp1–exp5 can
 compare engines as well as translation strategies.  The experiment modules
 assemble these measurements into the rows/series of the paper's figures;
-:func:`format_table` renders them as plain-text tables for the console and
-EXPERIMENTS.md.
+:func:`format_table` renders them as plain-text tables for the console.
 """
 
 from __future__ import annotations

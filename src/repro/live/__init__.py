@@ -15,8 +15,8 @@ plan/prepared caches kept — plans depend only on the DTD).
 (``FuzzConfig.mutations_per_case``) and its
 :class:`~repro.fuzz.DifferentialOracle` checks mutate-then-query against
 reshred-from-scratch-then-query across the engine grid.
-:mod:`repro.live.bench` measures incremental updates against full
-re-registration (BENCH_8).
+The frozen ``BENCH_8.json`` record compares incremental updates against
+full re-registration.
 """
 
 from repro.live.delta import ShredDelta, apply_delta_to_database, merge_deltas

@@ -35,7 +35,6 @@ from .metrics import (
 )
 from .trace import (
     Span,
-    aggregate_spans,
     attach,
     current_span,
     end_trace,
@@ -56,7 +55,6 @@ __all__ = [
     "current_span",
     "is_tracing",
     "attach",
-    "aggregate_spans",
     "render_span_tree",
     # metrics
     "Counter",

@@ -38,7 +38,6 @@ __all__ = [
     "current_span",
     "is_tracing",
     "attach",
-    "aggregate_spans",
     "render_span_tree",
 ]
 
@@ -287,23 +286,6 @@ class attach:
     def __exit__(self, *exc_info: object) -> None:
         if self._parent is not None:
             _STATE.span = self._previous
-
-
-def aggregate_spans(root: Span) -> Dict[str, Dict[str, float]]:
-    """Per-phase totals of a trace: span name -> count/wall/CPU sums.
-
-    The benchmark harnesses use this to turn one traced pass into the
-    ``phases`` breakdown of the BENCH_*.json reports.
-    """
-    totals: Dict[str, Dict[str, float]] = {}
-    for node in root.walk():
-        entry = totals.setdefault(
-            node.name, {"count": 0, "wall_seconds": 0.0, "cpu_seconds": 0.0}
-        )
-        entry["count"] += 1
-        entry["wall_seconds"] += node.wall_seconds
-        entry["cpu_seconds"] += node.cpu_seconds
-    return totals
 
 
 def render_span_tree(root: Span) -> str:

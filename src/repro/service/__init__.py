@@ -8,18 +8,13 @@ holds registered documents as *prepared stores* (shredded once, backend
 loaded once, plans prepared once) and answers queries — singly, in batches,
 and concurrently from many threads.
 
-:mod:`repro.service.bench` measures what that buys: cold (stateless) vs
-warm (cached) answering and serial vs threaded batch throughput, written to
-``BENCH_3.json`` by the benchmark suite and the ``repro bench-service``
-subcommand.
-
-Because that benchmark showed threads *lose* on this pure-Python CPU
-workload, :mod:`repro.service.pool` adds the process-based tier —
-:class:`ProcessQueryService`, N worker processes with sharded document
-stores behind one facade — :mod:`repro.service.http` puts an asyncio
-HTTP/JSON front end (and a verifying load generator) on top of it, and
-:mod:`repro.service.servebench` measures serial vs threaded vs multiprocess
-into ``BENCH_5.json``.
+Threads do not speed up this pure-Python CPU workload (the frozen
+``BENCH_3.json`` record), so :mod:`repro.service.pool` adds the
+process-based tier — :class:`ProcessQueryService`, N worker processes with
+sharded document stores behind one facade — and :mod:`repro.service.http`
+puts an asyncio HTTP/JSON front end (and a verifying load generator) on top
+of it.  The repository benchmark (``python3 -m bench run``) times whole
+requests through that stack.
 """
 
 from __future__ import annotations

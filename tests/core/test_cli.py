@@ -1,8 +1,20 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.dtd import samples
+from repro.xmltree.generator import generate_document
+from repro.xpath.evaluator import evaluate_xpath
+from repro.xpath.parser import parse_xpath
+
+SUBCOMMANDS = [
+    "describe", "translate", "answer", "explain", "stats", "experiment",
+    "diff", "generate", "fuzz", "mutate", "serve", "loadtest",
+]
 
 
 class TestParser:
@@ -16,6 +28,14 @@ class TestParser:
         assert args.elements == 500
         args = parser.parse_args(["experiment", "exp5"])
         assert args.name == "exp5"
+
+    def test_help_lists_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        listed = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+        assert listed == SUBCOMMANDS
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -81,6 +101,43 @@ class TestCommands:
     def test_experiment_quick(self, capsys):
         assert main(["experiment", "exp3", "--quick"]) == 0
         assert "Fig. 14" in capsys.readouterr().out
+
+    def test_explain_prints_plan_summary(self, capsys):
+        assert main(["explain", "cross", "a//d", "--optimize-level", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "query:     a//d" in output
+        assert "optimizer: level 2" in output
+        assert "LFPs" in output
+        assert "RESULT <-" in output
+
+    def test_stats_dumps_one_json_document(self, capsys):
+        argv = ["stats", "cross", "a//d", "--elements", "100", "--repeat", "3"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["workload"]["query"] == "a//d"
+        assert payload["workload"]["repeat"] == 3
+        # The first answer misses both caches; the repeats hit the result cache.
+        assert payload["plan_cache"]["misses"] == 1
+        assert payload["result_cache"]["misses"] == 1
+        assert payload["result_cache"]["hits"] == 2
+        assert "cache.plan.misses" in payload["metrics"]
+
+    def test_mutate_reports_matches_before_and_after(self, capsys):
+        argv = ["mutate", "cross", "a//d", "--elements", "100", "--seed", "0",
+                "--x-l", "10", "--x-r", "4", "--mutations", "3", "--limit", "1000"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "mutation(s)" in output and "row(s) inserted" in output
+        before, after = map(
+            int, re.search(r"(\d+) match\(es\) before, (\d+) after", output).groups()
+        )
+        # The command's document is the seeded generator's; its "before"
+        # count is the evaluator's over that same document.
+        document = generate_document(
+            samples.cross_dtd(), x_l=10, x_r=4, seed=0, max_elements=100
+        )
+        assert before == len(evaluate_xpath(document, parse_xpath("a//d")))
+        assert len(re.findall(r"^  [+ ] node \d+: ", output, re.MULTILINE)) == after
 
 
 class TestBackendFlags:
@@ -369,22 +426,6 @@ class TestOptimizerFlags:
         ) == 0
         assert "Fig. 14" in capsys.readouterr().out
 
-    def test_bench_optimizer_quick_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_4.json"
-        assert main(["bench-optimizer", "--quick", "--out", str(out)]) == 0
-        output = capsys.readouterr().out
-        assert "optimizer benchmark" in output
-        import json
-
-        report = json.loads(out.read_text())
-        assert report["bench"] == "optimizer-levels"
-        assert report["ok"] is True
-        assert report["scenarios"]["empty_queries"]["level2_fully_collapsed"] is True
-
-    def test_bench_optimizer_rejects_bad_budget(self):
-        with pytest.raises(SystemExit):
-            main(["bench-optimizer", "--elements", "0"])
-
 
 class TestServiceFlags:
     def test_answer_repeat_prints_cache_stats(self, capsys):
@@ -418,19 +459,43 @@ class TestServiceFlags:
         with pytest.raises(SystemExit):
             main(["answer", "cross", "a//d", "--repeat", "0"])
 
-    def test_bench_service_quick_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_3.json"
-        assert main(["bench-service", "--quick", "--out", str(out)]) == 0
-        output = capsys.readouterr().out
-        assert "repeated workload" in output
-        assert "batch vs per-query" in output
-        import json
 
-        report = json.loads(out.read_text())
-        assert report["bench"] == "service-throughput"
-        assert report["ok"] is True
-        assert report["scenarios"]["repeated_workload"]["results_match"] is True
+class TestCountValidation:
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        # A check that let its flag through would fail here instead of
+        # running a workload, a fuzz sweep, a server or a load test.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the out-of-range flag was not rejected")
 
-    def test_bench_service_rejects_bad_budget(self):
-        with pytest.raises(SystemExit):
-            main(["bench-service", "--elements", "0"])
+        for target in (
+            "repro.service.QueryService",
+            "repro.service.ProcessQueryService",
+            "repro.service.http.run_loadtest",
+            "repro.fuzz.run_fuzz",
+        ):
+            monkeypatch.setattr(target, refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "cross", "a//d", "--repeat", "0"],
+            ["stats", "cross", "a//d", "--workers", "-1"],
+            ["mutate", "cross", "a//d", "--mutations", "0"],
+            ["fuzz", "--budget", "-1"],
+            ["fuzz", "--queries-per-dtd", "0"],
+            ["fuzz", "--min-types", "1"],
+            ["fuzz", "--min-types", "4", "--max-types", "3"],
+            ["fuzz", "--max-cycle-edges", "-1"],
+            ["fuzz", "--mutations", "--mutations-per-case", "0"],
+            ["serve", "cross", "--documents", "0"],
+            ["serve", "cross", "--replicas", "-1"],
+            ["loadtest", "--budget", "0"],
+            ["loadtest", "--concurrency", "0"],
+            ["loadtest", "--query-pool", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_out_of_range_count_is_rejected(self, argv):
+        with pytest.raises(SystemExit, match="must be >= "):
+            main(argv)

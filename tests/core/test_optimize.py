@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import create_backend
 from repro.core.optimize import (
     DEFAULT_OPTIMIZE_LEVEL,
     OPTIMIZE_LEVELS,
@@ -38,6 +39,12 @@ from repro.relational.algebra import (
 from repro.relational.executor import execute_program
 from repro.relational.schema import T as T_COLUMN
 from repro.shredding.inlining import SimpleMapping
+from repro.workloads.queries import (
+    CROSS_QUERIES,
+    DEPT_QUERIES,
+    GEDML_QUERY,
+    SCALABILITY_QUERY,
+)
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
 
@@ -313,23 +320,53 @@ class TestOptimizeLevels:
         program = translator.translate("a//d").program
         assert str(optimize_program(program, 0, dtd=cross_dtd)) == str(program)
 
-    def test_levels_shrink_monotonically(self, dept_dtd):
-        raw = XPathToSQLTranslator(dept_dtd, optimize_level=0).translate(
-            "dept//student/qualified//course"
-        ).program
-        sizes = {
-            level: optimize_program(raw, level, dtd=dept_dtd).operator_profile().total
+    WORKLOADS = {
+        "dept": (*DEPT_QUERIES.values(), "dept//student/qualified//course"),
+        "cross": (*CROSS_QUERIES.values(), SCALABILITY_QUERY),
+        "gedml": (GEDML_QUERY,),
+    }
+
+    @pytest.mark.parametrize("dtd_name", sorted(WORKLOADS))
+    def test_levels_shrink_monotonically(self, dtd_name):
+        # Summed over each paper workload's queries: operators and
+        # assignments never grow with the level, and CSE always fires.
+        dtd = samples.paper_dtds()[dtd_name]
+        queries = self.WORKLOADS[dtd_name]
+        translator = XPathToSQLTranslator(dtd, optimize_level=0)
+        raws = [translator.translate(query).program for query in queries]
+        operators, assignments = {}, {}
+        for level in OPTIMIZE_LEVELS:
+            programs = [optimize_program(raw, level, dtd=dtd) for raw in raws]
+            operators[level] = sum(p.operator_profile().total for p in programs)
+            assignments[level] = sum(len(p) for p in programs)
+        for sizes in (operators, assignments):
+            assert sizes[2] <= sizes[1] < sizes[0], (dtd_name, sizes)
+
+    def test_schema_dead_query_collapses_entirely(self, cross_dtd, cross_shredded):
+        translators = {
+            level: XPathToSQLTranslator(cross_dtd, optimize_level=level)
             for level in OPTIMIZE_LEVELS
         }
-        assert sizes[1] <= sizes[0]
-        assert sizes[2] <= sizes[1]
-        assert sizes[1] < sizes[0]  # CSE definitely fires here
-
-    def test_schema_dead_query_collapses_entirely(self, cross_dtd):
-        translator = XPathToSQLTranslator(cross_dtd, optimize_level=2)
-        program = translator.translate("b//d").program
-        assert len(program) == 0
-        assert isinstance(program.result, EmptyRelation)
+        backends = [
+            create_backend(name, cross_shredded.database) for name in ("memory", "sqlite")
+        ]
+        try:
+            for query in ("b", "a/a", "b//d"):
+                programs = {
+                    level: translator.translate(query).program
+                    for level, translator in translators.items()
+                }
+                collapsed = programs[2]
+                assert len(collapsed) == 0, query
+                assert isinstance(collapsed.result, EmptyRelation), query
+                assert collapsed.operator_profile().total == 0, query
+                for backend in backends:
+                    for level, program in programs.items():
+                        ids = backend.execute(program).node_ids()
+                        assert not ids, (query, backend.name, level)
+        finally:
+            for backend in backends:
+                backend.close()
 
     def test_invalid_level_rejected(self, cross_dtd):
         with pytest.raises(ValueError):
@@ -354,11 +391,17 @@ class TestSelectStrategy:
             "root library\n"
             "library -> shelf*\n"
             "shelf -> book*\n"
-            "book -> title*\n"
-            "title -> EMPTY #text\n",
+            "book -> title, author*\n"
+            "title -> EMPTY #text\n"
+            "author -> EMPTY #text\n",
             name="library",
         )
-        assert select_strategy(library, "library//title") is DescendantStrategy.CYCLEE
+        auto = XPathToSQLTranslator(library, strategy=DescendantStrategy.AUTO)
+        for query in ("library//title", "library//book[author]/title"):
+            assert select_strategy(library, query) is DescendantStrategy.CYCLEE
+            # Unfolding leaves the program recursion-free.
+            profile = auto.translate(query).operator_profile()
+            assert profile.lfps == 0 and profile.recursive_unions == 0, query
 
     def test_no_descendant_step_defaults_to_cycleex(self):
         assert select_strategy(samples.cross_dtd(), "a/b") is DescendantStrategy.CYCLEEX

@@ -132,17 +132,3 @@ class TestSerialization:
         assert lines[1].startswith("  child")
         assert "backend='memory'" in lines[1]
         assert "ms" in lines[0]
-
-
-class TestAggregation:
-    def test_aggregate_spans_sums_per_name(self):
-        with obs.trace("root") as root:
-            for _ in range(3):
-                with obs.span("phase"):
-                    pass
-        totals = obs.aggregate_spans(root)
-        assert set(totals) == {"root", "phase"}
-        assert totals["phase"]["count"] == 3
-        assert totals["root"]["count"] == 1
-        assert totals["phase"]["wall_seconds"] >= 0.0
-        assert totals["phase"]["cpu_seconds"] >= 0.0

@@ -315,12 +315,22 @@ class _CollectorProbe(DocumentSpec):
         )
 
 
+class _AllocatingSpec(DocumentSpec):
+    """A document recipe that, inside the worker, keeps more than twice
+    ``WORKER_GC_THRESHOLD`` containers alive before generating, so at least
+    one generation-0 collection runs whatever count the worker starts from."""
+
+    def generate(self, dtd):
+        held = [[] for _ in range(2 * WORKER_GC_THRESHOLD + 1)]  # noqa: F841
+        return super().generate(dtd)
+
+
 class TestWorkerCollector:
     def test_collections_are_metered_and_the_collector_stays_on(self):
         dtd = samples.cross_dtd()
         with ProcessQueryService(dtd, workers=1, start_method="fork") as pool:
             pool.register_generated(
-                "doc", DocumentSpec(x_l=14, x_r=4, max_elements=1000, seed=3)
+                "doc", _AllocatingSpec(x_l=14, x_r=4, max_elements=1000, seed=3)
             )
             pool.answer("a//d", "doc")  # cold: encodes the store, runs fixpoints
             metrics = pool.stats()["metrics"]
