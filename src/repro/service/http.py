@@ -4,8 +4,11 @@ Stdlib-only by design (the whole repository is dependency-free): a small
 hand-rolled HTTP/1.1 server on :func:`asyncio.start_server` in front of a
 :class:`~repro.service.pool.ProcessQueryService`.  The event loop does what
 event loops are good at — thousands of concurrent keep-alive connections —
-while the actual CPU work happens in the worker processes; the bridge is a
-bounded thread pool so a slow query never stalls the accept loop.
+while the actual CPU work happens in the worker processes.  ``/answer``
+awaits :meth:`~repro.service.pool.ProcessQueryService.submit_answer`'s
+future, which a pool reader thread resolves, so no thread waits per
+request; ``/batch``, ``/update``, ``/stats`` and the retry of an ``/answer``
+whose worker crashed run blocking pool calls in :func:`asyncio.to_thread`.
 
 Routes
 ------
@@ -47,23 +50,22 @@ any other :class:`~repro.errors.ReproError` (bad query, bad payload) is
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import ReproError, UnknownDocumentError
-from repro.service.pool import ProcessQueryService
+from repro.errors import ReproError, UnknownDocumentError, WorkerCrashError
+from repro.service.pool import PoolAnswer, ProcessQueryService
 
 __all__ = ["QueryHTTPServer", "run_loadtest"]
 
 _MAX_BODY = 8 * 1024 * 1024  # bytes; a batch of thousands of queries fits
 _MAX_HEADERS = 100  # header lines per request; the load client sends 3
+_MAX_IN_FLIGHT = 32  # requests waiting on the pool at once; the rest queue
 
 
 class _BadRequest(Exception):
@@ -151,25 +153,27 @@ class QueryHTTPServer:
         pool: ProcessQueryService,
         host: str = "127.0.0.1",
         port: int = 8080,
-        max_parallel_requests: int = 32,
     ) -> None:
         self.pool = pool
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_parallel_requests, thread_name_prefix="repro-http"
-        )
+        self._in_flight: Optional[asyncio.Semaphore] = None  # bound in start()
         self._metrics = obs.MetricsRegistry()  # server-local, merged in /stats
         self._stop = threading.Event()
 
     # -- request handling --------------------------------------------------------
 
-    async def _call_pool(self, func: Callable[..., Any], *args: Any, **kwargs: Any):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, functools.partial(func, *args, **kwargs)
-        )
+    async def _call_pool(self, func: Callable[..., Any], *args: Any) -> Any:
+        async with self._in_flight:  # type: ignore[union-attr]
+            return await asyncio.to_thread(func, *args)
+
+    async def _answer(self, *args: Any) -> PoolAnswer:
+        async with self._in_flight:  # type: ignore[union-attr]
+            try:
+                return await asyncio.wrap_future(self.pool.submit_answer(*args))
+            except WorkerCrashError:  # answer() respawns the worker and retries
+                return await asyncio.to_thread(self.pool.answer, *args)
 
     def _meta(self) -> Dict[str, Any]:
         documents: Dict[str, Any] = {}
@@ -205,11 +209,10 @@ class QueryHTTPServer:
             query = payload.get("query")
             if not isinstance(query, str):
                 raise _BadRequest("'query' (string) is required")
-            answer = await self._call_pool(
-                self.pool.answer,
+            answer = await self._answer(
                 query,
                 payload.get("document"),
-                include_nodes=bool(payload.get("include_nodes", True)),
+                bool(payload.get("include_nodes", True)),
             )
             return 200, answer.to_dict()
         if method == "POST" and target == "/batch":
@@ -223,7 +226,7 @@ class QueryHTTPServer:
                 self.pool.answer_batch,
                 queries,
                 payload.get("document"),
-                include_nodes=bool(payload.get("include_nodes", True)),
+                bool(payload.get("include_nodes", True)),
             )
             return 200, {"answers": [answer.to_dict() for answer in answers]}
         if method == "POST" and target == "/update":
@@ -306,6 +309,7 @@ class QueryHTTPServer:
 
     async def start(self) -> None:
         """Bind and start accepting; resolves :attr:`port` when ephemeral."""
+        self._in_flight = asyncio.Semaphore(_MAX_IN_FLIGHT)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -316,7 +320,6 @@ class QueryHTTPServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self._executor.shutdown(wait=False)
 
     def request_stop(self) -> None:
         """Thread/signal-safe: ask a blocking :meth:`run` to return."""

@@ -1,17 +1,14 @@
 """The multiprocess serving tier: N worker processes behind one facade.
 
-BENCH_3 showed the thread-pool batch path is a dead end for this workload:
-translation and the in-memory executor are pure-Python CPU work, so under
-the GIL four threads deliver *less* than one (memory-backend "speedup"
-<1x).  :class:`ProcessQueryService` breaks that wall the only way CPython
-allows — separate processes:
-
 * each worker process is initialized **once** with the DTD text and a
   JSON-safe :class:`~repro.api.EngineConfig` dict, builds its own
   :class:`~repro.service.QueryService` (own warmed
   :class:`~repro.core.plancache.PlanCache`, own prepared document stores,
-  own process-local metrics registry), and then answers requests from a
-  ``multiprocessing`` queue;
+  own process-local metrics registry), and then answers requests in
+  arrival order from its end of one duplex ``multiprocessing`` pipe;
+* callers send on the parent's end under a per-worker lock, and one reader
+  thread per worker resolves a :class:`concurrent.futures.Future` per
+  request id; a fan-out sends to every worker before it waits on any;
 * documents are *sharded*: every document id hashes (together with the DTD
   fingerprint) onto ``replicas`` owning workers, and requests route to an
   owner — stores are rebuilt inside each owner rather than shipped,
@@ -22,11 +19,13 @@ allows — separate processes:
   collection into ``worker.gc_collections.gen<N>`` / ``worker.gc_seconds``;
 * registration ships a document to all its owners at once, and drops it
   again from the owners that built it when another owner failed;
-* worker crashes are detected (per-worker receiver threads notice the
-  process dying), the worker is respawned, its documents re-registered
-  from the recipes the parent retains — with every retained mutation
-  script replayed on top, so live documents recover their updated state —
-  and the in-flight request retried once;
+* updates hold one lock from sending a script to every owner to logging
+  it, so all owners apply scripts in the mutation log's order;
+* worker crashes are detected (end of file on the worker's pipe fails
+  every request pending on it), the worker is respawned, its documents
+  re-registered from the recipes the parent retains — with every retained
+  mutation script replayed on top, so live documents recover their
+  updated state — and the in-flight request retried once;
 * workers ship their metrics ``snapshot(include_reservoirs=True)`` home on
   demand and at shutdown, and :meth:`ProcessQueryService.stats` merges
   them with :func:`repro.obs.merge_snapshots`, so counters and latency
@@ -41,17 +40,19 @@ connections and caches never do.
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
 import gc
 import hashlib
 import itertools
 import multiprocessing
 import os
-import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import errors as _errors
@@ -196,10 +197,9 @@ def _worker_main(
     dtd_name: str,
     config_dict: Dict[str, Any],
     warmup: Tuple[str, ...],
-    request_queue,
-    response_queue,
+    connection,
 ) -> None:
-    """The worker loop: one process-local engine, requests in, answers out.
+    """The worker loop: one process-local engine, requests in, replies out.
 
     Must stay a module-level function — ``spawn`` pickles the target by
     qualified name and re-imports this module in the child.
@@ -223,37 +223,26 @@ def _worker_main(
         except ReproError:
             pass  # warmup is best-effort; real requests report real errors
     while True:
-        message = request_queue.get()
-        collector.flush()
-        kind, request_id = message[0], message[1]
-        if kind == "shutdown":
-            response_queue.put(
-                (request_id, "ok", registry.snapshot(include_reservoirs=True))
-            )
-            break
         try:
-            if kind == "register_tree":
-                document_id, tree = message[2], message[3]
+            kind, request_id, *args = connection.recv()
+        except EOFError:
+            break  # the parent is gone
+        collector.flush()
+        try:
+            if kind in ("register_tree", "register_spec"):
+                document_id, source = args
+                tree = source if kind == "register_tree" else source.generate(dtd)
                 service.register_document(document_id, tree)
                 registry.gauge("worker.documents").add(1)
                 payload: Any = document_id
-            elif kind == "register_spec":
-                document_id, spec = message[2], message[3]
-                service.register_document(document_id, spec.generate(dtd))
-                registry.gauge("worker.documents").add(1)
-                payload = document_id
             elif kind == "unregister":
-                document_id = message[2]
-                service.unregister_document(document_id)
+                service.unregister_document(args[0])
                 registry.gauge("worker.documents").add(-1)
-                payload = document_id
+                payload = args[0]
             elif kind == "answer":
-                document_id, query, include_nodes = message[2:5]
-                payload = _answer_one(
-                    service, worker_index, document_id, query, include_nodes
-                )
+                payload = _answer_one(service, worker_index, *args)
             elif kind == "batch":
-                document_id, queries, include_nodes = message[2:5]
+                document_id, queries, include_nodes = args
                 payload = [
                     _answer_one(
                         service, worker_index, document_id, query, include_nodes
@@ -261,17 +250,20 @@ def _worker_main(
                     for query in queries
                 ]
             elif kind == "update":
-                document_id, script = message[2], message[3]
+                document_id, script = args
                 payload = service.update_document(script, document_id)
-            elif kind == "snapshot":
+            elif kind in ("snapshot", "shutdown"):
                 payload = registry.snapshot(include_reservoirs=True)
             else:
                 raise ValueError(f"unknown pool message kind {kind!r}")
         except BaseException as exc:  # ship *every* failure home
-            response_queue.put((request_id, "error", type(exc).__name__, str(exc)))
+            connection.send((request_id, "error", type(exc).__name__, str(exc)))
         else:
-            response_queue.put((request_id, "ok", payload))
+            connection.send((request_id, "ok", payload))
+        if kind == "shutdown":
+            break
     service.close()
+    connection.close()
 
 
 # ---------------------------------------------------------------------------
@@ -279,94 +271,101 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 
 
-class _Pending:
-    """One awaited response slot."""
+def _remote_error(name: str, message: str) -> ReproError:
+    """The parent-side exception for a failure a worker shipped home."""
+    exc_class = getattr(_errors, name, None)
+    if isinstance(exc_class, type) and issubclass(exc_class, ReproError):
+        return exc_class(message)
+    return WorkerError(f"{name} in pool worker: {message}")
 
-    __slots__ = ("event", "outcome")
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.outcome: Optional[Tuple[str, ...]] = None
+def _raise_first(failures: Sequence[Optional[Exception]]) -> None:
+    for failure in failures:
+        if failure is not None:
+            raise failure
 
 
 class _Worker:
-    """Parent-side handle: process + queues + receiver thread + pending map."""
+    """Parent-side handle: a worker process and the parent's end of its pipe.
 
-    __slots__ = (
-        "index",
-        "process",
-        "request_queue",
-        "response_queue",
-        "pending",
-        "lock",
-        "failed",
-        "stopped",
-        "final_snapshot",
-        "receiver",
-    )
+    Callers send under :attr:`send_lock`; the reader thread resolves each
+    reply's future and, at end of file, fails every pending one.  It never
+    sends, takes :attr:`send_lock` or respawns, so it keeps draining replies
+    while a caller is blocked sending a request the pipe cannot hold.
+    """
 
     def __init__(self, index: int, context, target_args) -> None:
         self.index = index
-        self.request_queue = context.Queue()
-        self.response_queue = context.Queue()
-        self.pending: Dict[int, _Pending] = {}
-        self.lock = threading.Lock()
+        self.send_lock = threading.Lock()
+        self.lock = threading.Lock()  # guards pending and failed
+        self.pending: Dict[int, "Future[Any]"] = {}
         self.failed = False
-        self.stopped = False
-        self.final_snapshot: Optional[Dict[str, Any]] = None
+        self._ids = itertools.count(1)
+        self.connection, child_end = context.Pipe()
         self.process = context.Process(
             target=_worker_main,
-            args=(index, *target_args, self.request_queue, self.response_queue),
+            args=(index, *target_args, child_end),
             daemon=True,
             name=f"repro-pool-worker-{index}",
         )
         self.process.start()
-        self.receiver = threading.Thread(
-            target=self._receive_loop, daemon=True, name=f"repro-pool-recv-{index}"
+        child_end.close()  # now end of file on ours means the worker is gone
+        self.reader = threading.Thread(
+            target=self._read_replies, daemon=True, name=f"repro-pool-reader-{index}"
         )
-        self.receiver.start()
+        self.reader.start()
 
-    def _receive_loop(self) -> None:
-        while True:
-            try:
-                message = self.response_queue.get(timeout=0.05)
-            except queue.Empty:
-                if self.stopped and not self.pending:
-                    return
-                if not self.process.is_alive():
-                    self._fail_all()
-                    return
-                continue
-            request_id, status = message[0], message[1]
+    def _read_replies(self) -> None:
+        try:
+            while True:
+                request_id, status, *reply = self.connection.recv()
+                with self.lock:
+                    future = self.pending.pop(request_id)
+                if status == "ok":
+                    future.set_result(reply[0])
+                else:
+                    future.set_exception(_remote_error(*reply))
+        except (EOFError, OSError):
+            pass  # the worker exited, or its pipe was closed
+        finally:
             with self.lock:
-                pending = self.pending.pop(request_id, None)
-            if pending is not None:
-                pending.outcome = message[1:]
-                pending.event.set()
+                self.failed = True
+                pending, self.pending = self.pending, {}
+            for future in pending.values():
+                future.set_exception(self._crash())
 
-    def _fail_all(self) -> None:
-        with self.lock:
-            self.failed = True
-            pending, self.pending = dict(self.pending), {}
-        for slot in pending.values():
-            slot.outcome = (
-                "error",
-                "WorkerCrashError",
-                f"pool worker {self.index} (pid {self.process.pid}) died "
-                f"with exit code {self.process.exitcode}",
-            )
-            slot.event.set()
+    def _crash(self) -> WorkerCrashError:
+        return WorkerCrashError(
+            f"pool worker {self.index} (pid {self.process.pid}) died "
+            f"with exit code {self.process.exitcode}"
+        )
 
-    def submit(self, request_id: int, message: Tuple[Any, ...]) -> _Pending:
-        pending = _Pending()
+    def submit(self, kind: str, *rest: Any) -> "Future[Any]":
+        """Send one request; the future resolves to the worker's reply."""
+        request_id = next(self._ids)
+        # Pickled first, so a payload that cannot cross fails this call alone.
+        data = ForkingPickler.dumps((kind, request_id, *rest))
+        future: "Future[Any]" = Future()
+        future.set_running_or_notify_cancel()  # only the reply may finish it
         with self.lock:
-            if self.failed or self.stopped:
-                raise WorkerCrashError(
-                    f"pool worker {self.index} is not running"
-                )
-            self.pending[request_id] = pending
-        self.request_queue.put(message)
-        return pending
+            if self.failed:
+                future.set_exception(self._crash())
+                return future
+            self.pending[request_id] = future
+        # A dead worker's reader fails the request at end of file.
+        with self.send_lock, contextlib.suppress(OSError):
+            self.connection.send_bytes(data)
+        return future
+
+    def close(self, timeout: float) -> None:
+        """Reap the process, then close the pipe once the reader is done."""
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout)
+        self.reader.join(timeout)
+        with self.send_lock:
+            self.connection.close()
 
 
 class ProcessQueryService:
@@ -417,13 +416,12 @@ class ProcessQueryService:
         self._replicas = min(replicas, workers)
         self._start_method = start_method or default_start_method()
         self._context = multiprocessing.get_context(self._start_method)
-        self._warmup = tuple(str(query) for query in warmup)
         self._fingerprint = dtd_fingerprint(dtd)
         self._target_args = (
             dtd.to_text(),
             dtd.name,
             self._config.to_dict(),
-            self._warmup,
+            tuple(str(query) for query in warmup),
         )
         # document id -> (payload kind, payload, owner worker indices)
         self._documents: "OrderedDict[str, Tuple[str, Any, Tuple[int, ...]]]"
@@ -436,8 +434,10 @@ class ProcessQueryService:
         # replays registration first, then these scripts, so its rebuilt
         # store converges on the same live state as the surviving replicas.
         self._mutation_log: Dict[str, List[List[Dict[str, Any]]]] = {}
-        self._request_ids = itertools.count(1)
         self._lock = threading.Lock()  # guards workers list + registry + close
+        # Orders updates and respawn replays; reentrant, as an update that
+        # meets a crashed owner respawns it.
+        self._update_lock = threading.RLock()
         self._closed = False
         self._final_snapshots: List[Dict[str, Any]] = []
         self._metrics = obs.MetricsRegistry()  # parent-side, pool-local
@@ -475,13 +475,7 @@ class ProcessQueryService:
 
     def owners(self, document_id: str) -> Tuple[int, ...]:
         """The worker indices holding ``document_id``'s store."""
-        with self._lock:
-            try:
-                return self._documents[document_id][2]
-            except KeyError:
-                raise UnknownDocumentError(
-                    f"unknown document {document_id!r}"
-                ) from None
+        return self._resolve_document(document_id)[1]
 
     # -- registration ------------------------------------------------------------
 
@@ -508,21 +502,18 @@ class ProcessQueryService:
             # recorded only when every owner succeeded; otherwise the owners
             # that succeeded drop their store again, so a retry can succeed,
             # and the first failure in owner order is raised.
-            with ThreadPoolExecutor(max_workers=len(owner_indices)) as executor:
-                futures = [
-                    executor.submit(self._call, index, kind, document_id, payload)
-                    for index in owner_indices
-                ]
-            failures = [future.exception() for future in futures]
-            first = next((exc for exc in failures if exc is not None), None)
-            if first is not None:
-                for index, failure in zip(owner_indices, failures):
-                    if failure is None:
-                        try:
-                            self._call(index, "unregister", document_id)
-                        except ReproError:
-                            pass  # a respawned owner lost the store anyway
-                raise first
+            _, failures = self._fan_out(
+                [(index, kind, document_id, payload) for index in owner_indices]
+            )
+            if any(failure is not None for failure in failures):
+                self._fan_out(
+                    [
+                        (index, "unregister", document_id)
+                        for index, failure in zip(owner_indices, failures)
+                        if failure is None
+                    ]
+                )
+                _raise_first(failures)
             with self._lock:
                 self._documents[document_id] = (kind, payload, owner_indices)
         finally:
@@ -540,7 +531,7 @@ class ProcessQueryService:
     ) -> Tuple[int, ...]:
         """Register a document by *recipe*: owners regenerate it locally.
 
-        Cheaper than shipping a tree (five ints cross the queue) and the
+        Cheaper than shipping a tree (five ints cross the pipe) and the
         form crash-recovery re-registration always uses for spec documents.
         """
         return self._register(document_id, "register_spec", spec or DocumentSpec())
@@ -555,53 +546,39 @@ class ProcessQueryService:
         """Apply a mutation script to *every* replica owning the document.
 
         Mutations may be :mod:`repro.live.mutations` records or their JSON
-        object forms; the script crosses the queue as plain dicts.  Replica
-        consistency holds because workers are deterministic: every owner
-        starts from the same registered document and applies the same
-        scripts in the same order (updates on one pool serialize through
-        this method), so even a script that fails validation mid-way fails
-        identically everywhere, leaving every replica with the same applied
-        prefix.  Every owner is sent the script even when another one
-        failed.  The script joins the retained mutation log when at least
-        one owner applied it, or its valid prefix: a respawned owner replays
-        registration plus the log and converges on the state of the owners
-        that applied it.  A script no owner applied stays out of the log, so
-        replaying it cannot stop a respawn.  The first failure in owner
-        order is raised once every owner has run.
+        object forms.  Workers are deterministic, and every owner applies
+        the scripts in the mutation log's order (one lock, which reads do
+        not take, spans sending a script to every owner, waiting for each
+        and logging it), so even a script that fails validation mid-way
+        leaves every replica with the same applied prefix.  The script is
+        logged when at least one owner applied it, or its valid prefix, so
+        a respawned owner that replays registration plus the log converges
+        on the others' state; one no owner applied stays out of the log.
+        The first failure in owner order is raised once every owner ran.
 
         Returns the last owner's summary dict plus the owner indices.
         """
         self._check_open()
-        document_id = self._resolve_document(document_id)
+        document_id, owner_indices = self._resolve_document(document_id)
         script: List[Dict[str, Any]] = [
             mutation if isinstance(mutation, dict) else mutation_to_dict(mutation)
             for mutation in mutations
         ]
-        owner_indices = self.owners(document_id)
-        start = time.perf_counter()
-        summary: Dict[str, Any] = {}
-        failure: Optional[Exception] = None
-        applied = False
-        for index in owner_indices:
-            try:
-                summary = self._call(index, "update", document_id, script)
-            except MutationError as exc:
-                applied = True  # its valid prefix stands, on every owner
-                failure = failure or exc
-            except Exception as exc:  # a crash after the retry, say
-                failure = failure or exc
-            else:
-                applied = True
-        if applied:
-            with self._lock:
-                self._mutation_log.setdefault(document_id, []).append(script)
+        with self._update_lock:
+            start = time.perf_counter()
+            summaries, failures = self._fan_out(
+                [(index, "update", document_id, script) for index in owner_indices]
+            )
+            if any(
+                failure is None or isinstance(failure, MutationError)
+                for failure in failures
+            ):
+                with self._lock:
+                    self._mutation_log.setdefault(document_id, []).append(script)
         self._metrics.counter("pool.updates").inc()
-        self._metrics.histogram("pool.update_seconds").observe(
-            time.perf_counter() - start
-        )
-        if failure is not None:
-            raise failure
-        summary = dict(summary)
+        self._observe("pool.update_seconds", start)
+        _raise_first(failures)
+        summary = dict(summaries[-1])
         summary["workers"] = list(owner_indices)
         return summary
 
@@ -611,84 +588,118 @@ class ProcessQueryService:
         if self._closed:
             raise SessionClosedError("process query service is closed")
 
-    def _raise_remote(self, outcome: Tuple[str, ...]) -> None:
-        _, name, message = outcome
-        if name == "WorkerCrashError":
-            raise WorkerCrashError(message)
-        exc_class = getattr(_errors, name, None)
-        if isinstance(exc_class, type) and issubclass(exc_class, ReproError):
-            raise exc_class(message)
-        raise WorkerError(f"{name} in pool worker: {message}")
+    def _observe(self, histogram: str, start: float, done: Any = None) -> None:
+        if done is None or done.exception() is None:  # time successes only
+            self._metrics.histogram(histogram).observe(time.perf_counter() - start)
 
-    def _request(self, worker: _Worker, kind: str, *rest: Any) -> Any:
-        request_id = next(self._request_ids)
-        pending = worker.submit(request_id, (kind, request_id, *rest))
+    def _submit(self, worker_index: int, kind: str, *rest: Any) -> "Future[Any]":
+        """Send one request to a worker; the future resolves to its reply."""
         self._metrics.counter("pool.requests").inc()
-        pending.event.wait()
-        outcome = pending.outcome
-        assert outcome is not None
-        if outcome[0] == "ok":
-            return outcome[1]
-        self._raise_remote(outcome)
+        return self._workers[worker_index].submit(kind, *rest)
 
-    def _call(self, worker_index: int, kind: str, *rest: Any) -> Any:
-        """Send one request, respawning the worker and retrying once on a crash."""
+    def _wait(
+        self, future: "Future[Any]", worker_index: int, kind: str, *rest: Any
+    ) -> Any:
+        """A submitted request's reply; after a crash, respawn and send it once more."""
         for attempt in (0, 1):
-            worker = self._workers[worker_index]
             try:
-                return self._request(worker, kind, *rest)
+                return future.result()
             except WorkerCrashError:
                 self._metrics.counter("pool.crashes").inc()
                 if attempt or self._closed:
                     raise
-                self._respawn(worker_index)
+            self._respawn(worker_index)
+            future = self._submit(worker_index, kind, *rest)
+
+    def _call(self, worker_index: int, kind: str, *rest: Any) -> Any:
+        """Send one request and wait; after a crash, respawn the worker and retry."""
+        future = self._submit(worker_index, kind, *rest)
+        return self._wait(future, worker_index, kind, *rest)
+
+    def _request(self, worker: _Worker, kind: str, *rest: Any) -> Any:
+        """Send one request to ``worker`` and wait for the reply, with no retry."""
+        self._metrics.counter("pool.requests").inc()
+        return worker.submit(kind, *rest).result()
+
+    def _fan_out(
+        self, requests: Sequence[Tuple[Any, ...]]
+    ) -> Tuple[List[Any], List[Optional[Exception]]]:
+        """Send each ``(index, kind, *rest)`` request, then wait: replies, failures."""
+        futures = [self._submit(*request) for request in requests]
+        replies: List[Any] = []
+        failures: List[Optional[Exception]] = []
+        for request, future in zip(requests, futures):
+            try:
+                replies.append(self._wait(future, *request))
+                failures.append(None)
+            except Exception as exc:  # noqa: BLE001 - the caller raises it
+                replies.append(None)
+                failures.append(exc)
+        return replies, failures
 
     def _respawn(self, worker_index: int) -> None:
-        """Replace a dead worker and rebuild its document stores."""
-        with self._lock:
+        """Replace a dead worker and rebuild its stores, under the update lock."""
+        with self._update_lock:
             worker = self._workers[worker_index]
             if not worker.failed and worker.process.is_alive():
                 return  # another thread already respawned it
             replacement = _Worker(worker_index, self._context, self._target_args)
-            self._workers[worker_index] = replacement
-            to_restore = [
-                (document_id, kind, payload)
-                for document_id, (kind, payload, owner_indices) in self._documents.items()
-                if worker_index in owner_indices
-            ]
-            replay_logs = {
-                document_id: list(self._mutation_log.get(document_id, ()))
-                for document_id, _, _ in to_restore
-            }
-        self._metrics.counter("pool.respawns").inc()
-        for document_id, kind, payload in to_restore:
-            self._request(replacement, kind, document_id, payload)
-            for script in replay_logs.get(document_id, ()):
-                try:
-                    self._request(replacement, "update", document_id, script)
-                except MutationError:
-                    # A script that failed validation originally fails the
-                    # same (deterministic) way on replay; its applied prefix
-                    # is what keeps the replica consistent.
-                    pass
+            with self._lock:
+                self._workers[worker_index] = replacement
+                log = self._mutation_log
+                to_restore = [
+                    (document_id, kind, payload, list(log.get(document_id, ())))
+                    for document_id, (kind, payload, owners) in self._documents.items()
+                    if worker_index in owners
+                ]
+            worker.close(timeout=10.0)
+            self._metrics.counter("pool.respawns").inc()
+            for document_id, kind, payload, scripts in to_restore:
+                self._request(replacement, kind, document_id, payload)
+                for script in scripts:
+                    try:
+                        self._request(replacement, "update", document_id, script)
+                    except MutationError:
+                        # A script that failed validation originally fails
+                        # the same (deterministic) way on replay; its
+                        # applied prefix keeps the replica consistent.
+                        pass
 
-    def _resolve_document(self, document_id: Optional[str]) -> str:
+    def _resolve_document(
+        self, document_id: Optional[str]
+    ) -> Tuple[str, Tuple[int, ...]]:
+        """The document id (the sole one when ``None``) and its owners."""
         with self._lock:
             if document_id is None:
-                if len(self._documents) == 1:
-                    return next(iter(self._documents))
-                raise UnknownDocumentError(
-                    f"document_id is required: "
-                    f"{len(self._documents)} document(s) registered"
-                )
+                if len(self._documents) != 1:
+                    raise UnknownDocumentError(
+                        f"document_id is required: "
+                        f"{len(self._documents)} document(s) registered"
+                    )
+                document_id = next(iter(self._documents))
             if document_id not in self._documents:
                 known = ", ".join(sorted(self._documents)) or "<none>"
                 raise UnknownDocumentError(
                     f"unknown document {document_id!r} (registered: {known})"
                 )
-            return document_id
+            return document_id, self._documents[document_id][2]
 
     # -- answering ---------------------------------------------------------------
+
+    def _route(
+        self, query: str, document_id: Optional[str], include_nodes: bool
+    ) -> Tuple[Any, ...]:
+        """The request that answers ``query``: the replica's index first.
+
+        Among replicas the query text picks the worker, so repeated
+        identical queries land on the same (result-cache-warm) engine.
+        """
+        self._check_open()
+        document_id, owner_indices = self._resolve_document(document_id)
+        text = str(query)
+        digest = int(hashlib.sha256(text.encode("utf-8")).hexdigest(), 16)
+        chosen = owner_indices[digest % len(owner_indices)]
+        return chosen, "answer", document_id, text, include_nodes
 
     def answer(
         self,
@@ -696,24 +707,32 @@ class ProcessQueryService:
         document_id: Optional[str] = None,
         include_nodes: bool = True,
     ) -> PoolAnswer:
-        """Answer one query on a replica of the owning worker set.
-
-        Among replicas the query text picks the worker, so repeated
-        identical queries land on the same (result-cache-warm) engine.
-        """
-        self._check_open()
-        document_id = self._resolve_document(document_id)
-        owner_indices = self.owners(document_id)
-        chosen = owner_indices[
-            int(hashlib.sha256(str(query).encode("utf-8")).hexdigest(), 16)
-            % len(owner_indices)
-        ]
+        """Answer one query on a replica of the owning worker set."""
+        request = self._route(query, document_id, include_nodes)
         start = time.perf_counter()
-        answer = self._call(chosen, "answer", document_id, str(query), include_nodes)
-        self._metrics.histogram("pool.answer_seconds").observe(
-            time.perf_counter() - start
-        )
+        answer = self._wait(self._submit(*request), *request)
+        self._observe("pool.answer_seconds", start)
         return answer
+
+    def submit_answer(
+        self,
+        query: str,
+        document_id: Optional[str] = None,
+        include_nodes: bool = True,
+    ) -> "Future[PoolAnswer]":
+        """Send :meth:`answer`'s request; return its future without waiting.
+
+        An event loop can await it (:func:`asyncio.wrap_future`) with no
+        thread parked; only a full pipe blocks this call.  A crash fails it
+        with :class:`~repro.errors.WorkerCrashError`, unretried.
+        """
+        request = self._route(query, document_id, include_nodes)
+        start = time.perf_counter()
+        future = self._submit(*request)
+        future.add_done_callback(
+            functools.partial(self._observe, "pool.answer_seconds", start)
+        )
+        return future
 
     def answer_batch(
         self,
@@ -723,54 +742,37 @@ class ProcessQueryService:
     ) -> List[PoolAnswer]:
         """Answer many queries, fanned out across the document's replicas.
 
-        Queries are chunked round-robin over the owning workers and
-        dispatched concurrently; results come back in input order.  One
-        queue round-trip per worker (not per query) keeps IPC overhead
-        amortized for large batches.
+        Queries are chunked round-robin over the owning workers, every
+        chunk is sent before any reply is awaited, and results come back
+        in input order.  One round trip per worker (not per query) keeps
+        IPC overhead amortized for large batches.
         """
         self._check_open()
-        document_id = self._resolve_document(document_id)
+        document_id, owner_indices = self._resolve_document(document_id)
         texts = [str(query) for query in queries]
         if not texts:
             return []
-        owner_indices = self.owners(document_id)
-        chunks: Dict[int, List[Tuple[int, str]]] = {}
-        for position, text in enumerate(texts):
-            owner = owner_indices[position % len(owner_indices)]
-            chunks.setdefault(owner, []).append((position, text))
-        results: List[Optional[PoolAnswer]] = [None] * len(texts)
-
-        def run_chunk(owner: int, chunk: List[Tuple[int, str]]) -> None:
-            answers = self._call(
-                owner, "batch", document_id, [text for _, text in chunk],
-                include_nodes,
-            )
-            for (position, _), answer in zip(chunk, answers):
-                results[position] = answer
-
+        stride = len(owner_indices)
         start = time.perf_counter()
-        if len(chunks) == 1:
-            owner, chunk = next(iter(chunks.items()))
-            run_chunk(owner, chunk)
-        else:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as executor:
-                futures = [
-                    executor.submit(run_chunk, owner, chunk)
-                    for owner, chunk in chunks.items()
-                ]
-                for future in futures:
-                    future.result()
-        self._metrics.histogram("pool.batch_seconds").observe(
-            time.perf_counter() - start
+        replies, failures = self._fan_out(
+            [
+                (owner, "batch", document_id, texts[offset::stride], include_nodes)
+                for offset, owner in enumerate(owner_indices[: len(texts)])
+            ]
         )
-        return results  # type: ignore[return-value]
+        _raise_first(failures)
+        results: List[Any] = [None] * len(texts)
+        for offset, answers in enumerate(replies):
+            results[offset::stride] = answers
+        self._observe("pool.batch_seconds", start)
+        return results
 
     # -- observability -----------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
         """Pool-wide statistics with *merged* worker metrics.
 
-        Live pools broadcast a snapshot request to every worker; closed
+        Live pools send a snapshot request to every worker at once; closed
         pools merge the final snapshots collected at shutdown.  Either
         way counters sum and histogram percentiles are recomputed over the
         concatenated reservoirs (:func:`repro.obs.merge_snapshots`).
@@ -778,9 +780,10 @@ class ProcessQueryService:
         if self._closed:
             worker_snapshots = list(self._final_snapshots)
         else:
-            worker_snapshots = [
-                self._call(index, "snapshot") for index in range(len(self._workers))
-            ]
+            worker_snapshots, failures = self._fan_out(
+                [(index, "snapshot") for index in range(len(self._workers))]
+            )
+            _raise_first(failures)
         merged = obs.merge_snapshots(
             worker_snapshots + [self._metrics.snapshot(include_reservoirs=True)]
         )
@@ -806,20 +809,13 @@ class ProcessQueryService:
             if self._closed:
                 return
             self._closed = True
-            workers = list(self._workers)
-        for worker in workers:
-            try:
-                snapshot = self._request(worker, "shutdown")
-                self._final_snapshots.append(snapshot)
-            except (WorkerCrashError, WorkerError):
-                pass  # already dead: nothing to collect
-            with worker.lock:
-                worker.stopped = True
-        for worker in workers:
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=timeout)
+        snapshots, failures = self._fan_out(
+            [(index, "shutdown") for index in range(len(self._workers))]
+        )
+        # A worker that is already dead has nothing to collect.
+        self._final_snapshots = [s for s, f in zip(snapshots, failures) if f is None]
+        for worker in self._workers:
+            worker.close(timeout)
 
     def _kill_worker(self, worker_index: int) -> None:
         """Test hook: kill a worker abruptly (simulates a crash)."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import multiprocessing
+import os
 import socket
 import threading
 
@@ -24,34 +26,40 @@ pytestmark = pytest.mark.skipif(
 DOC_SPEC = DocumentSpec(max_elements=200, seed=4)
 
 
+@contextlib.contextmanager
+def _serving(pool):
+    """Serve ``pool`` on an ephemeral port from a thread: (host, port, pool)."""
+    http_server = QueryHTTPServer(pool, port=0)
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=http_server.run,
+        kwargs={"ready": lambda _url: ready.set()},
+        daemon=True,
+        name="test-http-server",
+    )
+    thread.start()
+    try:
+        assert ready.wait(10), "server did not come up"
+        yield http_server.host, http_server.port, pool
+    finally:
+        http_server.request_stop()
+        thread.join(10)
+        assert not thread.is_alive()
+
+
 @pytest.fixture(scope="module")
 def server():
     """One live server for the whole module: (host, port, pool)."""
     dtd = samples.cross_dtd()
-    pool = ProcessQueryService(
+    with ProcessQueryService(
         dtd, workers=2, replicas=2, start_method="fork", warmup=["a//d"]
-    )
-    pool.register_generated("doc0", DOC_SPEC)
-    pool.register_document(
-        "tree-doc", generate_document(dtd, seed=9, max_elements=120)
-    )
-    http_server = QueryHTTPServer(pool, port=0)
-    ready = threading.Event()
-    bound = {}
-
-    def _ready(url: str) -> None:
-        bound["url"] = url
-        ready.set()
-
-    thread = threading.Thread(
-        target=http_server.run, kwargs={"ready": _ready}, daemon=True
-    )
-    thread.start()
-    assert ready.wait(10), "server did not come up"
-    yield http_server.host, http_server.port, pool
-    http_server.request_stop()
-    thread.join(10)
-    pool.close()
+    ) as pool:
+        pool.register_generated("doc0", DOC_SPEC)
+        pool.register_document(
+            "tree-doc", generate_document(dtd, seed=9, max_elements=120)
+        )
+        with _serving(pool) as served:
+            yield served
 
 
 def _request(server, method, path, payload=None):
@@ -237,3 +245,83 @@ class TestLoadtest:
         assert report["verified"] is False
         # without an oracle every registered document is fair game
         assert report["documents"] == 2
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts OS threads in /proc"
+)
+class TestThreadInventory:
+    def test_one_reader_per_worker_and_single_threaded_workers(self, oracle):
+        # 8 clients, 100 /answer requests: the parent gains one pool reader
+        # per worker and no other thread; each worker runs one OS thread.
+        queries = ["a//d", "a//c", "a"]
+        expected = {
+            query: [node.node_id for node in oracle.answer(query, "doc0")]
+            for query in queries
+        }
+        before = set(threading.enumerate())
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork"
+        ) as pool:
+            pool.register_generated("doc0", DOC_SPEC)
+            with _serving(pool) as (host, port, _pool):
+                requests = iter(range(100))
+                lock = threading.Lock()
+                outcomes = []
+
+                def client():
+                    connection = http.client.HTTPConnection(host, port, timeout=30)
+                    try:
+                        while True:
+                            with lock:
+                                index = next(requests, None)
+                            if index is None:
+                                return
+                            query = queries[index % len(queries)]
+                            body = {"query": query, "include_nodes": False}
+                            connection.request("POST", "/answer", json.dumps(body))
+                            response = connection.getresponse()
+                            payload = json.loads(response.read())
+                            outcomes.append((response.status, query, payload))
+                    finally:
+                        connection.close()
+
+                clients = [threading.Thread(target=client) for _ in range(8)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in clients)
+                added = set(threading.enumerate()) - before
+                tasks = [
+                    len(os.listdir(f"/proc/{worker.process.pid}/task"))
+                    for worker in pool._workers
+                ]
+        assert len(outcomes) == 100
+        for status, query, payload in outcomes:
+            assert status == 200, payload
+            assert payload["node_ids"] == expected[query]
+        assert sorted(thread.name for thread in added) == [
+            "repro-pool-reader-0",
+            "repro-pool-reader-1",
+            "test-http-server",
+        ]
+        assert tasks == [1, 1]
+
+
+class TestCrashRetry:
+    def test_answer_whose_worker_died_is_retried_on_a_respawn(self, oracle):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(dtd, workers=1, start_method="fork") as pool:
+            pool.register_generated("doc0", DOC_SPEC)
+            with _serving(pool) as served:
+                pool._kill_worker(0)
+                status, payload = _request(
+                    served, "POST", "/answer", {"query": "a//d", "document": "doc0"}
+                )
+            assert status == 200, payload
+            assert payload["node_ids"] == [
+                node.node_id for node in oracle.answer("a//d", "doc0")
+            ]
+            assert pool.stats()["metrics"]["pool.respawns"]["value"] == 1

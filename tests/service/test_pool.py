@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import sys
 import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -150,24 +152,39 @@ class TestSharding:
             assert len(pool.owners("d")) == 2
 
 
+def _crashed(index):
+    """A submitted request whose worker crashed for good."""
+    future = Future()
+    future.set_exception(WorkerCrashError(f"pool worker {index} crashed again"))
+    return future
+
+
 class TestRegistration:
     def test_owners_register_at_the_same_time(self, monkeypatch):
         dtd = samples.cross_dtd()
         with ProcessQueryService(
             dtd, workers=2, replicas=2, start_method="fork"
         ) as pool:
-            # Each owner's call waits for the other's to start: one after
-            # another, the first would break the barrier.
-            barrier = threading.Barrier(2, timeout=10)
-            call = pool._call
+            # Every owner is sent the document before any reply is awaited:
+            # one owner after another would interleave sends and waits.
+            events = []
+            submit, wait = pool._submit, pool._wait
 
-            def meet_then_call(index, kind, *rest):
-                barrier.wait()
-                return call(index, kind, *rest)
+            def logged_submit(index, kind, *rest):
+                events.append(("submit", index))
+                return submit(index, kind, *rest)
 
-            monkeypatch.setattr(pool, "_call", meet_then_call)
+            def logged_wait(future, index, kind, *rest):
+                events.append(("wait", index))
+                return wait(future, index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_submit", logged_submit)
+            monkeypatch.setattr(pool, "_wait", logged_wait)
             owners = pool.register_generated("d", DocumentSpec(max_elements=20))
             assert len(owners) == 2
+            assert events == [("submit", index) for index in owners] + [
+                ("wait", index) for index in owners
+            ]
             assert pool.document_ids() == ["d"]
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["first-owner", "second-owner"])
@@ -176,15 +193,15 @@ class TestRegistration:
         with ProcessQueryService(
             dtd, workers=2, replicas=2, start_method="fork"
         ) as pool:
-            call = pool._call
+            submit = pool._submit
             broken = pool._owner_indices("d")[failing]
 
             def one_owner_fails(index, kind, *rest):
                 if kind == "register_spec" and index == broken:
-                    raise WorkerCrashError(f"pool worker {index} crashed again")
-                return call(index, kind, *rest)
+                    return _crashed(index)  # the retry fails the same way
+                return submit(index, kind, *rest)
 
-            monkeypatch.setattr(pool, "_call", one_owner_fails)
+            monkeypatch.setattr(pool, "_submit", one_owner_fails)
             with pytest.raises(WorkerCrashError):
                 pool.register_generated("d", DocumentSpec(max_elements=20))
             assert pool.document_ids() == []
@@ -202,15 +219,15 @@ class TestRegistration:
         dtd = samples.cross_dtd()
         with ProcessQueryService(dtd, workers=1, start_method="fork") as pool:
             started, release = threading.Event(), threading.Event()
-            call = pool._call
+            submit = pool._submit
 
             def hold_the_first_registration(index, kind, *rest):
                 if kind == "register_spec" and not started.is_set():
                     started.set()
                     release.wait(10)
-                return call(index, kind, *rest)
+                return submit(index, kind, *rest)
 
-            monkeypatch.setattr(pool, "_call", hold_the_first_registration)
+            monkeypatch.setattr(pool, "_submit", hold_the_first_registration)
             first = threading.Thread(
                 target=pool.register_generated,
                 args=("d", DocumentSpec(max_elements=20)),
@@ -223,7 +240,51 @@ class TestRegistration:
             finally:
                 release.set()
                 first.join(10)
+            assert not first.is_alive()
             assert pool.document_ids() == ["d"]
+
+
+class TestConcurrentCallers:
+    def test_racing_answers_and_batches_match_serial(self, serial):
+        # More caller threads than cores, switching every 10 us: a reply
+        # resolved under the wrong request id, or never, shows up here.
+        dtd = samples.cross_dtd()
+        expected = {query: _ids(serial.answer(query, "doc")) for query in QUERIES}
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork"
+        ) as pool:
+            pool.register_document("doc", generate_document(dtd, seed=3))
+            mismatches, errors = [], []
+
+            def caller(index):
+                try:
+                    for step in range(50):
+                        if (index + step) % 2:
+                            asked = [QUERIES[step % len(QUERIES)]]
+                            answers = [pool.answer(asked[0], "doc", include_nodes=False)]
+                        else:
+                            asked = QUERIES[step % len(QUERIES):] + QUERIES
+                            answers = pool.answer_batch(asked, "doc", include_nodes=False)
+                        got = [(answer.query, list(answer.node_ids)) for answer in answers]
+                        if got != [(query, expected[query]) for query in asked]:
+                            mismatches.append((index, step, got))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=caller, args=(index,)) for index in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors[:3]
+            assert not mismatches, mismatches[:3]
+            assert all(not worker.pending for worker in pool._workers)
 
 
 class TestCrashRecovery:

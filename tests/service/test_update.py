@@ -6,7 +6,9 @@ import http.client
 import json
 import multiprocessing
 import random
+import sys
 import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -41,6 +43,13 @@ def _script(dtd, tree, seed=7, mutations=5):
     script = generator.script(tree)
     assert script, "document too constrained to mutate"
     return script
+
+
+def _crashed(index):
+    """A submitted request whose worker crashed."""
+    future = Future()
+    future.set_exception(WorkerCrashError(f"pool worker {index} crashed again"))
+    return future
 
 
 def _evaluator_ids(tree, query=QUERY):
@@ -211,15 +220,15 @@ class TestProcessPoolUpdate:
             dead, survivor = owners[crashing], owners[1 - crashing]
             before = list(pool._call(survivor, "answer", "doc", QUERY, False).node_ids)
             script = _script(dtd, tree, seed=8)  # deletes and inserts d nodes
-            call = pool._call
+            submit = pool._submit
 
             def crash_one_owner(index, kind, *rest):
-                if kind == "update" and index == dead:
+                if kind == "update" and index == dead:  # and again on the retry
                     pool._kill_worker(index)
-                    raise WorkerCrashError(f"pool worker {index} crashed again")
-                return call(index, kind, *rest)
+                    return _crashed(index)
+                return submit(index, kind, *rest)
 
-            monkeypatch.setattr(pool, "_call", crash_one_owner)
+            monkeypatch.setattr(pool, "_submit", crash_one_owner)
             with pytest.raises(WorkerCrashError):
                 pool.update_document(script, "doc")
             monkeypatch.undo()
@@ -232,6 +241,59 @@ class TestProcessPoolUpdate:
             respawned = pool._call(dead, "answer", "doc", QUERY, False)
             assert list(respawned.node_ids) == after
 
+    def test_concurrent_updates_reach_every_owner_in_one_order(self):
+        # Writers race one-insert scripts at index 0 under the root, so
+        # each owner's sibling order is the order it applied the scripts
+        # in.  Every owner, and a serial service replaying the mutation
+        # log, must end with the same order.
+        dtd = samples.cross_dtd()
+        tree = generate_document(dtd, seed=3, max_elements=600)
+        writers, scripts_per_writer = 4, 40
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork"
+        ) as pool:
+            pool.register_document("doc", tree)
+            errors = []
+
+            def write(writer):
+                try:
+                    for step in range(scripts_per_writer):
+                        subtree = ("b", f"w{writer}-{step}", ())
+                        pool.update_document(
+                            [InsertSubtree(tree.root.node_id, subtree, index=0)],
+                            "doc",
+                        )
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+
+            threads = [
+                threading.Thread(target=write, args=(writer,))
+                for writer in range(writers)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors[:3]
+            owner_values = [
+                pool._call(index, "answer", "doc", "a/b", True).values
+                for index in pool.owners("doc")
+            ]
+            log = list(pool._mutation_log["doc"])
+        assert len(log) == writers * scripts_per_writer
+        with QueryService(dtd) as serial:
+            serial.register_document("doc", tree)
+            for script in log:
+                serial.update_document(script, "doc")
+            expected = tuple(node.value for node in serial.answer("a/b", "doc"))
+        assert owner_values[0] == owner_values[1] == expected
+
     def test_script_no_owner_applied_stays_out_of_the_log(self, monkeypatch):
         # Every owner crashes on the script.  Logging it anyway would make
         # every later respawn replay a script no replica ever applied.
@@ -242,21 +304,22 @@ class TestProcessPoolUpdate:
             tree = generate_document(dtd, seed=3, max_elements=200)
             pool.register_document("doc", tree)
             before = list(pool.answer(QUERY, "doc").node_ids)
-            call = pool._call
+            submit = pool._submit
             sent = []
 
             def crash_every_owner(index, kind, *rest):
                 if kind == "update":
                     sent.append(index)
                     pool._kill_worker(index)
-                    raise WorkerCrashError(f"pool worker {index} crashed again")
-                return call(index, kind, *rest)
+                    return _crashed(index)
+                return submit(index, kind, *rest)
 
-            monkeypatch.setattr(pool, "_call", crash_every_owner)
+            monkeypatch.setattr(pool, "_submit", crash_every_owner)
             with pytest.raises(WorkerCrashError):
                 pool.update_document(_script(dtd, tree, seed=8), "doc")
             monkeypatch.undo()
-            assert sent == list(pool.owners("doc"))
+            # Sent to every owner, then to each once more after its respawn.
+            assert sent == list(pool.owners("doc")) * 2
             assert pool._mutation_log.get("doc", []) == []
             for index in pool.owners("doc"):  # both respawn on this call
                 respawned = pool._call(index, "answer", "doc", QUERY, False)
