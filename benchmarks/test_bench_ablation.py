@@ -15,25 +15,21 @@ translating a query whose qualifier the DTD structure decides statically.
 
 import pytest
 
-from repro.core.optimize import (
-    baseline_options,
-    push_selection_options,
-    standard_options,
-)
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.relational.executor import Executor
 
 VARIANTS = {
-    "baseline": baseline_options(),
-    "small-seed": standard_options(),
-    "push": push_selection_options(),
+    "baseline": EngineConfig(use_small_seed=False, push_selections=False),
+    "small-seed": EngineConfig(use_small_seed=True, push_selections=False),
+    "push": EngineConfig(use_small_seed=True, push_selections=True),
 }
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_ablation_lfp_seeding_and_push(benchmark, cross_dataset, variant):
     dtd, tree, shredded = cross_dataset
-    translator = XPathToSQLTranslator(dtd, options=VARIANTS[variant])
+    translator = XPathToSQLTranslator(dtd, config=VARIANTS[variant])
     program = translator.translate("a/b//c/d").program
 
     def run():

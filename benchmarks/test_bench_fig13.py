@@ -9,14 +9,14 @@ anchors the recursion (Qe).
 
 import pytest
 
-from repro.core.optimize import push_selection_options, standard_options
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.relational.executor import Executor
 from repro.workloads.queries import SELECTIVE_QUERIES
 
 VARIANTS = {
-    "push": push_selection_options(),
-    "no-push": standard_options(),
+    "push": EngineConfig(use_small_seed=True, push_selections=True),
+    "no-push": EngineConfig(use_small_seed=True, push_selections=False),
 }
 
 
@@ -26,7 +26,7 @@ def test_fig13_push_selection(benchmark, cross_dataset, query_name, variant):
     dtd, tree, shredded = cross_dataset
     label = "b" if query_name == "Qe" else "d"
     query = SELECTIVE_QUERIES[query_name].format(value=f"{label}-0")
-    translator = XPathToSQLTranslator(dtd, options=VARIANTS[variant])
+    translator = XPathToSQLTranslator(dtd, config=VARIANTS[variant])
     program = translator.translate(query).program
 
     def run():

@@ -34,7 +34,7 @@ Example
 # pipeline, which imports ``repro.api.config`` — an eager import here would
 # close that loop into a cycle.  ``repro.api.config`` itself is cycle-free
 # and imported eagerly.
-from repro.api.config import EngineConfig, resolve_engine_config
+from repro.api.config import EngineConfig
 from repro.errors import (
     ConfigError,
     DuplicateDocumentError,
@@ -49,7 +49,6 @@ __all__ = [
     "Engine",
     "Session",
     "QueryResult",
-    "resolve_engine_config",
     "ReproError",
     "ConfigError",
     "SessionError",

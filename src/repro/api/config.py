@@ -1,17 +1,19 @@
 """:class:`EngineConfig` — the single frozen configuration object of the engine.
 
-Every layer built so far (translator, optimizer, backends, plan-cached
-service, fuzz oracle, experiment harness, CLI) used to re-declare the same
-knob set as loose keyword arguments; adding one knob meant touching every
-call site.  :class:`EngineConfig` is the one place those knobs live now:
+Every layer (translator, optimizer, backends, plan-cached service, fuzz
+oracle, experiment harness, CLI) takes its knobs from this one object:
+constructors accept ``config=`` and no per-knob keyword arguments, so a
+knob is added in exactly one place.  The fields:
 
 * **translation knobs** — ``strategy`` (descendant-axis expansion),
   ``use_small_seed``/``push_selections``/``select_root`` (the Sect. 5.2
   lowering options) and ``optimize_level`` (the program-optimizer level);
-* **execution knobs** — ``backend`` (execution engine name) and ``dialect``
-  (SQL rendering; ``None`` derives it from the backend);
+* **execution knobs** — ``backend`` (execution engine name), ``dialect``
+  (SQL rendering; ``None`` derives it from the backend) and ``emission``
+  (SQL statement shape);
 * **serving knobs** — ``plan_cache_size`` and ``result_cache_size`` (LRU
-  capacities of the service layer; ``0`` disables a cache).
+  capacities of the service layer; ``0`` disables a cache) and
+  ``observability`` (per-answer span trees).
 
 The dataclass is frozen and validating: every field is checked in
 ``__post_init__`` (strategy/dialect names are coerced from strings, so
@@ -32,15 +34,12 @@ from repro.core.expath_to_sql import TranslationOptions
 from repro.core.optimize import OPTIMIZE_LEVELS
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.errors import ConfigError
-from repro.relational.columnar import DEFAULT_EXECUTOR, executor_names
 from repro.relational.sqlgen import EMISSION_MODES, SQLDialect
 
 __all__ = [
     "EngineConfig",
-    "resolve_engine_config",
     "strategy_names",
     "dialect_names",
-    "executor_names",
 ]
 
 
@@ -101,14 +100,8 @@ class EngineConfig:
         derives it from ``backend`` (see :meth:`resolved_dialect`).
     backend:
         Execution-backend name (``memory`` or ``sqlite`` today; any name in
-        :func:`repro.backends.backend_names`).
-    executor:
-        In-memory execution engine: ``columnar`` (default — the batched
-        operator-at-a-time engine over dictionary-encoded column arrays) or
-        ``tuple`` (the original row-at-a-time engine, kept as the
-        differential baseline).  Only the ``memory`` backend consumes it;
-        plans are executor-independent, so it is excluded from
-        :meth:`translation_signature`.
+        :func:`repro.backends.backend_names`).  ``memory`` runs every plan
+        on the columnar executor (:mod:`repro.relational.columnar`).
     emission:
         SQL statement shape on SQL backends: ``multi`` (default — one
         ``CREATE TEMP TABLE`` statement per program assignment) or
@@ -149,7 +142,6 @@ class EngineConfig:
     optimize_level: Optional[int] = None
     dialect: Optional[SQLDialect] = None
     backend: str = "memory"
-    executor: str = DEFAULT_EXECUTOR
     emission: str = "multi"
     use_small_seed: bool = True
     push_selections: bool = False
@@ -175,11 +167,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown backend {self.backend!r} "
                 f"(known: {', '.join(backend_names())})"
-            )
-        if self.executor not in executor_names():
-            raise ConfigError(
-                f"unknown executor {self.executor!r} "
-                f"(known: {', '.join(executor_names())})"
             )
         if self.emission not in EMISSION_MODES:
             raise ConfigError(
@@ -220,7 +207,7 @@ class EngineConfig:
         """Identity of the *translated program* this config produces.
 
         Two configs with equal signatures translate any query to the very
-        same program (backend, executor and cache sizing do not affect
+        same program (backend, emission and cache sizing do not affect
         translation) — the deduplication key the fuzz oracle shares
         programs under.
         """
@@ -258,7 +245,6 @@ class EngineConfig:
             "optimize_level": self.optimize_level,
             "dialect": None if self.dialect is None else self.dialect.value,
             "backend": self.backend,
-            "executor": self.executor,
             "emission": self.emission,
             "use_small_seed": self.use_small_seed,
             "push_selections": self.push_selections,
@@ -296,42 +282,3 @@ class EngineConfig:
             f"/dialect={self.resolved_dialect().value}{emission}"
         )
 
-
-def resolve_engine_config(
-    config: Optional[EngineConfig],
-    **legacy: object,
-) -> EngineConfig:
-    """Fold legacy per-knob constructor arguments into one config.
-
-    This is the deprecation shim behind every pre-facade constructor
-    signature (:class:`~repro.core.pipeline.XPathToSQLTranslator`,
-    :class:`~repro.service.QueryService`, ...): callers either pass
-    ``config`` — the supported API — or any subset of the old keyword knobs
-    (each ``None`` when unset), which are converted here so the rest of the
-    code path only ever sees an :class:`EngineConfig`.  Passing both at
-    once raises :class:`~repro.errors.ConfigError` (silently preferring one
-    would mask a caller bug).
-
-    Recognised legacy knobs: ``strategy``, ``options`` (a
-    :class:`~repro.core.expath_to_sql.TranslationOptions`, flattened),
-    ``cache_dialect``, ``optimize_level``, ``backend``,
-    ``plan_cache_size`` and ``result_cache_size``.
-    """
-    supplied = {name: value for name, value in legacy.items() if value is not None}
-    if config is not None:
-        if supplied:
-            raise ConfigError(
-                "pass either config= or the legacy keyword(s) "
-                f"{sorted(supplied)}, not both"
-            )
-        return config
-    changes: Dict[str, object] = {}
-    options = supplied.pop("options", None)
-    if options is not None:
-        changes["use_small_seed"] = options.use_small_seed  # type: ignore[attr-defined]
-        changes["push_selections"] = options.push_selections  # type: ignore[attr-defined]
-        changes["select_root"] = options.select_root  # type: ignore[attr-defined]
-    if "cache_dialect" in supplied:
-        changes["dialect"] = supplied.pop("cache_dialect")
-    changes.update(supplied)
-    return EngineConfig(**changes)  # type: ignore[arg-type]

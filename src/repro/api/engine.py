@@ -17,7 +17,6 @@ every knob enters exactly once, through the config.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
     FrozenSet,
@@ -265,31 +264,12 @@ class Session:
         )
 
     def answer_batch(
-        self,
-        queries: Sequence[QueryLike],
-        document_id: Optional[str] = None,
-        threads: int = 1,
+        self, queries: Sequence[QueryLike], document_id: Optional[str] = None
     ) -> List[QueryResult]:
-        """Answer many queries over one document, optionally on a thread pool.
-
-        Results come back in input order regardless of ``threads``.
-        """
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
+        """Answer many queries over one document; results in input order."""
         self._check_open()
         store = self._service.store(document_id)
-        # With an outer trace active (e.g. the CLI's), pool workers adopt
-        # the dispatching thread's span so per-query trees nest under it.
-        parent = obs.current_span()
-
-        def one(query: QueryLike) -> QueryResult:
-            with obs.attach(parent):
-                return self.answer(query, store.document_id)
-
-        if threads == 1 or len(queries) <= 1:
-            return [one(query) for query in queries]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, queries))
+        return [self.answer(query, store.document_id) for query in queries]
 
     def stream(
         self, query: QueryLike, document_id: Optional[str] = None

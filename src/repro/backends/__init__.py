@@ -3,9 +3,9 @@
 Two implementations ship today:
 
 * :class:`~repro.backends.memory.MemoryBackend` — the pure-Python
-  engines of ``repro.relational`` (columnar or tuple-at-a-time); every
-  in-process execution route, :class:`~repro.core.pipeline.XPathToSQLTranslator`
-  and the GAV views included, runs through it;
+  columnar engine of ``repro.relational``; every in-process execution
+  route, :class:`~repro.core.pipeline.XPathToSQLTranslator` and the GAV
+  views included, runs through it;
 * :class:`~repro.backends.sqlite.SqliteBackend` — real execution on SQLite
   via the ``SQLITE`` SQL dialect (``WITH RECURSIVE`` for the LFP operator).
 
@@ -80,7 +80,7 @@ def create_backend(name: object, database: Database, **options: object) -> Backe
     service layers pass their config straight through.  When a config is
     passed, every field named in the backend class's
     :attr:`~repro.backends.base.Backend.config_options` is copied into the
-    constructor keywords (the memory backend picks up ``executor`` this
+    constructor keywords (the SQLite backend picks up ``emission`` this
     way); explicit ``options`` win over config-derived ones.
     """
     config = None

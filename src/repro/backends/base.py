@@ -134,7 +134,7 @@ class Backend(abc.ABC):
     #: Names of :class:`~repro.api.EngineConfig` fields this backend consumes
     #: as constructor keywords.  :func:`repro.backends.create_backend` copies
     #: them off the config when one is passed in place of a backend name —
-    #: how per-backend knobs (the memory backend's ``executor``) reach the
+    #: how per-backend knobs (the SQLite backend's ``emission``) reach the
     #: instance without every backend growing every knob.
     config_options: Tuple[str, ...] = ()
 

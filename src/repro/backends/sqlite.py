@@ -177,8 +177,8 @@ class SqliteBackend(Backend):
             self._is_uri = False
         self._lock = threading.Lock()
         # (owning thread, connection) pairs; dead threads' connections are
-        # reaped whenever a new one opens, so short-lived worker threads
-        # (e.g. a fresh pool per answer_batch call) cannot leak handles.
+        # reaped whenever a new one opens, so short-lived caller threads
+        # cannot leak handles.
         self._connections: List[Tuple[threading.Thread, sqlite3.Connection]] = []
         self._local = threading.local()
         self._closed = False

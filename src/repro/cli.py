@@ -47,7 +47,7 @@ Installed as ``python -m repro`` (see ``repro.__main__``).  Subcommands:
     on any failure or cross-engine mismatch.
 
 The engine-configuration flags (``--strategy``, ``--dialect``,
-``--backend``, ``--executor``, ``--optimize-level``,
+``--backend``, ``--emission``, ``--optimize-level``,
 ``--push-selections``) are declared once in the shared
 :func:`_engine_flags` parent parser; each subcommand
 composes the subset it needs, and handlers convert the parsed flags into
@@ -115,7 +115,6 @@ Examples
     python -m repro loadtest --port 8080 --budget 1000 --concurrency 50
     python -m repro mutate dept "dept//project" --mutations 8
     python -m repro fuzz --mutations --budget 50
-    python -m repro answer cross "a//d" --executor tuple
     python -m repro answer cross "a//d" --backend sqlite --emission single
     python -m repro translate cross "a//d" --strategy interval --dialect sqlite --emission single
     python -m repro experiment exp5
@@ -136,9 +135,8 @@ import sys
 from typing import List, Optional
 
 from repro import obs
-from repro.api.config import EngineConfig, dialect_names, executor_names, strategy_names
+from repro.api.config import EngineConfig, dialect_names, strategy_names
 from repro.backends import backend_names
-from repro.relational.columnar import DEFAULT_EXECUTOR
 from repro.relational.sqlgen import EMISSION_MODES
 from repro.core.optimize import OPTIMIZE_LEVELS
 from repro.core.pipeline import XPathToSQLTranslator
@@ -199,11 +197,6 @@ def _engine_flags(
             "--backend", choices=backend_names(), default="memory",
             help="execution backend (default: memory)",
         )
-        group.add_argument(
-            "--executor", choices=executor_names(), default=None,
-            help="in-memory execution engine (default: columnar; "
-            "only the memory backend consumes it)",
-        )
     if backend or emission:
         group.add_argument(
             "--emission", choices=list(EMISSION_MODES), default=None,
@@ -235,7 +228,6 @@ def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
         optimize_level=getattr(args, "optimize_level", None),
         dialect=getattr(args, "dialect", None),
         backend=getattr(args, "backend", None) or "memory",
-        executor=getattr(args, "executor", None) or DEFAULT_EXECUTOR,
         emission=getattr(args, "emission", None) or "multi",
         push_selections=bool(getattr(args, "push_selections", False)),
     )

@@ -109,19 +109,10 @@ class XPathToSQLTranslator:
     dtd:
         The DTD queries range over.
     config:
-        The preferred way to configure the translator: one
-        :class:`~repro.api.EngineConfig` supplying the strategy, lowering
-        options, optimizer level and cache dialect.  Mutually exclusive
-        with the legacy per-knob arguments below.
-    strategy:
-        *(legacy shim; prefer ``config``.)*  Descendant-axis strategy:
-        ``CYCLEEX`` (paper, default), ``CYCLEE`` (Tarjan regular
-        expressions, baseline "E") or ``RECURSIVE_UNION`` (SQL'99
-        recursion, baseline "R"/SQLGen-R).
-    options:
-        *(legacy shim; prefer ``config``.)*  Lowering options (small seeds
-        / selection pushing); defaults to the paper's standard
-        implementation (small seeds, no pushing).
+        One :class:`~repro.api.EngineConfig` supplying the descendant-axis
+        strategy, lowering options, optimizer level and the dialect
+        recorded in cache keys (plans destined for different dialects must
+        not alias once rendered); ``None`` means ``EngineConfig()``.
     mapping:
         Storage mapping; defaults to the simplified per-type mapping.
         (Orthogonal to ``config``: mappings are objects, not serializable
@@ -133,10 +124,6 @@ class XPathToSQLTranslator:
         the hook :class:`~repro.service.QueryService` hangs its serving
         cache on.  Caching is semantically invisible: a hit returns the
         same :class:`TranslationResult` a fresh translation would produce.
-    cache_dialect:
-        *(legacy shim; prefer ``config``.)*  The SQL dialect recorded in
-        cache keys (plans destined for different dialects must not alias
-        once rendered).
 
     Example
     -------
@@ -150,26 +137,17 @@ class XPathToSQLTranslator:
     def __init__(
         self,
         dtd: DTD,
-        strategy: Optional[DescendantStrategy] = None,
-        options: Optional[TranslationOptions] = None,
+        config: Optional["EngineConfig"] = None,
         mapping: Optional[SimpleMapping] = None,
         plan_cache: Optional[PlanCache] = None,
-        cache_dialect: Optional[SQLDialect] = None,
-        optimize_level: Optional[int] = None,
-        config: Optional["EngineConfig"] = None,
     ) -> None:
-        # Imported here, not at module level: repro.api.config is the top
-        # of the layering and importing it from this (lower) module at
-        # import time would close an import cycle through repro.core.
-        from repro.api.config import resolve_engine_config
+        if config is None:
+            # Imported here, not at module level: repro.api.config is the
+            # top of the layering and importing it from this (lower) module
+            # at import time would close an import cycle through repro.core.
+            from repro.api.config import EngineConfig
 
-        config = resolve_engine_config(
-            config,
-            strategy=strategy,
-            options=options,
-            cache_dialect=cache_dialect,
-            optimize_level=optimize_level,
-        )
+            config = EngineConfig()
         strategy = config.strategy
         level = (
             DEFAULT_OPTIMIZE_LEVEL
@@ -207,7 +185,7 @@ class XPathToSQLTranslator:
 
     @property
     def config(self) -> "EngineConfig":
-        """The (resolved) engine configuration this translator runs under."""
+        """The engine configuration this translator runs under."""
         return self._config
 
     @property
@@ -369,28 +347,22 @@ class XPathToSQLTranslator:
         """Shred a document with this translator's mapping."""
         return shred_document(tree, self._dtd, self._mapping)
 
-    def execute(
-        self, query: QueryLike, shredded: ShreddedDocument, lazy: bool = True
-    ) -> BackendResult:
+    def execute(self, query: QueryLike, shredded: ShreddedDocument) -> BackendResult:
         """Translate and execute on the in-memory backend.
 
-        The :class:`~repro.backends.memory.MemoryBackend` runs the config's
-        ``executor`` (and routes tiny documents to the tuple engine, as it
-        does everywhere); the result's ``stats`` carry the executor's
-        counters.
+        The :class:`~repro.backends.memory.MemoryBackend` runs the columnar
+        executor; the result's ``stats`` carry the executor's counters.
         """
-        backend = MemoryBackend(shredded.database, lazy=lazy, executor=self._config.executor)
+        backend = MemoryBackend(shredded.database)
         return backend.execute(self.translate(query).program)
 
-    def answer(
-        self, query: QueryLike, shredded: ShreddedDocument, lazy: bool = True
-    ) -> List[XMLNode]:
+    def answer(self, query: QueryLike, shredded: ShreddedDocument) -> List[XMLNode]:
         """Answer a query over a shredded document, returning XML nodes.
 
         The answer is the set of nodes whose ids appear in the ``T`` column
         of the translated program's result relation, in document order.
         """
-        result = self.execute(query, shredded, lazy=lazy)
+        result = self.execute(query, shredded)
         return shredded.nodes_for_ids(result.node_ids())
 
 
@@ -398,21 +370,9 @@ def answer_xpath(
     query: QueryLike,
     tree: XMLTree,
     dtd: DTD,
-    strategy: Optional[DescendantStrategy] = None,
-    options: Optional[TranslationOptions] = None,
-    optimize_level: Optional[int] = None,
     config: Optional["EngineConfig"] = None,
 ) -> List[XMLNode]:
-    """One-shot helper: shred ``tree`` and answer ``query`` through the RDBMS path.
-
-    Configure with ``config`` (preferred) or the legacy per-knob arguments.
-    """
-    translator = XPathToSQLTranslator(
-        dtd,
-        strategy=strategy,
-        options=options,
-        optimize_level=optimize_level,
-        config=config,
-    )
+    """One-shot helper: shred ``tree`` and answer ``query`` through the RDBMS path."""
+    translator = XPathToSQLTranslator(dtd, config=config)
     shredded = translator.shred(tree)
     return translator.answer(query, shredded)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import obs
-from repro.api.config import EngineConfig, resolve_engine_config
+from repro.api.config import EngineConfig
 from repro.backends import Backend, backend_names, create_backend
 from repro.core.expath_to_sql import TranslationOptions
 from repro.core.optimize import push_selection_options, standard_options
@@ -75,11 +75,12 @@ class Approach:
 
     def engine_config(self) -> EngineConfig:
         """This approach's knobs as one :class:`EngineConfig`."""
-        return resolve_engine_config(
-            None,
+        return EngineConfig(
             strategy=self.strategy,
-            options=self.options,
             optimize_level=self.optimize_level,
+            use_small_seed=self.options.use_small_seed,
+            push_selections=self.options.push_selections,
+            select_root=self.options.select_root,
         )
 
     def translator(self, dtd: DTD) -> XPathToSQLTranslator:

@@ -43,7 +43,6 @@ from repro.core.xpath_to_expath import DescendantStrategy
 from repro.fuzz.cases import FuzzCase
 from repro.live.mutations import DocumentMutator
 from repro.relational.algebra import Program
-from repro.relational.columnar import DEFAULT_EXECUTOR
 from repro.shredding.shredder import shred_document
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
@@ -64,15 +63,12 @@ def engine_name(config: EngineConfig) -> str:
     """Display name of one engine, e.g. ``memory/cycleex/opt``.
 
     ``opt`` marks pushed selections (the Sect. 5.2 setting), ``baseline``
-    their absence.  A pinned optimizer level, a non-default executor and a
-    non-default emission each add a trailing segment
-    (``memory/cycleex/opt/O0``, ``memory/cycleex/opt/tuple``,
+    their absence.  A pinned optimizer level and a non-default emission
+    each add a trailing segment (``memory/cycleex/opt/O0``,
     ``sqlite/interval/opt/single``).
     """
     level = "opt" if config.push_selections else "baseline"
     suffix = "" if config.optimize_level is None else f"/O{config.optimize_level}"
-    if config.executor != DEFAULT_EXECUTOR:
-        suffix += f"/{config.executor}"
     if config.emission != "multi":
         suffix += f"/{config.emission}"
     return f"{config.backend}/{config.strategy.value}/{level}{suffix}"
@@ -106,10 +102,8 @@ def default_engines(
 
     Every concrete strategy plus ``auto`` takes part, so the per-query
     strategy selector is fuzzed alongside the strategies it chooses from.
-    The memory engines run on the (default) columnar executor; each
-    strategy's ``opt`` point additionally runs on the tuple executor
-    (``.../opt/tuple``), so the two in-memory engines differentially check
-    each other on every case.  SQLite runs each strategy twice (optimised):
+    The memory engines run on the columnar executor, whatever the size of
+    the case's document.  SQLite runs each strategy twice (optimised):
     once with the default per-statement emission and once with the whole
     program fused into a single ``WITH [RECURSIVE]`` statement
     (``.../opt/single``) — the dialect rendering, real ``WITH RECURSIVE``
@@ -128,9 +122,6 @@ def default_engines(
         for strategy in strategies:
             engines.append(_engine("memory", strategy, False, level))
             engines.append(_engine("memory", strategy, True, level))
-            # The tuple-executor oracle arm: same plans, row-at-a-time
-            # engine, so executor rewrites are cross-checked everywhere.
-            engines.append(_engine("memory", strategy, True, level, executor="tuple"))
         if optimize_level != 0:
             # The unoptimized-program sentinel: raw lowering output.
             engines.append(_engine("memory", DescendantStrategy.CYCLEEX, True, 0))
@@ -253,7 +244,7 @@ class DifferentialOracle:
             if delta is None
             else (("", delta_backend), (SCRATCH_SUFFIX, shared_backend))
         )
-        backends: Dict[Tuple[str, str, str, str], Backend] = {}
+        backends: Dict[Tuple[str, str, str], Backend] = {}
         # Engines whose configs share a translation signature run the very
         # same program (e.g. memory/opt and sqlite/opt), so translate each
         # point once.
@@ -265,7 +256,7 @@ class DifferentialOracle:
                     timer = obs.Timer()
                     try:
                         with timer:
-                            key = (suffix, config.backend, config.executor, config.emission)
+                            key = (suffix, config.backend, config.emission)
                             backend = backends.get(key)
                             if backend is None:
                                 backend = backends[key] = make_backend(config)

@@ -4,7 +4,7 @@ The observability seam for the whole engine:
 
 - :mod:`repro.obs.trace` — hierarchical :class:`Span` trees with a no-op
   fast path (``span()`` costs one thread-local read when no trace is
-  active), ``start_trace``/``end_trace``/``trace``/``attach``.
+  active), ``start_trace``/``end_trace``/``trace``.
 - :mod:`repro.obs.metrics` — process-wide :class:`MetricsRegistry` of
   thread-safe counters, gauges and p50/p95/p99 histograms.
 - :mod:`repro.obs.logs` — JSON-lines event emission, off by default.
@@ -35,7 +35,6 @@ from .metrics import (
 )
 from .trace import (
     Span,
-    attach,
     current_span,
     end_trace,
     is_tracing,
@@ -54,7 +53,6 @@ __all__ = [
     "end_trace",
     "current_span",
     "is_tracing",
-    "attach",
     "render_span_tree",
     # metrics
     "Counter",

@@ -13,8 +13,7 @@ one thread-local read.
 
 Starting a trace (:func:`start_trace` / the :func:`trace` context manager)
 makes subsequent :func:`span` calls on the same thread record real child
-spans; :func:`attach` re-parents a worker thread under a span captured on
-the caller (the batch fan-out case).  Traces nest: an inner
+spans.  Traces nest: an inner
 ``start_trace``/``end_trace`` pair inside an active trace produces a child
 span that is also returned as that inner trace's root.
 
@@ -37,7 +36,6 @@ __all__ = [
     "end_trace",
     "current_span",
     "is_tracing",
-    "attach",
     "render_span_tree",
 ]
 
@@ -97,8 +95,6 @@ class Span:
     def __enter__(self) -> "Span":
         self._parent = getattr(_STATE, "span", None)
         if self._parent is not None:
-            # list.append is atomic under the GIL, so worker threads
-            # attached under a shared parent need no extra lock.
             self._parent.children.append(self)
         _STATE.span = self
         self._start_wall = time.perf_counter()
@@ -261,31 +257,6 @@ class trace:
 
     def __exit__(self, *exc_info: object) -> None:
         end_trace()
-
-
-class attach:
-    """Adopt ``parent`` as the calling thread's current span for a block.
-
-    The batch fan-out bridge: a thread pool worker has no thread-local
-    trace of its own, so the dispatching thread captures
-    :func:`current_span` and each worker runs inside
-    ``with attach(parent): ...`` — its spans land under the caller's tree.
-    ``attach(None)`` is a no-op, so call sites need no conditional.
-    """
-
-    def __init__(self, parent: Optional[Span]) -> None:
-        self._parent = parent
-        self._previous: Optional[Span] = None
-
-    def __enter__(self) -> Optional[Span]:
-        if self._parent is not None:
-            self._previous = getattr(_STATE, "span", None)
-            _STATE.span = self._parent
-        return self._parent
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._parent is not None:
-            _STATE.span = self._previous
 
 
 def render_span_tree(root: Span) -> str:

@@ -12,10 +12,11 @@ substrate the translation targets:
   selections can be pushed inside) and the **SQL'99 multi-relation
   recursive union** used by the SQLGen-R baseline
   (:mod:`repro.relational.algebra`),
-* an executor with lazy (top-down) and eager evaluation strategies
-  (:mod:`repro.relational.executor`), plus a columnar operator-at-a-time
-  executor over dictionary-encoded column arrays
-  (:mod:`repro.relational.columnar`), and
+* a columnar operator-at-a-time executor over dictionary-encoded column
+  arrays (:mod:`repro.relational.columnar`), the engine the memory backend
+  runs, and the row-at-a-time tuple executor it is checked against
+  (:mod:`repro.relational.executor`), both with lazy (top-down) and eager
+  evaluation strategies, and
 * a SQL text emitter so every translated program can be inspected as real
   SQL in generic, Oracle CONNECT BY or DB2 recursive-CTE dialects
   (:mod:`repro.relational.sqlgen`).
@@ -46,8 +47,6 @@ from repro.relational.algebra import (
 )
 from repro.relational.executor import ExecutionStats, Executor, execute_program
 from repro.relational.columnar import (
-    DEFAULT_EXECUTOR,
-    EXECUTOR_NAMES,
     ColumnarDatabase,
     ColumnarExecutor,
     ColumnarRelation,
@@ -87,8 +86,6 @@ __all__ = [
     "ColumnarExecutor",
     "ValueDictionary",
     "columnar_store",
-    "EXECUTOR_NAMES",
-    "DEFAULT_EXECUTOR",
     "SQLDialect",
     "program_to_sql",
 ]

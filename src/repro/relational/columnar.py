@@ -24,10 +24,10 @@ but changes the *representation*:
   int-set reachability).  Recursive unions batch the frontier per
   iteration, grouped by tag code.
 
-The executor is selected with ``EngineConfig(executor="columnar")`` (the
-default) or ``"tuple"`` (the original engine, kept as the differential
-oracle's baseline arm); ``tests/properties/test_executor_equivalence.py``
-asserts node-for-node equivalence between the two.
+It is the only engine the memory backend runs, on every database size.
+The tuple executor stays as the reference implementation:
+``tests/properties/test_executor_equivalence.py`` asserts node-for-node
+equivalence between the two.
 """
 
 from __future__ import annotations
@@ -84,37 +84,15 @@ from repro.relational.relation import Relation
 from repro.relational.schema import F, NODE_COLUMNS, PRE, SIZE, T, V
 
 __all__ = [
-    "EXECUTOR_NAMES",
-    "DEFAULT_EXECUTOR",
-    "COLUMNAR_MIN_ROWS",
     "ValueDictionary",
     "ColumnarRelation",
     "TemporaryEntry",
     "ColumnarDatabase",
     "ColumnarExecutor",
     "columnar_store",
-    "executor_names",
 ]
 
-#: Registered executor names, in preference order.  ``columnar`` is the
-#: default engine; ``tuple`` is the original row-at-a-time executor, kept
-#: as the oracle/baseline arm.
-EXECUTOR_NAMES: Tuple[str, ...] = ("columnar", "tuple")
-DEFAULT_EXECUTOR = "columnar"
-
-#: Below this many total base-relation rows, dictionary-encoding a cold
-#: store costs more than an entire tuple-executor run over the raw sets.
-#: Callers that resolve ``executor="columnar"`` (the memory backend, the
-#: pipeline) fall back to the tuple engine for such tiny cold documents
-#: instead of paying the encoding just to throw it away.
-COLUMNAR_MIN_ROWS = 64
-
 _TAG_COLUMNS = (F, T, V, "TAG")
-
-
-def executor_names() -> List[str]:
-    """Names of all executors (sorted, for CLI choices)."""
-    return sorted(EXECUTOR_NAMES)
 
 
 class ValueDictionary:

@@ -20,12 +20,12 @@ registered documents.  Against the stateless one-shot path
   same document is a lookup, not an execution.  An update drops the
   store's result LRU (version-aware invalidation) but keeps plans and
   prepared programs, which depend only on the DTD.  This is the layer that
-  makes warm serving fast; disable it with ``result_cache=False`` to
-  measure the plan cache alone;
+  makes warm serving fast; disable it with
+  ``EngineConfig(result_cache_size=0)`` to measure the plan cache alone;
 * **answering is thread-safe** — the plan cache and store registry take
   locks only around dictionary operations, the memory engine's reads are
   lock-free, and the SQLite backend hands each thread its own connection,
-  so :meth:`answer_batch` can fan a workload out over a thread pool.
+  so many threads may call :meth:`answer` on one service at once.
 
 The cache is semantically invisible: for any query, document and
 configuration, :meth:`answer` returns node-for-node what a fresh
@@ -36,20 +36,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
-from repro.api.config import EngineConfig, resolve_engine_config
+from repro.api.config import EngineConfig
 from repro.backends import create_backend
 from repro.backends.base import Backend, BackendResult, PreparedProgram
-from repro.core.expath_to_sql import TranslationOptions
 from repro.core.pipeline import QueryLike, TranslationResult, XPathToSQLTranslator
 from repro.core.plancache import CacheInfo, PlanCache, PlanKey
-from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd.model import DTD
 from repro.errors import (
-    ConfigError,
     DuplicateDocumentError,
     MutationError,
     SessionClosedError,
@@ -183,41 +179,20 @@ class QueryService:
     dtd:
         The DTD all queries and documents range over.
     config:
-        The preferred way to configure the service: one
-        :class:`~repro.api.EngineConfig` supplying strategy, lowering
+        One :class:`~repro.api.EngineConfig` supplying strategy, lowering
         options, backend, optimizer level and cache sizing
         (``plan_cache_size`` sizes plans and prepared programs,
         ``result_cache_size`` the per-store result LRU; ``0`` disables a
-        layer).  Mutually exclusive with the legacy per-knob arguments.
-    strategy / options:
-        *(legacy shims; prefer ``config``.)*  Forwarded to the underlying
-        translator (same defaults).
+        layer, and both at ``0`` give the fully stateless baseline);
+        ``None`` means ``EngineConfig()``.
     mapping:
         Storage mapping forwarded to the translator (an object, so
         orthogonal to ``config``).
-    backend:
-        *(legacy shim; prefer ``config``.)*  Execution backend name for
-        document stores (``memory`` default).
-    cache_capacity:
-        *(legacy shim; prefer ``config``.)*  Sizes every cache layer
-        (plans, prepared programs, results); ``0`` disables all of them —
-        every call translates, prepares and executes afresh, the fully
-        stateless baseline for benchmarks.
     plan_cache:
         Pass an existing :class:`PlanCache` to share one cache across
         services (e.g. several services over the same DTD, or all sessions
         of one :class:`~repro.api.Engine`); overrides the configured
         plan-cache sizing.
-    result_cache:
-        *(legacy shim; prefer ``config``.)*  Memoize finished backend
-        results per store (default on; registered documents are immutable,
-        so this is semantically invisible).  Off means every answer
-        executes on the backend — the mode that isolates plan-cache gains
-        in benchmarks.
-    optimize_level:
-        *(legacy shim; prefer ``config``.)*  Program-optimizer level
-        (0/1/2) forwarded to the translator; part of every plan-cache key,
-        so services at different levels never alias plans.
 
     Example
     -------
@@ -236,39 +211,11 @@ class QueryService:
     def __init__(
         self,
         dtd: DTD,
-        strategy: Optional[DescendantStrategy] = None,
-        options: Optional[TranslationOptions] = None,
-        mapping: Optional[SimpleMapping] = None,
-        backend: Optional[str] = None,
-        cache_capacity: Optional[int] = None,
-        plan_cache: Optional[PlanCache] = None,
-        result_cache: Optional[bool] = None,
-        optimize_level: Optional[int] = None,
         config: Optional[EngineConfig] = None,
+        mapping: Optional[SimpleMapping] = None,
+        plan_cache: Optional[PlanCache] = None,
     ) -> None:
-        if cache_capacity is not None and cache_capacity < 0:
-            raise ConfigError(f"cache_capacity must be >= 0, got {cache_capacity}")
-        legacy_mode = config is None
-        if not legacy_mode and (cache_capacity is not None or result_cache is not None):
-            raise ConfigError(
-                "pass either config= or the legacy cache keyword(s), not both"
-            )
-        config = resolve_engine_config(
-            config,
-            strategy=strategy,
-            options=options,
-            backend=backend,
-            optimize_level=optimize_level,
-            # Legacy sizing: one capacity for every layer, result cache
-            # on/off; the config captures the resolved numbers.
-            plan_cache_size=cache_capacity,
-            result_cache_size=(
-                None
-                if result_cache is None and cache_capacity is None
-                else (0 if result_cache is False else (128 if cache_capacity is None else cache_capacity))
-            ),
-        )
-        self._config = config
+        config = config or EngineConfig()
         self._dtd = dtd
         self._backend_name = config.backend
         if plan_cache is not None:
@@ -286,21 +233,11 @@ class QueryService:
         self._prepared_capacity = (
             self._plan_cache.capacity if self._plan_cache is not None else 0
         )
-        if legacy_mode:
-            # Pre-config contract: results sized like the (possibly shared)
-            # plan cache, switched off by result_cache=False.
-            self._result_capacity = (
-                0 if result_cache is False else self._prepared_capacity
-            )
-        else:
-            self._result_capacity = config.result_cache_size
+        self._result_capacity = config.result_cache_size
         # Re-anchor the config on the capacities actually in effect (a
         # shared plan_cache instance brings its own size), so that
         # rebuilding a service from self.config reproduces this one.
-        self._config = config.with_(
-            plan_cache_size=self._prepared_capacity,
-            result_cache_size=self._result_capacity,
-        )
+        self._config = config.with_(plan_cache_size=self._prepared_capacity)
         self._stores: "OrderedDict[str, DocumentStore]" = OrderedDict()
         self._lock = threading.Lock()
         self._closed = False
@@ -309,7 +246,7 @@ class QueryService:
 
     @property
     def config(self) -> EngineConfig:
-        """The (resolved) engine configuration this service runs under."""
+        """The engine configuration this service runs under."""
         return self._config
 
     @property
@@ -537,40 +474,14 @@ class QueryService:
         return store.shredded.nodes_for_ids(executed.node_ids())
 
     def answer_batch(
-        self,
-        queries: Sequence[QueryLike],
-        document_id: Optional[str] = None,
-        threads: int = 1,
+        self, queries: Sequence[QueryLike], document_id: Optional[str] = None
     ) -> List[List[XMLNode]]:
-        """Answer many queries over one store; optionally across threads.
-
-        Results come back in input order regardless of thread count.  With
-        ``threads > 1`` queries run on a thread pool: safe because plans are
-        immutable once cached, the memory engine's reads are lock-free, and
-        the SQLite backend gives each pool thread its own connection.
-        """
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
+        """Answer many queries over one store; results in input order."""
         store = self.store(document_id)
-
-        def one(query: QueryLike) -> List[XMLNode]:
-            executed = self._execute(store, query)
-            return store.shredded.nodes_for_ids(executed.node_ids())
-
-        if threads == 1 or len(queries) <= 1:
-            return [one(query) for query in queries]
-        with obs.span("batch", queries=len(queries), threads=threads):
-            # Pool workers have no thread-local trace of their own; they
-            # adopt the dispatching thread's batch span so their work lands
-            # under its tree (child appends are GIL-atomic).
-            parent = obs.current_span()
-
-            def traced(query: QueryLike) -> List[XMLNode]:
-                with obs.attach(parent):
-                    return one(query)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(traced, queries))
+        return [
+            store.shredded.nodes_for_ids(self._execute(store, query).node_ids())
+            for query in queries
+        ]
 
     # -- lifecycle ---------------------------------------------------------------
 

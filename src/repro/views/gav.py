@@ -137,7 +137,7 @@ class GAVView:
         rewritten = self.rewrite(query)
         program = translator.lower_extended(rewritten)
         shredded = translator.shred(source)
-        backend = MemoryBackend(shredded.database, executor=translator.config.executor)
+        backend = MemoryBackend(shredded.database)
         return shredded.nodes_for_ids(backend.execute(program).node_ids())
 
 

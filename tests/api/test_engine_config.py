@@ -1,7 +1,7 @@
 """:class:`EngineConfig` contract tests: validation, immutability, round-trips.
 
 The Issue 5 satellite: ``from_dict(to_dict(c)) == c`` across the full
-default fuzz-engine grid (26 engines), invalid values raise
+default fuzz-engine grid (21 engines), invalid values raise
 :class:`~repro.errors.ConfigError`, and :meth:`with_` never mutates the
 original.
 """
@@ -12,8 +12,7 @@ import json
 
 import pytest
 
-from repro.api import EngineConfig, resolve_engine_config
-from repro.core.expath_to_sql import TranslationOptions
+from repro.api import EngineConfig
 from repro.core.optimize import baseline_options, push_selection_options
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.errors import ConfigError, ReproError
@@ -127,9 +126,9 @@ class TestSerializationRoundTrips:
         assert EngineConfig.from_dict(json.loads(wire)) == config
 
     def test_round_trip_full_fuzz_grid(self):
-        """Every engine of the default 26-engine grid round-trips exactly."""
+        """Every engine of the default 21-engine grid round-trips exactly."""
         engines = default_engines()
-        assert len(engines) == 26
+        assert len(engines) == 21
         for config in engines:
             rebuilt = EngineConfig.from_dict(config.to_dict())
             assert rebuilt == config, engine_name(config)
@@ -138,6 +137,13 @@ class TestSerializationRoundTrips:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown EngineConfig key"):
             EngineConfig.from_dict({"strategy": "cycleex", "shards": 4})
+
+    def test_from_dict_rejects_the_removed_executor_key(self):
+        # A config serialized while `executor` was a field fails loudly
+        # instead of silently running on another executor.
+        data = dict(EngineConfig().to_dict(), executor="tuple")
+        with pytest.raises(ConfigError, match="'executor'"):
+            EngineConfig.from_dict(data)
 
     def test_from_dict_rejects_non_dict(self):
         with pytest.raises(ConfigError):
@@ -154,26 +160,3 @@ class TestSerializationRoundTrips:
         # The default emission stays out of the compact label.
         assert "emission" not in EngineConfig().describe()
 
-
-class TestResolveEngineConfig:
-    def test_legacy_knobs_fold_into_config(self):
-        config = resolve_engine_config(
-            None,
-            strategy=DescendantStrategy.CYCLEE,
-            options=TranslationOptions(use_small_seed=False, push_selections=True),
-            optimize_level=1,
-            backend="sqlite",
-        )
-        assert config.strategy is DescendantStrategy.CYCLEE
-        assert config.use_small_seed is False
-        assert config.push_selections is True
-        assert config.optimize_level == 1
-        assert config.backend == "sqlite"
-
-    def test_config_passes_through(self):
-        config = EngineConfig(strategy="auto")
-        assert resolve_engine_config(config) is config
-
-    def test_config_plus_legacy_conflicts(self):
-        with pytest.raises(ConfigError, match="not both"):
-            resolve_engine_config(EngineConfig(), strategy=DescendantStrategy.AUTO)

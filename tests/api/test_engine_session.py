@@ -1,9 +1,7 @@
 """:class:`Engine`/:class:`Session` facade behaviour.
 
 Lifecycle (context managers, typed closed-errors), document registration
-shapes, :class:`QueryResult` metadata and lazy node materialization, and
-the deprecation shims (legacy kwarg constructors still agree with the
-config-based facade).
+shapes, and :class:`QueryResult` metadata and lazy node materialization.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from repro.api import (
     Session,
     SessionClosedError,
 )
-from repro.core.pipeline import XPathToSQLTranslator
 from repro.dtd.samples import dept_dtd
 from repro.errors import ConfigError, DuplicateDocumentError, UnknownDocumentError
 from repro.service import QueryService
@@ -106,15 +103,13 @@ class TestSessions:
             with pytest.raises(DuplicateDocumentError):
                 session.add_document("doc", document)
 
-    def test_answer_batch_orders_and_threads(self, dtd, document):
+    def test_answer_batch_keeps_input_order(self, dtd, document):
         queries = [QUERY, "dept//cno", QUERY]
         with Engine.from_dtd(dtd).open_session(document) as session:
-            serial = session.answer_batch(queries)
-            threaded = session.answer_batch(queries, threads=4)
-        assert [r.node_ids() for r in serial] == [r.node_ids() for r in threaded]
-        with Engine.from_dtd(dtd).open_session(document) as session:
-            with pytest.raises(ConfigError):
-                session.answer_batch(queries, threads=0)
+            batch = session.answer_batch(queries)
+            one_by_one = [session.answer(query) for query in queries]
+        assert [r.query for r in batch] == queries
+        assert [r.node_ids() for r in batch] == [r.node_ids() for r in one_by_one]
 
     def test_stream_yields_nodes_in_document_order(self, dtd, document):
         with Engine.from_dtd(dtd).open_session(document) as session:
@@ -158,9 +153,13 @@ class TestQueryResult:
     def test_service_config_reflects_shared_plan_cache_capacity(self, dtd):
         from repro.core.plancache import PlanCache
 
-        service = QueryService(dtd, plan_cache=PlanCache(8))
+        service = QueryService(
+            dtd, config=EngineConfig(result_cache_size=5), plan_cache=PlanCache(8)
+        )
         assert service.config.plan_cache_size == 8
-        assert service.config.result_cache_size == 8
+        # The result cache is sized by the config alone.
+        assert service.config.result_cache_size == 5
+        assert service.result_cache_info().capacity == 5
 
     def test_lazy_node_materialization(self, dtd, document):
         with Engine.from_dtd(dtd).open_session(document) as session:
@@ -211,46 +210,3 @@ class TestLifecycle:
             assert session.closed
         assert engine.closed
 
-
-class TestDeprecationShims:
-    """Old constructors still work — and agree with the facade."""
-
-    def test_translator_legacy_kwargs_still_work(self, dtd, document):
-        from repro.core.xpath_to_expath import DescendantStrategy
-
-        legacy = XPathToSQLTranslator(
-            dtd, strategy=DescendantStrategy.CYCLEE, optimize_level=1
-        )
-        config_based = XPathToSQLTranslator(
-            dtd, config=EngineConfig(strategy="cyclee", optimize_level=1)
-        )
-        shredded = legacy.shred(document)
-        assert {n.node_id for n in legacy.answer(QUERY, shredded)} == {
-            n.node_id for n in config_based.answer(QUERY, shredded)
-        }
-
-    def test_service_legacy_kwargs_still_work(self, dtd, document):
-        with QueryService(dtd, backend="sqlite", cache_capacity=16) as legacy, \
-                QueryService(
-                    dtd,
-                    config=EngineConfig(
-                        backend="sqlite", plan_cache_size=16, result_cache_size=16
-                    ),
-                ) as config_based:
-            legacy.register_document("d", document)
-            config_based.register_document("d", document)
-            legacy_ids = {n.node_id for n in legacy.answer(QUERY)}
-            config_ids = {n.node_id for n in config_based.answer(QUERY)}
-        assert legacy_ids == config_ids
-
-    def test_translator_rejects_config_plus_legacy(self, dtd):
-        from repro.core.xpath_to_expath import DescendantStrategy
-
-        with pytest.raises(ConfigError, match="not both"):
-            XPathToSQLTranslator(
-                dtd, strategy=DescendantStrategy.AUTO, config=EngineConfig()
-            )
-
-    def test_service_rejects_config_plus_legacy_cache_kwargs(self, dtd):
-        with pytest.raises(ConfigError, match="not both"):
-            QueryService(dtd, cache_capacity=4, config=EngineConfig())

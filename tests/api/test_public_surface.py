@@ -5,12 +5,26 @@ this test pins them to the committed snapshots below so accidental surface
 growth — a new re-export slipping into ``repro/__init__.py`` — fails CI
 instead of silently becoming API.  Growing the surface is fine, but it is
 an explicit act: update the snapshot here in the same change.
+
+The configuration surface is pinned the same way: :class:`EngineConfig`'s
+fields are the one configuration route, so the constructors and batch
+entry points below take ``config=`` and no per-knob keyword arguments.  A
+knob reappearing as a loose parameter fails here.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
+import pytest
+
 import repro
 import repro.api
+from repro.api import EngineConfig, Session
+from repro.backends.memory import MemoryBackend
+from repro.core.pipeline import XPathToSQLTranslator, answer_xpath
+from repro.service import QueryService
 
 # The committed snapshot of the top-level surface.  Keep sorted.
 PUBLIC_SURFACE = sorted(
@@ -63,9 +77,45 @@ API_SURFACE = sorted(
         "SessionClosedError",
         "SessionError",
         "UnknownDocumentError",
-        "resolve_engine_config",
     ]
 )
+
+# The committed snapshot of EngineConfig's fields, in declaration order.
+ENGINE_CONFIG_FIELDS = [
+    "strategy",
+    "optimize_level",
+    "dialect",
+    "backend",
+    "emission",
+    "use_small_seed",
+    "push_selections",
+    "select_root",
+    "plan_cache_size",
+    "result_cache_size",
+    "observability",
+]
+
+# The committed parameter lists of the configurable entry points.
+SIGNATURES = {
+    "XPathToSQLTranslator.__init__": (
+        XPathToSQLTranslator.__init__,
+        ["self", "dtd", "config", "mapping", "plan_cache"],
+    ),
+    "QueryService.__init__": (
+        QueryService.__init__,
+        ["self", "dtd", "config", "mapping", "plan_cache"],
+    ),
+    "answer_xpath": (answer_xpath, ["query", "tree", "dtd", "config"]),
+    "MemoryBackend.__init__": (MemoryBackend.__init__, ["self", "database"]),
+    "QueryService.answer_batch": (
+        QueryService.answer_batch,
+        ["self", "queries", "document_id"],
+    ),
+    "Session.answer_batch": (
+        Session.answer_batch,
+        ["self", "queries", "document_id"],
+    ),
+}
 
 
 class TestPublicSurface:
@@ -94,3 +144,14 @@ class TestPublicSurface:
         assert repro.EngineConfig is repro.api.EngineConfig
         assert repro.Session is repro.api.Session
         assert repro.QueryResult is repro.api.QueryResult
+
+
+class TestConfigurationSurface:
+    def test_engine_config_fields_match_snapshot(self):
+        names = [field.name for field in dataclasses.fields(EngineConfig)]
+        assert names == ENGINE_CONFIG_FIELDS
+
+    @pytest.mark.parametrize("name", sorted(SIGNATURES))
+    def test_signature_matches_snapshot(self, name):
+        function, expected = SIGNATURES[name]
+        assert list(inspect.signature(function).parameters) == expected

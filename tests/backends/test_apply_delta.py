@@ -12,7 +12,7 @@ from repro.dtd import samples
 from repro.errors import ExecutionError
 from repro.live.delta import ShredDelta
 from repro.live.mutations import DocumentMutator
-from repro.relational.columnar import COLUMNAR_MIN_ROWS, columnar_store
+from repro.relational.columnar import columnar_store
 from repro.relational.relation import Relation
 from repro.shredding.shredder import shred_document
 from repro.xmltree.generator import generate_document
@@ -72,12 +72,11 @@ class TestMemoryStaleGuard:
 
 
 class TestColumnarInPlacePatch:
-    def test_store_is_patched_not_rebuilt(self):
-        dtd, tree, shredded, program = _setup()
-        assert shredded.database.total_rows() >= COLUMNAR_MIN_ROWS
-        backend = create_backend(
-            EngineConfig(backend="memory", executor="columnar"), shredded.database
-        )
+    # 12 elements shred to 32 rows: tiny stores are patched in place too.
+    @pytest.mark.parametrize("max_elements", [300, 12])
+    def test_store_is_patched_not_rebuilt(self, max_elements):
+        dtd, tree, shredded, program = _setup(max_elements)
+        backend = create_backend(EngineConfig(backend="memory"), shredded.database)
         backend.execute(program)
         store = columnar_store(shredded.database)
         untouched = {
@@ -100,9 +99,7 @@ class TestColumnarInPlacePatch:
 
     def test_patched_store_equals_fresh_encode(self):
         dtd, tree, shredded, program = _setup()
-        backend = create_backend(
-            EngineConfig(backend="memory", executor="columnar"), shredded.database
-        )
+        backend = create_backend(EngineConfig(backend="memory"), shredded.database)
         mutator = DocumentMutator(tree, dtd)
         text_nodes = [n for n in tree.nodes() if n.label in dtd.text_types]
         backend.apply_delta(mutator.replace_text(text_nodes[0], "round-1"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.backends import (
     BACKENDS,
     MemoryBackend,
@@ -12,7 +13,6 @@ from repro.backends import (
     sqlite_schema_ddl,
 )
 from repro.backends.base import BackendResult
-from repro.core.optimize import push_selection_options
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.errors import ExecutionError
@@ -81,7 +81,9 @@ class TestSqliteExecution:
 
     def test_pushed_selections_agree(self, cross_dtd, cross_shredded):
         """Anchored fixpoints (incl. the backward case) execute correctly."""
-        translator = XPathToSQLTranslator(cross_dtd, options=push_selection_options())
+        translator = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(use_small_seed=True, push_selections=True)
+        )
         memory = MemoryBackend(cross_shredded.database)
         with SqliteBackend(cross_shredded.database) as sqlite:
             for query in ('a/b[text() = "b-0"]//c/d', 'a/b//c/d[text() = "d-0"]'):
@@ -90,7 +92,7 @@ class TestSqliteExecution:
 
     def test_recursive_union_strategy_agrees(self, cross_dtd, cross_shredded):
         translator = XPathToSQLTranslator(
-            cross_dtd, strategy=DescendantStrategy.RECURSIVE_UNION
+            cross_dtd, config=EngineConfig(strategy=DescendantStrategy.RECURSIVE_UNION)
         )
         program = translator.translate("a/b//c/d").program
         memory = MemoryBackend(cross_shredded.database)
@@ -325,7 +327,7 @@ class TestIdentifierAndLiteralEdgeCases:
     def test_recursive_union_strategy_survives_hostile_names(self, hostile):
         dtd, tree, shredded = hostile
         translator = XPathToSQLTranslator(
-            dtd, strategy=DescendantStrategy.RECURSIVE_UNION
+            dtd, config=EngineConfig(strategy=DescendantStrategy.RECURSIVE_UNION)
         )
         program = translator.translate("select//order/*").program
         with MemoryBackend(shredded.database) as memory:

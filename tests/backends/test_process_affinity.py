@@ -23,6 +23,7 @@ _REPO_ROOT = str(Path(__file__).resolve().parents[2])
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
+from repro.api import EngineConfig
 from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
@@ -38,7 +39,7 @@ def _available_methods():
 
 def _make_service(backend: str = "sqlite") -> QueryService:
     dtd = samples.cross_dtd()
-    service = QueryService(dtd, backend=backend)
+    service = QueryService(dtd, config=EngineConfig(backend=backend))
     service.register_document("doc", generate_document(dtd, seed=3))
     return service
 
@@ -113,7 +114,9 @@ def _spawn_rebuild_worker(dtd_text, dtd_name, tree, query, queue):
     from repro.dtd.parser import parse_dtd
     from repro.service import QueryService
 
-    service = QueryService(parse_dtd(dtd_text, name=dtd_name), backend="sqlite")
+    service = QueryService(
+        parse_dtd(dtd_text, name=dtd_name), config=EngineConfig(backend="sqlite")
+    )
     service.register_document("doc", tree)
     nodes = service.answer(query, "doc")
     queue.put(sorted(node.node_id for node in nodes))
@@ -126,7 +129,7 @@ class TestSpawnRebuild:
         ctx = multiprocessing.get_context("spawn")
         dtd = samples.cross_dtd()
         tree = generate_document(dtd, seed=3)
-        parent = QueryService(dtd, backend="sqlite")
+        parent = QueryService(dtd, config=EngineConfig(backend="sqlite"))
         parent.register_document("doc", tree)
         expected = sorted(node.node_id for node in parent.answer("a//d", "doc"))
 

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api import EngineConfig
+from repro.cli import build_parser, engine_config_from_args, main
 from repro.dtd import samples
 from repro.xmltree.generator import generate_document
 from repro.xpath.evaluator import evaluate_xpath
@@ -148,6 +149,34 @@ class TestBackendFlags:
         with pytest.raises(SystemExit):
             parser.parse_args(["answer", "cross", "a//d", "--backend", "nope"])
 
+    def test_engine_flags_build_the_config_they_name(self):
+        parser = build_parser()
+        args = parser.parse_args(["answer", "cross", "a//d"])
+        assert engine_config_from_args(args) == EngineConfig()
+        args = parser.parse_args([
+            "answer", "cross", "a//d", "--backend", "sqlite",
+            "--strategy", "cyclee", "--optimize-level", "1",
+        ])
+        assert engine_config_from_args(args) == EngineConfig(
+            backend="sqlite", strategy="cyclee", optimize_level=1
+        )
+
+    def test_executor_flag_is_rejected(self):
+        # The memory backend has one executor, so no subcommand that takes
+        # --backend takes an executor.
+        parser = build_parser()
+        for argv in (
+            ["answer", "cross", "a//d"],
+            ["explain", "cross", "a//d"],
+            ["stats", "cross", "a//d"],
+            ["experiment", "exp3"],
+            ["mutate", "cross", "a//d"],
+            ["serve", "cross"],
+        ):
+            assert parser.parse_args(argv + ["--backend", "memory"]).backend == "memory"
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--executor", "columnar"])
+
     def test_answer_on_sqlite_matches_memory(self, capsys):
         argv = ["answer", "cross", "a//d", "--elements", "300", "--seed", "3", "--limit", "3"]
         assert main(argv + ["--backend", "memory"]) == 0
@@ -283,20 +312,19 @@ class TestFuzzCommand:
             main(["fuzz", "--backends", "nope"])
 
     def test_engine_axes_are_honoured(self, capsys):
-        # baseline + opt at the default level, the opt/tuple executor arm,
-        # plus the level-0 sentinel.
+        # baseline + opt at the default level, plus the level-0 sentinel.
         assert main(
             ["fuzz", "--seed", "1", "--budget", "4", "--strategies", "cycleex",
              "--backends", "memory"]
         ) == 0
-        assert "engines=4" in capsys.readouterr().out
+        assert "engines=3" in capsys.readouterr().out
 
     def test_optimize_level_pin_drops_the_sentinel(self, capsys):
         assert main(
             ["fuzz", "--seed", "1", "--budget", "4", "--strategies", "cycleex",
              "--backends", "memory", "--optimize-level", "0"]
         ) == 0
-        assert "engines=3" in capsys.readouterr().out
+        assert "engines=2" in capsys.readouterr().out
 
     def test_failures_saved_and_exit_nonzero(self, injected_sqlite_bug, tmp_path, capsys):
         corpus = tmp_path / "failures"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.backends import create_backend
 from repro.core.optimize import (
     DEFAULT_OPTIMIZE_LEVEL,
@@ -305,7 +306,9 @@ class TestReachabilityPruning:
         assert pruned.temporaries() == ["T2"]
 
     def test_pruning_preserves_execution_results(self, dept_dtd, dept_shredded):
-        translator = XPathToSQLTranslator(dept_dtd, optimize_level=0)
+        translator = XPathToSQLTranslator(
+            dept_dtd, config=EngineConfig(optimize_level=0)
+        )
         for query in ("dept//project", "dept/course[not //project]"):
             program = translator.translate(query).program
             pruned = prune_unreachable(program, dept_dtd)
@@ -316,7 +319,9 @@ class TestReachabilityPruning:
 
 class TestOptimizeLevels:
     def test_level_0_is_identity(self, cross_dtd):
-        translator = XPathToSQLTranslator(cross_dtd, optimize_level=0)
+        translator = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(optimize_level=0)
+        )
         program = translator.translate("a//d").program
         assert str(optimize_program(program, 0, dtd=cross_dtd)) == str(program)
 
@@ -332,7 +337,7 @@ class TestOptimizeLevels:
         # assignments never grow with the level, and CSE always fires.
         dtd = samples.paper_dtds()[dtd_name]
         queries = self.WORKLOADS[dtd_name]
-        translator = XPathToSQLTranslator(dtd, optimize_level=0)
+        translator = XPathToSQLTranslator(dtd, config=EngineConfig(optimize_level=0))
         raws = [translator.translate(query).program for query in queries]
         operators, assignments = {}, {}
         for level in OPTIMIZE_LEVELS:
@@ -344,7 +349,9 @@ class TestOptimizeLevels:
 
     def test_schema_dead_query_collapses_entirely(self, cross_dtd, cross_shredded):
         translators = {
-            level: XPathToSQLTranslator(cross_dtd, optimize_level=level)
+            level: XPathToSQLTranslator(
+                cross_dtd, config=EngineConfig(optimize_level=level)
+            )
             for level in OPTIMIZE_LEVELS
         }
         backends = [
@@ -372,7 +379,7 @@ class TestOptimizeLevels:
         with pytest.raises(ValueError):
             ProgramOptimizer(dtd=cross_dtd, level=7)
         with pytest.raises(ValueError):
-            XPathToSQLTranslator(cross_dtd, optimize_level=-1)
+            XPathToSQLTranslator(cross_dtd, config=EngineConfig(optimize_level=-1))
 
     def test_default_level_is_2(self, cross_dtd):
         assert DEFAULT_OPTIMIZE_LEVEL == 2
@@ -396,7 +403,9 @@ class TestSelectStrategy:
             "author -> EMPTY #text\n",
             name="library",
         )
-        auto = XPathToSQLTranslator(library, strategy=DescendantStrategy.AUTO)
+        auto = XPathToSQLTranslator(
+            library, config=EngineConfig(strategy=DescendantStrategy.AUTO)
+        )
         for query in ("library//title", "library//book[author]/title"):
             assert select_strategy(library, query) is DescendantStrategy.CYCLEE
             # Unfolding leaves the program recursion-free.
@@ -425,8 +434,12 @@ class TestSelectStrategy:
         )
 
     def test_auto_pipeline_answers_match_concrete(self, cross_dtd, cross_shredded):
-        auto = XPathToSQLTranslator(cross_dtd, strategy=DescendantStrategy.AUTO)
-        fixed = XPathToSQLTranslator(cross_dtd, strategy=DescendantStrategy.CYCLEEX)
+        auto = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(strategy=DescendantStrategy.AUTO)
+        )
+        fixed = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(strategy=DescendantStrategy.CYCLEEX)
+        )
         for query in ("a//d", "a/b//c/d", "a[not //c]"):
             assert {n.node_id for n in auto.answer(query, cross_shredded)} == {
                 n.node_id for n in fixed.answer(query, cross_shredded)
@@ -436,8 +449,12 @@ class TestSelectStrategy:
 class TestPushSelectionEffect:
     def test_push_reduces_fixpoint_work(self, cross_dtd, cross_tree, cross_shredded):
         query = 'a/b[text() = "b-0"]//c/d'
-        pushed = XPathToSQLTranslator(cross_dtd, options=push_selection_options())
-        plain = XPathToSQLTranslator(cross_dtd, options=standard_options())
+        pushed = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(use_small_seed=True, push_selections=True)
+        )
+        plain = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(use_small_seed=True, push_selections=False)
+        )
         push_stats = pushed.execute(query, cross_shredded).stats
         plain_stats = plain.execute(query, cross_shredded).stats
         assert push_stats["tuples_materialized"] <= plain_stats["tuples_materialized"]
@@ -445,7 +462,11 @@ class TestPushSelectionEffect:
     def test_push_and_plain_agree(self, cross_dtd, cross_tree, cross_shredded):
         query = 'a/b//c/d[text() = "d-1"]'
         expected = {n.node_id for n in evaluate_xpath(cross_tree, parse_xpath(query))}
-        for options in (standard_options(), push_selection_options(), baseline_options()):
-            translator = XPathToSQLTranslator(cross_dtd, options=options)
+        for config in (
+            EngineConfig(use_small_seed=True, push_selections=False),
+            EngineConfig(use_small_seed=True, push_selections=True),
+            EngineConfig(use_small_seed=False, push_selections=False),
+        ):
+            translator = XPathToSQLTranslator(cross_dtd, config=config)
             got = {n.node_id for n in translator.answer(query, cross_shredded)}
             assert got == expected

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.core.optimize import push_selection_options, standard_options
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator, answer_xpath
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
+from repro.relational.columnar import ColumnarExecutor
+from repro.relational.executor import Executor
+from repro.relational.schema import T
 from repro.relational.sqlgen import SQLDialect
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
@@ -59,7 +62,9 @@ class TestQueryAnswering:
         self, query, strategy, dept_dtd, dept_tree, dept_shredded
     ):
         """The central invariant: Q(T) = Q'(tau_d(T))."""
-        translator = XPathToSQLTranslator(dept_dtd, strategy=strategy)
+        translator = XPathToSQLTranslator(
+            dept_dtd, config=EngineConfig(strategy=strategy)
+        )
         via_sql = {n.node_id for n in translator.answer(query, dept_shredded)}
         via_oracle = {n.node_id for n in evaluate_xpath(dept_tree, parse_xpath(query))}
         assert via_sql == via_oracle
@@ -70,10 +75,17 @@ class TestQueryAnswering:
         assert [n.node_id for n in nodes] == [n.node_id for n in expected]
 
     def test_lazy_and_eager_execution_agree(self, dept_dtd, dept_shredded):
+        # The translator serves lazily on the columnar executor; both
+        # executors' eager mode must find the same answer for its plan.
         translator = XPathToSQLTranslator(dept_dtd)
-        lazy = {n.node_id for n in translator.answer("dept//project", dept_shredded, lazy=True)}
-        eager = {n.node_id for n in translator.answer("dept//project", dept_shredded, lazy=False)}
-        assert lazy == eager
+        lazy = {n.node_id for n in translator.answer("dept//project", dept_shredded)}
+        program = translator.translate("dept//project").program
+        database = dept_shredded.database
+        for eager in (
+            Executor(database, lazy=False),
+            ColumnarExecutor(database, lazy=False),
+        ):
+            assert eager.run(program).column_values(T) == lazy
 
     def test_execute_returns_stats(self, dept_dtd, dept_shredded):
         translator = XPathToSQLTranslator(dept_dtd)
@@ -85,8 +97,10 @@ class TestQueryAnswering:
         expected = {
             n.node_id for n in evaluate_xpath(dept_tree, parse_xpath("dept//project"))
         }
-        for options in (standard_options(), push_selection_options()):
-            translator = XPathToSQLTranslator(dept_dtd, options=options)
+        for push_selections in (False, True):
+            translator = XPathToSQLTranslator(
+                dept_dtd, config=EngineConfig(push_selections=push_selections)
+            )
             got = {n.node_id for n in translator.answer("dept//project", dept_shredded)}
             assert got == expected
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.sqlgen_r import SQLGenR
 from repro.core.xpath_to_expath import DescendantStrategy
@@ -52,7 +53,9 @@ class TestQ1DeptProject:
         dtd, tree, shredded = table1
         expected = {n.node_id for n in tree.nodes_with_label("project")}
         for strategy in DescendantStrategy:
-            translator = XPathToSQLTranslator(dtd, strategy=strategy)
+            translator = XPathToSQLTranslator(
+                dtd, config=EngineConfig(strategy=strategy)
+            )
             got = {n.node_id for n in translator.answer("dept//project", shredded)}
             assert got == expected, strategy
 

@@ -12,6 +12,7 @@ spread of seeds:
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd.parser import parse_dtd
@@ -82,7 +83,9 @@ class TestRandomXPathGenerator:
         generator = RandomXPathGenerator(dtd, XPathGenConfig(seed=seed))
         queries = generator.queries(5)
         for strategy in DescendantStrategy:
-            translator = XPathToSQLTranslator(dtd, strategy=strategy)
+            translator = XPathToSQLTranslator(
+                dtd, config=EngineConfig(strategy=strategy)
+            )
             for query_text in queries:
                 result = translator.translate(query_text)
                 assert result.program.assignments or result.program.result is not None

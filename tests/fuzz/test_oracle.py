@@ -48,8 +48,6 @@ class TestEngineGrid:
         assert [engine_name(engine) for engine in engines] == [
             "memory/cycleex/baseline",
             "memory/cycleex/opt",
-            # The tuple-executor oracle arm: same plans, row-at-a-time engine.
-            "memory/cycleex/opt/tuple",
             # The raw-lowering sentinel: optimizer level pinned to 0 so every
             # sweep differentially checks the optimizer passes themselves.
             "memory/cycleex/opt/O0",
@@ -64,26 +62,18 @@ class TestEngineGrid:
         assert [engine_name(engine) for engine in engines] == [
             "memory/cycleex/baseline/O0",
             "memory/cycleex/opt/O0",
-            "memory/cycleex/opt/O0/tuple",
         ]
 
     def test_engine_names_are_unique(self):
         # Outcomes key each engine's answer by its name.
         names = [engine_name(engine) for engine in default_engines()]
-        assert len(names) == len(set(names)) == 26
+        assert len(names) == len(set(names)) == 21
 
-    def test_default_grid_runs_both_executors(self):
-        engines = default_engines()
-        by_executor = {
-            engine.executor for engine in engines if engine.backend == "memory"
-        }
-        assert by_executor == {"columnar", "tuple"}
-        # SQLite arms don't consume the knob; the grid doesn't duplicate them.
-        assert all(
-            engine.executor == "columnar"
-            for engine in engines
-            if engine.backend == "sqlite"
-        )
+    def test_memory_engines_have_no_executor_axis(self):
+        # The memory backend runs every plan on the columnar executor, so
+        # the grid has no per-executor arms.
+        names = [engine_name(engine) for engine in default_engines()]
+        assert not any(name.endswith("/tuple") for name in names)
 
 
 class TestOracle:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.optimize import push_selection_options, standard_options
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
@@ -16,11 +16,11 @@ from repro.xpath.parser import parse_xpath
 STRATEGIES = list(DescendantStrategy)
 
 
-def check_invariant(dtd, tree, query, strategies=STRATEGIES, options=None):
+def check_invariant(dtd, tree, query, strategies=STRATEGIES, config=EngineConfig()):
     shredded = shred_document(tree, dtd)
     expected = {n.node_id for n in evaluate_xpath(tree, parse_xpath(query))}
     for strategy in strategies:
-        translator = XPathToSQLTranslator(dtd, strategy=strategy, options=options)
+        translator = XPathToSQLTranslator(dtd, config=config.with_(strategy=strategy))
         got = {n.node_id for n in translator.answer(query, shredded)}
         assert got == expected, (query, strategy)
     return expected
@@ -42,7 +42,7 @@ class TestCrossWorkload:
                 tree,
                 query,
                 strategies=[DescendantStrategy.CYCLEEX],
-                options=push_selection_options(),
+                config=EngineConfig(push_selections=True),
             )
 
 
@@ -68,14 +68,18 @@ class TestSQLArtifacts:
     def test_every_strategy_produces_renderable_sql(self):
         dtd = samples.cross_dtd()
         for strategy in STRATEGIES:
-            translator = XPathToSQLTranslator(dtd, strategy=strategy)
+            translator = XPathToSQLTranslator(
+                dtd, config=EngineConfig(strategy=strategy)
+            )
             sql = translator.to_sql("a//d", SQLDialect.DB2)
             assert "SELECT" in sql
             assert "R_d" in sql
 
     def test_sqlgen_r_sql_mentions_recursive_cte(self):
         dtd = samples.cross_dtd()
-        translator = XPathToSQLTranslator(dtd, strategy=DescendantStrategy.RECURSIVE_UNION)
+        translator = XPathToSQLTranslator(
+            dtd, config=EngineConfig(strategy=DescendantStrategy.RECURSIVE_UNION)
+        )
         sql = translator.to_sql("a//d", SQLDialect.GENERIC)
         assert "WITH RECURSIVE r" in sql
 

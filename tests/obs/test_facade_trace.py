@@ -94,7 +94,7 @@ class TestSessionAnswerTrace:
         queries = [QUERY, "dept/employee", QUERY]
         with Engine(dtd, EngineConfig(observability=True)) as engine:
             with engine.open_session(document) as session:
-                results = session.answer_batch(queries, threads=2)
+                results = session.answer_batch(queries)
         for result in results:
             assert result.trace is not None
             assert result.trace.name == "session.answer"

@@ -1,4 +1,4 @@
-"""Span trees: the no-op fast path, nesting, serialization, aggregation."""
+"""Span trees: the no-op fast path, nesting, per-thread traces, serialization."""
 
 from __future__ import annotations
 
@@ -81,26 +81,42 @@ class TestSpanTrees:
         assert root.children[0].wall_seconds >= 0.0
 
 
-class TestAttach:
-    def test_worker_thread_spans_land_under_the_captured_parent(self):
+def _in_worker_thread(target):
+    """Run ``target`` on a fresh thread and return what it returned."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(target()))
+    thread.start()
+    thread.join()
+    return box[0]
+
+
+class TestPerThreadTraces:
+    def test_worker_threads_start_cold(self):
+        def worker():
+            with obs.span("worker-span") as sp:
+                return obs.is_tracing(), sp, obs.current_span()
+
         with obs.trace("root") as root:
-            parent = obs.current_span()
+            tracing, sp, current = _in_worker_thread(worker)
+            with obs.span("caller-span"):
+                pass
+        assert (tracing, sp, current) == (False, _NOOP, None)
+        assert [child.name for child in root.children] == ["caller-span"]
 
-            def worker():
-                assert not obs.is_tracing()  # thread-local: workers start cold
-                with obs.attach(parent):
-                    with obs.span("worker-span"):
-                        pass
+    def test_a_worker_trace_is_its_own_root(self):
+        # On one thread an inner trace nests under the active one; a trace
+        # started on another thread does not.
+        def worker():
+            with obs.trace("worker-root") as worker_root:
+                with obs.span("worker-span"):
+                    pass
+            return worker_root
 
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert [child.name for child in root.children] == ["worker-span"]
-
-    def test_attach_none_is_a_no_op(self):
-        with obs.attach(None) as adopted:
-            assert adopted is None
-            assert obs.span("still-off") is _NOOP
+        with obs.trace("root") as root:
+            worker_root = _in_worker_thread(worker)
+            assert obs.current_span() is root
+        assert root.children == []
+        assert [child.name for child in worker_root.children] == ["worker-span"]
 
 
 class TestSerialization:

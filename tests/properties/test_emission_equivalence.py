@@ -34,7 +34,9 @@ from repro.dtd import samples
 from repro.fuzz.harness import replay_corpus
 from repro.fuzz.oracle import default_engines, engine_name
 from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
-from repro.relational.columnar import EXECUTOR_NAMES
+from repro.relational.columnar import ColumnarDatabase, ColumnarExecutor
+from repro.relational.executor import Executor
+from repro.relational.schema import T
 from repro.relational.sqlgen import SQLDialect, program_to_single_sql
 from repro.shredding.shredder import shred_document
 from repro.xmltree.generator import generate_document
@@ -63,7 +65,9 @@ class TestSingleStatementEmission:
     def test_fused_matches_multi_and_evaluator(self, sample_documents, dtd_name, level):
         dtd, tree, shredded = sample_documents[dtd_name]
         queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=41)).queries(5)
-        translator = XPathToSQLTranslator(dtd, optimize_level=level)
+        translator = XPathToSQLTranslator(
+            dtd, config=EngineConfig(optimize_level=level)
+        )
         multi = create_backend("sqlite", shredded.database)
         single = create_backend("sqlite", shredded.database, emission="single")
         try:
@@ -149,24 +153,27 @@ class TestIntervalStrategy:
                 strategy=DescendantStrategy.INTERVAL, optimize_level=level
             ),
         )
-        backends = {
-            executor: create_backend(
-                EngineConfig(backend="memory", executor=executor), shredded.database
-            )
-            for executor in EXECUTOR_NAMES
+        # Both in-memory executors run directly, so each is checked on
+        # every document size; SQLite runs through its backend.
+        executors = {
+            "tuple": Executor(shredded.database),
+            "columnar": ColumnarExecutor(ColumnarDatabase(shredded.database)),
         }
-        backends["sqlite"] = create_backend("sqlite", shredded.database)
+        sqlite = create_backend("sqlite", shredded.database)
         try:
             for query_text in queries:
                 query = parse_xpath(query_text)
                 expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}
                 program = translator.translate(query).program
-                for name, backend in backends.items():
-                    ids = set(backend.execute(program).node_ids())
+                answers = {
+                    name: {str(i) for i in executor.run(program).column_values(T)}
+                    for name, executor in executors.items()
+                }
+                answers["sqlite"] = set(sqlite.execute(program).node_ids())
+                for name, ids in answers.items():
                     assert ids == expected, (dtd_name, name, level, query_text)
         finally:
-            for backend in backends.values():
-                backend.close()
+            sqlite.close()
 
     @pytest.mark.parametrize("dtd_name", ("cross", "gedml"))
     def test_interval_program_has_no_fixpoint(self, dtd_name):

@@ -1,7 +1,11 @@
 """Executor equivalence: columnar batch engine == tuple-at-a-time engine.
 
-The Issue 8 property: the columnar executor is a pure representation
-change — same algebra, same result sets, byte-for-byte.  Checked four
+The columnar executor is a pure representation change — same algebra,
+same result sets, byte-for-byte.  Every check runs the reference tuple
+:class:`~repro.relational.executor.Executor` and
+:class:`~repro.relational.columnar.ColumnarExecutor` directly, not through
+``MemoryBackend`` (which runs only the columnar engine), so every input —
+tiny documents included — compares two different engines.  Checked five
 ways:
 
 * schema-guided random queries over *all 8 sample DTDs*, the translated
@@ -12,10 +16,9 @@ ways:
   configurations: both executors, the sqlite backend and the raw
   level-0 program return the same rows, and their ``T`` column is the
   XPath evaluator's answer;
-* every case of the checked-in fuzz regression corpus replayed through
-  the default engine grid, which since Issue 8 carries a
-  ``.../opt/tuple`` oracle arm per strategy — plus an explicit
-  per-corpus-case executor comparison at both optimize levels;
+* every case of the checked-in fuzz regression corpus: a per-case
+  executor comparison at both optimize levels, plus a replay through the
+  default engine grid;
 * lazy and eager evaluation agree per executor (the strategies share the
   warm-temporaries namespace, so this also exercises temp reuse);
 * one columnar store answers a DTD's sample queries in a seeded order, so
@@ -31,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.config import EngineConfig
-from repro.backends import create_backend
+from repro.backends import create_backend, normalize_rows
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
@@ -39,8 +42,9 @@ from repro.fuzz.cases import FuzzCase
 from repro.fuzz.harness import replay_corpus
 from repro.fuzz.oracle import default_engines
 from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
-from repro.relational.columnar import EXECUTOR_NAMES, ColumnarDatabase, ColumnarExecutor
+from repro.relational.columnar import ColumnarDatabase, ColumnarExecutor
 from repro.relational.executor import Executor
+from repro.relational.schema import T
 from repro.shredding.shredder import shred_document
 from repro.workloads.cases import workload_cases
 from repro.xmltree.generator import generate_document
@@ -53,14 +57,19 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz" / "corpus"
 CORPUS_CASES = sorted(CORPUS_DIR.glob("*.json"))
 
 
-def _memory_backends(database):
-    """One memory backend per executor, keyed by executor name."""
+EXECUTORS = {"columnar": ColumnarExecutor, "tuple": Executor}
+
+
+def _executors(database):
+    """Both in-memory executors over ``database``, keyed by name."""
     return {
-        executor: create_backend(
-            EngineConfig(backend="memory", executor=executor), database
-        )
-        for executor in EXECUTOR_NAMES
+        "tuple": Executor(database),
+        "columnar": ColumnarExecutor(ColumnarDatabase(database)),
     }
+
+
+def _node_ids(relation):
+    return {str(node_id) for node_id in relation.column_values(T)}
 
 
 @pytest.fixture(scope="module")
@@ -82,18 +91,17 @@ class TestExecutorsAgreeOnSampleDTDs:
     ):
         dtd, tree, shredded = sample_documents[dtd_name]
         queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=41)).queries(5)
-        translator = XPathToSQLTranslator(dtd, optimize_level=level)
-        backends = _memory_backends(shredded.database)
+        translator = XPathToSQLTranslator(
+            dtd, config=EngineConfig(optimize_level=level)
+        )
+        executors = _executors(shredded.database)
         for query_text in queries:
             query = parse_xpath(query_text)
             expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}
             program = translator.translate(query).program
-            per_executor = {
-                executor: set(backend.execute(program).node_ids())
-                for executor, backend in backends.items()
-            }
-            for executor, ids in per_executor.items():
-                assert ids == expected, (dtd_name, executor, level, query_text)
+            for name, executor in executors.items():
+                ids = _node_ids(executor.run(program))
+                assert ids == expected, (dtd_name, name, level, query_text)
 
 
 WORKLOAD_CASES = workload_cases(max_elements=300)
@@ -124,32 +132,30 @@ class TestExecutorsAgreeOnWorkloadCases:
         dtd = case.dtd()
         tree, expected = workload_answers[case.label]
         shredded = shred_document(tree, dtd)
-        backends = _memory_backends(shredded.database)
-        backends["sqlite"] = create_backend("sqlite", shredded.database)
+        executors = _executors(shredded.database)
+        sqlite = create_backend("sqlite", shredded.database)
         try:
             for config in self.CONFIGS:
                 translator = XPathToSQLTranslator(dtd, config=config)
                 program = translator.translate(case.query).program
-                results = {
-                    name: backend.execute(program) for name, backend in backends.items()
-                }
+                reference = executors["tuple"].run(program)
+                rows = {"columnar": executors["columnar"].run(program).rows}
+                rows["sqlite"] = sqlite.execute(program).rows
                 # The raw-lowering sentinel: the optimizer's rewrites must
                 # not change the rows.
                 raw = XPathToSQLTranslator(dtd, config=config.with_(optimize_level=0))
-                results["O0"] = backends[config.executor].execute(
+                rows["O0"] = executors["columnar"].run(
                     raw.translate(case.query).program
-                )
-                reference = results["tuple"]
-                for name, result in results.items():
-                    assert result.rows == reference.rows, (
+                ).rows
+                for name, arm_rows in rows.items():
+                    assert normalize_rows(arm_rows) == normalize_rows(reference.rows), (
                         case.label,
                         config.describe(),
                         name,
                     )
-                assert reference.node_ids() == expected, (case.label, config.describe())
+                assert _node_ids(reference) == expected, (case.label, config.describe())
         finally:
-            for backend in backends.values():
-                backend.close()
+            sqlite.close()
 
     def test_most_cases_have_answers(self, workload_answers):
         # Some queries must produce non-empty answers or the sweep is vacuous.
@@ -167,40 +173,31 @@ class TestExecutorsAgreeOnFuzzCorpus:
         query = parse_xpath(case.query)
         shredded = shred_document(tree, dtd)
         expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}
-        translator = XPathToSQLTranslator(dtd, optimize_level=level)
+        translator = XPathToSQLTranslator(
+            dtd, config=EngineConfig(optimize_level=level)
+        )
         program = translator.translate(query).program
-        for executor, backend in _memory_backends(shredded.database).items():
-            ids = set(backend.execute(program).node_ids())
-            assert ids == expected, (case.label, executor, level)
+        for name, executor in _executors(shredded.database).items():
+            ids = _node_ids(executor.run(program))
+            assert ids == expected, (case.label, name, level)
 
     def test_corpus_replay_through_the_default_grid_is_clean(self):
-        # The default grid has carried a tuple-executor oracle arm per
-        # strategy since Issue 8, so a full-grid replay differentially
-        # checks the executors on every saved regression case.
-        engines = default_engines()
-        assert any(e.executor == "tuple" for e in engines)
-        assert any(e.executor == "columnar" for e in engines)
-        outcomes = replay_corpus(CORPUS_DIR, engines)
+        outcomes = replay_corpus(CORPUS_DIR, default_engines())
         failed = [o for o in outcomes if not o.ok]
         assert not failed, [o.case.label for o in failed]
 
 
 class TestLazyEagerAgreePerExecutor:
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
     def test_lazy_and_eager_agree(self, sample_documents, executor):
         dtd, tree, shredded = sample_documents["cross"]
         queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=43)).queries(4)
         translator = XPathToSQLTranslator(dtd)
-        lazy = create_backend("memory", shredded.database, executor=executor)
-        eager = create_backend(
-            "memory", shredded.database, executor=executor, lazy=False
-        )
+        lazy = EXECUTORS[executor](shredded.database)
+        eager = EXECUTORS[executor](shredded.database, lazy=False)
         for query_text in queries:
             program = translator.translate(query_text).program
-            assert lazy.execute(program).rows == eager.execute(program).rows, (
-                executor,
-                query_text,
-            )
+            assert lazy.run(program) == eager.run(program), (executor, query_text)
 
 
 class TestSharedTemporariesAcrossPlans:

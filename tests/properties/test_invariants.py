@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.optimize import push_selection_options, standard_options
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
@@ -125,7 +125,7 @@ class TestTranslationInvariant:
     def test_q_of_t_equals_qprime_of_taud_t(self, cross_documents, query_text, strategy):
         dtd, documents = cross_documents
         query = parse_xpath(query_text)
-        translator = XPathToSQLTranslator(dtd, strategy=strategy)
+        translator = XPathToSQLTranslator(dtd, config=EngineConfig(strategy=strategy))
         for tree, shredded in documents:
             expected = {n.node_id for n in evaluate_xpath(tree, query)}
             actual = {n.node_id for n in translator.answer(query, shredded)}
@@ -136,8 +136,12 @@ class TestTranslationInvariant:
     def test_optimised_and_plain_lowering_agree(self, cross_documents, query_text):
         dtd, documents = cross_documents
         query = parse_xpath(query_text)
-        plain = XPathToSQLTranslator(dtd, options=standard_options())
-        pushed = XPathToSQLTranslator(dtd, options=push_selection_options())
+        plain = XPathToSQLTranslator(
+            dtd, config=EngineConfig(use_small_seed=True, push_selections=False)
+        )
+        pushed = XPathToSQLTranslator(
+            dtd, config=EngineConfig(use_small_seed=True, push_selections=True)
+        )
         tree, shredded = documents[0]
         assert {n.node_id for n in plain.answer(query, shredded)} == {
             n.node_id for n in pushed.answer(query, shredded)
@@ -156,8 +160,8 @@ class TestTranslationInvariant:
 ALL_SAMPLE_DTDS = sorted(samples.paper_dtds())
 
 OPTIMIZATION_SETTINGS = {
-    "standard": standard_options,
-    "push-selections": push_selection_options,
+    "standard": EngineConfig(push_selections=False),
+    "push-selections": EngineConfig(push_selections=True),
 }
 
 
@@ -180,9 +184,11 @@ class TestInvariantAcrossSampleDTDs:
     ):
         dtd, tree, shredded = sample_documents[dtd_name]
         queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=13)).queries(5)
-        options = OPTIMIZATION_SETTINGS[options_name]()
+        config = OPTIMIZATION_SETTINGS[options_name]
         for strategy in DescendantStrategy:
-            translator = XPathToSQLTranslator(dtd, strategy=strategy, options=options)
+            translator = XPathToSQLTranslator(
+                dtd, config=config.with_(strategy=strategy)
+            )
             for query_text in queries:
                 query = parse_xpath(query_text)
                 expected = {n.node_id for n in evaluate_xpath(tree, query)}

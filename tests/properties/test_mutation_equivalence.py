@@ -5,8 +5,9 @@ document T, answering Q on the incrementally-maintained relational store
 (shred T, then apply M's :class:`~repro.live.delta.ShredDelta` through
 ``Backend.apply_delta``) equals answering Q over a from-scratch reshred of
 M(T) — and both equal the XPath evaluator on M(T).  Checked across all 8
-sample DTDs, both memory executors and the sqlite backend, at optimize
-levels 0 and 2.
+sample DTDs, the memory and sqlite backends, and the reference tuple
+executor run directly over the delta-patched database, at optimize levels
+0 and 2.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from repro.backends import create_backend
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.dtd import samples
 from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
+from repro.live.delta import apply_delta_to_database
 from repro.live.fuzzer import MutationGenConfig, RandomMutationGenerator
 from repro.live.mutations import DocumentMutator
+from repro.relational.executor import Executor
+from repro.relational.schema import T
 from repro.shredding.shredder import shred_document
 from repro.xmltree.generator import generate_document
 from repro.xpath.evaluator import evaluate_xpath
@@ -31,8 +35,7 @@ ALL_SAMPLE_DTDS = sorted(samples.paper_dtds())
 OPTIMIZE_LEVELS = (0, 2)
 
 BACKEND_CONFIGS = {
-    "memory/columnar": EngineConfig(backend="memory", executor="columnar"),
-    "memory/tuple": EngineConfig(backend="memory", executor="tuple"),
+    "memory/columnar": EngineConfig(backend="memory"),
     "sqlite": EngineConfig(backend="sqlite"),
 }
 
@@ -63,7 +66,7 @@ def test_delta_arm_matches_scratch_arm_and_evaluator(
     dtd, base, mutated, script, delta = mutated_documents[dtd_name]
     assert script, f"no valid script generated for {dtd_name}"
     queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=47)).queries(4)
-    translator = XPathToSQLTranslator(dtd, optimize_level=level)
+    translator = XPathToSQLTranslator(dtd, config=EngineConfig(optimize_level=level))
 
     backends = {}
     for label, config in BACKEND_CONFIGS.items():
@@ -76,6 +79,12 @@ def test_delta_arm_matches_scratch_arm_and_evaluator(
         )
         backends[label] = delta_backend
         backends[f"{label}@scratch"] = scratch_backend
+    patched = shred_document(base.copy(), dtd).database
+    apply_delta_to_database(patched, delta)
+    tuple_executors = {
+        "memory/tuple": Executor(patched),
+        "memory/tuple@scratch": Executor(shred_document(mutated.copy(), dtd).database),
+    }
 
     try:
         for query_text in queries:
@@ -86,6 +95,9 @@ def test_delta_arm_matches_scratch_arm_and_evaluator(
             program = translator.translate(query).program
             for label, backend in backends.items():
                 ids = {int(i) for i in backend.execute(program).node_ids()}
+                assert ids == expected, (dtd_name, label, level, query_text)
+            for label, executor in tuple_executors.items():
+                ids = {int(i) for i in executor.run(program).column_values(T)}
                 assert ids == expected, (dtd_name, label, level, query_text)
     finally:
         for backend in backends.values():

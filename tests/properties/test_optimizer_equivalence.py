@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.backends import create_backend
 from repro.core.optimize import OPTIMIZE_LEVELS
 from repro.core.pipeline import XPathToSQLTranslator
@@ -62,7 +63,9 @@ class TestLevelsAgreeOnSampleDTDs:
                 }
                 per_level = {}
                 for level in OPTIMIZE_LEVELS:
-                    translator = XPathToSQLTranslator(dtd, optimize_level=level)
+                    translator = XPathToSQLTranslator(
+                        dtd, config=EngineConfig(optimize_level=level)
+                    )
                     program = translator.translate(query).program
                     per_level[level] = set(backend.execute(program).node_ids())
                 for level, ids in per_level.items():
@@ -86,7 +89,9 @@ class TestLevelsAgreeOnFuzzCorpus:
         backend = create_backend(backend_name, shredded.database)
         try:
             for level in OPTIMIZE_LEVELS:
-                translator = XPathToSQLTranslator(dtd, optimize_level=level)
+                translator = XPathToSQLTranslator(
+                    dtd, config=EngineConfig(optimize_level=level)
+                )
                 program = translator.translate(query).program
                 ids = set(backend.execute(program).node_ids())
                 assert ids == expected, (case.label, backend_name, level)
@@ -99,9 +104,11 @@ class TestAutoStrategyEquivalence:
     def test_auto_matches_every_concrete_strategy(self, sample_documents, dtd_name):
         dtd, tree, shredded = sample_documents[dtd_name]
         queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=23)).queries(4)
-        auto = XPathToSQLTranslator(dtd, strategy=DescendantStrategy.AUTO)
+        auto = XPathToSQLTranslator(
+            dtd, config=EngineConfig(strategy=DescendantStrategy.AUTO)
+        )
         concrete = [
-            XPathToSQLTranslator(dtd, strategy=strategy)
+            XPathToSQLTranslator(dtd, config=EngineConfig(strategy=strategy))
             for strategy in DescendantStrategy
             if strategy is not DescendantStrategy.AUTO
         ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.optimize import push_selection_options, standard_options
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.dtd import samples
 from repro.service import QueryService
@@ -32,8 +32,8 @@ DTD_CASES = {
 }
 
 OPTION_SETTINGS = {
-    "standard": standard_options,
-    "push-selections": push_selection_options,
+    "standard": EngineConfig(push_selections=False),
+    "push-selections": EngineConfig(push_selections=True),
 }
 
 
@@ -45,14 +45,14 @@ def _ids(nodes):
 @pytest.mark.parametrize("dtd_name", sorted(DTD_CASES))
 def test_cached_answers_equal_fresh_translation(dtd_name, options_name):
     query, factory = DTD_CASES[dtd_name]
-    options = OPTION_SETTINGS[options_name]()
+    config = OPTION_SETTINGS[options_name]
     dtd = factory()
     tree = generate_document(dtd, x_l=7, x_r=3, seed=13, max_elements=250)
 
-    translator = XPathToSQLTranslator(dtd, options=options)
+    translator = XPathToSQLTranslator(dtd, config=config)
     expected = _ids(translator.answer(query, translator.shred(tree)))
 
-    with QueryService(dtd, options=options) as service:
+    with QueryService(dtd, config=config) as service:
         service.register_document("doc", tree)
         cold = _ids(service.answer(query))
         warm = _ids(service.answer(query))  # served by the result cache
@@ -70,7 +70,7 @@ def test_cached_answers_equal_fresh_translation_on_both_backends(backend):
     tree = generate_document(dtd, x_l=7, x_r=3, seed=13, max_elements=250)
     translator = XPathToSQLTranslator(dtd)
     expected = _ids(translator.answer(query, translator.shred(tree)))
-    with QueryService(dtd, backend=backend) as service:
+    with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
         service.register_document("doc", tree)
         assert _ids(service.answer(query)) == expected
         assert _ids(service.answer(query)) == expected
@@ -85,7 +85,8 @@ def test_answers_survive_eviction_and_recompilation(dtd_name):
     translator = XPathToSQLTranslator(dtd)
     expected = _ids(translator.answer(query, translator.shred(tree)))
     fillers = [f"{dtd.root}//{dtd.root}", f"{dtd.root}/*", dtd.root]
-    with QueryService(dtd, cache_capacity=1) as service:
+    config = EngineConfig(plan_cache_size=1, result_cache_size=1)
+    with QueryService(dtd, config=config) as service:
         service.register_document("doc", tree)
         assert _ids(service.answer(query)) == expected
         for filler in fillers:  # evict the plan under test

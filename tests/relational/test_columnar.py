@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.backends.base import normalize_rows
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.errors import ExecutionError, SchemaError
 from repro.backends.memory import MemoryBackend
@@ -52,7 +53,11 @@ from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.relation import Relation
 from repro.relational.schema import NODE_COLUMNS, DatabaseSchema, RelationSchema
+from repro.shredding.shredder import shred_document
 from repro.workloads.queries import CROSS_QUERIES, SCALABILITY_QUERY
+from repro.xmltree.generator import generate_document
+from repro.xpath.evaluator import evaluate_xpath
+from repro.xpath.parser import parse_xpath
 
 
 @pytest.fixture()
@@ -697,12 +702,7 @@ class TestSharedTemporaries:
         assert _keys(store) == ["(R_a . R_b)"]
 
     def test_memory_backend_span_reports_reuse(self, cyclic):
-        # Enough rows that the backend routes to the columnar engine.
-        cyclic.set_relation(
-            "R_b",
-            Relation(NODE_COLUMNS, {(index, index + 1, "b") for index in range(80)}),
-        )
-        backend = MemoryBackend(cyclic, executor="columnar")
+        backend = MemoryBackend(cyclic)
         first = _closure_program("x")
         backend.execute(first)
         program = _closure_program("y")
@@ -713,17 +713,42 @@ class TestSharedTemporaries:
         assert attrs["temporaries_reused"] == 1
         assert result.stats["temporaries_reused"] == 1
 
+    def test_tiny_document_reads_the_shared_table(self, cross_dtd):
+        # 6 elements shred to 12 rows.  The memory backend runs even a store
+        # this small on the columnar executor, so a repeat reads the table.
+        tree = generate_document(cross_dtd, x_l=4, x_r=2, max_elements=12, seed=1)
+        shredded = shred_document(tree, cross_dtd)
+        assert shredded.database.total_rows() == 12
+        program = XPathToSQLTranslator(cross_dtd).translate("a//d").program
+        backend = MemoryBackend(shredded.database)
+        first = backend.execute(program)
+        second = backend.execute(program)
+        assert second.stats["temporaries_evaluated"] == 0
+        assert second.stats["temporaries_reused"] >= 1
+        assert second.rows == first.rows
 
-class TestMemoryBackendKnob:
-    def test_backends_agree(self, database):
+
+class TestMemoryBackend:
+    def test_backend_agrees_with_the_tuple_executor(self, database):
         program = Program(
             [], Fixpoint(Union((Scan("R_a"), Scan("R_b"))))
         )
-        columnar = MemoryBackend(database, executor="columnar").execute(program)
-        tuple_ = MemoryBackend(database, executor="tuple").execute(program)
-        assert columnar.rows == tuple_.rows
-        assert MemoryBackend(database).executor == "columnar"
+        result = MemoryBackend(database).execute(program)
+        assert result.rows == normalize_rows(Executor(database).run(program).rows)
 
-    def test_unknown_executor_rejected(self, database):
-        with pytest.raises(ValueError):
-            MemoryBackend(database, executor="vectorised")
+    @pytest.mark.parametrize("max_elements", [1, 2, 3])
+    def test_near_empty_documents_answer_like_the_evaluator(
+        self, cross_dtd, max_elements
+    ):
+        # Most relations of these stores are empty (a root-only document
+        # shreds to 2 rows); the columnar executor must still answer them.
+        tree = generate_document(
+            cross_dtd, x_l=4, x_r=2, max_elements=max_elements, seed=1
+        )
+        translator = XPathToSQLTranslator(cross_dtd)
+        shredded = translator.shred(tree)
+        assert shredded.database.total_rows() <= 8
+        for query in CROSS_QUERIES.values():
+            got = [node.node_id for node in translator.answer(query, shredded)]
+            expected = evaluate_xpath(tree, parse_xpath(query))
+            assert got == [node.node_id for node in expected], query

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.dtd import samples
 from repro.service import QueryService
 from repro.workloads.queries import CROSS_QUERIES, SCALABILITY_QUERY
@@ -44,7 +45,10 @@ def cross_setup():
 @pytest.mark.parametrize("result_cache", [True, False])
 def test_8_threads_x_50_queries_match_serial(cross_setup, backend, result_cache):
     dtd, tree = cross_setup
-    with QueryService(dtd, backend=backend, result_cache=result_cache) as service:
+    config = EngineConfig(backend=backend)
+    if not result_cache:
+        config = config.with_(result_cache_size=0)
+    with QueryService(dtd, config=config) as service:
         service.register_document("doc", tree)
         serial = {
             query: [node.node_id for node in service.answer(query)]
@@ -78,14 +82,36 @@ def test_8_threads_x_50_queries_match_serial(cross_setup, backend, result_cache)
 
 
 def test_threaded_answer_batch_equals_serial_batch(cross_setup):
+    """Whole batches answered from 4 threads at once equal the serial batch."""
     dtd, tree = cross_setup
     batch = [MIXED_QUERIES[i % len(MIXED_QUERIES)] for i in range(40)]
     for backend in ("memory", "sqlite"):
-        with QueryService(dtd, backend=backend) as service:
+        # Result caching off, so every thread's batch really executes.
+        config = EngineConfig(backend=backend, result_cache_size=0)
+        with QueryService(dtd, config=config) as service:
             service.register_document("doc", tree)
-            assert service.answer_batch(batch, threads=4) == service.answer_batch(
-                batch, threads=1
-            )
+            serial = service.answer_batch(batch)
+            batches = [None] * 4
+            errors = []
+            barrier = threading.Barrier(len(batches))
+
+            def worker(index: int):
+                try:
+                    barrier.wait()
+                    batches[index] = service.answer_batch(batch)
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(repr(exc))
+
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(len(batches))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert not errors, (backend, errors[:3])
+        assert all(answers == serial for answers in batches), backend
 
 
 def test_concurrent_registration_and_answering(cross_setup):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator, answer_xpath
 from repro.dtd import samples
 from repro.service import PlanCache, QueryService
@@ -64,7 +65,7 @@ class TestAnswering:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_matches_stateless_pipeline(self, cross_setup, backend):
         dtd, tree = cross_setup
-        with QueryService(dtd, backend=backend) as service:
+        with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
             service.register_document("doc", tree)
             for query in CROSS_QUERIES.values():
                 assert service.answer(query) == answer_xpath(query, tree, dtd)
@@ -76,13 +77,6 @@ class TestAnswering:
             service.register_document("doc", tree)
             batch = service.answer_batch(queries)
             assert batch == [service.answer(query) for query in queries]
-
-    def test_answer_batch_rejects_bad_thread_count(self, cross_setup):
-        dtd, tree = cross_setup
-        with QueryService(dtd) as service:
-            service.register_document("doc", tree)
-            with pytest.raises(ValueError, match="threads"):
-                service.answer_batch(["a//d"], threads=0)
 
     def test_answers_across_multiple_documents(self, cross_setup):
         dtd, tree = cross_setup
@@ -99,7 +93,7 @@ class TestCachingLayers:
         # Result caching off so repeats actually reach the plan cache (with
         # it on, the result cache absorbs them before translation).
         dtd, tree = cross_setup
-        with QueryService(dtd, result_cache=False) as service:
+        with QueryService(dtd, config=EngineConfig(result_cache_size=0)) as service:
             service.register_document("doc", tree)
             service.answer("a//d")
             service.answer("a//d")
@@ -128,7 +122,7 @@ class TestCachingLayers:
 
     def test_result_cache_can_be_disabled(self, cross_setup):
         dtd, tree = cross_setup
-        with QueryService(dtd, result_cache=False) as service:
+        with QueryService(dtd, config=EngineConfig(result_cache_size=0)) as service:
             service.register_document("doc", tree)
             first = service.execute("a//d")
             second = service.execute("a//d")
@@ -138,7 +132,9 @@ class TestCachingLayers:
 
     def test_cache_capacity_zero_disables_everything(self, cross_setup):
         dtd, tree = cross_setup
-        with QueryService(dtd, cache_capacity=0) as service:
+        with QueryService(
+            dtd, config=EngineConfig(plan_cache_size=0, result_cache_size=0)
+        ) as service:
             service.register_document("doc", tree)
             reference = answer_xpath("a//d", tree, dtd)
             assert service.answer("a//d") == reference
@@ -158,10 +154,26 @@ class TestCachingLayers:
         info = shared.cache_info()
         assert info.hits >= 1 and info.misses == 1
 
+    def test_shared_plan_cache_does_not_size_the_result_cache(self, cross_setup):
+        # The shared cache brings its own capacity; results follow the config.
+        dtd, tree = cross_setup
+        queries = ["a//d", "a/b//c/d", "a[//c]//d", "a//c", "a/b"]
+        with QueryService(dtd, plan_cache=PlanCache(capacity=2)) as service:
+            service.register_document("doc", tree)
+            for _ in range(2):
+                for query in queries:
+                    service.answer(query)
+            assert service.cache_info().capacity == 2
+            results = service.result_cache_info()
+        assert results.capacity == EngineConfig().result_cache_size
+        assert (results.hits, results.evictions) == (len(queries), 0)
+
     def test_eviction_keeps_answers_correct(self, cross_setup):
         dtd, tree = cross_setup
         queries = ["a//d", "a/b//c/d", "a[//c]//d", "a//c", "a/b"]
-        with QueryService(dtd, cache_capacity=2) as service:
+        with QueryService(
+            dtd, config=EngineConfig(plan_cache_size=2, result_cache_size=2)
+        ) as service:
             service.register_document("doc", tree)
             for _ in range(3):  # cycle through more queries than capacity
                 for query in queries:
@@ -182,19 +194,14 @@ class TestLifecycle:
 
     def test_close_is_idempotent(self, cross_setup):
         dtd, tree = cross_setup
-        service = QueryService(dtd, backend="sqlite")
+        service = QueryService(dtd, config=EngineConfig(backend="sqlite"))
         service.register_document("doc", tree)
         service.close()
         service.close()
 
-    def test_negative_cache_capacity_rejected(self, cross_setup):
-        dtd, _ = cross_setup
-        with pytest.raises(ValueError, match="cache_capacity"):
-            QueryService(dtd, cache_capacity=-1)
-
     def test_repr_names_dtd_and_backend(self, cross_setup):
         dtd, tree = cross_setup
-        with QueryService(dtd, backend="sqlite") as service:
+        with QueryService(dtd, config=EngineConfig(backend="sqlite")) as service:
             service.register_document("doc", tree)
             text = repr(service)
             assert "cross" in text and "sqlite" in text and "doc" in text

@@ -13,6 +13,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro import obs
+from repro.api import EngineConfig
 from repro.dtd import samples
 from repro.errors import MutationError, UnknownDocumentError, WorkerCrashError
 from repro.live.fuzzer import MutationGenConfig, RandomMutationGenerator
@@ -61,7 +62,7 @@ class TestQueryServiceUpdate:
     def test_update_keeps_answers_in_sync_with_the_tree(self, backend):
         dtd = samples.cross_dtd()
         tree = generate_document(dtd, seed=3, max_elements=200)
-        with QueryService(dtd, backend=backend) as service:
+        with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
             service.register_document("doc", tree)
             script = _script(dtd, tree)
             summary = service.update_document(script, "doc")
@@ -143,7 +144,7 @@ class TestQueryServiceUpdate:
         # service stores the (now stale) result.
         dtd = samples.cross_dtd()
         tree = generate_document(dtd, seed=3, max_elements=200)
-        with QueryService(dtd, backend=backend) as service:
+        with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
             service.register_document("doc", tree)
             store = service.store("doc")
             before = _evaluator_ids(tree)
