@@ -21,9 +21,8 @@ Quickstart (the public facade)
 
 :class:`Engine`/:class:`Session`/:class:`EngineConfig` (see
 :mod:`repro.api`) are the supported entry point; the lower layers imported
-below remain available (the pre-facade constructors keep working for one
-release) but their keyword-argument configuration is deprecated in favour
-of passing an :class:`EngineConfig`.
+below remain available and take their configuration as one
+:class:`EngineConfig` (``config=``), never as per-knob keyword arguments.
 """
 
 from repro.api import (

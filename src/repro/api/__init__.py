@@ -4,7 +4,7 @@ Three objects make up the surface:
 
 * :class:`EngineConfig` — one frozen, validating, JSON-round-trippable
   configuration object carrying every engine knob (strategy, optimizer
-  level, dialect, backend, lowering options, cache sizing);
+  level, backend, lowering options, cache sizing);
 * :class:`Engine` — a query engine over one DTD under one config:
   translate/``sql``/``explain`` plus :meth:`Engine.open_session`;
 * :class:`Session` — a context-managed set of registered documents with

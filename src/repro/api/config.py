@@ -8,16 +8,15 @@ knob is added in exactly one place.  The fields:
 * **translation knobs** — ``strategy`` (descendant-axis expansion),
   ``use_small_seed``/``push_selections``/``select_root`` (the Sect. 5.2
   lowering options) and ``optimize_level`` (the program-optimizer level);
-* **execution knobs** — ``backend`` (execution engine name), ``dialect``
-  (SQL rendering; ``None`` derives it from the backend) and ``emission``
-  (SQL statement shape);
+* **execution knob** — ``backend`` (execution engine name; the SQL
+  dialect follows from it, see :func:`repro.backends.backend_dialect`);
 * **serving knobs** — ``plan_cache_size`` and ``result_cache_size`` (LRU
   capacities of the service layer; ``0`` disables a cache) and
   ``observability`` (per-answer span trees).
 
 The dataclass is frozen and validating: every field is checked in
-``__post_init__`` (strategy/dialect names are coerced from strings, so
-JSON and CLI input round-trips), :meth:`with_` produces modified copies
+``__post_init__`` (strategy names are coerced from strings, so JSON and
+CLI input round-trips), :meth:`with_` produces modified copies
 without mutating the original, and :meth:`to_dict`/:meth:`from_dict` give
 an exact JSON round-trip — the serialization the fuzz grid, saved corpora
 and the CLI all share.  Invalid values raise
@@ -34,7 +33,7 @@ from repro.core.expath_to_sql import TranslationOptions
 from repro.core.optimize import OPTIMIZE_LEVELS
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.errors import ConfigError
-from repro.relational.sqlgen import EMISSION_MODES, SQLDialect
+from repro.relational.sqlgen import SQLDialect
 
 __all__ = [
     "EngineConfig",
@@ -66,21 +65,6 @@ def _coerce_strategy(value: Union[str, DescendantStrategy]) -> DescendantStrateg
     )
 
 
-def _coerce_dialect(
-    value: Union[None, str, SQLDialect]
-) -> Optional[SQLDialect]:
-    if value is None or isinstance(value, SQLDialect):
-        return value
-    if isinstance(value, str):
-        try:
-            return SQLDialect(value)
-        except ValueError:
-            pass
-    raise ConfigError(
-        f"invalid dialect {value!r} (known: {', '.join(dialect_names())})"
-    )
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """The complete, immutable knob set of one engine configuration.
@@ -95,20 +79,12 @@ class EngineConfig:
     optimize_level:
         Program-optimizer level (0/1/2); ``None`` means the pipeline
         default.
-    dialect:
-        SQL dialect plans are rendered (and cache-keyed) in; ``None``
-        derives it from ``backend`` (see :meth:`resolved_dialect`).
     backend:
         Execution-backend name (``memory`` or ``sqlite`` today; any name in
         :func:`repro.backends.backend_names`).  ``memory`` runs every plan
-        on the columnar executor (:mod:`repro.relational.columnar`).
-    emission:
-        SQL statement shape on SQL backends: ``multi`` (default — one
-        ``CREATE TEMP TABLE`` statement per program assignment) or
-        ``single`` (the whole program fused into one ``WITH [RECURSIVE]``
-        statement).  The relational program is emission-independent, so it
-        is excluded from :meth:`translation_signature`; the ``memory``
-        backend ignores it.
+        on the columnar executor (:mod:`repro.relational.columnar`);
+        ``sqlite`` runs one statement per program assignment plus the
+        result SELECT.
     use_small_seed / push_selections / select_root:
         The Sect. 5.2 lowering options, flattened from
         :class:`~repro.core.expath_to_sql.TranslationOptions` so one object
@@ -130,8 +106,8 @@ class EngineConfig:
     Example
     -------
     >>> config = EngineConfig(strategy="auto", backend="sqlite")
-    >>> config.resolved_dialect().value
-    'sqlite'
+    >>> config.describe()
+    'sqlite/auto/default'
     >>> config.with_(optimize_level=0).optimize_level
     0
     >>> EngineConfig.from_dict(config.to_dict()) == config
@@ -140,9 +116,7 @@ class EngineConfig:
 
     strategy: DescendantStrategy = DescendantStrategy.CYCLEEX
     optimize_level: Optional[int] = None
-    dialect: Optional[SQLDialect] = None
     backend: str = "memory"
-    emission: str = "multi"
     use_small_seed: bool = True
     push_selections: bool = False
     select_root: bool = True
@@ -152,7 +126,6 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", _coerce_strategy(self.strategy))
-        object.__setattr__(self, "dialect", _coerce_dialect(self.dialect))
         if self.optimize_level is not None and (
             isinstance(self.optimize_level, bool)
             or self.optimize_level not in OPTIMIZE_LEVELS
@@ -167,11 +140,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown backend {self.backend!r} "
                 f"(known: {', '.join(backend_names())})"
-            )
-        if self.emission not in EMISSION_MODES:
-            raise ConfigError(
-                f"unknown emission {self.emission!r} "
-                f"(known: {', '.join(EMISSION_MODES)})"
             )
         for flag in ("use_small_seed", "push_selections", "select_root", "observability"):
             if not isinstance(getattr(self, flag), bool):
@@ -195,21 +163,12 @@ class EngineConfig:
             select_root=self.select_root,
         )
 
-    def resolved_dialect(self) -> SQLDialect:
-        """The effective SQL dialect: explicit, or the backend's native one."""
-        if self.dialect is not None:
-            return self.dialect
-        from repro.backends import backend_dialect
-
-        return backend_dialect(self.backend)
-
     def translation_signature(self) -> Tuple[object, ...]:
         """Identity of the *translated program* this config produces.
 
         Two configs with equal signatures translate any query to the very
-        same program (backend, emission and cache sizing do not affect
-        translation) — the deduplication key the fuzz oracle shares
-        programs under.
+        same program (backend and cache sizing do not affect translation)
+        — the deduplication key the fuzz oracle shares programs under.
         """
         return (
             self.strategy,
@@ -243,9 +202,7 @@ class EngineConfig:
         return {
             "strategy": self.strategy.value,
             "optimize_level": self.optimize_level,
-            "dialect": None if self.dialect is None else self.dialect.value,
             "backend": self.backend,
-            "emission": self.emission,
             "use_small_seed": self.use_small_seed,
             "push_selections": self.push_selections,
             "select_root": self.select_root,
@@ -276,9 +233,5 @@ class EngineConfig:
     def describe(self) -> str:
         """Compact one-line rendering (CLI/benchmark labels)."""
         level = "default" if self.optimize_level is None else f"O{self.optimize_level}"
-        emission = "" if self.emission == "multi" else f"/emission={self.emission}"
-        return (
-            f"{self.backend}/{self.strategy.value}/{level}"
-            f"/dialect={self.resolved_dialect().value}{emission}"
-        )
+        return f"{self.backend}/{self.strategy.value}/{level}"
 

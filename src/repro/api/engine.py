@@ -31,6 +31,7 @@ from typing import (
 
 from repro import obs
 from repro.api.config import EngineConfig
+from repro.backends import backend_dialect
 from repro.backends.base import BackendResult
 from repro.core.pipeline import QueryLike, TranslationResult, XPathToSQLTranslator
 from repro.core.plancache import PlanCache
@@ -164,13 +165,17 @@ class QueryResult:
     # -- lazy node materialization ----------------------------------------------
 
     def nodes(self) -> List[XMLNode]:
-        """The matching XML nodes in document order (materialized once)."""
+        """The matching XML nodes in node-id order (materialized once).
+
+        Node-id order is document order until an insert lands before
+        existing siblings: inserted nodes take the next free id.
+        """
         if self._nodes is None:
             self._nodes = self._shredded.nodes_for_ids(self._raw.node_ids())
         return self._nodes
 
     def values(self) -> List[Optional[str]]:
-        """Text values of the matching nodes, in document order."""
+        """Text values of the matching nodes, in :meth:`nodes` order."""
         return [node.value for node in self.nodes()]
 
     def __iter__(self) -> Iterator[XMLNode]:
@@ -274,7 +279,7 @@ class Session:
     def stream(
         self, query: QueryLike, document_id: Optional[str] = None
     ) -> Iterator[XMLNode]:
-        """Answer ``query`` and iterate the matching nodes in document order."""
+        """Answer ``query`` and iterate the matching nodes in node-id order."""
         return iter(self.answer(query, document_id))
 
     def explain(self, query: QueryLike, timing: bool = False) -> str:
@@ -283,7 +288,7 @@ class Session:
         return self._engine.explain(query, timing=timing)
 
     def sql(self, query: QueryLike, dialect: Optional[SQLDialect] = None) -> str:
-        """The SQL text ``query`` translates to (session's dialect by default)."""
+        """The SQL text ``query`` translates to (the backend's dialect by default)."""
         self._check_open()
         return self._engine.sql(query, dialect)
 
@@ -419,17 +424,13 @@ class Engine:
         return self._translator.translate(query)
 
     def sql(self, query: QueryLike, dialect: Optional[SQLDialect] = None) -> str:
-        """The SQL text ``query`` translates to.
+        """The SQL script ``query`` translates to: one statement per
+        temporary, then the result SELECT.
 
-        ``dialect`` defaults to the config's resolved dialect (the
-        backend's native one unless pinned); a config with
-        ``emission="single"`` renders the whole program as one fused
-        ``WITH [RECURSIVE]`` statement.
+        ``dialect`` defaults to the one the configured backend executes.
         """
-        return self.translate(query).sql(
-            dialect or self._config.resolved_dialect(),
-            emission=self._config.emission,
-        )
+        dialect = dialect or backend_dialect(self._config.backend)
+        return self.translate(query).sql(dialect)
 
     def explain(self, query: QueryLike, timing: bool = False) -> str:
         """A human-readable plan summary: strategy, level, operator profile.
@@ -440,9 +441,8 @@ class Engine:
         went.
 
         On the ``sqlite`` backend the summary also includes SQLite's
-        ``EXPLAIN QUERY PLAN`` of the whole query in its fused
-        single-statement form — the one place the complete join/recursion
-        plan is visible as one tree rather than per temp-table statements.
+        ``EXPLAIN QUERY PLAN`` of every statement the query runs, headed
+        by the temporary it creates (``<result>`` for the final SELECT).
         """
         self._check_open()
         timing_root: Optional[obs.Span] = None
@@ -461,14 +461,14 @@ class Engine:
             f"strategy:  {self._config.strategy.value}"
             + (f" -> {strategy}" if self._config.strategy.value != strategy else ""),
             f"optimizer: level {result.optimize_level}",
-            f"dialect:   {self._config.resolved_dialect().value}",
+            f"dialect:   {backend_dialect(self._config.backend).value}",
             f"profile:   {profile.joins} joins, {profile.unions} unions, "
             f"{profile.lfps} LFPs, {profile.recursive_unions} SQL'99 recursions",
             "program:",
         ]
         lines.extend(f"  {line}" for line in str(result.program).splitlines())
         if self._config.backend == "sqlite":
-            lines.append("sqlite plan (single statement):")
+            lines.append("sqlite plan (per statement):")
             lines.extend(f"  {line}" for line in self._sqlite_plan(result.program))
         if timing_root is not None:
             lines.append("timing:")
@@ -478,7 +478,7 @@ class Engine:
         return "\n".join(lines)
 
     def _sqlite_plan(self, program) -> List[str]:
-        """SQLite's ``EXPLAIN QUERY PLAN`` rows for the fused program.
+        """SQLite's ``EXPLAIN QUERY PLAN`` rows, under one header per statement.
 
         Runs against an empty database with this DTD's schema — plan
         shapes (scans, index use, recursion) are visible without any
@@ -491,7 +491,11 @@ class Engine:
 
         backend = SqliteBackend(Database(SimpleMapping(self._dtd).database_schema()))
         try:
-            return backend.explain_single(program)
+            lines: List[str] = []
+            for target, rows in backend.explain(program):
+                lines.append(f"{target}:")
+                lines.extend(f"  {row}" for row in rows)
+            return lines
         except ExecutionError as exc:
             return [f"unavailable: {exc}"]
         finally:

@@ -64,34 +64,21 @@ def _backend_class(name: str) -> Type[Backend]:
 def backend_dialect(name: str) -> SQLDialect:
     """The SQL dialect the backend registered under ``name`` executes.
 
-    This is what :meth:`repro.api.EngineConfig.resolved_dialect` derives
-    the plan-rendering (and cache-keying) dialect from when no explicit
-    dialect is configured — each backend declares it once on the class.
+    This is the dialect :meth:`repro.api.Engine.sql` renders in unless the
+    caller names one — each backend declares it once on the class.
     """
     return _backend_class(name).dialect
 
 
-def create_backend(name: object, database: Database, **options: object) -> Backend:
+def create_backend(name: object, database: Database) -> Backend:
     """Instantiate a backend over ``database``.
 
     ``name`` is either a registered backend name or an
     :class:`~repro.api.EngineConfig` (anything with a ``backend``
     attribute), in which case the config's backend is used — the facade and
-    service layers pass their config straight through.  When a config is
-    passed, every field named in the backend class's
-    :attr:`~repro.backends.base.Backend.config_options` is copied into the
-    constructor keywords (the SQLite backend picks up ``emission`` this
-    way); explicit ``options`` win over config-derived ones.
+    service layers pass their config straight through.
     """
-    config = None
-    if not isinstance(name, str):
-        config = name
-        name = getattr(name, "backend", name)
+    name = getattr(name, "backend", name)
     if not isinstance(name, str):
         raise ValueError(f"backend must be a name or an EngineConfig, got {name!r}")
-    cls = _backend_class(name)
-    if config is not None:
-        for option in cls.config_options:
-            if option not in options and hasattr(config, option):
-                options[option] = getattr(config, option)
-    return cls(database, **options)
+    return _backend_class(name)(database)

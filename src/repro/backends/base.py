@@ -112,11 +112,10 @@ class Backend(abc.ABC):
 
     Subclasses set :attr:`name` (the identifier used by ``--backend`` flags
     and the registry), :attr:`dialect` (the SQL dialect the backend's plans
-    are rendered and cache-keyed in — what
-    :meth:`repro.api.EngineConfig.resolved_dialect` derives from) and
-    implement :meth:`execute`.  Backends that hold external resources
-    (connections, files) override :meth:`close`; all backends support use
-    as context managers.
+    are rendered in — what :meth:`repro.api.Engine.sql` renders by
+    default) and implement :meth:`execute`.  Backends that hold external
+    resources (connections, files) override :meth:`close`; all backends
+    support use as context managers.
 
     :attr:`process_affine` declares whether instances are bound to the
     process that created them.  Affine backends (SQLite: shared-cache
@@ -131,12 +130,6 @@ class Backend(abc.ABC):
     dialect: SQLDialect = SQLDialect.GENERIC
     #: True when instances must not cross a process boundary (see class doc).
     process_affine: bool = False
-    #: Names of :class:`~repro.api.EngineConfig` fields this backend consumes
-    #: as constructor keywords.  :func:`repro.backends.create_backend` copies
-    #: them off the config when one is passed in place of a backend name —
-    #: how per-backend knobs (the SQLite backend's ``emission``) reach the
-    #: instance without every backend growing every knob.
-    config_options: Tuple[str, ...] = ()
 
     def __init__(self, database: Database) -> None:
         self._database = database

@@ -54,15 +54,7 @@ from repro.errors import ExecutionError
 from repro.relational.algebra import Program
 from repro.relational.database import Database
 from repro.relational.schema import DOC_ORDER, DatabaseSchema, F, NODE_COLUMNS, PRE, T, V
-from repro.relational.sqlgen import (
-    EMISSION_MODES,
-    FUSED_SCAN_LIMIT,
-    SQLDialect,
-    fused_scan_count,
-    program_statements,
-    program_to_single_sql,
-    quote_identifier,
-)
+from repro.relational.sqlgen import SQLDialect, program_statements, quote_identifier
 
 __all__ = ["SqliteBackend", "sqlite_schema_ddl", "IDENTITY_VIEW"]
 
@@ -139,16 +131,10 @@ class SqliteBackend(Backend):
         SQLite database path.  The default ``":memory:"`` becomes a unique
         shared-cache in-memory database so per-thread connections all see
         the same loaded tables.
-    emission:
-        ``"multi"`` (default) runs one statement per assignment plus the
-        result SELECT; ``"single"`` fuses the whole program into one
-        ``WITH RECURSIVE`` statement, so every query round-trips to SQLite
-        exactly once and needs no temp-table DDL or teardown.
     """
 
     name = "sqlite"
     dialect = SQLDialect.SQLITE
-    config_options = ("emission",)
     # Shared-cache URIs embed the pid and sqlite3 connections cannot cross a
     # fork/spawn boundary: instances are process-local and must be rebuilt in
     # each worker (the pool's worker initializers key off this flag).
@@ -156,15 +142,8 @@ class SqliteBackend(Backend):
 
     _instance_ids = itertools.count()
 
-    def __init__(
-        self, database: Database, path: str = ":memory:", emission: str = "multi"
-    ) -> None:
+    def __init__(self, database: Database, path: str = ":memory:") -> None:
         super().__init__(database)
-        if emission not in EMISSION_MODES:
-            raise ValueError(
-                f"emission must be one of {EMISSION_MODES}, got {emission!r}"
-            )
-        self._emission = emission
         self._pid = os.getpid()
         if path == ":memory:":
             self._uri = (
@@ -328,61 +307,44 @@ class SqliteBackend(Backend):
     # -- execution ---------------------------------------------------------------
 
     def prepare(self, program: Program) -> PreparedProgram:
-        """Prune and render once; repeated execution reuses the statements.
-
-        Single-statement emission falls back to the multi-statement plan for
-        programs whose CTE DAG would blow past SQLite's substitution limits
-        (see :func:`~repro.relational.sqlgen.fused_scan_count`): SQLite
-        copies every CTE reference at parse time and hard-caps references
-        per table at 65535, so a heavily shared 90-assignment program is
-        unfusable no matter how small its SQL text is.
-        """
+        """Prune and render once; repeated execution reuses the statements."""
         with obs.span("prepare", backend=self.name) as sp:
             pruned = program.pruned()
-            fuse = (
-                self._emission == "single"
-                and fused_scan_count(pruned) <= FUSED_SCAN_LIMIT
+            plan = _SqlitePlan(
+                statements=tuple(program_statements(pruned, SQLDialect.SQLITE)),
+                targets=tuple(assignment.target for assignment in pruned.assignments),
             )
-            if fuse:
-                # One fused WITH RECURSIVE statement: no temp-table targets,
-                # so _run_plan skips straight to the result fetch.
-                plan = _SqlitePlan(
-                    statements=(program_to_single_sql(pruned, SQLDialect.SQLITE),),
-                    targets=(),
-                )
-            else:
-                plan = _SqlitePlan(
-                    statements=tuple(program_statements(pruned, SQLDialect.SQLITE)),
-                    targets=tuple(
-                        assignment.target for assignment in pruned.assignments
-                    ),
-                )
             sp.set(statements=len(plan.statements))
         return PreparedProgram(backend=self.name, program=pruned, payload=plan)
 
-    def explain_single(self, program: Program) -> List[str]:
-        """``EXPLAIN QUERY PLAN`` lines for the fused single-statement form.
+    def explain(self, program: Program) -> List[Tuple[str, List[str]]]:
+        """``EXPLAIN QUERY PLAN`` rows of every statement ``program`` runs.
 
-        Only the single-statement emission has a *whole-query* plan — the
-        multi-statement script plans each temp table separately — so this is
-        rendered from the fused form regardless of the configured emission.
-        Raises :class:`~repro.errors.ExecutionError` when the program's CTE
-        DAG is too large to fuse (SQLite's substitution limits).
+        One ``(target, rows)`` pair per statement in execution order; the
+        result SELECT's target is ``<result>``.  Each temporary is created
+        after its plan is read, so the next statement is planned against
+        the table it will really scan; all are dropped before returning.
         """
-        pruned = program.pruned()
-        if fused_scan_count(pruned) > FUSED_SCAN_LIMIT:
-            raise ExecutionError(
-                "program is too large to fuse into a single statement "
-                f"(> {FUSED_SCAN_LIMIT} substituted scans); "
-                "no whole-query plan is available"
-            )
-        sql = program_to_single_sql(pruned, SQLDialect.SQLITE)
+        plan = self.prepare(program).payload
         cursor = self._conn().cursor()
+        created: List[str] = []
+        explained: List[Tuple[str, List[str]]] = []
         try:
-            cursor.execute(f"EXPLAIN QUERY PLAN {sql}")
-            return [str(row[-1]) for row in cursor.fetchall()]
+            for target, statement in zip(plan.targets, plan.statements):
+                explained.append((target, self._query_plan(cursor, statement)))
+                cursor.execute(statement)
+                created.append(target)
+            explained.append(("<result>", self._query_plan(cursor, plan.statements[-1])))
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite explain failed: {exc}") from exc
+        finally:
+            self._drop_temporaries(cursor, created)
+        return explained
+
+    @staticmethod
+    def _query_plan(cursor: sqlite3.Cursor, statement: str) -> List[str]:
+        cursor.execute(f"EXPLAIN QUERY PLAN {statement}")
+        return [str(row[-1]) for row in cursor.fetchall()]
 
     def execute_prepared(self, prepared: PreparedProgram) -> BackendResult:
         """Run a prepared plan on this thread's connection, skipping render
@@ -463,12 +425,16 @@ class SqliteBackend(Backend):
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite execution failed: {exc}") from exc
         finally:
-            for name in created:
-                try:
-                    cursor.execute(f"DROP TABLE IF EXISTS temp.{_quoted(name)}")
-                except sqlite3.Error:
-                    # Best-effort teardown: a failed DROP (e.g. close() raced
-                    # an in-flight query on another thread) must not mask the
-                    # real error; temp tables die with the connection anyway.
-                    break
+            self._drop_temporaries(cursor, created)
         return columns, rows, elapsed, tuples_materialized
+
+    @staticmethod
+    def _drop_temporaries(cursor: sqlite3.Cursor, names: List[str]) -> None:
+        for name in names:
+            try:
+                cursor.execute(f"DROP TABLE IF EXISTS temp.{_quoted(name)}")
+            except sqlite3.Error:
+                # Best-effort teardown: a failed DROP (e.g. close() raced an
+                # in-flight query on another thread) must not mask the real
+                # error; temp tables die with the connection anyway.
+                break

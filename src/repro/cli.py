@@ -21,7 +21,8 @@ Installed as ``python -m repro`` (see ``repro.__main__``).  Subcommands:
 
 ``explain``
     Print the plan summary for a query (strategy, optimizer level,
-    operator profile, the program); ``--timing`` additionally translates
+    operator profile, the program; with ``--backend sqlite`` also SQLite's
+    query plan of each statement); ``--timing`` additionally translates
     fresh under a trace and appends the per-phase span tree.
 
 ``stats``
@@ -46,9 +47,8 @@ Installed as ``python -m repro`` (see ``repro.__main__``).  Subcommands:
     JSON report (rps, p50/p99, failures, mismatches) and exits non-zero
     on any failure or cross-engine mismatch.
 
-The engine-configuration flags (``--strategy``, ``--dialect``,
-``--backend``, ``--emission``, ``--optimize-level``,
-``--push-selections``) are declared once in the shared
+The engine-configuration flags (``--strategy``, ``--backend``,
+``--optimize-level``, ``--push-selections``) are declared once in the shared
 :func:`_engine_flags` parent parser; each subcommand
 composes the subset it needs, and handlers convert the parsed flags into
 one :class:`~repro.api.EngineConfig` via :func:`engine_config_from_args`.
@@ -115,8 +115,8 @@ Examples
     python -m repro loadtest --port 8080 --budget 1000 --concurrency 50
     python -m repro mutate dept "dept//project" --mutations 8
     python -m repro fuzz --mutations --budget 50
-    python -m repro answer cross "a//d" --backend sqlite --emission single
-    python -m repro translate cross "a//d" --strategy interval --dialect sqlite --emission single
+    python -m repro explain cross "a//d" --backend sqlite
+    python -m repro translate cross "a//d" --strategy interval --dialect sqlite
     python -m repro experiment exp5
     python -m repro experiment exp3 --quick --backend sqlite
     python -m repro experiment exp1 --quick --seed 7 --elements 800
@@ -137,13 +137,13 @@ from typing import List, Optional
 from repro import obs
 from repro.api.config import EngineConfig, dialect_names, strategy_names
 from repro.backends import backend_names
-from repro.relational.sqlgen import EMISSION_MODES
 from repro.core.optimize import OPTIMIZE_LEVELS
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.dtd.model import DTD
 from repro.dtd.parser import parse_dtd
 from repro.dtd import samples
 from repro.errors import ReproError
+from repro.relational.sqlgen import SQLDialect
 from repro.xmltree.generator import generate_document
 
 __all__ = ["main", "build_parser", "engine_config_from_args"]
@@ -166,11 +166,9 @@ def _load_dtd(name_or_path: str) -> DTD:
 
 def _engine_flags(
     strategy: bool = False,
-    dialect: bool = False,
     backend: bool = False,
     optimize: bool = False,
     push_selections: bool = False,
-    emission: bool = False,
 ) -> argparse.ArgumentParser:
     """The shared parent parser for the engine-configuration flags.
 
@@ -187,21 +185,10 @@ def _engine_flags(
             "--strategy", choices=strategy_names(), default="cycleex",
             help="descendant-axis expansion (default: cycleex)",
         )
-    if dialect:
-        group.add_argument(
-            "--dialect", choices=dialect_names(), default=None,
-            help="SQL dialect to emit (default: the backend's native dialect)",
-        )
     if backend:
         group.add_argument(
             "--backend", choices=backend_names(), default="memory",
             help="execution backend (default: memory)",
-        )
-    if backend or emission:
-        group.add_argument(
-            "--emission", choices=list(EMISSION_MODES), default=None,
-            help="SQL statement shape on SQL backends (default: multi; "
-            "single fuses the program into one WITH [RECURSIVE] statement)",
         )
     if optimize:
         group.add_argument(
@@ -226,9 +213,7 @@ def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(
         strategy=getattr(args, "strategy", None) or "cycleex",
         optimize_level=getattr(args, "optimize_level", None),
-        dialect=getattr(args, "dialect", None),
         backend=getattr(args, "backend", None) or "memory",
-        emission=getattr(args, "emission", None) or "multi",
         push_selections=bool(getattr(args, "push_selections", False)),
     )
 
@@ -247,10 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     translate = commands.add_parser(
         "translate",
         help="translate an XPath query to SQL",
-        parents=[_engine_flags(strategy=True, dialect=True, optimize=True, push_selections=True, emission=True)],
+        parents=[_engine_flags(strategy=True, optimize=True, push_selections=True)],
     )
     translate.add_argument("dtd", help="paper DTD name or file path")
     translate.add_argument("query", help="XPath query, e.g. 'dept//project'")
+    translate.add_argument(
+        "--dialect", choices=dialect_names(), default="generic",
+        help="SQL dialect to render (default: generic)",
+    )
     translate.add_argument(
         "--show", choices=["extended", "program", "sql", "all"], default="all",
         help="which artifact(s) to print",
@@ -288,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain = commands.add_parser(
         "explain",
         help="print the plan summary for a query (optionally with phase timings)",
-        parents=[_engine_flags(strategy=True, backend=True, dialect=True, optimize=True, push_selections=True)],
+        parents=[_engine_flags(strategy=True, backend=True, optimize=True, push_selections=True)],
     )
     explain.add_argument("dtd", help="paper DTD name or file path")
     explain.add_argument("query", help="XPath query to explain")
@@ -513,10 +502,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         print(result.program)
         print()
     if args.show in ("sql", "all"):
-        dialect = config.resolved_dialect()
-        label = f"{dialect.value}, single statement" if config.emission == "single" else dialect.value
-        print(f"-- SQL ({label}) --")
-        print(result.sql(dialect, emission=config.emission))
+        print(f"-- SQL ({args.dialect}) --")
+        print(result.sql(SQLDialect(args.dialect)))
     profile = result.operator_profile()
     print()
     print(

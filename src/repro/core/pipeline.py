@@ -90,15 +90,9 @@ class TranslationResult:
         """Operator counts of the extended XPath query."""
         return count_operators(self.extended)
 
-    def sql(
-        self, dialect: SQLDialect = SQLDialect.GENERIC, emission: str = "multi"
-    ) -> str:
-        """The program rendered as SQL text.
-
-        ``emission="single"`` fuses the whole program into one
-        ``WITH [RECURSIVE]`` statement instead of per-assignment statements.
-        """
-        return program_to_sql(self.program, dialect, emission=emission)
+    def sql(self, dialect: SQLDialect = SQLDialect.GENERIC) -> str:
+        """The program rendered as a SQL script in ``dialect``."""
+        return program_to_sql(self.program, dialect)
 
 
 class XPathToSQLTranslator:
@@ -110,9 +104,8 @@ class XPathToSQLTranslator:
         The DTD queries range over.
     config:
         One :class:`~repro.api.EngineConfig` supplying the descendant-axis
-        strategy, lowering options, optimizer level and the dialect
-        recorded in cache keys (plans destined for different dialects must
-        not alias once rendered); ``None`` means ``EngineConfig()``.
+        strategy, lowering options and optimizer level; ``None`` means
+        ``EngineConfig()``.
     mapping:
         Storage mapping; defaults to the simplified per-type mapping.
         (Orthogonal to ``config``: mappings are objects, not serializable
@@ -120,10 +113,11 @@ class XPathToSQLTranslator:
     plan_cache:
         Optional :class:`~repro.core.plancache.PlanCache`.  When set,
         :meth:`translate` becomes a cache lookup keyed by (DTD fingerprint,
-        canonical query, strategy, options, dialect, mapping fingerprint) —
-        the hook :class:`~repro.service.QueryService` hangs its serving
-        cache on.  Caching is semantically invisible: a hit returns the
-        same :class:`TranslationResult` a fresh translation would produce.
+        canonical query, strategy, options, mapping fingerprint, optimizer
+        level) — the hook :class:`~repro.service.QueryService` hangs its
+        serving cache on.  Caching is semantically invisible: a hit
+        returns the same :class:`TranslationResult` a fresh translation
+        would produce.
 
     Example
     -------
@@ -176,7 +170,6 @@ class XPathToSQLTranslator:
             dtd=dtd, mapping=self._mapping, level=level
         )
         self._plan_cache = plan_cache
-        self._cache_dialect = config.resolved_dialect()
         self._dtd_fingerprint: Optional[str] = None
         self._options_fingerprint: Optional[str] = None
         self._mapping_fingerprint: Optional[str] = None
@@ -277,10 +270,8 @@ class XPathToSQLTranslator:
             query=str(path),
             strategy=self.resolve_strategy(path).value,
             options=self._options_fingerprint,
-            dialect=self._cache_dialect.value,
             mapping=self._mapping_fingerprint,
             optimize=str(self._optimize_level),
-            emission=self._config.emission,
         )
 
     def translate(self, query: QueryLike) -> TranslationResult:
@@ -360,7 +351,7 @@ class XPathToSQLTranslator:
         """Answer a query over a shredded document, returning XML nodes.
 
         The answer is the set of nodes whose ids appear in the ``T`` column
-        of the translated program's result relation, in document order.
+        of the translated program's result relation, in node-id order.
         """
         result = self.execute(query, shredded)
         return shredded.nodes_for_ids(result.node_ids())

@@ -8,9 +8,11 @@ is the LRU that makes that safe:
 
 * entries are keyed by :class:`PlanKey` — the DTD *fingerprint* (a content
   hash, so two structurally different DTDs can never alias), the canonical
-  query text, the descendant strategy, the optimisation options, the SQL
-  dialect the plan will be rendered in and the storage-mapping fingerprint
-  (plans lowered against differently-named relations must not alias);
+  query text, the descendant strategy, the optimisation options, the
+  storage-mapping fingerprint (plans lowered against differently-named
+  relations must not alias) and the optimizer level.  SQL rendering is not
+  part of the key: a plan is a relational program, the same for every
+  dialect, and each store caches the statements its backend renders;
 * the cache is bounded (LRU eviction at ``capacity``) and thread-safe, so
   one cache can sit behind a multi-threaded :class:`~repro.service.QueryService`;
 * :meth:`PlanCache.cache_info` exposes hit/miss/eviction counters in the
@@ -32,9 +34,7 @@ from typing import Any, Callable, Optional
 
 from repro import obs
 from repro.core.expath_to_sql import TranslationOptions
-from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd.model import DTD
-from repro.relational.sqlgen import SQLDialect
 from repro.shredding.inlining import SimpleMapping
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "dtd_fingerprint",
     "mapping_fingerprint",
     "options_fingerprint",
-    "plan_key",
 ]
 
 
@@ -96,48 +95,16 @@ class PlanKey:
     semantically identical but structurally different, so they must not
     alias.  For the ``auto`` strategy the *resolved* per-query strategy is
     recorded, so an auto translator and an explicit one sharing a cache
-    converge on the same entry.  ``emission`` (PR 9) records the SQL
-    statement shape (``multi`` per-assignment statements vs one fused
-    ``single`` statement): the relational program is the same either way,
-    but the rendered SQL a cached plan carries is not.
+    converge on the same entry.  Build keys with
+    :meth:`repro.core.pipeline.XPathToSQLTranslator.plan_key`.
     """
 
     dtd: str
     query: str
     strategy: str
     options: str
-    dialect: str
     mapping: str
     optimize: str = "2"
-    emission: str = "multi"
-
-
-def plan_key(
-    dtd: DTD,
-    query: str,
-    strategy: DescendantStrategy = DescendantStrategy.CYCLEEX,
-    options: Optional[TranslationOptions] = None,
-    dialect: SQLDialect = SQLDialect.GENERIC,
-    mapping: Optional[SimpleMapping] = None,
-    optimize_level: Optional[int] = None,
-    emission: str = "multi",
-) -> PlanKey:
-    """Build the :class:`PlanKey` for one (DTD, query, configuration) point."""
-    from repro.core.optimize import DEFAULT_OPTIMIZE_LEVEL, select_strategy
-
-    if strategy is DescendantStrategy.AUTO:
-        strategy = select_strategy(dtd, query)
-    level = DEFAULT_OPTIMIZE_LEVEL if optimize_level is None else optimize_level
-    return PlanKey(
-        dtd=dtd_fingerprint(dtd),
-        query=str(query),
-        strategy=strategy.value,
-        options=options_fingerprint(options or TranslationOptions()),
-        dialect=dialect.value,
-        mapping=mapping_fingerprint(mapping or SimpleMapping(dtd)),
-        optimize=str(level),
-        emission=emission,
-    )
 
 
 class _InFlight:

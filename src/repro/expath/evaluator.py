@@ -52,7 +52,7 @@ class ExtendedXPathEvaluator:
     # -- public API -------------------------------------------------------------
 
     def evaluate_query(self, query: ExtendedXPathQuery) -> List[XMLNode]:
-        """Evaluate a full query at the virtual root (document order)."""
+        """Evaluate a full query at the virtual root (node-id order)."""
         self._query = query
         result = self._eval_at_virtual_root(query.result)
         return sorted(result, key=lambda node: node.node_id)

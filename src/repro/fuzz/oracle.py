@@ -63,14 +63,11 @@ def engine_name(config: EngineConfig) -> str:
     """Display name of one engine, e.g. ``memory/cycleex/opt``.
 
     ``opt`` marks pushed selections (the Sect. 5.2 setting), ``baseline``
-    their absence.  A pinned optimizer level and a non-default emission
-    each add a trailing segment (``memory/cycleex/opt/O0``,
-    ``sqlite/interval/opt/single``).
+    their absence.  A pinned optimizer level adds a trailing segment
+    (``memory/cycleex/opt/O0``).
     """
     level = "opt" if config.push_selections else "baseline"
     suffix = "" if config.optimize_level is None else f"/O{config.optimize_level}"
-    if config.emission != "multi":
-        suffix += f"/{config.emission}"
     return f"{config.backend}/{config.strategy.value}/{level}{suffix}"
 
 
@@ -79,7 +76,6 @@ def _engine(
     strategy: DescendantStrategy,
     optimized: bool,
     optimize_level: Optional[int],
-    **knobs: str,
 ) -> EngineConfig:
     # ``optimized`` switches both lowering optimisations together: small
     # seeds plus pushed selections, or the full-seed baseline.
@@ -89,7 +85,6 @@ def _engine(
         optimize_level=optimize_level,
         use_small_seed=optimized,
         push_selections=optimized,
-        **knobs,
     )
 
 
@@ -103,12 +98,9 @@ def default_engines(
     Every concrete strategy plus ``auto`` takes part, so the per-query
     strategy selector is fuzzed alongside the strategies it chooses from.
     The memory engines run on the columnar executor, whatever the size of
-    the case's document.  SQLite runs each strategy twice (optimised):
-    once with the default per-statement emission and once with the whole
-    program fused into a single ``WITH [RECURSIVE]`` statement
-    (``.../opt/single``) — the dialect rendering, real ``WITH RECURSIVE``
-    execution and the statement fuser are what it adds; the
-    lowering-optimisation axis is already covered in memory.
+    the case's document.  SQLite runs each strategy once, optimised — the
+    dialect rendering and real ``WITH RECURSIVE`` execution are what it
+    adds; the lowering-optimisation axis is already covered in memory.
     ``optimize_level`` pins the program-optimizer level of every engine
     (default: the pipeline default); the memory/cycleex pair additionally
     always runs at level 0, so optimizer rewrites are differentially
@@ -130,11 +122,6 @@ def default_engines(
             continue
         for strategy in strategies:
             engines.append(_engine(backend, strategy, True, level))
-            if backend == "sqlite":
-                # The single-statement oracle arm: same program, fused into
-                # one WITH [RECURSIVE] statement, so the statement fuser is
-                # cross-checked on every case.
-                engines.append(_engine(backend, strategy, True, level, emission="single"))
     return engines
 
 
@@ -244,7 +231,7 @@ class DifferentialOracle:
             if delta is None
             else (("", delta_backend), (SCRATCH_SUFFIX, shared_backend))
         )
-        backends: Dict[Tuple[str, str, str], Backend] = {}
+        backends: Dict[Tuple[str, str], Backend] = {}
         # Engines whose configs share a translation signature run the very
         # same program (e.g. memory/opt and sqlite/opt), so translate each
         # point once.
@@ -256,7 +243,7 @@ class DifferentialOracle:
                     timer = obs.Timer()
                     try:
                         with timer:
-                            key = (suffix, config.backend, config.emission)
+                            key = (suffix, config.backend)
                             backend = backends.get(key)
                             if backend is None:
                                 backend = backends[key] = make_backend(config)

@@ -18,8 +18,8 @@ substrate the translation targets:
   (:mod:`repro.relational.executor`), both with lazy (top-down) and eager
   evaluation strategies, and
 * a SQL text emitter so every translated program can be inspected as real
-  SQL in generic, Oracle CONNECT BY or DB2 recursive-CTE dialects
-  (:mod:`repro.relational.sqlgen`).
+  SQL in generic, Oracle CONNECT BY or DB2 recursive-CTE dialects, or run
+  on SQLite (:mod:`repro.relational.sqlgen`).
 """
 
 from repro.relational.relation import Relation

@@ -3,7 +3,7 @@
 The in-memory executor is what the benchmarks run against, but the whole
 point of the paper is that the produced queries are *ordinary SQL with a
 low-end recursion feature*.  This module renders a
-:class:`~repro.relational.algebra.Program` as SQL text in three dialects:
+:class:`~repro.relational.algebra.Program` as SQL text in four dialects:
 
 * ``GENERIC`` — ANSI-style SQL with ``WITH RECURSIVE`` for the LFP operator;
 * ``DB2`` — the DB2 ``WITH ... AS (... UNION ALL ...)`` recursive common
@@ -23,10 +23,9 @@ against the in-memory executor.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.relational.algebra import (
     AntiJoin,
@@ -52,21 +51,11 @@ from repro.relational.schema import F, PRE, SIZE, T, V
 
 __all__ = [
     "SQLDialect",
-    "EMISSION_MODES",
-    "FUSED_SCAN_LIMIT",
-    "fused_scan_count",
     "program_to_sql",
     "program_statements",
-    "program_to_single_sql",
     "expression_to_sql",
     "quote_identifier",
 ]
-
-#: SQL emission modes: ``multi`` renders one statement per assignment plus
-#: the result SELECT (the classic ``R_e <- e2s(e)`` script of Sect. 5.1);
-#: ``single`` folds the whole program into one ``WITH [RECURSIVE]`` CTE
-#: pipeline ending in the result SELECT.
-EMISSION_MODES: Tuple[str, ...] = ("multi", "single")
 
 
 class SQLDialect(enum.Enum):
@@ -312,8 +301,9 @@ class _SQLRenderer:
         # one statement) and UNION instead of UNION ALL so the recursion
         # terminates with set semantics, like the in-memory fixpoint.
         sqlite = self._dialect is SQLDialect.SQLITE
-        name = self._cte_name("lfp", "lfp")
+        name = self._alias("lfp") if sqlite else "lfp"
         union_kw = "UNION" if sqlite else "UNION ALL"
+        with_kw = "WITH" if self._dialect is SQLDialect.DB2 else "WITH RECURSIVE"
         if backward:
             step = (
                 f"  SELECT step.{F}, {name}.{T}, {name}.{V}\n"
@@ -324,17 +314,20 @@ class _SQLRenderer:
                 f"  SELECT {name}.{F}, step.{T}, step.{V}\n"
                 f"  FROM {name} JOIN ({base}) step ON {name}.{T} = step.{F}\n"
             )
-        body = (
+        return (
+            f"{with_kw} {name} ({F}, {T}, {V}) AS (\n"
             f"  SELECT {F}, {T}, {V} FROM ({base}) seed{seed_filter}\n"
             f"  {union_kw}\n"
             f"{step}"
+            f")\n"
+            f"SELECT DISTINCT {F}, {T}, {V} FROM {name}"
         )
-        return self._emit_recursive_cte(name, (F, T, V), body)
 
     def _render_recursive_union(self, expr: RecursiveUnion) -> str:
         sqlite = self._dialect is SQLDialect.SQLITE
-        name = self._cte_name("rec", "r")
+        name = self._alias("rec") if sqlite else "r"
         union_kw = "UNION" if sqlite else "UNION ALL"
+        with_kw = "WITH" if self._dialect is SQLDialect.DB2 else "WITH RECURSIVE"
         init = self.render(expr.init)
         branches: List[str] = []
         for step in expr.steps:
@@ -352,160 +345,14 @@ class _SQLRenderer:
                 f"AND {name}.TAG = {_literal(step.parent_tag)}"
             )
         branches_sql = f"\n  {union_kw}\n".join(branches)
-        body = (
+        return (
+            f"{with_kw} {name} ({F}, {T}, {V}, TAG) AS (\n"
             f"  {init}\n"
             f"  {union_kw}\n"
             f"{branches_sql}\n"
-        )
-        return self._emit_recursive_cte(name, (F, T, V, "TAG"), body)
-
-    # -- CTE emission hooks -------------------------------------------------------
-    #
-    # The default renderer inlines every recursive CTE where it occurs (one
-    # WITH per expression, as the multi-statement script has always done);
-    # the fused single-statement renderer overrides these to uniquify names
-    # in every dialect and hoist the CTE into one statement-level WITH.
-
-    def _cte_name(self, prefix: str, fixed: str) -> str:
-        if self._dialect is SQLDialect.SQLITE:
-            return self._alias(prefix)
-        return fixed
-
-    def _emit_recursive_cte(
-        self, name: str, columns: Sequence[str], body: str
-    ) -> str:
-        with_kw = "WITH" if self._dialect is SQLDialect.DB2 else "WITH RECURSIVE"
-        cols = ", ".join(columns)
-        return (
-            f"{with_kw} {name} ({cols}) AS (\n"
-            f"{body}"
             f")\n"
-            f"SELECT DISTINCT {cols} FROM {name}"
+            f"SELECT DISTINCT {F}, {T}, {V}, TAG FROM {name}"
         )
-
-
-class _FusedRenderer(_SQLRenderer):
-    """Renderer folding a whole program into one ``WITH [RECURSIVE]`` statement.
-
-    Assignments become plain CTEs; recursive sub-expressions (fixpoints,
-    recursive unions) are hoisted into the same statement-level WITH clause
-    instead of opening a nested WITH of their own.  CTE names are uniquified
-    in *every* dialect (the inline renderer only does so for SQLite), since
-    one statement may now hold several recursions.
-    """
-
-    def __init__(self, dialect: SQLDialect) -> None:
-        super().__init__(dialect)
-        # (name, declared columns or None, body SELECT text, recursive?)
-        self._ctes: List[Tuple[str, Optional[Tuple[str, ...]], str, bool]] = []
-
-    def _cte_name(self, prefix: str, fixed: str) -> str:
-        return self._alias(prefix)
-
-    def _emit_recursive_cte(
-        self, name: str, columns: Sequence[str], body: str
-    ) -> str:
-        cols = ", ".join(columns)
-        self._ctes.append((name, tuple(columns), body, True))
-        return f"SELECT DISTINCT {cols} FROM {name}"
-
-    def statement(self, program: Program) -> str:
-        """The whole program as one statement ending in the result SELECT."""
-        quote_always = self._dialect is SQLDialect.SQLITE
-        for assignment in program.assignments:
-            body = self.render(assignment.expression)
-            self._ctes.append((assignment.target, None, body + "\n", False))
-        result = self.render(program.result)
-        if not self._ctes:
-            return result
-        with_kw = "WITH" if self._dialect is SQLDialect.DB2 else "WITH RECURSIVE"
-        parts: List[str] = []
-        for name, columns, body, _recursive in self._ctes:
-            header = quote_identifier(name, always=quote_always)
-            if columns is not None:
-                header = f"{header} ({', '.join(columns)})"
-            parts.append(f"{header} AS (\n{body})")
-        return f"{with_kw} " + ",\n".join(parts) + f"\n{result}"
-
-
-def program_to_single_sql(
-    program: Program, dialect: SQLDialect = SQLDialect.GENERIC
-) -> str:
-    """Render a program as ONE statement: a ``WITH [RECURSIVE]`` CTE pipeline.
-
-    Every assignment becomes a common table expression and the recursive
-    sub-queries are hoisted alongside them, so the entire query round-trips
-    to the database as a single statement (one parse, one plan, one
-    execution) instead of one temp-table DDL round trip per assignment.
-    Oracle is not supported: its ``CONNECT BY`` lowering is not a CTE.
-    """
-    if dialect is SQLDialect.ORACLE:
-        raise ValueError(
-            "single-statement emission is not supported for the ORACLE dialect "
-            "(CONNECT BY is not a common table expression)"
-        )
-    return _FusedRenderer(dialect).statement(program)
-
-
-#: Substitution budget for the fused form.  SQLite expands every CTE
-#: reference — ``MATERIALIZED`` or not — by copying the definition at parse
-#: time, and hard-fails at 65535 references to any one table ("too many
-#: references").  A CTE DAG in which assignments reference earlier
-#: assignments more than once therefore multiplies out exponentially; a
-#: program whose fully-substituted form scans base relations more than this
-#: many times cannot (and should not) be fused into one statement.
-FUSED_SCAN_LIMIT = 10_000
-
-
-def _count_scans(expr: RAExpr, counts: Dict[str, int]) -> None:
-    if isinstance(expr, Scan):
-        counts[expr.name] = counts.get(expr.name, 0) + 1
-        return
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
-        if isinstance(value, RAExpr):
-            _count_scans(value, counts)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, RAExpr):
-                    _count_scans(item, counts)
-
-
-def fused_scan_count(program: Program) -> int:
-    """Scans of non-assignment relations after full CTE substitution.
-
-    Models what SQLite's parser does with the fused single statement: each
-    reference to an assignment CTE substitutes a copy of its definition, so
-    an assignment referenced ``m`` times contributes ``m`` copies of every
-    scan inside it — recursively.  The returned count is the number of
-    base-relation (and identity-view) scan sites the fully substituted
-    statement would contain; compare against :data:`FUSED_SCAN_LIMIT` to
-    decide whether the program is fusable in practice.
-    """
-    targets = {assignment.target for assignment in program.assignments}
-    multiplicity: Dict[str, int] = {}
-    total = 0
-
-    def absorb(expr: RAExpr, weight: int) -> int:
-        counts: Dict[str, int] = {}
-        _count_scans(expr, counts)
-        base = 0
-        for name, count in counts.items():
-            if name in targets:
-                multiplicity[name] = multiplicity.get(name, 0) + weight * count
-            else:
-                base += weight * count
-        return base
-
-    total += absorb(program.result, 1)
-    for assignment in reversed(program.assignments):
-        weight = multiplicity.get(assignment.target, 0)
-        if weight == 0:
-            continue
-        total += absorb(assignment.expression, weight)
-        if total > FUSED_SCAN_LIMIT:
-            break
-    return total
 
 
 def expression_to_sql(expr: RAExpr, dialect: SQLDialect = SQLDialect.GENERIC) -> str:
@@ -542,23 +389,11 @@ def program_statements(
     return statements
 
 
-def program_to_sql(
-    program: Program,
-    dialect: SQLDialect = SQLDialect.GENERIC,
-    emission: str = "multi",
-) -> str:
+def program_to_sql(program: Program, dialect: SQLDialect = SQLDialect.GENERIC) -> str:
     """Render a program as a SQL script.
 
-    With ``emission="multi"`` (the default) each assignment becomes a
-    ``CREATE TEMPORARY TABLE ... AS`` statement so the script mirrors the
-    ``R_e <- e2s(e)`` sequence of Sect. 5.1, followed by the result SELECT.
-    With ``emission="single"`` the whole program is fused into one
-    ``WITH [RECURSIVE]`` statement (:func:`program_to_single_sql`).
+    Each assignment becomes a ``CREATE TEMPORARY TABLE ... AS`` statement,
+    so the script mirrors the ``R_e <- e2s(e)`` sequence of Sect. 5.1,
+    followed by the result SELECT.
     """
-    if emission not in EMISSION_MODES:
-        raise ValueError(
-            f"emission must be one of {EMISSION_MODES}, got {emission!r}"
-        )
-    if emission == "single":
-        return f"{program_to_single_sql(program, dialect)};"
     return "\n\n".join(f"{s};" for s in program_statements(program, dialect))

@@ -99,7 +99,8 @@ def default_start_method() -> str:
 class PoolAnswer:
     """One answered query, reduced to plain picklable data.
 
-    ``node_ids`` are the matched nodes in document order — the field
+    ``node_ids`` are the matched nodes in node-id order (document order
+    until an insert lands before existing siblings) — the field
     equivalence checks compare.  ``labels``/``values`` carry the rendered
     nodes when the request asked for them (``include_nodes=True``) and are
     ``None`` otherwise, keeping high-volume benchmark traffic lean.

@@ -7,7 +7,7 @@ registered documents.  Against the stateless one-shot path
 * **plans are cached** — an LRU :class:`~repro.core.plancache.PlanCache`
   sits behind the translator (the :class:`~repro.core.pipeline.XPathToSQLTranslator`
   ``plan_cache`` hook), keyed by DTD fingerprint × canonical query ×
-  (resolved) strategy × options × dialect × optimizer level, so a repeated
+  (resolved) strategy × options × mapping × optimizer level, so a repeated
   query skips both translation steps and the optimizer passes;
 * **documents are stores, not arguments** — :meth:`register_document`
   shreds a document once and keeps its execution backend loaded (the
@@ -468,7 +468,12 @@ class QueryService:
     def answer(
         self, query: QueryLike, document_id: Optional[str] = None
     ) -> List[XMLNode]:
-        """Answer ``query``, returning matching XML nodes in document order."""
+        """Answer ``query``, returning matching XML nodes in node-id order.
+
+        That is document order until :meth:`update_document` inserts a node
+        before existing siblings: the new node takes the next free id, so
+        it sorts after them.
+        """
         store = self.store(document_id)
         executed = self._execute(store, query)
         return store.shredded.nodes_for_ids(executed.node_ids())

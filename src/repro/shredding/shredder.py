@@ -46,7 +46,11 @@ class ShreddedDocument:
         return self.tree.node(int(node_id))
 
     def nodes_for_ids(self, node_ids) -> List[XMLNode]:
-        """Resolve many identifiers, returning nodes in document order."""
+        """Resolve many identifiers, returning nodes in node-id order.
+
+        Node-id order is document order until an insert lands before
+        existing siblings: inserted nodes take the next free id.
+        """
         nodes = [self.node_for_id(node_id) for node_id in node_ids]
         return sorted(nodes, key=lambda node: node.node_id)
 

@@ -5,9 +5,9 @@ small non-recursive DTD with three queries, becomes one
 :class:`~repro.fuzz.cases.FuzzCase` per distinct (DTD, query) pair.  The
 :class:`~repro.fuzz.oracle.DifferentialOracle` answers each case on every
 engine of its grid and checks the answer against the XPath evaluator, so
-the grid (every descendant strategy, baseline and pushed selections, both
-executors, both SQL emissions, the level-0 sentinel) supplies the
-configurations and the cases supply the queries.
+the grid (every descendant strategy, baseline and pushed selections on
+memory, SQLite, the level-0 sentinel) supplies the configurations and the
+cases supply the queries.
 
 Usage::
 

@@ -21,7 +21,8 @@ class XMLNode:
     Attributes
     ----------
     node_id:
-        Unique integer identifier within the tree (document order).
+        Unique integer identifier within the tree: document order as the
+        tree is built, the next free id for a node inserted later.
     label:
         Element-type name.
     value:

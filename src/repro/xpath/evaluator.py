@@ -51,11 +51,13 @@ class XPathEvaluator:
     # -- public API -------------------------------------------------------------
 
     def evaluate(self, path: Path) -> List[XMLNode]:
-        """Evaluate ``path`` at the virtual root; returns nodes in document order.
+        """Evaluate ``path`` at the virtual root; returns nodes in node-id order.
 
         The virtual root has the document root as its only child, so a
         top-level query beginning with the root element's label matches the
-        document root itself.
+        document root itself.  Node-id order is document order until an
+        insert lands before existing siblings: inserted nodes take the next
+        free id.
         """
         result = self._eval_at_virtual_root(path)
         return sorted(result, key=lambda node: node.node_id)
@@ -143,5 +145,5 @@ class XPathEvaluator:
 
 
 def evaluate_xpath(tree: XMLTree, path: Path) -> List[XMLNode]:
-    """Evaluate ``path`` over ``tree`` at the virtual root (document order)."""
+    """Evaluate ``path`` over ``tree`` at the virtual root (node-id order)."""
     return XPathEvaluator(tree).evaluate(path)

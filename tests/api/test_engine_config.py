@@ -1,7 +1,7 @@
 """:class:`EngineConfig` contract tests: validation, immutability, round-trips.
 
 The Issue 5 satellite: ``from_dict(to_dict(c)) == c`` across the full
-default fuzz-engine grid (21 engines), invalid values raise
+default fuzz-engine grid (16 engines), invalid values raise
 :class:`~repro.errors.ConfigError`, and :meth:`with_` never mutates the
 original.
 """
@@ -17,7 +17,6 @@ from repro.core.optimize import baseline_options, push_selection_options
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.errors import ConfigError, ReproError
 from repro.fuzz.oracle import default_engines, engine_name
-from repro.relational.sqlgen import SQLDialect
 
 
 class TestValidationAndCoercion:
@@ -32,20 +31,14 @@ class TestValidationAndCoercion:
         for name in ("cycleex", "cyclee", "recursive-union", "interval", "auto"):
             assert EngineConfig(strategy=name).strategy is DescendantStrategy(name)
 
-    def test_dialect_accepts_names(self):
-        assert EngineConfig(dialect="db2").dialect is SQLDialect.DB2
-        assert EngineConfig(dialect=None).dialect is None
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"strategy": "no-such-strategy"},
             {"strategy": 3},
-            {"dialect": "klingon"},
             {"backend": "duckdb"},
             {"optimize_level": 5},
             {"optimize_level": True},
-            {"emission": "batched"},
             {"use_small_seed": "yes"},
             {"push_selections": 1},
             {"plan_cache_size": -1},
@@ -64,11 +57,14 @@ class TestValidationAndCoercion:
         with pytest.raises(ValueError):
             EngineConfig(backend="nope")
 
-    def test_resolved_dialect_follows_backend(self):
-        assert EngineConfig(backend="memory").resolved_dialect() is SQLDialect.GENERIC
-        assert EngineConfig(backend="sqlite").resolved_dialect() is SQLDialect.SQLITE
-        pinned = EngineConfig(backend="sqlite", dialect="oracle")
-        assert pinned.resolved_dialect() is SQLDialect.ORACLE
+    @pytest.mark.parametrize("field", ["emission", "dialect"])
+    def test_removed_rendering_fields_are_rejected(self, field):
+        # The statement shape is fixed and the dialect is an argument of
+        # rendering, so neither is an engine setting any more.
+        with pytest.raises(TypeError):
+            EngineConfig(**{field: "sqlite"})
+        with pytest.raises(ConfigError, match="unknown EngineConfig field"):
+            EngineConfig().with_(**{field: "sqlite"})
 
     def test_translation_options_round_trip(self):
         config = EngineConfig(use_small_seed=False, push_selections=False)
@@ -116,7 +112,6 @@ class TestSerializationRoundTrips:
         config = EngineConfig(
             strategy="recursive-union",
             optimize_level=1,
-            dialect="sqlite",
             backend="sqlite",
             use_small_seed=False,
             plan_cache_size=7,
@@ -126,9 +121,9 @@ class TestSerializationRoundTrips:
         assert EngineConfig.from_dict(json.loads(wire)) == config
 
     def test_round_trip_full_fuzz_grid(self):
-        """Every engine of the default 21-engine grid round-trips exactly."""
+        """Every engine of the default 16-engine grid round-trips exactly."""
         engines = default_engines()
-        assert len(engines) == 21
+        assert len(engines) == 16
         for config in engines:
             rebuilt = EngineConfig.from_dict(config.to_dict())
             assert rebuilt == config, engine_name(config)
@@ -138,11 +133,14 @@ class TestSerializationRoundTrips:
         with pytest.raises(ConfigError, match="unknown EngineConfig key"):
             EngineConfig.from_dict({"strategy": "cycleex", "shards": 4})
 
-    def test_from_dict_rejects_the_removed_executor_key(self):
-        # A config serialized while `executor` was a field fails loudly
-        # instead of silently running on another executor.
-        data = dict(EngineConfig().to_dict(), executor="tuple")
-        with pytest.raises(ConfigError, match="'executor'"):
+    @pytest.mark.parametrize("key", ["executor", "emission", "dialect"])
+    def test_from_dict_rejects_a_removed_key(self, key):
+        # A config serialized while `key` was a field fails loudly instead
+        # of silently running on another executor, statement shape or
+        # dialect.
+        old_value = {"executor": "tuple", "emission": "single", "dialect": "sqlite"}[key]
+        data = dict(EngineConfig().to_dict(), **{key: old_value})
+        with pytest.raises(ConfigError, match=f"'{key}'"):
             EngineConfig.from_dict(data)
 
     def test_from_dict_rejects_non_dict(self):
@@ -152,11 +150,3 @@ class TestSerializationRoundTrips:
     def test_missing_keys_take_defaults(self):
         assert EngineConfig.from_dict({}) == EngineConfig()
         assert EngineConfig.from_dict({"backend": "sqlite"}).backend == "sqlite"
-
-    def test_emission_round_trips(self):
-        config = EngineConfig(backend="sqlite", emission="single")
-        assert EngineConfig.from_dict(config.to_dict()) == config
-        assert "emission=single" in config.describe()
-        # The default emission stays out of the compact label.
-        assert "emission" not in EngineConfig().describe()
-

@@ -17,6 +17,7 @@ from repro.api import (
 )
 from repro.dtd.samples import dept_dtd
 from repro.errors import ConfigError, DuplicateDocumentError, UnknownDocumentError
+from repro.relational.sqlgen import SQLDialect, program_to_sql
 from repro.service import QueryService
 from repro.xmltree.generator import generate_document
 
@@ -68,6 +69,26 @@ class TestEngineConstruction:
         assert "SELECT" in engine.sql(QUERY)
         explanation = engine.explain(QUERY)
         assert "strategy:" in explanation and "profile:" in explanation
+
+    def test_sql_defaults_to_the_backend_dialect(self, dtd):
+        for backend, dialect in (("memory", SQLDialect.GENERIC), ("sqlite", SQLDialect.SQLITE)):
+            engine = Engine.from_dtd(dtd, EngineConfig(backend=backend))
+            program = engine.translate(QUERY).program
+            assert engine.sql(QUERY) == program_to_sql(program, dialect)
+            # A named dialect wins over the backend's.
+            assert engine.sql(QUERY, SQLDialect.ORACLE) == program_to_sql(
+                program, SQLDialect.ORACLE
+            )
+
+    def test_every_dialect_renders_from_one_cached_plan(self, dtd):
+        # The dialect is an argument of rendering, not part of the plan key:
+        # four dialects cost one translation.
+        engine = Engine.from_dtd(dtd)
+        program = engine.translate(QUERY).program
+        for dialect in SQLDialect:
+            assert engine.sql(QUERY, dialect) == program_to_sql(program, dialect)
+        info = engine.plan_cache.cache_info()
+        assert (info.misses, info.hits, info.size) == (1, len(SQLDialect), 1)
 
 
 class TestSessions:

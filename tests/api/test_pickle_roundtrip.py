@@ -19,14 +19,12 @@ import pytest
 from repro.api import EngineConfig
 from repro.backends import create_backend
 from repro.backends.base import BackendResult
-from repro.core.optimize import push_selection_options
-from repro.core.plancache import PlanKey, plan_key
+from repro.core.plancache import PlanKey
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
 from repro.fuzz.cases import DocumentSpec, FuzzCase
 from repro.fuzz.oracle import default_engines
-from repro.relational.sqlgen import SQLDialect
 from repro.xmltree.generator import generate_document
 
 PROTOCOLS = list(range(2, pickle.HIGHEST_PROTOCOL + 1))
@@ -63,13 +61,15 @@ class TestPlanKeyPickle:
                 DescendantStrategy.CYCLEEX,
                 DescendantStrategy.CYCLEE,
             ):
-                yield plan_key(
-                    dtd,
-                    "a//d" if dtd.name == "cross" else "dept//project",
+                config = EngineConfig(
                     strategy=strategy,
-                    options=push_selection_options(),
-                    dialect=SQLDialect.SQLITE,
+                    use_small_seed=True,
+                    push_selections=True,
+                    backend="sqlite",
                     optimize_level=1,
+                )
+                yield XPathToSQLTranslator(dtd, config).plan_key(
+                    "a//d" if dtd.name == "cross" else "dept//project"
                 )
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -22,7 +22,9 @@ import pytest
 import repro
 import repro.api
 from repro.api import EngineConfig, Session
+from repro.backends import create_backend
 from repro.backends.memory import MemoryBackend
+from repro.backends.sqlite import SqliteBackend
 from repro.core.pipeline import XPathToSQLTranslator, answer_xpath
 from repro.service import QueryService
 
@@ -84,9 +86,7 @@ API_SURFACE = sorted(
 ENGINE_CONFIG_FIELDS = [
     "strategy",
     "optimize_level",
-    "dialect",
     "backend",
-    "emission",
     "use_small_seed",
     "push_selections",
     "select_root",
@@ -107,6 +107,8 @@ SIGNATURES = {
     ),
     "answer_xpath": (answer_xpath, ["query", "tree", "dtd", "config"]),
     "MemoryBackend.__init__": (MemoryBackend.__init__, ["self", "database"]),
+    "SqliteBackend.__init__": (SqliteBackend.__init__, ["self", "database", "path"]),
+    "create_backend": (create_backend, ["name", "database"]),
     "QueryService.answer_batch": (
         QueryService.answer_batch,
         ["self", "queries", "document_id"],

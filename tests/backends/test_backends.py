@@ -35,6 +35,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             create_backend("duckdb", dept_shredded.database)
 
+    def test_create_backend_takes_no_options(self, dept_shredded):
+        # The SQLite backend has one statement shape, so no config field
+        # reaches a backend constructor any more.
+        with pytest.raises(TypeError):
+            create_backend("sqlite", dept_shredded.database, emission="single")
+
 
 class TestNormalization:
     def test_ints_and_strings_collapse(self):
@@ -214,6 +220,42 @@ class TestPreparedExecution:
             assert backend.execute_prepared(generic).rows == backend.execute(
                 program
             ).rows
+
+
+class TestSqliteExplain:
+    """Per-statement ``EXPLAIN QUERY PLAN`` of the script a program runs."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            DescendantStrategy.CYCLEEX,
+            DescendantStrategy.CYCLEE,
+            DescendantStrategy.RECURSIVE_UNION,
+            DescendantStrategy.INTERVAL,
+        ],
+        ids=lambda strategy: strategy.value,
+    )
+    def test_explain_plans_every_statement_in_order(
+        self, strategy, cross_dtd, cross_shredded
+    ):
+        translator = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(strategy=strategy)
+        )
+        program = translator.translate("a/b//c/d").program
+        with SqliteBackend(cross_shredded.database) as sqlite:
+            explained = sqlite.explain(program)
+            targets = [target for target, _ in explained]
+            assert targets == [
+                assignment.target for assignment in program.pruned().assignments
+            ] + ["<result>"]
+            for target, rows in explained:
+                assert rows, target
+            # The result SELECT is planned against the temporary it reads.
+            assert any(targets[-2] in row for row in explained[-1][1])
+            # Every temporary explain created is dropped again: the same
+            # program still executes on this backend and agrees with memory.
+            memory = MemoryBackend(cross_shredded.database)
+            assert sqlite.execute(program).rows == memory.execute(program).rows
 
 
 class TestSqliteThreadedConnections:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import EngineConfig
 from repro.cli import build_parser, engine_config_from_args, main
+from repro.core.pipeline import XPathToSQLTranslator
 from repro.dtd import samples
 from repro.xmltree.generator import generate_document
 from repro.xpath.evaluator import evaluate_xpath
@@ -176,6 +177,40 @@ class TestBackendFlags:
             assert parser.parse_args(argv + ["--backend", "memory"]).backend == "memory"
             with pytest.raises(SystemExit):
                 parser.parse_args(argv + ["--executor", "columnar"])
+
+    def test_removed_rendering_flags_are_rejected(self):
+        # The SQLite backend has one statement shape, and the dialect follows
+        # the backend, so only translate still takes --dialect.
+        parser = build_parser()
+        for argv in (
+            ["translate", "cross", "a//d"],
+            ["answer", "cross", "a//d"],
+            ["explain", "cross", "a//d"],
+            ["stats", "cross", "a//d"],
+            ["experiment", "exp3"],
+            ["mutate", "cross", "a//d"],
+            ["serve", "cross"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--emission", "multi"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["explain", "cross", "a//d", "--dialect", "sqlite"])
+        assert parser.parse_args(["translate", "cross", "a//d"]).dialect == "generic"
+
+    def test_explain_on_sqlite_plans_every_statement(self, capsys):
+        assert main(["explain", "cross", "a//d", "--backend", "sqlite"]) == 0
+        output = capsys.readouterr().out
+        assert "single statement" not in output
+        plan = output.split("sqlite plan (per statement):\n", 1)[1].splitlines()
+        headers = [line[2:-1] for line in plan if re.fullmatch(r"  \S+:", line)]
+        program = XPathToSQLTranslator(
+            samples.cross_dtd(), EngineConfig(backend="sqlite")
+        ).translate("a//d").program.pruned()
+        assert headers == [a.target for a in program.assignments] + ["<result>"]
+        # Every header carries at least one EXPLAIN QUERY PLAN row.
+        for header, following in zip(plan, plan[1:]):
+            if re.fullmatch(r"  \S+:", header):
+                assert following.startswith("    "), header
 
     def test_answer_on_sqlite_matches_memory(self, capsys):
         argv = ["answer", "cross", "a//d", "--elements", "300", "--seed", "3", "--limit", "3"]

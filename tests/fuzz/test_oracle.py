@@ -67,7 +67,7 @@ class TestEngineGrid:
     def test_engine_names_are_unique(self):
         # Outcomes key each engine's answer by its name.
         names = [engine_name(engine) for engine in default_engines()]
-        assert len(names) == len(set(names)) == 21
+        assert len(names) == len(set(names)) == 16
 
     def test_memory_engines_have_no_executor_axis(self):
         # The memory backend runs every plan on the columnar executor, so

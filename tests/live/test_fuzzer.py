@@ -99,7 +99,7 @@ class TestMutationArms:
     def test_a_delta_that_is_not_applied_is_caught(self):
         """With MemoryBackend.apply_delta a no-op, only the memory delta arms
         still see the base document; SQLite and every @scratch arm agree."""
-        # Both SQL emissions and the level-0 sentinel.
+        # Memory, SQLite and the level-0 sentinel.
         engines = default_engines(strategies=[DescendantStrategy.CYCLEEX])
         with mock.patch.object(MemoryBackend, "apply_delta", lambda self, delta: None):
             outcome = DifferentialOracle(engines).run(_dept_mutation_case())

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.expath_to_sql import TranslationOptions
 from repro.core.optimize import push_selection_options, standard_options
 from repro.core.plancache import (
@@ -14,19 +15,16 @@ from repro.core.plancache import (
     PlanKey,
     dtd_fingerprint,
     options_fingerprint,
-    plan_key,
 )
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
 from repro.dtd.parser import parse_dtd
-from repro.relational.sqlgen import SQLDialect
 
 
 def _key(tag: str) -> PlanKey:
     return PlanKey(
-        dtd="fp", query=tag, strategy="cycleex", options="o", dialect="generic",
-        mapping="m",
+        dtd="fp", query=tag, strategy="cycleex", options="o", mapping="m"
     )
 
 
@@ -275,14 +273,20 @@ class TestFingerprints:
         from repro.shredding.inlining import SimpleMapping
 
         dtd = samples.cross_dtd()
-        base = plan_key(dtd, "a//d")
-        assert plan_key(dtd, "a//d") == base
-        assert plan_key(dtd, "a//c") != base
-        assert plan_key(samples.dept_dtd(), "a//d") != base
-        assert plan_key(dtd, "a//d", strategy=DescendantStrategy.CYCLEE) != base
-        assert plan_key(dtd, "a//d", options=push_selection_options()) != base
-        assert plan_key(dtd, "a//d", dialect=SQLDialect.SQLITE) != base
-        assert plan_key(dtd, "a//d", mapping=SimpleMapping(dtd, prefix="S_")) != base
+
+        def key(query="a//d", dtd=dtd, config=None, mapping=None):
+            return XPathToSQLTranslator(dtd, config, mapping).plan_key(query)
+
+        base = key()
+        assert key() == base
+        assert key("a//c") != base
+        assert key(dtd=samples.dept_dtd()) != base
+        assert key(config=EngineConfig(strategy=DescendantStrategy.CYCLEE)) != base
+        assert key(config=EngineConfig(push_selections=True)) != base
+        assert key(config=EngineConfig(optimize_level=0)) != base
+        assert key(mapping=SimpleMapping(dtd, prefix="S_")) != base
+        # Execution settings are no part of a plan's identity.
+        assert key(config=EngineConfig(backend="sqlite")) == base
 
     def test_translators_with_different_mappings_never_alias(self):
         """Programs lowered against differently-named relations must not be

@@ -26,6 +26,7 @@ from repro.live.mutations import (
 from repro.service import ProcessQueryService, QueryService
 from repro.service.http import QueryHTTPServer
 from repro.xmltree.generator import generate_document
+from repro.xmltree.tree import XMLTree
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
 
@@ -73,6 +74,27 @@ class TestQueryServiceUpdate:
                 n.node_id for n in service.answer(QUERY, document_id="doc")
             )
             assert answered == _evaluator_ids(live_tree)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_an_insert_before_siblings_answers_in_node_id_order(self, backend):
+        # Answers are ordered by node id, which is document order only until
+        # an insert lands before existing siblings: the inserted node takes
+        # the next free id, so it comes last in the answer but first in the
+        # tree.
+        dtd = samples.cross_dtd()
+        tree = XMLTree.create("a")
+        tree.add_child(tree.root, "b")
+        with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
+            service.register_document("doc", tree)
+            service.update_document(
+                [InsertSubtree(tree.root.node_id, ("b", None, ()), index=0)], "doc"
+            )
+            live_tree = service.store("doc").shredded.tree
+            children = [child.node_id for child in live_tree.root.children]
+            answered = [n.node_id for n in service.answer("a/b", document_id="doc")]
+        evaluated = [n.node_id for n in evaluate_xpath(live_tree, parse_xpath("a/b"))]
+        assert children == [2, 1]
+        assert answered == evaluated == [1, 2]
 
     def test_result_cache_dropped_but_plan_cache_survives(self):
         dtd = samples.cross_dtd()
