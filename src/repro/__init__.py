@@ -20,34 +20,14 @@ Quickstart (the public facade)
 ...     projects = list(session.answer("dept//project"))
 
 :class:`Engine`/:class:`Session`/:class:`EngineConfig` (see
-:mod:`repro.api`) are the supported entry point; the lower layers imported
-below remain available and take their configuration as one
+:mod:`repro.api`) are the supported entry point; the lower layers
+re-exported here remain available and take their configuration as one
 :class:`EngineConfig` (``config=``), never as per-knob keyword arguments.
+Every re-export is resolved on first access, so ``import repro`` loads
+none of the layers until a name is used.
 """
 
-from repro.api import (
-    ConfigError,
-    Engine,
-    EngineConfig,
-    QueryResult,
-    ReproError,
-    Session,
-    SessionError,
-)
-from repro.backends import Backend, BackendResult, MemoryBackend, SqliteBackend, create_backend
-from repro.core.expath_to_sql import TranslationOptions
-from repro.core.pipeline import TranslationResult, XPathToSQLTranslator, answer_xpath
-from repro.fuzz import DifferentialOracle, FuzzCase, FuzzConfig, run_fuzz
-from repro.core.sqlgen_r import SQLGenR
-from repro.core.xpath_to_expath import DescendantStrategy
-from repro.dtd.model import DTD
-from repro.dtd.parser import parse_dtd
-from repro.relational.sqlgen import SQLDialect
-from repro.service import PlanCache, QueryService
-from repro.shredding.shredder import shred_document
-from repro.views.gav import GAVView
-from repro.xmltree.generator import generate_document
-from repro.xpath.parser import parse_xpath
+from repro._support import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -94,3 +74,34 @@ __all__ = [
     "QueryService",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.config": ("EngineConfig",),
+        "repro.api.engine": ("Engine", "QueryResult", "Session"),
+        "repro.errors": ("ConfigError", "ReproError", "SessionError"),
+        "repro.backends": (
+            "Backend",
+            "BackendResult",
+            "MemoryBackend",
+            "SqliteBackend",
+            "create_backend",
+        ),
+        "repro.core.expath_to_sql": ("TranslationOptions",),
+        "repro.core.pipeline": ("TranslationResult", "XPathToSQLTranslator", "answer_xpath"),
+        "repro.core.sqlgen_r": ("SQLGenR",),
+        "repro.core.xpath_to_expath": ("DescendantStrategy",),
+        "repro.dtd.model": ("DTD",),
+        "repro.dtd.parser": ("parse_dtd",),
+        "repro.fuzz.cases": ("FuzzCase",),
+        "repro.fuzz.harness": ("FuzzConfig", "run_fuzz"),
+        "repro.fuzz.oracle": ("DifferentialOracle",),
+        "repro.relational.sqlgen": ("SQLDialect",),
+        "repro.service": ("PlanCache", "QueryService"),
+        "repro.shredding.shredder": ("shred_document",),
+        "repro.views.gav": ("GAVView",),
+        "repro.xmltree.generator": ("generate_document",),
+        "repro.xpath.parser": ("parse_xpath",),
+    },
+)

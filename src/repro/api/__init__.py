@@ -29,20 +29,7 @@ Example
 ...     _ = (len(result), result.plan.strategy)
 """
 
-# NOTE: Engine/Session/QueryResult are exported lazily (PEP 562).  The
-# engine module imports the service layer, which imports the translation
-# pipeline, which imports ``repro.api.config`` — an eager import here would
-# close that loop into a cycle.  ``repro.api.config`` itself is cycle-free
-# and imported eagerly.
-from repro.api.config import EngineConfig
-from repro.errors import (
-    ConfigError,
-    DuplicateDocumentError,
-    ReproError,
-    SessionClosedError,
-    SessionError,
-    UnknownDocumentError,
-)
+from repro._support import lazy_exports
 
 __all__ = [
     "EngineConfig",
@@ -57,16 +44,18 @@ __all__ = [
     "DuplicateDocumentError",
 ]
 
-_LAZY = {"Engine", "Session", "QueryResult"}
-
-
-def __getattr__(name: str) -> object:
-    if name in _LAZY:
-        from repro.api import engine as _engine
-
-        return getattr(_engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | _LAZY)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.config": ("EngineConfig",),
+        "repro.api.engine": ("Engine", "Session", "QueryResult"),
+        "repro.errors": (
+            "ReproError",
+            "ConfigError",
+            "SessionError",
+            "SessionClosedError",
+            "UnknownDocumentError",
+            "DuplicateDocumentError",
+        ),
+    },
+)

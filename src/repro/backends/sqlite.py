@@ -343,8 +343,18 @@ class SqliteBackend(Backend):
 
     @staticmethod
     def _query_plan(cursor: sqlite3.Cursor, statement: str) -> List[str]:
+        """The plan's rows, each indented two spaces per level of its tree.
+
+        SQLite reports the tree as ``(id, parent)`` pairs, parents first; a
+        top-level row's parent is 0, which no row has as its id.
+        """
         cursor.execute(f"EXPLAIN QUERY PLAN {statement}")
-        return [str(row[-1]) for row in cursor.fetchall()]
+        depth: Dict[int, int] = {}
+        lines: List[str] = []
+        for node_id, parent, _, detail in cursor.fetchall():
+            depth[node_id] = level = depth.get(parent, -1) + 1
+            lines.append("  " * level + str(detail))
+        return lines
 
     def execute_prepared(self, prepared: PreparedProgram) -> BackendResult:
         """Run a prepared plan on this thread's connection, skipping render

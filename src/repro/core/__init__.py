@@ -25,12 +25,7 @@ Modules
     The end-to-end translator of Fig. 5 plus convenience query answering.
 """
 
-from repro.core.tarjan import CycleE, cycle_expression
-from repro.core.cycleex import CycleEXIndex, rec_query
-from repro.core.xpath_to_expath import DescendantStrategy, XPathToExtended, xpath_to_extended
-from repro.core.expath_to_sql import ExtendedToSQL, TranslationOptions, extended_to_sql
-from repro.core.sqlgen_r import SQLGenR
-from repro.core.pipeline import TranslationResult, XPathToSQLTranslator, answer_xpath
+from repro._support import lazy_exports
 
 __all__ = [
     "CycleE",
@@ -48,3 +43,27 @@ __all__ = [
     "TranslationResult",
     "answer_xpath",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.tarjan": ("CycleE", "cycle_expression"),
+        "repro.core.cycleex": ("CycleEXIndex", "rec_query"),
+        "repro.core.xpath_to_expath": (
+            "DescendantStrategy",
+            "XPathToExtended",
+            "xpath_to_extended",
+        ),
+        "repro.core.expath_to_sql": (
+            "ExtendedToSQL",
+            "TranslationOptions",
+            "extended_to_sql",
+        ),
+        "repro.core.sqlgen_r": ("SQLGenR",),
+        "repro.core.pipeline": (
+            "TranslationResult",
+            "XPathToSQLTranslator",
+            "answer_xpath",
+        ),
+    },
+)

@@ -8,27 +8,7 @@ algorithms, where nodes are element types and an edge ``A -> B`` exists when
 ``B`` occurs in the production of ``A``.
 """
 
-from repro.dtd.model import (
-    DTD,
-    Choice,
-    ContentModel,
-    Empty,
-    Optional,
-    Plus,
-    Sequence,
-    Star,
-    TypeRef,
-    choice,
-    empty,
-    opt,
-    plus,
-    ref,
-    seq,
-    star,
-)
-from repro.dtd.graph import DTDGraph
-from repro.dtd.parser import parse_dtd
-from repro.dtd import samples
+from repro._support import lazy_exports
 
 __all__ = [
     "DTD",
@@ -51,3 +31,30 @@ __all__ = [
     "parse_dtd",
     "samples",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dtd.model": (
+            "DTD",
+            "Choice",
+            "ContentModel",
+            "Empty",
+            "Optional",
+            "Plus",
+            "Sequence",
+            "Star",
+            "TypeRef",
+            "choice",
+            "empty",
+            "opt",
+            "plus",
+            "ref",
+            "seq",
+            "star",
+        ),
+        "repro.dtd.graph": ("DTDGraph",),
+        "repro.dtd.parser": ("parse_dtd",),
+        "repro.dtd.samples": ("samples",),
+    },
+)

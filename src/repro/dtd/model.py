@@ -15,9 +15,9 @@ when building models by hand; they normalise trivial cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional as Opt, Set, Tuple
 
+from repro._support import Frozen
 from repro.errors import DTDError
 
 __all__ = [
@@ -46,10 +46,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class ContentModel:
+class ContentModel(Frozen):
     """Base class of content-model regular expressions.
 
-    Subclasses are frozen dataclasses; equality and hashing are structural.
+    Subclasses are :class:`~repro._support.Frozen` values; equality and
+    hashing are structural.
     """
 
     def element_types(self) -> Set[str]:
@@ -72,7 +73,6 @@ class ContentModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Empty(ContentModel):
     """The empty word (PCDATA-only / empty content)."""
 
@@ -89,11 +89,13 @@ class Empty(ContentModel):
         return "EMPTY"
 
 
-@dataclass(frozen=True)
 class TypeRef(ContentModel):
     """A reference to a sub-element type ``B``."""
 
     name: str
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
     def element_types(self) -> Set[str]:
         return {self.name}
@@ -108,11 +110,13 @@ class TypeRef(ContentModel):
         return self.name
 
 
-@dataclass(frozen=True)
 class Sequence(ContentModel):
     """Concatenation ``alpha, beta, ...``."""
 
     parts: Tuple[ContentModel, ...]
+
+    def __init__(self, parts: Tuple[ContentModel, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def element_types(self) -> Set[str]:
         out: Set[str] = set()
@@ -133,11 +137,13 @@ class Sequence(ContentModel):
         return "(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class Choice(ContentModel):
     """Disjunction ``alpha | beta | ...``."""
 
     parts: Tuple[ContentModel, ...]
+
+    def __init__(self, parts: Tuple[ContentModel, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
     def element_types(self) -> Set[str]:
         out: Set[str] = set()
@@ -158,11 +164,13 @@ class Choice(ContentModel):
         return "(" + " | ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class Star(ContentModel):
     """Kleene star ``alpha*`` (zero or more)."""
 
     inner: ContentModel
+
+    def __init__(self, inner: ContentModel) -> None:
+        object.__setattr__(self, "inner", inner)
 
     def element_types(self) -> Set[str]:
         return self.inner.element_types()
@@ -177,11 +185,13 @@ class Star(ContentModel):
         return f"{self.inner}*"
 
 
-@dataclass(frozen=True)
 class Plus(ContentModel):
     """``alpha+`` (one or more); equivalent to ``alpha, alpha*``."""
 
     inner: ContentModel
+
+    def __init__(self, inner: ContentModel) -> None:
+        object.__setattr__(self, "inner", inner)
 
     def element_types(self) -> Set[str]:
         return self.inner.element_types()
@@ -196,11 +206,13 @@ class Plus(ContentModel):
         return f"{self.inner}+"
 
 
-@dataclass(frozen=True)
 class Optional(ContentModel):
     """``alpha?`` (zero or one); equivalent to ``(alpha | epsilon)``."""
 
     inner: ContentModel
+
+    def __init__(self, inner: ContentModel) -> None:
+        object.__setattr__(self, "inner", inner)
 
     def element_types(self) -> Set[str]:
         return self.inner.element_types()
@@ -273,8 +285,7 @@ def opt(part) -> Optional:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChildSpec:
+class ChildSpec(Frozen):
     """An edge of the DTD graph: parent type, child type, and whether starred.
 
     ``starred`` is True when the child occurs under a ``*`` or ``+`` in the
@@ -285,6 +296,11 @@ class ChildSpec:
     parent: str
     child: str
     starred: bool
+
+    def __init__(self, parent: str, child: str, starred: bool) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "starred", starred)
 
 
 class DTD:

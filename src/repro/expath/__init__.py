@@ -8,28 +8,7 @@ output of the translation polynomial where plain regular expressions blow up
 exponentially.
 """
 
-from repro.expath.ast import (
-    EAnd,
-    EEmpty,
-    EEmptySet,
-    ELabel,
-    ENot,
-    EOr,
-    EPathQual,
-    EQualified,
-    ESlash,
-    EStar,
-    ETextEquals,
-    EUnion,
-    EVar,
-    Equation,
-    Expr,
-    ExtendedXPathQuery,
-    EQualifier,
-)
-from repro.expath.evaluator import ExtendedXPathEvaluator, evaluate_extended
-from repro.expath.metrics import OperatorCounts, count_operators
-from repro.expath.simplify import simplify_expression, simplify_query
+from repro._support import lazy_exports
 
 __all__ = [
     "Expr",
@@ -56,3 +35,31 @@ __all__ = [
     "simplify_expression",
     "simplify_query",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.expath.ast": (
+            "EAnd",
+            "EEmpty",
+            "EEmptySet",
+            "ELabel",
+            "ENot",
+            "EOr",
+            "EPathQual",
+            "EQualified",
+            "ESlash",
+            "EStar",
+            "ETextEquals",
+            "EUnion",
+            "EVar",
+            "Equation",
+            "Expr",
+            "ExtendedXPathQuery",
+            "EQualifier",
+        ),
+        "repro.expath.evaluator": ("ExtendedXPathEvaluator", "evaluate_extended"),
+        "repro.expath.metrics": ("OperatorCounts", "count_operators"),
+        "repro.expath.simplify": ("simplify_expression", "simplify_query"),
+    },
+)

@@ -14,9 +14,9 @@ temporary tables in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro._support import Frozen
 from repro.errors import ExtendedXPathError
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class Expr:
+class Expr(Frozen):
     """Base class of extended XPath expressions."""
 
     def children(self) -> Tuple["Expr", ...]:
@@ -63,7 +63,7 @@ class Expr:
         raise NotImplementedError
 
 
-class EQualifier:
+class EQualifier(Frozen):
     """Base class of extended XPath qualifiers."""
 
     def variables(self) -> Set[str]:
@@ -78,7 +78,6 @@ class EQualifier:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EEmpty(Expr):
     """The empty path ``eps`` (identity on the context node)."""
 
@@ -86,7 +85,6 @@ class EEmpty(Expr):
         return "."
 
 
-@dataclass(frozen=True)
 class EEmptySet(Expr):
     """The empty-set expression; ``EMPTYSET UNION E == E`` and ``E/EMPTYSET == EMPTYSET``."""
 
@@ -94,21 +92,25 @@ class EEmptySet(Expr):
         return "EMPTYSET"
 
 
-@dataclass(frozen=True)
 class ELabel(Expr):
     """A label step ``A``."""
 
     name: str
 
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class EVar(Expr):
     """A variable reference ``X``."""
 
     name: str
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
     def variables(self) -> Set[str]:
         return {self.name}
@@ -117,12 +119,15 @@ class EVar(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
 class ESlash(Expr):
     """Concatenation ``E1/E2``."""
 
     left: Expr
     right: Expr
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
@@ -131,12 +136,15 @@ class ESlash(Expr):
         return f"{self.left}/{self.right}"
 
 
-@dataclass(frozen=True)
 class EUnion(Expr):
     """Union ``E1 UNION E2``."""
 
     left: Expr
     right: Expr
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
@@ -145,11 +153,13 @@ class EUnion(Expr):
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
 class EStar(Expr):
     """General Kleene closure ``E*`` (zero or more applications of ``E``)."""
 
     inner: Expr
+
+    def __init__(self, inner: Expr) -> None:
+        object.__setattr__(self, "inner", inner)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.inner,)
@@ -158,7 +168,6 @@ class EStar(Expr):
         return f"({self.inner})*"
 
 
-@dataclass(frozen=True)
 class EDescendants(Expr):
     """Opaque descendant marker used by the SQLGen-R baseline.
 
@@ -173,11 +182,14 @@ class EDescendants(Expr):
     source: str
     target: str
 
+    def __init__(self, source: str, target: str) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+
     def __str__(self) -> str:
         return f"DESC({self.source}, {self.target})"
 
 
-@dataclass(frozen=True)
 class EIntervals(Expr):
     """Opaque descendant marker for the interval (pre/post) strategy.
 
@@ -190,16 +202,23 @@ class EIntervals(Expr):
     source: str
     target: str
 
+    def __init__(self, source: str, target: str) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+
     def __str__(self) -> str:
         return f"INTERVAL({self.source}, {self.target})"
 
 
-@dataclass(frozen=True)
 class EQualified(Expr):
     """A qualified expression ``E[q]``."""
 
     expr: Expr
     qualifier: "EQualifier"
+
+    def __init__(self, expr: Expr, qualifier: "EQualifier") -> None:
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "qualifier", qualifier)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.expr,)
@@ -216,11 +235,13 @@ class EQualified(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EPathQual(EQualifier):
     """Existential qualifier ``[E]``."""
 
     expr: Expr
+
+    def __init__(self, expr: Expr) -> None:
+        object.__setattr__(self, "expr", expr)
 
     def variables(self) -> Set[str]:
         return self.expr.variables()
@@ -229,21 +250,25 @@ class EPathQual(EQualifier):
         return str(self.expr)
 
 
-@dataclass(frozen=True)
 class ETextEquals(EQualifier):
     """Value qualifier ``[text() = 'c']``."""
 
     value: str
 
+    def __init__(self, value: str) -> None:
+        object.__setattr__(self, "value", value)
+
     def __str__(self) -> str:
         return f'text() = "{self.value}"'
 
 
-@dataclass(frozen=True)
 class ENot(EQualifier):
     """Negation ``[not q]``."""
 
     inner: EQualifier
+
+    def __init__(self, inner: EQualifier) -> None:
+        object.__setattr__(self, "inner", inner)
 
     def variables(self) -> Set[str]:
         return self.inner.variables()
@@ -252,12 +277,15 @@ class ENot(EQualifier):
         return f"not({self.inner})"
 
 
-@dataclass(frozen=True)
 class EAnd(EQualifier):
     """Conjunction ``[q1 and q2]``."""
 
     left: EQualifier
     right: EQualifier
+
+    def __init__(self, left: EQualifier, right: EQualifier) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def variables(self) -> Set[str]:
         return self.left.variables() | self.right.variables()
@@ -266,12 +294,15 @@ class EAnd(EQualifier):
         return f"({self.left} and {self.right})"
 
 
-@dataclass(frozen=True)
 class EOr(EQualifier):
     """Disjunction ``[q1 or q2]``."""
 
     left: EQualifier
     right: EQualifier
+
+    def __init__(self, left: EQualifier, right: EQualifier) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def variables(self) -> Set[str]:
         return self.left.variables() | self.right.variables()
@@ -312,12 +343,15 @@ def eunion(left: Expr, right: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Frozen):
     """A single binding ``X = E``."""
 
     variable: str
     expression: Expr
+
+    def __init__(self, variable: str, expression: Expr) -> None:
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "expression", expression)
 
     def __str__(self) -> str:
         return f"{self.variable} = {self.expression}"

@@ -18,13 +18,7 @@ relational engine is pure Python; pass ``scale=1`` to run paper-sized
 inputs if you have the patience.
 """
 
-from repro.experiments.harness import (
-    Approach,
-    MeasuredQuery,
-    default_approaches,
-    format_table,
-    measure_query,
-)
+from repro._support import lazy_exports
 
 __all__ = [
     "Approach",
@@ -33,3 +27,16 @@ __all__ = [
     "measure_query",
     "format_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.harness": (
+            "Approach",
+            "MeasuredQuery",
+            "default_approaches",
+            "format_table",
+            "measure_query",
+        ),
+    },
+)

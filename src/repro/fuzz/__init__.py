@@ -34,18 +34,7 @@ Everything is deterministic per seed: the same ``FuzzConfig`` always
 produces the same cases, so a failure found in CI replays locally.
 """
 
-from repro.fuzz.cases import DocumentSpec, FuzzCase
-from repro.fuzz.dtd_gen import DTDGenConfig, RandomDTDGenerator
-from repro.fuzz.harness import FuzzConfig, FuzzFailure, FuzzReport, replay_corpus, run_fuzz
-from repro.fuzz.oracle import (
-    CaseOutcome,
-    DifferentialOracle,
-    EngineDisagreement,
-    default_engines,
-    engine_name,
-)
-from repro.fuzz.shrink import shrink_case
-from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
+from repro._support import lazy_exports
 
 __all__ = [
     "DTDGenConfig",
@@ -66,3 +55,27 @@ __all__ = [
     "run_fuzz",
     "replay_corpus",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fuzz.cases": ("DocumentSpec", "FuzzCase"),
+        "repro.fuzz.dtd_gen": ("DTDGenConfig", "RandomDTDGenerator"),
+        "repro.fuzz.harness": (
+            "FuzzConfig",
+            "FuzzFailure",
+            "FuzzReport",
+            "replay_corpus",
+            "run_fuzz",
+        ),
+        "repro.fuzz.oracle": (
+            "CaseOutcome",
+            "DifferentialOracle",
+            "EngineDisagreement",
+            "default_engines",
+            "engine_name",
+        ),
+        "repro.fuzz.shrink": ("shrink_case",),
+        "repro.fuzz.xpath_gen": ("RandomXPathGenerator", "XPathGenConfig"),
+    },
+)

@@ -19,17 +19,7 @@ The frozen ``BENCH_8.json`` record compares incremental updates against
 full re-registration.
 """
 
-from repro.live.delta import ShredDelta, apply_delta_to_database, merge_deltas
-from repro.live.mutations import (
-    DeleteSubtree,
-    DocumentMutator,
-    InsertSubtree,
-    Mutation,
-    ReplaceText,
-    as_subtree,
-    mutation_from_dict,
-    mutation_to_dict,
-)
+from repro._support import lazy_exports
 
 __all__ = [
     "ShredDelta",
@@ -44,3 +34,20 @@ __all__ = [
     "mutation_to_dict",
     "mutation_from_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.live.delta": ("ShredDelta", "apply_delta_to_database", "merge_deltas"),
+        "repro.live.mutations": (
+            "DeleteSubtree",
+            "DocumentMutator",
+            "InsertSubtree",
+            "Mutation",
+            "ReplaceText",
+            "as_subtree",
+            "mutation_from_dict",
+            "mutation_to_dict",
+        ),
+    },
+)

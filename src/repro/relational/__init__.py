@@ -22,38 +22,7 @@ substrate the translation targets:
   on SQLite (:mod:`repro.relational.sqlgen`).
 """
 
-from repro.relational.relation import Relation
-from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.database import Database
-from repro.relational.algebra import (
-    AntiJoin,
-    Assignment,
-    Compose,
-    Condition,
-    Difference,
-    EdgeStep,
-    EquiJoin,
-    Fixpoint,
-    IdentityRelation,
-    Intersect,
-    Program,
-    Project,
-    RAExpr,
-    RecursiveUnion,
-    Scan,
-    Select,
-    SemiJoin,
-    Union,
-)
-from repro.relational.executor import ExecutionStats, Executor, execute_program
-from repro.relational.columnar import (
-    ColumnarDatabase,
-    ColumnarExecutor,
-    ColumnarRelation,
-    ValueDictionary,
-    columnar_store,
-)
-from repro.relational.sqlgen import SQLDialect, program_to_sql
+from repro._support import lazy_exports
 
 __all__ = [
     "Relation",
@@ -89,3 +58,42 @@ __all__ = [
     "SQLDialect",
     "program_to_sql",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.relational.relation": ("Relation",),
+        "repro.relational.schema": ("DatabaseSchema", "RelationSchema"),
+        "repro.relational.database": ("Database",),
+        "repro.relational.algebra": (
+            "AntiJoin",
+            "Assignment",
+            "Compose",
+            "Condition",
+            "Difference",
+            "EdgeStep",
+            "EquiJoin",
+            "Fixpoint",
+            "IdentityRelation",
+            "Intersect",
+            "Program",
+            "Project",
+            "RAExpr",
+            "RecursiveUnion",
+            "Scan",
+            "Select",
+            "SemiJoin",
+            "Union",
+        ),
+        "repro.relational.stats": ("ExecutionStats",),
+        "repro.relational.executor": ("Executor", "execute_program"),
+        "repro.relational.columnar": (
+            "ColumnarDatabase",
+            "ColumnarExecutor",
+            "ColumnarRelation",
+            "ValueDictionary",
+            "columnar_store",
+        ),
+        "repro.relational.sqlgen": ("SQLDialect", "program_to_sql"),
+    },
+)

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro._support import Frozen
+
 __all__ = [
     "RAExpr",
     "Scan",
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 
-class RAExpr:
+class RAExpr(Frozen):
     """Base class of relational-algebra expressions."""
 
     def children(self) -> Tuple["RAExpr", ...]:
@@ -65,11 +67,13 @@ class RAExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Scan(RAExpr):
     """Reference to a base or temporary relation by name."""
 
     name: str
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return str(self.name)
@@ -105,12 +109,15 @@ class Condition:
         return f"{self.column} {self.op} {self.value!r}"
 
 
-@dataclass(frozen=True)
 class Select(RAExpr):
     """Selection: keep rows satisfying every condition."""
 
     input: RAExpr
     conditions: Tuple[Condition, ...]
+
+    def __init__(self, input: RAExpr, conditions: Tuple[Condition, ...]) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "conditions", conditions)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.input,)
@@ -120,13 +127,22 @@ class Select(RAExpr):
         return f"SELECT[{conds}]({self.input})"
 
 
-@dataclass(frozen=True)
 class Project(RAExpr):
     """Projection onto ``columns``, optionally renamed to ``aliases``."""
 
     input: RAExpr
     columns: Tuple[str, ...]
-    aliases: Optional[Tuple[str, ...]] = None
+    aliases: Optional[Tuple[str, ...]]
+
+    def __init__(
+        self,
+        input: RAExpr,
+        columns: Tuple[str, ...],
+        aliases: Optional[Tuple[str, ...]] = None,
+    ) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "aliases", aliases)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.input,)
@@ -136,7 +152,6 @@ class Project(RAExpr):
         return f"PROJECT[{cols}]({self.input})"
 
 
-@dataclass(frozen=True)
 class Compose(RAExpr):
     """Composition join: ``pi_{L.F, R.T, R.V}(L |><|_{L.T = R.F} R)``.
 
@@ -148,6 +163,10 @@ class Compose(RAExpr):
     left: RAExpr
     right: RAExpr
 
+    def __init__(self, left: RAExpr, right: RAExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.left, self.right)
 
@@ -155,7 +174,6 @@ class Compose(RAExpr):
         return f"({self.left} . {self.right})"
 
 
-@dataclass(frozen=True)
 class EquiJoin(RAExpr):
     """General equi-join with explicit output columns.
 
@@ -169,6 +187,20 @@ class EquiJoin(RAExpr):
     right_column: str
     output: Tuple[Tuple[str, str, str], ...]
 
+    def __init__(
+        self,
+        left: RAExpr,
+        right: RAExpr,
+        left_column: str,
+        right_column: str,
+        output: Tuple[Tuple[str, str, str], ...],
+    ) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left_column", left_column)
+        object.__setattr__(self, "right_column", right_column)
+        object.__setattr__(self, "output", output)
+
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.left, self.right)
 
@@ -179,14 +211,25 @@ class EquiJoin(RAExpr):
         )
 
 
-@dataclass(frozen=True)
 class SemiJoin(RAExpr):
     """Keep left rows with at least one matching right row (qualifier check)."""
 
     left: RAExpr
     right: RAExpr
-    left_column: str = "T"
-    right_column: str = "F"
+    left_column: str
+    right_column: str
+
+    def __init__(
+        self,
+        left: RAExpr,
+        right: RAExpr,
+        left_column: str = "T",
+        right_column: str = "F",
+    ) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left_column", left_column)
+        object.__setattr__(self, "right_column", right_column)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.left, self.right)
@@ -195,14 +238,25 @@ class SemiJoin(RAExpr):
         return f"({self.left} SEMIJOIN {self.right})"
 
 
-@dataclass(frozen=True)
 class AntiJoin(RAExpr):
     """Keep left rows with no matching right row (negated qualifier)."""
 
     left: RAExpr
     right: RAExpr
-    left_column: str = "T"
-    right_column: str = "F"
+    left_column: str
+    right_column: str
+
+    def __init__(
+        self,
+        left: RAExpr,
+        right: RAExpr,
+        left_column: str = "T",
+        right_column: str = "F",
+    ) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left_column", left_column)
+        object.__setattr__(self, "right_column", right_column)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.left, self.right)
@@ -211,11 +265,13 @@ class AntiJoin(RAExpr):
         return f"({self.left} ANTIJOIN {self.right})"
 
 
-@dataclass(frozen=True)
 class Union(RAExpr):
     """Set union of any number of inputs (all with identical columns)."""
 
     inputs: Tuple[RAExpr, ...]
+
+    def __init__(self, inputs: Tuple[RAExpr, ...]) -> None:
+        object.__setattr__(self, "inputs", inputs)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return self.inputs
@@ -224,12 +280,15 @@ class Union(RAExpr):
         return "(" + " UNION ".join(str(i) for i in self.inputs) + ")"
 
 
-@dataclass(frozen=True)
 class Difference(RAExpr):
     """Set difference ``left \\ right``."""
 
     left: RAExpr
     right: RAExpr
+
+    def __init__(self, left: RAExpr, right: RAExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.left, self.right)
@@ -238,12 +297,15 @@ class Difference(RAExpr):
         return f"({self.left} EXCEPT {self.right})"
 
 
-@dataclass(frozen=True)
 class Intersect(RAExpr):
     """Set intersection."""
 
     left: RAExpr
     right: RAExpr
+
+    def __init__(self, left: RAExpr, right: RAExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.left, self.right)
@@ -252,7 +314,6 @@ class Intersect(RAExpr):
         return f"({self.left} INTERSECT {self.right})"
 
 
-@dataclass(frozen=True)
 class IdentityRelation(RAExpr):
     """The identity relation ``R_id``: one ``(v, v, v.val)`` tuple per node."""
 
@@ -260,7 +321,6 @@ class IdentityRelation(RAExpr):
         return "R_id"
 
 
-@dataclass(frozen=True)
 class EmptyRelation(RAExpr):
     """The constant-empty ``(F, T, V)`` relation.
 
@@ -275,7 +335,6 @@ class EmptyRelation(RAExpr):
         return "EMPTY"
 
 
-@dataclass(frozen=True)
 class TagProject(RAExpr):
     """Project ``(F, T, V)`` from the input and append a constant ``TAG`` column.
 
@@ -286,6 +345,10 @@ class TagProject(RAExpr):
     input: RAExpr
     tag: str
 
+    def __init__(self, input: RAExpr, tag: str) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "tag", tag)
+
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.input,)
 
@@ -293,7 +356,6 @@ class TagProject(RAExpr):
         return f"TAG[{self.tag}]({self.input})"
 
 
-@dataclass(frozen=True)
 class IntervalJoin(RAExpr):
     """Descendant step as a range join over the interval numbering.
 
@@ -310,6 +372,11 @@ class IntervalJoin(RAExpr):
     right: RAExpr
     order: RAExpr
 
+    def __init__(self, left: RAExpr, right: RAExpr, order: RAExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "order", order)
+
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.left, self.right, self.order)
 
@@ -317,7 +384,6 @@ class IntervalJoin(RAExpr):
         return f"({self.left} IVJOIN {self.right})"
 
 
-@dataclass(frozen=True)
 class Fixpoint(RAExpr):
     """The simple LFP operator ``Phi(R)`` of Sect. 3.3 (with push-in anchors).
 
@@ -333,8 +399,18 @@ class Fixpoint(RAExpr):
     """
 
     base: RAExpr
-    source_anchor: Optional[RAExpr] = None
-    target_anchor: Optional[RAExpr] = None
+    source_anchor: Optional[RAExpr]
+    target_anchor: Optional[RAExpr]
+
+    def __init__(
+        self,
+        base: RAExpr,
+        source_anchor: Optional[RAExpr] = None,
+        target_anchor: Optional[RAExpr] = None,
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "source_anchor", source_anchor)
+        object.__setattr__(self, "target_anchor", target_anchor)
 
     def children(self) -> Tuple[RAExpr, ...]:
         out: List[RAExpr] = [self.base]
@@ -354,8 +430,7 @@ class Fixpoint(RAExpr):
         return f"LFP({self.base}{suffix})"
 
 
-@dataclass(frozen=True)
-class EdgeStep:
+class EdgeStep(Frozen):
     """One recursive branch of a SQL'99 recursive union.
 
     ``relation`` holds the edge tuples; a working tuple with tag
@@ -369,8 +444,12 @@ class EdgeStep:
     parent_tag: str
     child_tag: str
 
+    def __init__(self, relation: RAExpr, parent_tag: str, child_tag: str) -> None:
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "parent_tag", parent_tag)
+        object.__setattr__(self, "child_tag", child_tag)
 
-@dataclass(frozen=True)
+
 class RecursiveUnion(RAExpr):
     """The SQL'99 ``WITH ... RECURSIVE`` fixpoint ``phi(R, R1..Rk)`` (Sect. 3.1).
 
@@ -382,6 +461,10 @@ class RecursiveUnion(RAExpr):
 
     init: RAExpr
     steps: Tuple[EdgeStep, ...]
+
+    def __init__(self, init: RAExpr, steps: Tuple[EdgeStep, ...]) -> None:
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "steps", steps)
 
     def children(self) -> Tuple[RAExpr, ...]:
         return (self.init,) + tuple(step.relation for step in self.steps)
@@ -398,12 +481,15 @@ class RecursiveUnion(RAExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Frozen):
     """One program step ``target <- expression``."""
 
     target: str
     expression: RAExpr
+
+    def __init__(self, target: str, expression: RAExpr) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "expression", expression)
 
     def __str__(self) -> str:
         return f"{self.target} <- {self.expression}"

@@ -79,7 +79,7 @@ from repro.relational.algebra import (
     rename_scans,
 )
 from repro.relational.database import Database
-from repro.relational.executor import ExecutionStats
+from repro.relational.stats import ExecutionStats
 from repro.relational.relation import Relation
 from repro.relational.schema import F, NODE_COLUMNS, PRE, SIZE, T, V
 
@@ -585,7 +585,7 @@ class ColumnarExecutor:
     decoded :class:`~repro.relational.relation.Relation`, so callers cannot
     tell the executors apart except by speed.
 
-    ``stats`` is an :class:`~repro.relational.executor.ExecutionStats` and
+    ``stats`` is an :class:`~repro.relational.stats.ExecutionStats` and
     is reset at the start of every ``run`` (per-run numbers).  Each operator
     evaluation is wrapped in an ``op.<type>`` obs span and feeds the
     ``executor.batch_rows`` histogram with its output batch size.

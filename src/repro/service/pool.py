@@ -71,7 +71,6 @@ from repro.errors import (
     WorkerError,
 )
 from repro.fuzz.cases import DocumentSpec
-from repro.live.mutations import mutation_to_dict
 from repro.xmltree.tree import XMLTree
 
 __all__ = ["PoolAnswer", "ProcessQueryService", "default_start_method"]
@@ -559,6 +558,8 @@ class ProcessQueryService:
 
         Returns the last owner's summary dict plus the owner indices.
         """
+        from repro.live.mutations import mutation_to_dict
+
         self._check_open()
         document_id, owner_indices = self._resolve_document(document_id)
         script: List[Dict[str, Any]] = [

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.api.config import EngineConfig
@@ -51,12 +51,13 @@ from repro.errors import (
     SessionClosedError,
     UnknownDocumentError,
 )
-from repro.live.delta import ShredDelta, merge_deltas
-from repro.live.mutations import DocumentMutator, Mutation, mutation_from_dict
 from repro.shredding.inlining import SimpleMapping
 from repro.shredding.shredder import ShreddedDocument
 from repro.xmltree.tree import XMLNode, XMLTree
 from repro.xpath.parser import parse_xpath
+
+if TYPE_CHECKING:
+    from repro.live.mutations import DocumentMutator, Mutation
 
 __all__ = ["DocumentStore", "QueryService"]
 
@@ -99,6 +100,8 @@ class DocumentStore:
     def mutator(self, dtd: DTD) -> DocumentMutator:
         """This store's document mutator (created on first use)."""
         if self._mutator is None:
+            from repro.live.mutations import DocumentMutator
+
             self._mutator = DocumentMutator(
                 self.shredded.tree, dtd, mapping=self.shredded.mapping
             )
@@ -363,6 +366,11 @@ class QueryService:
 
         Returns a summary dict: applied mutation count and delta row counts.
         """
+        # Imported here, not at module level: only updates need the live
+        # subsystem, so answering never loads it.
+        from repro.live.delta import ShredDelta, merge_deltas
+        from repro.live.mutations import mutation_from_dict
+
         self._check_open()
         store = self.store(document_id)
         normalized = [

@@ -15,15 +15,7 @@ mapping ``tau_d`` for the simple mapping;
 :func:`~repro.shredding.shredder.shred_inlined` does so for shared inlining.
 """
 
-from repro.shredding.inlining import (
-    ROOT_PARENT,
-    MISSING_VALUE,
-    InlinedRelation,
-    InliningPartition,
-    SimpleMapping,
-    shared_inlining,
-)
-from repro.shredding.shredder import ShreddedDocument, shred_document, shred_inlined
+from repro._support import lazy_exports
 
 __all__ = [
     "ROOT_PARENT",
@@ -36,3 +28,22 @@ __all__ = [
     "shred_document",
     "shred_inlined",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.shredding.inlining": (
+            "ROOT_PARENT",
+            "MISSING_VALUE",
+            "InlinedRelation",
+            "InliningPartition",
+            "SimpleMapping",
+            "shared_inlining",
+        ),
+        "repro.shredding.shredder": (
+            "ShreddedDocument",
+            "shred_document",
+            "shred_inlined",
+        ),
+    },
+)

@@ -1,19 +1,6 @@
 """Paper workloads: the example/experiment queries and dataset builders."""
 
-from repro.workloads.queries import (
-    BIOML_CASES,
-    CROSS_QUERIES,
-    DEPT_QUERIES,
-    GEDML_QUERY,
-    SELECTIVE_QUERIES,
-    BiomlCase,
-)
-from repro.workloads.datasets import (
-    DatasetSpec,
-    build_dataset,
-    dept_sample_tree,
-    scaled_elements,
-)
+from repro._support import lazy_exports
 
 __all__ = [
     "DEPT_QUERIES",
@@ -27,3 +14,23 @@ __all__ = [
     "dept_sample_tree",
     "scaled_elements",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.queries": (
+            "BIOML_CASES",
+            "CROSS_QUERIES",
+            "DEPT_QUERIES",
+            "GEDML_QUERY",
+            "SELECTIVE_QUERIES",
+            "BiomlCase",
+        ),
+        "repro.workloads.datasets": (
+            "DatasetSpec",
+            "build_dataset",
+            "dept_sample_tree",
+            "scaled_elements",
+        ),
+    },
+)

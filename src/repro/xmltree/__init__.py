@@ -9,9 +9,7 @@ levels) and ``X_R`` (maximum repetition) shape parameters
 validator checking DTD conformance (:func:`~repro.xmltree.validator.validate`).
 """
 
-from repro.xmltree.tree import XMLNode, XMLTree, build_tree
-from repro.xmltree.generator import GeneratorConfig, XMLGenerator, generate_document
-from repro.xmltree.validator import validate, conforms
+from repro._support import lazy_exports
 
 __all__ = [
     "XMLNode",
@@ -23,3 +21,16 @@ __all__ = [
     "validate",
     "conforms",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.xmltree.tree": ("XMLNode", "XMLTree", "build_tree"),
+        "repro.xmltree.generator": (
+            "GeneratorConfig",
+            "XMLGenerator",
+            "generate_document",
+        ),
+        "repro.xmltree.validator": ("validate", "conforms"),
+    },
+)

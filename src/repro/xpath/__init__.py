@@ -7,25 +7,7 @@ directly over :class:`~repro.xmltree.tree.XMLTree` documents and serves as
 the correctness oracle for the SQL translation.
 """
 
-from repro.xpath.ast import (
-    And,
-    Descendant,
-    EmptyPath,
-    EmptySet,
-    Label,
-    Not,
-    Or,
-    Path,
-    PathQual,
-    Qualified,
-    Qualifier,
-    Slash,
-    TextEquals,
-    Union,
-    Wildcard,
-)
-from repro.xpath.parser import parse_xpath
-from repro.xpath.evaluator import XPathEvaluator, evaluate_xpath
+from repro._support import lazy_exports
 
 __all__ = [
     "Path",
@@ -47,3 +29,28 @@ __all__ = [
     "XPathEvaluator",
     "evaluate_xpath",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.xpath.ast": (
+            "And",
+            "Descendant",
+            "EmptyPath",
+            "EmptySet",
+            "Label",
+            "Not",
+            "Or",
+            "Path",
+            "PathQual",
+            "Qualified",
+            "Qualifier",
+            "Slash",
+            "TextEquals",
+            "Union",
+            "Wildcard",
+        ),
+        "repro.xpath.parser": ("parse_xpath",),
+        "repro.xpath.evaluator": ("XPathEvaluator", "evaluate_xpath"),
+    },
+)

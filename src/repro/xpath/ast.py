@@ -8,15 +8,16 @@ The grammar is::
 plus the special query ``EMPTYSET`` which returns the empty node set over
 every document (used by the translation algorithms for pruning).
 
-All nodes are immutable dataclasses with structural equality; ``str()`` of a
-node produces concrete syntax that re-parses to an equal tree (round-trip
-property tested in the test suite).
+All nodes are immutable :class:`~repro._support.Frozen` values with
+structural equality; ``str()`` of a node produces concrete syntax that
+re-parses to an equal tree (round-trip property tested in the test suite).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Tuple, Union as TUnion
+
+from repro._support import Frozen
 
 __all__ = [
     "Path",
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-class Path:
+class Path(Frozen):
     """Base class of path expressions."""
 
     def children(self) -> Tuple["Path", ...]:
@@ -50,7 +51,7 @@ class Path:
         raise NotImplementedError
 
 
-class Qualifier:
+class Qualifier(Frozen):
     """Base class of qualifier ([q]) expressions."""
 
     def __str__(self) -> str:  # pragma: no cover - overridden
@@ -62,7 +63,6 @@ class Qualifier:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EmptyPath(Path):
     """The empty path ``eps``: returns the context node itself."""
 
@@ -70,7 +70,6 @@ class EmptyPath(Path):
         return "."
 
 
-@dataclass(frozen=True)
 class EmptySet(Path):
     """The special query returning the empty set over all documents."""
 
@@ -78,17 +77,18 @@ class EmptySet(Path):
         return "EMPTYSET"
 
 
-@dataclass(frozen=True)
 class Label(Path):
     """A label step ``A``: children of the context node labelled ``A``."""
 
     name: str
 
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Wildcard(Path):
     """The wildcard ``*``: all children of the context node."""
 
@@ -96,12 +96,15 @@ class Wildcard(Path):
         return "*"
 
 
-@dataclass(frozen=True)
 class Slash(Path):
     """Concatenation ``p1/p2``."""
 
     left: Path
     right: Path
+
+    def __init__(self, left: Path, right: Path) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def children(self) -> Tuple[Path, ...]:
         return (self.left, self.right)
@@ -114,11 +117,13 @@ class Slash(Path):
         return f"{left}/{_maybe_paren(self.right)}"
 
 
-@dataclass(frozen=True)
 class Descendant(Path):
     """The descendant-or-self axis ``//p``."""
 
     inner: Path
+
+    def __init__(self, inner: Path) -> None:
+        object.__setattr__(self, "inner", inner)
 
     def children(self) -> Tuple[Path, ...]:
         return (self.inner,)
@@ -127,12 +132,15 @@ class Descendant(Path):
         return f"//{_maybe_paren(self.inner)}"
 
 
-@dataclass(frozen=True)
 class Union(Path):
     """Union ``p1 UNION p2`` (written ``p1 | p2`` in concrete syntax)."""
 
     left: Path
     right: Path
+
+    def __init__(self, left: Path, right: Path) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def children(self) -> Tuple[Path, ...]:
         return (self.left, self.right)
@@ -141,12 +149,15 @@ class Union(Path):
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
 class Qualified(Path):
     """A qualified path ``p[q]``."""
 
     path: Path
     qualifier: "Qualifier"
+
+    def __init__(self, path: Path, qualifier: "Qualifier") -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "qualifier", qualifier)
 
     def children(self) -> Tuple[Path, ...]:
         return (self.path,)
@@ -166,53 +177,65 @@ def _maybe_paren(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PathQual(Qualifier):
     """Existential path qualifier ``[p]``: true iff ``p`` is non-empty."""
 
     path: Path
 
+    def __init__(self, path: Path) -> None:
+        object.__setattr__(self, "path", path)
+
     def __str__(self) -> str:
         return str(self.path)
 
 
-@dataclass(frozen=True)
 class TextEquals(Qualifier):
     """Value qualifier ``[text() = 'c']``."""
 
     value: str
 
+    def __init__(self, value: str) -> None:
+        object.__setattr__(self, "value", value)
+
     def __str__(self) -> str:
         return f'text() = "{self.value}"'
 
 
-@dataclass(frozen=True)
 class Not(Qualifier):
     """Negation ``[not q]``."""
 
     inner: Qualifier
 
+    def __init__(self, inner: Qualifier) -> None:
+        object.__setattr__(self, "inner", inner)
+
     def __str__(self) -> str:
         return f"not({self.inner})"
 
 
-@dataclass(frozen=True)
 class And(Qualifier):
     """Conjunction ``[q1 and q2]``."""
 
     left: Qualifier
     right: Qualifier
 
+    def __init__(self, left: Qualifier, right: Qualifier) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
     def __str__(self) -> str:
         return f"({self.left} and {self.right})"
 
 
-@dataclass(frozen=True)
 class Or(Qualifier):
     """Disjunction ``[q1 or q2]``."""
 
     left: Qualifier
     right: Qualifier
+
+    def __init__(self, left: Qualifier, right: Qualifier) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} or {self.right})"

@@ -212,6 +212,25 @@ class TestBackendFlags:
             if re.fullmatch(r"  \S+:", header):
                 assert following.startswith("    "), header
 
+    def test_explain_on_sqlite_indents_rows_by_plan_tree(self, capsys):
+        assert main(["explain", "cross", "a//d", "--backend", "sqlite"]) == 0
+        plan = capsys.readouterr().out.split("sqlite plan (per statement):\n", 1)[1]
+        rows = plan.splitlines()
+        indent = [len(row) - len(row.lstrip()) for row in rows]
+        closures = [i for i, row in enumerate(rows) if row.strip().startswith("CO-ROUTINE lfp")]
+        assert closures
+        for i in closures:
+            # The statement's top row, right under its header, is shallower.
+            header = max(j for j in range(i) if indent[j] == 2)
+            assert indent[header + 1] < indent[i], rows[i]
+            # The closure's SETUP and RECURSIVE STEP rows sit under it.
+            steps = [
+                j for j in range(i + 1, len(rows))
+                if rows[j].strip() in ("SETUP", "RECURSIVE STEP")
+            ][:2]
+            assert [rows[j].strip() for j in steps] == ["SETUP", "RECURSIVE STEP"]
+            assert all(indent[j] > indent[i] for j in steps), rows[i]
+
     def test_answer_on_sqlite_matches_memory(self, capsys):
         argv = ["answer", "cross", "a//d", "--elements", "300", "--seed", "3", "--limit", "3"]
         assert main(argv + ["--backend", "memory"]) == 0

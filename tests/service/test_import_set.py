@@ -1,11 +1,16 @@
-"""The serving start-up path loads no ``repro`` module beyond a committed list.
+"""The serving start-up path loads what serving runs, all of it, and no more.
 
-Launch-to-ready time of the benchmark server is mostly imports, and pool
-workers are forked, so every module the server's imports pull in is paid
-on each launch.  A fresh interpreter runs exactly the five imports of
-``bench/server.py`` and reports the ``repro.*`` modules it loaded; they
-must be a subset of :data:`SERVING_MODULES`.  A change that shrinks the
-path passes unchanged; one that grows it must add the new modules here.
+Launch-to-ready time of the benchmark server is mostly imports, so every
+module the server's imports load is paid on each launch.  Pool workers are
+forked after those imports, so a module a worker needs but the parent did
+not load is compiled again in every worker.  A fresh interpreter runs
+exactly the five imports of ``bench/server.py`` and reports the
+``repro.*`` modules it loaded; they must be a subset of
+:data:`SERVING_MODULES` and include none of :data:`OFF_PATH_MODULES`.  The
+same interpreter then does what a pool worker does while the server sets
+up (build a service, register a generated document, translate and answer
+a query) on both backends, and must load no further ``repro`` module.
+A change that grows the path must add the new modules here.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -28,39 +35,65 @@ from repro.service.http import QueryHTTPServer
 
 REPORT_LOADED = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))))
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
+
+after_imports = loaded()
+
+from repro.dtd.parser import parse_dtd
+from repro.service.service import QueryService
+
+dtd = parse_dtd(paper_dtds()["cross"].to_text(), name="cross")
+tree = DocumentSpec(max_elements=120, seed=3).generate(dtd)
+for backend in ("memory", "sqlite"):
+    service = QueryService(dtd, config=EngineConfig(backend=backend))
+    service.plan("a//d")
+    service.register_document("doc", tree)
+    assert service.answer("a//d[c]", "doc")
+    service.close()
+print(json.dumps({"imports": after_imports, "answering": loaded()}))
 """
 
-# Everything the five imports load today.  Keep sorted.
+# Everything the five imports load.  Keep sorted.
 SERVING_MODULES = frozenset(
     """
-    repro
-    repro.api repro.api.config repro.api.engine
+    repro repro._support
+    repro.api repro.api.config
     repro.backends repro.backends.base repro.backends.memory repro.backends.sqlite
     repro.core repro.core.cycleex repro.core.expath_to_sql repro.core.optimize
-    repro.core.pipeline repro.core.plancache repro.core.sqlgen_r repro.core.tarjan
+    repro.core.pipeline repro.core.plancache repro.core.tarjan
     repro.core.xpath_to_expath
     repro.dtd repro.dtd.graph repro.dtd.model repro.dtd.parser repro.dtd.samples
     repro.errors
-    repro.expath repro.expath.ast repro.expath.evaluator repro.expath.metrics
-    repro.expath.simplify
-    repro.fuzz repro.fuzz.cases repro.fuzz.dtd_gen repro.fuzz.harness
-    repro.fuzz.oracle repro.fuzz.shrink repro.fuzz.xpath_gen
-    repro.live repro.live.delta repro.live.mutations
+    repro.expath repro.expath.ast repro.expath.metrics repro.expath.simplify
+    repro.fuzz repro.fuzz.cases
     repro.obs repro.obs.logs repro.obs.metrics repro.obs.trace
     repro.relational repro.relational.algebra repro.relational.columnar
-    repro.relational.database repro.relational.executor repro.relational.relation
-    repro.relational.schema repro.relational.sqlgen
+    repro.relational.database repro.relational.relation repro.relational.schema
+    repro.relational.sqlgen repro.relational.stats
     repro.service repro.service.http repro.service.pool repro.service.service
     repro.shredding repro.shredding.inlining repro.shredding.shredder
-    repro.views repro.views.gav
-    repro.xmltree repro.xmltree.generator repro.xmltree.tree repro.xmltree.validator
-    repro.xpath repro.xpath.ast repro.xpath.evaluator repro.xpath.parser
+    repro.xmltree repro.xmltree.generator repro.xmltree.tree
+    repro.xpath repro.xpath.ast repro.xpath.parser
+    """.split()
+)
+
+# Modules serving never runs.  Each of them once loaded on this path; the
+# test names them so that one coming back fails with its name.
+OFF_PATH_MODULES = frozenset(
+    """
+    repro.api.engine repro.core.sqlgen_r repro.expath.evaluator
+    repro.fuzz.dtd_gen repro.fuzz.harness repro.fuzz.oracle repro.fuzz.shrink
+    repro.fuzz.xpath_gen repro.live repro.live.delta repro.live.mutations
+    repro.relational.executor repro.views repro.views.gav
+    repro.xmltree.validator repro.xpath.evaluator
     """.split()
 )
 
 
-def test_server_imports_load_only_the_committed_modules():
+@pytest.fixture(scope="module")
+def loaded_modules():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
@@ -72,6 +105,21 @@ def test_server_imports_load_only_the_committed_modules():
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
-    loaded = set(json.loads(completed.stdout))
+    report = json.loads(completed.stdout)
+    return set(report["imports"]), set(report["answering"])
+
+
+def test_server_imports_load_only_the_committed_modules(loaded_modules):
+    loaded, _ = loaded_modules
     assert "repro.service.http" in loaded
     assert loaded <= SERVING_MODULES, sorted(loaded - SERVING_MODULES)
+
+
+def test_server_imports_load_no_off_path_module(loaded_modules):
+    loaded, _ = loaded_modules
+    assert not loaded & OFF_PATH_MODULES, sorted(loaded & OFF_PATH_MODULES)
+
+
+def test_answering_after_the_imports_loads_nothing_more(loaded_modules):
+    loaded, answering = loaded_modules
+    assert answering == loaded, sorted(answering - loaded)
