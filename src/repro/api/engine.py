@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import (
     Callable,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -81,13 +80,14 @@ def _named_documents(documents: DocumentsLike) -> List[Tuple[str, XMLTree]]:
 class QueryResult:
     """The typed answer to one query: plan metadata plus lazy nodes.
 
-    The backend's raw result (normalized rows, execution stats) is attached
-    eagerly; the translation plan and the mapping from node ids back to
-    :class:`~repro.xmltree.tree.XMLNode` objects are both deferred — the
-    plan until :attr:`plan` is read (a plan-cache lookup when caching is
-    on; only then a re-translation when it is off), the nodes until the
+    The backend's raw result (the matched node ids, execution stats) is
+    attached eagerly; the translation plan and the mapping from node ids
+    back to :class:`~repro.xmltree.tree.XMLNode` objects are both deferred
+    — the plan until :attr:`plan` is read (a plan-cache lookup when caching
+    is on; only then a re-translation when it is off), the nodes until the
     result is iterated (or :meth:`nodes` is called) — so callers that only
-    need counts or row sets pay for neither.
+    need counts or ids (``len``, ``bool``, :meth:`node_ids`) pay for
+    neither.
     """
 
     def __init__(
@@ -148,28 +148,15 @@ class QueryResult:
         """Backend execution counters (at least ``rows``/``elapsed_seconds``)."""
         return self._raw.stats
 
-    @property
-    def rows(self) -> FrozenSet[Tuple[str, ...]]:
-        """The normalized result rows (set semantics, values as strings)."""
-        return self._raw.rows
-
-    @property
-    def row_count(self) -> int:
-        """Number of distinct result rows."""
-        return self._raw.row_count
-
-    def node_ids(self) -> FrozenSet[str]:
-        """The answer set: matched node ids (normalized to strings)."""
-        return frozenset(self._raw.node_ids())
+    def node_ids(self) -> Tuple[int, ...]:
+        """The answer: matched node ids, ascending (see
+        :meth:`~repro.backends.base.BackendResult.node_ids`)."""
+        return self._raw.node_ids()
 
     # -- lazy node materialization ----------------------------------------------
 
     def nodes(self) -> List[XMLNode]:
-        """The matching XML nodes in node-id order (materialized once).
-
-        Node-id order is document order until an insert lands before
-        existing siblings: inserted nodes take the next free id.
-        """
+        """The matching XML nodes in :meth:`node_ids` order (materialized once)."""
         if self._nodes is None:
             self._nodes = self._shredded.nodes_for_ids(self._raw.node_ids())
         return self._nodes
@@ -182,15 +169,15 @@ class QueryResult:
         return iter(self.nodes())
 
     def __len__(self) -> int:
-        return len(self.nodes())
+        return len(self._raw.node_ids())
 
     def __bool__(self) -> bool:
-        return self.row_count > 0
+        return bool(self._raw.node_ids())
 
     def __repr__(self) -> str:
         return (
             f"QueryResult(query={self._query!r}, document={self._document_id!r}, "
-            f"backend={self.backend!r}, rows={self.row_count})"
+            f"backend={self.backend!r}, nodes={len(self)})"
         )
 
 

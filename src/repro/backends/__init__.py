@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Type
 
-from repro.backends.base import Backend, BackendResult, PreparedProgram, normalize_rows
+from repro.backends.base import Backend, BackendResult, PreparedProgram
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend, sqlite_schema_ddl
 from repro.relational.database import Database
@@ -37,7 +37,6 @@ __all__ = [
     "backend_names",
     "backend_dialect",
     "create_backend",
-    "normalize_rows",
     "sqlite_schema_ddl",
 ]
 

@@ -2,11 +2,12 @@
 
 A :class:`Backend` executes translated relational
 :class:`~repro.relational.algebra.Program` objects over one shredded
-document database and returns a :class:`BackendResult`: the result rows in
-a *normalized* form (every value rendered as a string, set semantics) plus
-execution statistics.  Normalization is what makes results comparable
-across engines with different type systems — the in-memory engine stores
-Python ints for node ids while SQLite's TEXT affinity hands back strings.
+document database and returns a :class:`BackendResult`: the answer, which
+is the distinct node ids of the result's ``T`` column as ints in ascending
+order, plus execution statistics.  Every backend reports its answer in
+this one form — the in-memory engine stores Python ints for node ids while
+SQLite's TEXT affinity hands back strings — so answers compare directly
+across engines.
 
 Backends are the seam future engines (DuckDB, Postgres, sharded/batched
 execution) plug into: implement :meth:`Backend.execute`, register the class
@@ -18,76 +19,64 @@ test suite — picks it up.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Mapping, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Tuple
 
 from repro import obs
+from repro._support import Frozen
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
     from repro.live.delta import ShredDelta
 from repro.relational.algebra import Program
 from repro.relational.database import Database
-from repro.relational.schema import T
 from repro.relational.sqlgen import SQLDialect
 
 __all__ = [
     "BackendResult",
     "Backend",
     "PreparedProgram",
-    "normalize_rows",
-    "NormalizedRow",
 ]
 
-NormalizedRow = Tuple[str, ...]
 
-
-def normalize_rows(rows: Iterable[Sequence[object]]) -> FrozenSet[NormalizedRow]:
-    """Render every value as a string and collapse duplicates.
-
-    This is the canonical form differential comparison uses: the in-memory
-    engine produces ``(5, 7, '_')`` where SQLite produces ``('5', '7', '_')``;
-    both normalize to ``('5', '7', '_')``.
-    """
-    return frozenset(tuple(str(value) for value in row) for row in rows)
-
-
-@dataclass(frozen=True)
-class BackendResult:
+class BackendResult(Frozen):
     """The outcome of executing one program on one backend.
 
     Attributes
     ----------
     backend:
         Name of the backend that produced the result.
-    columns:
-        Ordered column names of the result relation.
-    rows:
-        Normalized result rows (tuples of strings, set semantics).
     stats:
-        Execution counters; every backend reports at least ``rows`` and
-        ``elapsed_seconds`` (wall time), which is what the benchmark
-        harness consumes.
+        Execution counters; every backend reports at least ``rows`` (the
+        number of distinct result rows) and ``elapsed_seconds`` (wall
+        time), which is what the benchmark harness consumes.
+
+    The answer itself is read with :meth:`node_ids`.  The constructor takes
+    the result's ``T`` values in any order and with repeats and fixes the
+    answer's form once, here: distinct ints in ascending node-id order.
     """
 
     backend: str
-    columns: Tuple[str, ...]
-    rows: FrozenSet[NormalizedRow]
-    stats: Mapping[str, float] = field(default_factory=dict)
+    _node_ids: Tuple[int, ...]
+    stats: Mapping[str, float]
 
-    @property
-    def row_count(self) -> int:
-        """Number of distinct result rows."""
-        return len(self.rows)
+    def __init__(
+        self,
+        backend: str,
+        node_ids: Iterable[object],
+        stats: Optional[Mapping[str, float]] = None,
+    ) -> None:
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "_node_ids", tuple(sorted(set(map(int, node_ids)))))
+        object.__setattr__(self, "stats", {} if stats is None else stats)
 
-    def column_values(self, column: str) -> Set[str]:
-        """The set of (normalized) values in ``column``."""
-        index = self.columns.index(column)
-        return {row[index] for row in self.rows}
+    def node_ids(self) -> Tuple[int, ...]:
+        """The answer: the matched node ids, ascending.
 
-    def node_ids(self) -> Set[str]:
-        """The answer set: values of the ``T`` column (the matched node ids)."""
-        return self.column_values(T)
+        Node-id order is document order until an insert lands before
+        existing siblings: inserted nodes take the next free id.
+        """
+        return self._node_ids
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, program: Program) -> BackendResult:
-        """Execute ``program`` and return the normalized result."""
+        """Execute ``program`` and return its answer and stats."""
 
     # -- prepared execution ------------------------------------------------------
 
@@ -162,10 +151,6 @@ class Backend(abc.ABC):
                 f"cannot execute on {self.name!r}"
             )
         return self.execute(prepared.program)
-
-    def answer_node_ids(self, program: Program) -> Set[str]:
-        """Convenience: execute and return the matched node-id set."""
-        return self.execute(program).node_ids()
 
     # -- live updates ------------------------------------------------------------
 

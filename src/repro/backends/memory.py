@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from repro import obs
-from repro.backends.base import Backend, BackendResult, normalize_rows
+from repro.backends.base import Backend, BackendResult
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
@@ -13,6 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
 from repro.relational.algebra import Program
 from repro.relational.columnar import ColumnarDatabase, ColumnarExecutor, columnar_store
 from repro.relational.database import Database
+from repro.relational.schema import T
 from repro.relational.sqlgen import SQLDialect
 
 __all__ = ["MemoryBackend"]
@@ -96,10 +97,17 @@ class MemoryBackend(Backend):
             )
 
     def execute(self, program: Program) -> BackendResult:
+        """Run ``program`` and read the answer from the still-encoded result.
+
+        Only the result's distinct ``T`` codes are decoded; no result row is.
+        """
         with obs.span("execute", backend=self.name) as sp:
             self._check_not_stale()
-            executor = ColumnarExecutor(self._database)
-            relation = executor.run(program)
+            store = columnar_store(self._database)
+            executor = ColumnarExecutor(store)
+            relation = executor.run_encoded(program)
+            codes = relation.column(relation.column_index(T))
+            node_ids = store.dictionary.decode_distinct(codes)
             stats: Dict[str, float] = executor.stats.as_dict()
             stats["rows"] = len(relation)
             sp.set(
@@ -107,9 +115,4 @@ class MemoryBackend(Backend):
                 temporaries_evaluated=executor.stats.temporaries_evaluated,
                 temporaries_reused=executor.stats.temporaries_reused,
             )
-        return BackendResult(
-            backend=self.name,
-            columns=tuple(relation.columns),
-            rows=normalize_rows(relation.rows),
-            stats=stats,
-        )
+        return BackendResult(self.name, node_ids, stats)

@@ -26,13 +26,15 @@ read after construction.
 Prepared execution (:meth:`SqliteBackend.prepare` /
 :meth:`SqliteBackend.execute_prepared`) renders the statement list once per
 plan.  SQLite cannot parameterise DDL, so per-call temp-table creation
-remains, but repeated calls skip pruning, SQL generation and the per-
-temporary ``COUNT(*)`` instrumentation — the per-query churn the one-shot
-:meth:`SqliteBackend.execute` path pays.
+remains, but repeated calls skip pruning and SQL generation.
+:meth:`SqliteBackend.execute` is prepare-then-execute, so a one-shot call
+runs exactly the statements a served one does.
 
-Results come back normalized (SQLite's TEXT affinity makes everything a
-string anyway), so they compare directly against
-:class:`~repro.backends.memory.MemoryBackend` output.
+The answer is read from the fetched ``T`` column alone: SQLite's TEXT
+affinity hands node ids back as strings, which
+:class:`~repro.backends.base.BackendResult` turns into distinct ints in
+ascending order (a string sort would put ``'10'`` before ``'9'``), the
+form :class:`~repro.backends.memory.MemoryBackend` answers in too.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
     from repro.live.delta import ShredDelta
 
 from repro import obs
-from repro.backends.base import Backend, BackendResult, PreparedProgram, normalize_rows
+from repro.backends.base import Backend, BackendResult, PreparedProgram
 from repro.errors import ExecutionError
 from repro.relational.algebra import Program
 from repro.relational.database import Database
@@ -357,8 +360,8 @@ class SqliteBackend(Backend):
         return lines
 
     def execute_prepared(self, prepared: PreparedProgram) -> BackendResult:
-        """Run a prepared plan on this thread's connection, skipping render
-        and instrumentation work."""
+        """Run a prepared plan on this thread's connection: temporaries as
+        temp tables, then the result SELECT."""
         if prepared.backend != self.name:
             raise ValueError(
                 f"program was prepared for backend {prepared.backend!r}, "
@@ -367,54 +370,40 @@ class SqliteBackend(Backend):
         plan = prepared.payload
         if not isinstance(plan, _SqlitePlan):  # prepared via the base class
             plan = self.prepare(prepared.program).payload
-        with obs.span("execute", backend=self.name, prepared=True) as sp:
-            columns, rows, elapsed, _ = self._run_plan(plan)
-            sp.set(rows=len(rows))
+        with obs.span("execute", backend=self.name) as sp:
+            columns, rows, elapsed = self._run_plan(plan)
+            # The result SELECT may fetch a row more than once; ``rows``
+            # counts each distinct row once, as the memory backend does.
+            distinct = len(set(rows))
+            sp.set(rows=distinct)
         stats: Dict[str, float] = {
-            "rows": len(rows),
+            "rows": distinct,
             "elapsed_seconds": elapsed,
             "temporaries_evaluated": len(plan.targets),
-            "prepared": 1,
         }
-        return BackendResult(backend=self.name, columns=columns, rows=rows, stats=stats)
+        return BackendResult(self.name, map(itemgetter(columns.index(T)), rows), stats)
 
     def execute(self, program: Program) -> BackendResult:
-        """Run ``program`` end-to-end: temporaries as temp tables, then the result.
+        """Prepare ``program`` and run it (see :meth:`execute_prepared`).
 
         Assignments the result never uses are pruned first (mirroring the
         lazy in-memory strategy, which also never materialises them).
         """
-        prepared = self.prepare(program)
-        plan = prepared.payload
-        assert isinstance(plan, _SqlitePlan)
-        with obs.span("execute", backend=self.name) as sp:
-            columns, rows, elapsed, tuples_materialized = self._run_plan(
-                plan, instrument=True
-            )
-            sp.set(rows=len(rows))
-        stats: Dict[str, float] = {
-            "rows": len(rows),
-            "elapsed_seconds": elapsed,
-            "temporaries_evaluated": len(plan.targets),
-            "tuples_materialized": tuples_materialized,
-        }
-        return BackendResult(backend=self.name, columns=columns, rows=rows, stats=stats)
+        return self.execute_prepared(self.prepare(program))
 
     # -- statement running -------------------------------------------------------
 
-    def _run_plan(self, plan: _SqlitePlan, instrument: bool = False):
+    def _run_plan(self, plan: _SqlitePlan) -> Tuple[List[str], List[tuple], float]:
         """Execute a rendered plan on this thread's connection.
 
-        Returns ``(columns, rows, elapsed, tuples_materialized)``; the
-        tuple count is only gathered with ``instrument=True``.  Only the
-        translated statements are timed: the per-temporary ``COUNT(*)``
-        instrumentation and the temp-table teardown are backend
-        bookkeeping, and including them would bias every memory-vs-sqlite
-        comparison the backend axis exists to make.
+        Returns ``(columns, rows, elapsed)``: the result's column names,
+        its fetched rows and the time spent in the translated statements
+        alone.  The temp-table teardown is backend bookkeeping, and timing
+        it would bias every memory-vs-sqlite comparison the backend axis
+        exists to make.
         """
         cursor = self._conn().cursor()
         created: List[str] = []
-        tuples_materialized = 0
         elapsed = 0.0
         try:
             for target, statement in zip(plan.targets, plan.statements):
@@ -423,20 +412,17 @@ class SqliteBackend(Backend):
                     cursor.execute(statement)
                     elapsed += time.perf_counter() - start
                 created.append(target)
-                if instrument:
-                    cursor.execute(f"SELECT COUNT(*) FROM {_quoted(target)}")
-                    tuples_materialized += cursor.fetchone()[0]
             with obs.span("sql-statement", target="<result>"):
                 start = time.perf_counter()
                 cursor.execute(plan.statements[-1])
-                columns = tuple(description[0] for description in cursor.description)
-                rows = normalize_rows(cursor.fetchall())
+                columns = [description[0] for description in cursor.description]
+                rows = cursor.fetchall()
                 elapsed += time.perf_counter() - start
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite execution failed: {exc}") from exc
         finally:
             self._drop_temporaries(cursor, created)
-        return columns, rows, elapsed, tuples_materialized
+        return columns, rows, elapsed
 
     @staticmethod
     def _drop_temporaries(cursor: sqlite3.Cursor, names: List[str]) -> None:

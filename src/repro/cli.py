@@ -537,7 +537,7 @@ def _cmd_answer(args: argparse.Namespace) -> int:
                 trace_root = obs.end_trace()
         else:
             executed = service.execute(args.query)
-        matches = store.shredded.nodes_for_ids(executed.node_ids())
+        node_ids = executed.node_ids()
         if args.repeat > 1:
             with obs.Timer() as warm_timer:
                 for _ in range(args.repeat - 1):
@@ -546,7 +546,7 @@ def _cmd_answer(args: argparse.Namespace) -> int:
         plans = service.cache_info()
         results = service.result_cache_info()
     print(
-        f"document: {document.size()} elements; matches: {len(matches)} "
+        f"document: {document.size()} elements; matches: {len(node_ids)} "
         f"(backend: {executed.backend}, {executed.stats['elapsed_seconds']:.3f}s)"
     )
     if args.repeat > 1:
@@ -561,12 +561,12 @@ def _cmd_answer(args: argparse.Namespace) -> int:
             f"  repeated {args.repeat - 1} more time(s) warm: {elapsed:.3f}s total, "
             f"{per_query:.2f}ms/query ({cache_note})"
         )
-    for node in matches[: args.limit]:
+    for node in store.shredded.nodes_for_ids(node_ids[: args.limit]):
         path = "/".join(node.path_from_root())
         value = f" = {node.value!r}" if node.value is not None else ""
         print(f"  node {node.node_id}: {path}{value}")
-    if len(matches) > args.limit:
-        print(f"  ... and {len(matches) - args.limit} more")
+    if len(node_ids) > args.limit:
+        print(f"  ... and {len(node_ids) - args.limit} more")
     if trace_root is not None:
         if args.trace:
             print("-- trace (cold answer) --")

@@ -114,7 +114,10 @@ def default_approaches(
 
 @dataclass
 class MeasuredQuery:
-    """One (approach, query, dataset, backend) measurement."""
+    """One (approach, query, dataset, backend) measurement.
+
+    ``result_rows`` is the answer size: the number of matched nodes.
+    """
 
     approach: str
     query: str
@@ -166,8 +169,8 @@ def measure_query(
     try:
         executed = engine.execute(result.program)
         # Use the backend's own timing: it covers exactly the query work,
-        # excluding backend bookkeeping (e.g. the sqlite backend's row-count
-        # instrumentation and temp-table teardown) and result normalization.
+        # excluding backend bookkeeping (e.g. the sqlite backend's
+        # temp-table teardown).
         execution_seconds = executed.stats["elapsed_seconds"]
     finally:
         if owned:
@@ -179,7 +182,7 @@ def measure_query(
         dataset=dataset_label,
         translation_seconds=translation_seconds,
         execution_seconds=execution_seconds,
-        result_rows=executed.row_count,
+        result_rows=len(executed.node_ids()),
         document_elements=shredded.tree.size(),
         backend=backend,
     )

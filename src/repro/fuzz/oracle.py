@@ -254,7 +254,7 @@ class DifferentialOracle:
                                 program = translator.translate(query).program
                                 programs[signature] = program
                             result = backend.execute(program)
-                            actual = frozenset(int(node_id) for node_id in result.node_ids())
+                            actual = frozenset(result.node_ids())
                     except Exception:
                         outcome.engine_seconds[name] = timer.seconds
                         outcome.disagreements.append(

@@ -14,9 +14,9 @@ substrate the translation targets:
   (:mod:`repro.relational.algebra`),
 * a columnar operator-at-a-time executor over dictionary-encoded column
   arrays (:mod:`repro.relational.columnar`), the engine the memory backend
-  runs, and the row-at-a-time tuple executor it is checked against
-  (:mod:`repro.relational.executor`), both with lazy (top-down) and eager
-  evaluation strategies, and
+  runs, evaluating assignments lazily (top-down), and the row-at-a-time
+  tuple executor it is checked against (:mod:`repro.relational.executor`),
+  which has a lazy and an eager evaluation strategy, and
 * a SQL text emitter so every translated program can be inspected as real
   SQL in generic, Oracle CONNECT BY or DB2 recursive-CTE dialects, or run
   on SQLite (:mod:`repro.relational.sqlgen`).

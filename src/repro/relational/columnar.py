@@ -149,6 +149,10 @@ class ValueDictionary:
         values = self._values
         return {tuple(map(values.__getitem__, row)) for row in rows}
 
+    def decode_distinct(self, codes: Iterable[int]) -> List[object]:
+        """The distinct values behind ``codes``, one lookup per distinct code."""
+        return list(map(self._values.__getitem__, set(codes)))
+
 
 class ColumnarRelation:
     """A relation stored as parallel column arrays of dictionary codes.
@@ -314,7 +318,7 @@ class ColumnarDatabase:
     over the same edge relations for many queries over one DTD) share one
     entry, so the store evaluates it once; a cached plan that runs again
     resolves its temporaries from the table and pays only the result
-    expression plus decoding.  An entry lives while some program that uses
+    expression.  An entry lives while some program that uses
     it lives (the plan cache bounds those), and :meth:`apply_delta` drops
     the whole table.
     """
@@ -577,13 +581,14 @@ class _Scope:
 class ColumnarExecutor:
     """Evaluate relational-algebra programs operator-at-a-time over columns.
 
-    Mirrors :class:`~repro.relational.executor.Executor`'s public surface —
-    ``run``/``evaluate``/``stats``, lazy (top-down) or eager assignment
-    evaluation, identical :class:`~repro.errors.ExecutionError`/
+    Mirrors the lazy mode of :class:`~repro.relational.executor.Executor`
+    — ``run``/``evaluate``/``stats``, top-down assignment evaluation,
+    identical :class:`~repro.errors.ExecutionError`/
     :class:`~repro.errors.SchemaError` behaviour — but executes each
     operator as a batched pass over encoded columns.  ``run`` returns a
     decoded :class:`~repro.relational.relation.Relation`, so callers cannot
-    tell the executors apart except by speed.
+    tell the executors apart except by speed; :meth:`run_encoded` returns
+    the same result still encoded, for callers that read only part of it.
 
     ``stats`` is an :class:`~repro.relational.stats.ExecutionStats` and
     is reset at the start of every ``run`` (per-run numbers).  Each operator
@@ -591,40 +596,39 @@ class ColumnarExecutor:
     ``executor.batch_rows`` histogram with its output batch size.
     """
 
-    def __init__(self, database: "Database | ColumnarDatabase", lazy: bool = True) -> None:
+    def __init__(self, database: "Database | ColumnarDatabase") -> None:
         if isinstance(database, ColumnarDatabase):
             self._store = database
         else:
             self._store = columnar_store(database)
-        self._lazy = lazy
         self.stats = ExecutionStats()
         self._batch_rows = obs.registry().histogram("executor.batch_rows")
 
     # -- public API -------------------------------------------------------------
 
     def run(self, program: Program) -> Relation:
-        """Execute a program and return the (decoded) result relation.
+        """Execute a program and return the (decoded) result relation."""
+        return self._decode(self.run_encoded(program))
 
-        Temporaries resolve through the store's shared table
-        (:meth:`ColumnarDatabase.temps_for`): one already materialized —
-        by an earlier run of this plan or by any plan that computes it the
-        same way — is taken from the table and counted in
-        ``stats.temporaries_reused``; only the rest are evaluated (and
-        published to the table) and counted in
+    def run_encoded(self, program: Program) -> ColumnarRelation:
+        """Execute a program and return the result relation, still encoded.
+
+        Its codes decode through the store's
+        :attr:`ColumnarDatabase.dictionary`.  Temporaries resolve through
+        the store's shared table (:meth:`ColumnarDatabase.temps_for`): one
+        already materialized — by an earlier run of this plan or by any
+        plan that computes it the same way — is taken from the table and
+        counted in ``stats.temporaries_reused``; only the rest are
+        evaluated (and published to the table) and counted in
         ``stats.temporaries_evaluated``.  A warm re-run of a cached plan
         evaluates none.
         """
         self.stats.reset()
         start = time.perf_counter()
         scope = _Scope(program, self._store.temps_for(program))
-        if not self._lazy:
-            for assignment in program.assignments:
-                if assignment.target not in scope.resolved:
-                    self._temporary(assignment.target, scope)
         result = self._evaluate(program.result, scope)
-        decoded = self._decode(result)
         self.stats.elapsed_seconds += time.perf_counter() - start
-        return decoded
+        return result
 
     def evaluate(self, expr: RAExpr) -> Relation:
         """Evaluate a standalone expression (no temporaries in scope)."""
@@ -642,8 +646,7 @@ class ColumnarExecutor:
             return relation
         if name in self._store:
             return self._store.relation(name)
-        entry = scope.shared.get(name)
-        if entry is None or (entry.relation is None and not self._lazy):
+        if name not in scope.shared:
             raise ExecutionError(f"unknown relation {name!r}")
         return self._temporary(name, scope)
 

@@ -496,9 +496,7 @@ def run_loadtest(
         def expected_ids(document_id: str, query: str) -> List[int]:
             key = (document_id, query)
             if key not in expected:
-                expected[key] = [
-                    node.node_id for node in oracle.answer(query, document_id)
-                ]
+                expected[key] = list(oracle.execute(query, document_id).node_ids())
             return expected[key]
 
         remaining = {"count": budget}

@@ -98,8 +98,8 @@ def default_start_method() -> str:
 class PoolAnswer:
     """One answered query, reduced to plain picklable data.
 
-    ``node_ids`` are the matched nodes in node-id order (document order
-    until an insert lands before existing siblings) — the field
+    ``node_ids`` is the backend's answer as is (see
+    :meth:`~repro.backends.base.BackendResult.node_ids`) — the field
     equivalence checks compare.  ``labels``/``values`` carry the rendered
     nodes when the request asked for them (``include_nodes=True``) and are
     ``None`` otherwise, keeping high-volume benchmark traffic lean.
@@ -142,15 +142,20 @@ class PoolAnswer:
 
 def _answer_one(service, worker_index, document_id, query, include_nodes):
     start = time.perf_counter()
-    nodes = service.answer(query, document_id)
+    node_ids = service.execute(query, document_id).node_ids()
+    labels = values = None
+    if include_nodes:
+        nodes = service.store(document_id).shredded.nodes_for_ids(node_ids)
+        labels = tuple(node.label for node in nodes)
+        values = tuple(node.value for node in nodes)
     elapsed = time.perf_counter() - start
     obs.registry().histogram("worker.answer_seconds").observe(elapsed)
     return PoolAnswer(
         document_id=document_id,
         query=str(query),
-        node_ids=tuple(node.node_id for node in nodes),
-        labels=tuple(node.label for node in nodes) if include_nodes else None,
-        values=tuple(node.value for node in nodes) if include_nodes else None,
+        node_ids=node_ids,
+        labels=labels,
+        values=values,
         elapsed_seconds=elapsed,
         worker=worker_index,
     )

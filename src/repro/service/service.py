@@ -67,11 +67,11 @@ class DocumentStore:
 
     The store also memoizes prepared programs and — because the document
     only changes through the service's ``update_document``, which clears
-    them — finished backend results.  Both are
-    :class:`PlanCache` instances (one LRU implementation repo-wide) sized
-    by the service's plan-cache capacity.  Results are immutable
-    (:class:`~repro.backends.base.BackendResult` is frozen), so cache hits
-    are safe to hand to many threads at once.
+    them — finished backend results: each answer's node ids plus its
+    execution stats.  Both are :class:`PlanCache` instances (one LRU
+    implementation repo-wide) sized by the service's plan-cache capacity.
+    Results are immutable (:class:`~repro.backends.base.BackendResult` is
+    frozen), so cache hits are safe to hand to many threads at once.
     """
 
     def __init__(
@@ -476,11 +476,12 @@ class QueryService:
     def answer(
         self, query: QueryLike, document_id: Optional[str] = None
     ) -> List[XMLNode]:
-        """Answer ``query``, returning matching XML nodes in node-id order.
+        """Answer ``query``, returning the matching XML nodes.
 
-        That is document order until :meth:`update_document` inserts a node
-        before existing siblings: the new node takes the next free id, so
-        it sorts after them.
+        The nodes come in the answer's order, ascending node ids (see
+        :meth:`~repro.backends.base.BackendResult.node_ids`).  Callers
+        that need only the ids read :meth:`execute` instead, which builds
+        no node.
         """
         store = self.store(document_id)
         executed = self._execute(store, query)

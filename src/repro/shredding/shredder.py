@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dtd.model import DTD
 from repro.errors import ShreddingError
@@ -41,18 +41,10 @@ class ShreddedDocument:
     mapping: SimpleMapping
     tree: XMLTree
 
-    def node_for_id(self, node_id: object) -> XMLNode:
-        """Resolve a stored node identifier back to its XML node."""
-        return self.tree.node(int(node_id))
-
-    def nodes_for_ids(self, node_ids) -> List[XMLNode]:
-        """Resolve many identifiers, returning nodes in node-id order.
-
-        Node-id order is document order until an insert lands before
-        existing siblings: inserted nodes take the next free id.
-        """
-        nodes = [self.node_for_id(node_id) for node_id in node_ids]
-        return sorted(nodes, key=lambda node: node.node_id)
+    def nodes_for_ids(self, node_ids: Iterable[int]) -> List[XMLNode]:
+        """Resolve many identifiers, in the order they are given."""
+        node = self.tree.node
+        return [node(node_id) for node_id in node_ids]
 
 
 def interval_numbering(tree: XMLTree) -> Set[Tuple[int, int, int, int]]:

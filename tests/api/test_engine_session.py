@@ -162,7 +162,7 @@ class TestQueryResult:
         assert result.plan.optimize_level == 2
         assert result.plan.strategy is not None
         assert "elapsed_seconds" in result.stats
-        assert result.row_count == len(result.rows)
+        assert len(result) == len(result.node_ids())
 
     def test_plan_is_lazy_and_cached(self, dtd, document):
         engine = Engine.from_dtd(dtd, EngineConfig(plan_cache_size=0, result_cache_size=0))
@@ -187,12 +187,11 @@ class TestQueryResult:
             result = session.answer(QUERY)
         assert result._nodes is None  # nothing materialized yet
         count = len(result)
-        assert result._nodes is not None
+        assert result._nodes is None  # len reads the ids alone
         assert count == len(result.nodes())
+        assert result._nodes is not None
         assert result.nodes() is result.nodes()  # materialized once
-        assert {node.node_id for node in result} == {
-            int(node_id) for node_id in result.node_ids()
-        }
+        assert [node.node_id for node in result] == list(result.node_ids())
 
     def test_truthiness_without_materialization(self, dtd, document):
         with Engine.from_dtd(dtd).open_session(document) as session:

@@ -9,14 +9,16 @@ from repro.backends import (
     SqliteBackend,
     backend_names,
     create_backend,
-    normalize_rows,
     sqlite_schema_ddl,
 )
 from repro.backends.base import BackendResult
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.errors import ExecutionError
-from repro.relational.schema import T
+from repro.shredding.shredder import shred_document
+from repro.xmltree.generator import generate_document
+from repro.xpath.evaluator import evaluate_xpath
+from repro.xpath.parser import parse_xpath
 
 
 class TestRegistry:
@@ -42,18 +44,59 @@ class TestRegistry:
             create_backend("sqlite", dept_shredded.database, emission="single")
 
 
-class TestNormalization:
+class TestBackendResult:
     def test_ints_and_strings_collapse(self):
-        assert normalize_rows({(5, 7, "_")}) == normalize_rows({("5", "7", "_")})
+        # The memory engine reads ints, SQLite's TEXT affinity strings.
+        result = BackendResult("memory", [5, "5", 7, "7"])
+        assert result.node_ids() == (5, 7)
 
-    def test_result_node_ids_come_from_t_column(self):
-        result = BackendResult(
-            backend="memory",
-            columns=("F", "T", "V"),
-            rows=frozenset({("1", "2", "x"), ("1", "3", "y")}),
-        )
-        assert result.node_ids() == {"2", "3"}
-        assert result.row_count == 2
+    def test_ids_ascend_numerically(self):
+        result = BackendResult("sqlite", ["10", "9", "100", "9"])
+        assert result.node_ids() == (9, 10, 100)
+        assert result.stats == {}
+
+
+class TestAnswerForm:
+    """Both backends answer with distinct ints in ascending node-id order."""
+
+    @pytest.fixture(scope="class")
+    def document(self, cross_dtd):
+        tree = generate_document(cross_dtd, seed=3, max_elements=250)
+        return tree, shred_document(tree, cross_dtd)
+
+    @pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
+    @pytest.mark.parametrize(
+        "query", ["a//d", "a/b//b//c[d]"], ids=["digit-boundary", "duplicate-rows"]
+    )
+    def test_ids_are_ascending_ints_equal_to_the_evaluator(
+        self, cross_dtd, document, backend_name, query, monkeypatch
+    ):
+        tree, shredded = document
+        expected = sorted(node.node_id for node in evaluate_xpath(tree, parse_xpath(query)))
+        program = XPathToSQLTranslator(cross_dtd).translate(query).program
+        fetched = []
+        run_plan = SqliteBackend._run_plan
+
+        def counting_run_plan(self, plan):
+            columns, rows, elapsed = run_plan(self, plan)
+            fetched.append((len(rows), len(set(rows))))
+            return columns, rows, elapsed
+
+        monkeypatch.setattr(SqliteBackend, "_run_plan", counting_run_plan)
+        with create_backend(backend_name, shredded.database) as backend:
+            result = backend.execute(program)
+        ids = result.node_ids()
+        assert type(ids) is tuple
+        assert all(type(node_id) is int for node_id in ids)
+        assert all(left < right for left, right in zip(ids, ids[1:]))
+        assert list(ids) == expected
+        # A text sort would put 10 before 9.
+        assert ids[0] < 10 <= ids[-1]
+        # ``rows`` counts distinct result rows, also where SQLite fetched
+        # some twice (56 fetched, 36 distinct for the second query).
+        assert result.stats["rows"] == len(ids)
+        if backend_name == "sqlite" and query == "a/b//b//c[d]":
+            assert fetched == [(56, 36)]
 
 
 class TestSqliteDDL:
@@ -73,7 +116,7 @@ class TestSqliteExecution:
         program = translator.translate("dept//project").program
         memory = MemoryBackend(dept_shredded.database)
         with SqliteBackend(dept_shredded.database) as sqlite:
-            assert sqlite.execute(program).rows == memory.execute(program).rows
+            assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()
 
     def test_matches_direct_answer_path(self, dept_dtd, dept_shredded):
         translator = XPathToSQLTranslator(dept_dtd)
@@ -82,7 +125,7 @@ class TestSqliteExecution:
         }
         program = translator.translate("dept//project").program
         with SqliteBackend(dept_shredded.database) as sqlite:
-            actual = {int(t) for t in sqlite.answer_node_ids(program)}
+            actual = set(sqlite.execute(program).node_ids())
         assert actual == expected
 
     def test_pushed_selections_agree(self, cross_dtd, cross_shredded):
@@ -94,7 +137,7 @@ class TestSqliteExecution:
         with SqliteBackend(cross_shredded.database) as sqlite:
             for query in ('a/b[text() = "b-0"]//c/d', 'a/b//c/d[text() = "d-0"]'):
                 program = translator.translate(query).program
-                assert sqlite.execute(program).rows == memory.execute(program).rows
+                assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()
 
     def test_recursive_union_strategy_agrees(self, cross_dtd, cross_shredded):
         translator = XPathToSQLTranslator(
@@ -103,26 +146,27 @@ class TestSqliteExecution:
         program = translator.translate("a/b//c/d").program
         memory = MemoryBackend(cross_shredded.database)
         with SqliteBackend(cross_shredded.database) as sqlite:
-            assert sqlite.execute(program).rows == memory.execute(program).rows
+            assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()
 
     def test_backend_is_reusable_across_programs(self, cross_dtd, cross_shredded):
         """Temp tables are dropped, so one backend serves many executions."""
         translator = XPathToSQLTranslator(cross_dtd)
         first = translator.translate("a//d").program
         second = translator.translate("a/b//c/d").program
+        memory = MemoryBackend(cross_shredded.database)
         with SqliteBackend(cross_shredded.database) as sqlite:
             one = sqlite.execute(first)
             two = sqlite.execute(second)
             again = sqlite.execute(first)
-        assert one.rows == again.rows
-        assert one.rows != two.rows or one.row_count == two.row_count
+        assert one.node_ids() == again.node_ids()
+        assert two.node_ids() == memory.execute(second).node_ids()
 
     def test_stats_report_rows_and_wall_time(self, dept_dtd, dept_shredded):
         translator = XPathToSQLTranslator(dept_dtd)
         program = translator.translate("dept//project").program
         with SqliteBackend(dept_shredded.database) as sqlite:
             result = sqlite.execute(program)
-        assert result.stats["rows"] == result.row_count
+        assert result.stats["rows"] == len(result.node_ids())
         assert result.stats["elapsed_seconds"] >= 0
         assert result.stats["temporaries_evaluated"] >= 1
 
@@ -139,9 +183,8 @@ class TestSqliteExecution:
         program = translator.translate("dept//project").program
         result = MemoryBackend(dept_shredded.database).execute(program)
         assert result.backend == "memory"
-        assert result.stats["rows"] == result.row_count
+        assert result.stats["rows"] == len(result.node_ids())
         assert "fixpoint_iterations" in result.stats
-        assert result.columns[-2] == T or T in result.columns
 
 
 class TestIdentifierQuoting:
@@ -162,7 +205,7 @@ class TestIdentifierQuoting:
         program = translator.translate("event-log//event-date").program
         memory = MemoryBackend(shredded.database)
         with SqliteBackend(shredded.database) as sqlite:
-            assert sqlite.execute(program).rows == memory.execute(program).rows
+            assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()
 
 
 class TestPreparedExecution:
@@ -179,8 +222,7 @@ class TestPreparedExecution:
             prepared = backend.prepare(program)
             for _ in range(3):  # repeatable: no temp-table or state leakage
                 repeat = backend.execute_prepared(prepared)
-                assert repeat.rows == one_shot.rows
-                assert repeat.columns == one_shot.columns
+                assert repeat.node_ids() == one_shot.node_ids()
 
     def test_prepared_program_is_pruned(self, dept_dtd, dept_shredded):
         program = self._program(dept_dtd)
@@ -199,8 +241,6 @@ class TestPreparedExecution:
             assert len(prepared.payload.statements) == len(
                 prepared.program.assignments
             ) + 1
-            result = backend.execute_prepared(prepared)
-            assert result.stats["prepared"] == 1
 
     def test_cross_backend_prepared_rejected(self, dept_dtd, dept_shredded):
         program = self._program(dept_dtd)
@@ -217,9 +257,9 @@ class TestPreparedExecution:
         program = self._program(dept_dtd)
         with SqliteBackend(dept_shredded.database) as backend:
             generic = PreparedProgram(backend="sqlite", program=program.pruned())
-            assert backend.execute_prepared(generic).rows == backend.execute(
+            assert backend.execute_prepared(generic).node_ids() == backend.execute(
                 program
-            ).rows
+            ).node_ids()
 
 
 class TestSqliteExplain:
@@ -255,7 +295,7 @@ class TestSqliteExplain:
             # Every temporary explain created is dropped again: the same
             # program still executes on this backend and agrees with memory.
             memory = MemoryBackend(cross_shredded.database)
-            assert sqlite.execute(program).rows == memory.execute(program).rows
+            assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()
 
 
 class TestSqliteThreadedConnections:
@@ -264,12 +304,12 @@ class TestSqliteThreadedConnections:
 
         program = XPathToSQLTranslator(dept_dtd).translate("dept//project").program
         with SqliteBackend(dept_shredded.database) as backend:
-            expected = backend.execute(program).rows
+            expected = backend.execute(program).node_ids()
             results, errors = [], []
 
             def worker():
                 try:
-                    results.append(backend.execute(program).rows)
+                    results.append(backend.execute(program).node_ids())
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -279,7 +319,7 @@ class TestSqliteThreadedConnections:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert all(rows == expected for rows in results)
+            assert all(ids == expected for ids in results)
 
     def test_two_backends_do_not_share_the_shared_cache_db(self, dept_shredded):
         first = SqliteBackend(dept_shredded.database)
@@ -345,9 +385,9 @@ class TestIdentifierAndLiteralEdgeCases:
         for query in ("select", "select/foo-bar", "select/order", "select/order/*"):
             program = translator.translate(query).program
             with MemoryBackend(shredded.database) as memory:
-                expected = memory.execute(program).rows
+                expected = memory.execute(program).node_ids()
             with SqliteBackend(shredded.database) as sqlite_backend:
-                actual = sqlite_backend.execute(program).rows
+                actual = sqlite_backend.execute(program).node_ids()
             assert expected == actual, query
 
     def test_quoted_and_backslashed_values_roundtrip(self, hostile):
@@ -363,8 +403,8 @@ class TestIdentifierAndLiteralEdgeCases:
                 expected = memory.execute(program)
             with SqliteBackend(shredded.database) as sqlite_backend:
                 actual = sqlite_backend.execute(program)
-            assert expected.rows == actual.rows, query
-            assert expected.row_count == matches, query
+            assert expected.node_ids() == actual.node_ids(), query
+            assert len(expected.node_ids()) == matches, query
 
     def test_recursive_union_strategy_survives_hostile_names(self, hostile):
         dtd, tree, shredded = hostile
@@ -373,7 +413,7 @@ class TestIdentifierAndLiteralEdgeCases:
         )
         program = translator.translate("select//order/*").program
         with MemoryBackend(shredded.database) as memory:
-            expected = memory.execute(program).rows
+            expected = memory.execute(program).node_ids()
         with SqliteBackend(shredded.database) as sqlite_backend:
-            actual = sqlite_backend.execute(program).rows
+            actual = sqlite_backend.execute(program).node_ids()
         assert expected == actual

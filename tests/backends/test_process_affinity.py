@@ -68,7 +68,7 @@ class TestPickleRefusal:
         backend = service.store("doc").backend
         clone = pickle.loads(pickle.dumps(backend))
         program = service.plan("a//d").program
-        assert clone.execute(program).rows == backend.execute(program).rows
+        assert clone.execute(program).node_ids() == backend.execute(program).node_ids()
         service.close()
 
 

@@ -13,14 +13,13 @@ ways:
   identical node sets, and identical to the direct XPath evaluator;
 * every workload case (the paper workloads plus the non-recursive DTD)
   under the default, recursive-union and pushed-selection
-  configurations: both executors, the sqlite backend and the raw
-  level-0 program return the same rows, and their ``T`` column is the
-  XPath evaluator's answer;
+  configurations: both executors and the raw level-0 program return the
+  same rows, the sqlite backend the same node ids, and their ``T``
+  column is the XPath evaluator's answer;
 * every case of the checked-in fuzz regression corpus: a per-case
   executor comparison at both optimize levels, plus a replay through the
   default engine grid;
-* lazy and eager evaluation agree per executor (the strategies share the
-  warm-temporaries namespace, so this also exercises temp reuse);
+* the tuple executor's lazy and eager evaluation agree;
 * one columnar store answers a DTD's sample queries in a seeded order, so
   plans take temporaries from the store's shared table that other plans
   materialized, and every answer still equals the tuple executor's.
@@ -34,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.config import EngineConfig
-from repro.backends import create_backend, normalize_rows
+from repro.backends import create_backend
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
@@ -55,9 +54,6 @@ ALL_SAMPLE_DTDS = sorted(samples.paper_dtds())
 OPTIMIZE_LEVELS = (0, 2)
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz" / "corpus"
 CORPUS_CASES = sorted(CORPUS_DIR.glob("*.json"))
-
-
-EXECUTORS = {"columnar": ColumnarExecutor, "tuple": Executor}
 
 
 def _executors(database):
@@ -140,7 +136,6 @@ class TestExecutorsAgreeOnWorkloadCases:
                 program = translator.translate(case.query).program
                 reference = executors["tuple"].run(program)
                 rows = {"columnar": executors["columnar"].run(program).rows}
-                rows["sqlite"] = sqlite.execute(program).rows
                 # The raw-lowering sentinel: the optimizer's rewrites must
                 # not change the rows.
                 raw = XPathToSQLTranslator(dtd, config=config.with_(optimize_level=0))
@@ -148,12 +143,14 @@ class TestExecutorsAgreeOnWorkloadCases:
                     raw.translate(case.query).program
                 ).rows
                 for name, arm_rows in rows.items():
-                    assert normalize_rows(arm_rows) == normalize_rows(reference.rows), (
+                    assert arm_rows == reference.rows, (
                         case.label,
                         config.describe(),
                         name,
                     )
                 assert _node_ids(reference) == expected, (case.label, config.describe())
+                sqlite_ids = {str(i) for i in sqlite.execute(program).node_ids()}
+                assert sqlite_ids == expected, (case.label, config.describe())
         finally:
             sqlite.close()
 
@@ -187,17 +184,16 @@ class TestExecutorsAgreeOnFuzzCorpus:
         assert not failed, [o.case.label for o in failed]
 
 
-class TestLazyEagerAgreePerExecutor:
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-    def test_lazy_and_eager_agree(self, sample_documents, executor):
+class TestLazyEagerAgree:
+    def test_lazy_and_eager_agree(self, sample_documents):
         dtd, tree, shredded = sample_documents["cross"]
         queries = RandomXPathGenerator(dtd, XPathGenConfig(seed=43)).queries(4)
         translator = XPathToSQLTranslator(dtd)
-        lazy = EXECUTORS[executor](shredded.database)
-        eager = EXECUTORS[executor](shredded.database, lazy=False)
+        lazy = Executor(shredded.database)
+        eager = Executor(shredded.database, lazy=False)
         for query_text in queries:
             program = translator.translate(query_text).program
-            assert lazy.run(program) == eager.run(program), (executor, query_text)
+            assert lazy.run(program) == eager.run(program), query_text
 
 
 class TestSharedTemporariesAcrossPlans:
@@ -219,7 +215,7 @@ class TestSharedTemporariesAcrossPlans:
         seen = set()
         reused_cold = 0
         for index in order:
-            executor = ColumnarExecutor(store, lazy=rng.random() < 0.5)
+            executor = ColumnarExecutor(store)
             assert executor.run(programs[index]) == expected[index], queries[index]
             if index not in seen:
                 seen.add(index)

@@ -58,9 +58,7 @@ class TestLevelsAgreeOnSampleDTDs:
         try:
             for query_text in queries:
                 query = parse_xpath(query_text)
-                expected = {
-                    str(n.node_id) for n in evaluate_xpath(tree, query)
-                }
+                expected = {n.node_id for n in evaluate_xpath(tree, query)}
                 per_level = {}
                 for level in OPTIMIZE_LEVELS:
                     translator = XPathToSQLTranslator(
@@ -85,7 +83,7 @@ class TestLevelsAgreeOnFuzzCorpus:
         tree = case.mutated_tree()
         query = parse_xpath(case.query)
         shredded = shred_document(tree, dtd)
-        expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}
+        expected = {n.node_id for n in evaluate_xpath(tree, query)}
         backend = create_backend(backend_name, shredded.database)
         try:
             for level in OPTIMIZE_LEVELS:

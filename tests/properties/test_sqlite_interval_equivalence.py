@@ -68,7 +68,7 @@ class TestSqliteScript:
         try:
             for query_text in queries:
                 query = parse_xpath(query_text)
-                expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}
+                expected = {n.node_id for n in evaluate_xpath(tree, query)}
                 program = translator.translate(query).program
                 assert set(sqlite.execute(program).node_ids()) == expected, (
                     dtd_name, level, query_text,
@@ -101,10 +101,10 @@ class TestIntervalStrategy:
         try:
             for query_text in queries:
                 query = parse_xpath(query_text)
-                expected = {str(n.node_id) for n in evaluate_xpath(tree, query)}
+                expected = {n.node_id for n in evaluate_xpath(tree, query)}
                 program = translator.translate(query).program
                 answers = {
-                    name: {str(i) for i in executor.run(program).column_values(T)}
+                    name: executor.run(program).column_values(T)
                     for name, executor in executors.items()
                 }
                 answers["sqlite"] = set(sqlite.execute(program).node_ids())

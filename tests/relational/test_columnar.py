@@ -16,7 +16,6 @@ import threading
 import pytest
 
 from repro import obs
-from repro.backends.base import normalize_rows
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.errors import ExecutionError, SchemaError
 from repro.backends.memory import MemoryBackend
@@ -414,22 +413,15 @@ class TestProgramsAndWarmTemps:
         )
 
     def test_lazy_skips_unused_temporaries(self, database):
-        executor = ColumnarExecutor(database, lazy=True)
+        executor = ColumnarExecutor(database)
         result = executor.run(self._program())
         assert len(result) == 2
         assert executor.stats.temporaries_evaluated == 1
 
-    def test_eager_evaluates_everything(self, database):
-        executor = ColumnarExecutor(database, lazy=False)
-        result = executor.run(self._program())
-        assert len(result) == 2
-        assert executor.stats.temporaries_evaluated == 2
-
-    def test_lazy_and_eager_agree_with_tuple_executor(self, database):
+    def test_lazy_agrees_with_tuple_executor(self, database):
         program = self._program()
         expected = Executor(database).run(program)
-        assert ColumnarExecutor(database, lazy=True).run(program) == expected
-        assert ColumnarExecutor(database, lazy=False).run(program) == expected
+        assert ColumnarExecutor(database).run(program) == expected
 
     def test_warm_rerun_reuses_materialized_temporaries(self, database):
         # The store keeps each program's temporaries for the store's life,
@@ -510,16 +502,6 @@ class TestSharedTemporaries:
         assert len(store.shared_temporaries()) == 2
         assert all(entry.users == 2 for entry in store.shared_temporaries())
 
-    def test_eager_runs_share_too(self, cyclic):
-        store = columnar_store(cyclic)
-        first = _closure_program("x")
-        ColumnarExecutor(store).run(first)
-        eager = ColumnarExecutor(store, lazy=False)
-        program = _closure_program("y")
-        assert eager.run(program) == Executor(cyclic).run(program)
-        assert eager.stats.temporaries_evaluated == 0
-        assert eager.stats.temporaries_reused == 2
-
     @pytest.mark.parametrize(
         "first, second",
         [
@@ -549,9 +531,8 @@ class TestSharedTemporaries:
         assert len(store.shared_temporaries()) == 2
 
     def test_reads_of_a_shadowing_temporary_are_not_shared(self, cyclic):
-        # The lazy executor resolves R_a to the base relation, the eager one
-        # (after the assignment) to the temporary: keys that read it must
-        # not match another program's.
+        # R_a names both a base relation and a temporary here: keys that
+        # read it must not match another program's.
         shadowing = Program(
             [
                 Assignment("R_a", Scan("R_b")),
@@ -638,9 +619,7 @@ class TestSharedTemporaries:
 
                 def run(index):
                     barrier.wait()
-                    answers[index] = ColumnarExecutor(
-                        store, lazy=bool(index % 2)
-                    ).run(programs[index])
+                    answers[index] = ColumnarExecutor(store).run(programs[index])
 
                 threads = [
                     threading.Thread(target=run, args=(index,))
@@ -725,7 +704,7 @@ class TestSharedTemporaries:
         second = backend.execute(program)
         assert second.stats["temporaries_evaluated"] == 0
         assert second.stats["temporaries_reused"] >= 1
-        assert second.rows == first.rows
+        assert second.node_ids() == first.node_ids()
 
 
 class TestMemoryBackend:
@@ -734,7 +713,8 @@ class TestMemoryBackend:
             [], Fixpoint(Union((Scan("R_a"), Scan("R_b"))))
         )
         result = MemoryBackend(database).execute(program)
-        assert result.rows == normalize_rows(Executor(database).run(program).rows)
+        expected = Executor(database).run(program).column_values("T")
+        assert result.node_ids() == tuple(sorted(expected))
 
     @pytest.mark.parametrize("max_elements", [1, 2, 3])
     def test_near_empty_documents_answer_like_the_evaluator(

@@ -127,7 +127,7 @@ class TestCachingLayers:
             first = service.execute("a//d")
             second = service.execute("a//d")
             assert first is not second
-            assert first.rows == second.rows
+            assert first.node_ids() == second.node_ids()
             assert service.result_cache_info().hits == 0
 
     def test_cache_capacity_zero_disables_everything(self, cross_setup):
