@@ -6,8 +6,8 @@ constructors accept ``config=`` and no per-knob keyword arguments, so a
 knob is added in exactly one place.  The fields:
 
 * **translation knobs** — ``strategy`` (descendant-axis expansion),
-  ``use_small_seed``/``push_selections``/``select_root`` (the Sect. 5.2
-  lowering options) and ``optimize_level`` (the program-optimizer level);
+  ``use_small_seed``/``push_selections`` (the Sect. 5.2 lowering options)
+  and ``optimize_level`` (the program-optimizer level);
 * **execution knob** — ``backend`` (execution engine name; the SQL
   dialect follows from it, see :func:`repro.backends.backend_dialect`);
 * **serving knobs** — ``plan_cache_size`` and ``result_cache_size`` (LRU
@@ -85,7 +85,7 @@ class EngineConfig:
         on the columnar executor (:mod:`repro.relational.columnar`);
         ``sqlite`` runs one statement per program assignment plus the
         result SELECT.
-    use_small_seed / push_selections / select_root:
+    use_small_seed / push_selections:
         The Sect. 5.2 lowering options, flattened from
         :class:`~repro.core.expath_to_sql.TranslationOptions` so one object
         serializes the whole configuration (see
@@ -119,7 +119,6 @@ class EngineConfig:
     backend: str = "memory"
     use_small_seed: bool = True
     push_selections: bool = False
-    select_root: bool = True
     plan_cache_size: int = 128
     result_cache_size: int = 128
     observability: bool = False
@@ -141,7 +140,7 @@ class EngineConfig:
                 f"unknown backend {self.backend!r} "
                 f"(known: {', '.join(backend_names())})"
             )
-        for flag in ("use_small_seed", "push_selections", "select_root", "observability"):
+        for flag in ("use_small_seed", "push_selections", "observability"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigError(
                     f"{flag} must be a bool, got {getattr(self, flag)!r}"
@@ -160,7 +159,6 @@ class EngineConfig:
         return TranslationOptions(
             use_small_seed=self.use_small_seed,
             push_selections=self.push_selections,
-            select_root=self.select_root,
         )
 
     def translation_signature(self) -> Tuple[object, ...]:
@@ -175,7 +173,6 @@ class EngineConfig:
             self.optimize_level,
             self.use_small_seed,
             self.push_selections,
-            self.select_root,
         )
 
     # -- copy-update ------------------------------------------------------------
@@ -205,7 +202,6 @@ class EngineConfig:
             "backend": self.backend,
             "use_small_seed": self.use_small_seed,
             "push_selections": self.push_selections,
-            "select_root": self.select_root,
             "plan_cache_size": self.plan_cache_size,
             "result_cache_size": self.result_cache_size,
             "observability": self.observability,

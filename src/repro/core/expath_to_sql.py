@@ -100,13 +100,13 @@ class TranslationOptions:
         Additionally anchor the LFP operator itself on the preceding step's
         targets (``C = R.F IN pi_T(R1) AND ...``), i.e. "pushing selections
         into the LFP" of Sect. 5.2.
-    select_root:
-        Apply the final ``sigma_{F = '_'}`` root filter (line 26 of Fig. 10).
+
+    The lowering always applies Fig. 10's final ``sigma_{F = '_'}`` root
+    filter (line 26).
     """
 
     use_small_seed: bool = True
     push_selections: bool = False
-    select_root: bool = True
 
 
 class ExtendedToSQL:
@@ -199,8 +199,7 @@ class _Lowering:
 
     def run(self) -> Program:
         result = self._translate(self._query.result, left=None)
-        if self._t.options.select_root:
-            result = Select(result, (Condition(F, "=", ROOT_PARENT),))
+        result = Select(result, (Condition(F, "=", ROOT_PARENT),))
         program = Program(self._assignments, result)
         return program.pruned()
 

@@ -32,8 +32,8 @@ that runs after lowering:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union as TUnion
+from operator import is_
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union as TUnion
 
 from repro import obs
 from repro.core.expath_to_sql import IMPOSSIBLE_F, TranslationOptions
@@ -45,7 +45,6 @@ from repro.relational.algebra import (
     Assignment,
     Compose,
     Difference,
-    EdgeStep,
     EmptyRelation,
     EquiJoin,
     Fixpoint,
@@ -135,15 +134,18 @@ def eliminate_common_subexpressions(program: Program) -> Program:
     renames: Dict[str, str] = {}
     canonical: Dict[RAExpr, str] = {}
     assignments: List[Assignment] = []
+
+    def rename(expr: RAExpr) -> RAExpr:
+        return rename_scans(expr, renames)
+
     for assignment in program.assignments:
-        rewritten = rename_scans(assignment.expression, renames)
-        if rewritten in canonical:
-            renames[assignment.target] = canonical[rewritten]
+        assignment = assignment.map_children(rename)
+        first = canonical.setdefault(assignment.expression, assignment.target)
+        if first != assignment.target:
+            renames[assignment.target] = first
             continue
-        canonical[rewritten] = assignment.target
-        assignments.append(Assignment(assignment.target, rewritten))
-    result = rename_scans(program.result, renames)
-    return Program(assignments, result).pruned()
+        assignments.append(assignment)
+    return Program(assignments, rename(program.result)).pruned()
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,8 @@ def eliminate_common_subexpressions(program: Program) -> Program:
 
 _FTV = tuple(NODE_COLUMNS)
 _TAGGED = tuple(NODE_COLUMNS) + ("TAG",)
+# The constant-empty relation every rewrite folds to.
+_EMPTY = EmptyRelation()
 
 
 def _columns_of(expr: RAExpr, schema_env: Dict[str, Tuple[str, ...]]) -> Optional[Tuple[str, ...]]:
@@ -180,23 +184,25 @@ def _columns_of(expr: RAExpr, schema_env: Dict[str, Tuple[str, ...]]) -> Optiona
     return None
 
 
-def _simplify_expr(expr: RAExpr, schema_env: Dict[str, Tuple[str, ...]]) -> RAExpr:
-    """One bottom-up clean-up pass over a single expression."""
+def _simplify_node(expr: RAExpr, schema_env: Dict[str, Tuple[str, ...]]) -> RAExpr:
+    """The clean-up rules at one node whose children are already clean.
+
+    Returns ``expr`` itself when no rule applies.
+    """
     if isinstance(expr, Select):
-        inner = _simplify_expr(expr.input, schema_env)
-        conditions = expr.conditions
+        inner = expr.input
         if isinstance(inner, Select):
             # Merge adjacent selections into one conjunctive filter.
             merged = list(inner.conditions)
-            for condition in conditions:
+            for condition in expr.conditions:
                 if condition not in merged:
                     merged.append(condition)
             return Select(inner.input, tuple(merged))
         if isinstance(inner, EmptyRelation):
             return inner
-        return Select(inner, conditions)
+        return expr
     if isinstance(expr, Project):
-        inner = _simplify_expr(expr.input, schema_env)
+        inner = expr.input
         aliases = tuple(expr.aliases or expr.columns)
         columns = tuple(expr.columns)
         if isinstance(inner, Project):
@@ -212,122 +218,71 @@ def _simplify_expr(expr: RAExpr, schema_env: Dict[str, Tuple[str, ...]]) -> RAEx
             # Identity projection over a same-shaped input: a no-op on set
             # semantics relations.
             return inner
-        return Project(inner, columns, expr.aliases)
+        return expr
     if isinstance(expr, Union):
         flattened: List[RAExpr] = []
         for child in expr.inputs:
-            simplified = _simplify_expr(child, schema_env)
-            if isinstance(simplified, Union):
-                flattened.extend(simplified.inputs)
+            if isinstance(child, Union):
+                flattened.extend(child.inputs)
             else:
-                flattened.append(simplified)
-        # Deduplicate structurally equal branches, then drop constant-empty
-        # ones (keeping at least one operand so the node stays well-formed).
-        seen: Dict[RAExpr, RAExpr] = {}
-        for child in flattened:
-            seen.setdefault(child, child)
-        children = list(seen.values())
-        non_empty = [c for c in children if not isinstance(c, EmptyRelation)]
-        children = non_empty or children[:1]
+                flattened.append(child)
+        # Deduplicate structurally equal branches (the first of each is
+        # kept), then drop constant-empty ones (keeping at least one operand
+        # so the node stays well-formed).
+        children = list(dict.fromkeys(flattened))
+        children = [c for c in children if not isinstance(c, EmptyRelation)] or children[:1]
         if len(children) == 1:
             return children[0]
+        if len(children) == len(expr.inputs) and all(map(is_, children, expr.inputs)):
+            return expr
         return Union(tuple(children))
-    if isinstance(expr, Compose):
-        left = _simplify_expr(expr.left, schema_env)
-        right = _simplify_expr(expr.right, schema_env)
-        if isinstance(left, EmptyRelation) or isinstance(right, EmptyRelation):
-            return EmptyRelation()
-        return Compose(left, right)
+    if isinstance(expr, (Compose, Intersect, IntervalJoin)):
+        if isinstance(expr.left, EmptyRelation) or isinstance(expr.right, EmptyRelation):
+            return _EMPTY
+        return expr
     if isinstance(expr, SemiJoin):
-        left = _simplify_expr(expr.left, schema_env)
-        right = _simplify_expr(expr.right, schema_env)
-        if isinstance(right, EmptyRelation) and _columns_of(left, schema_env) == _FTV:
-            return EmptyRelation()
-        return SemiJoin(left, right, expr.left_column, expr.right_column)
+        if isinstance(expr.right, EmptyRelation) and _columns_of(expr.left, schema_env) == _FTV:
+            return _EMPTY
+        return expr
     if isinstance(expr, AntiJoin):
-        left = _simplify_expr(expr.left, schema_env)
-        right = _simplify_expr(expr.right, schema_env)
-        if isinstance(right, EmptyRelation):
-            return left
-        return AntiJoin(left, right, expr.left_column, expr.right_column)
+        return expr.left if isinstance(expr.right, EmptyRelation) else expr
     if isinstance(expr, Difference):
-        left = _simplify_expr(expr.left, schema_env)
-        right = _simplify_expr(expr.right, schema_env)
-        if isinstance(right, EmptyRelation):
-            return left
-        if isinstance(left, EmptyRelation):
-            return left
-        return Difference(left, right)
-    if isinstance(expr, Intersect):
-        left = _simplify_expr(expr.left, schema_env)
-        right = _simplify_expr(expr.right, schema_env)
-        if isinstance(left, EmptyRelation) or isinstance(right, EmptyRelation):
-            return EmptyRelation()
-        return Intersect(left, right)
+        if isinstance(expr.right, EmptyRelation) or isinstance(expr.left, EmptyRelation):
+            return expr.left
+        return expr
     if isinstance(expr, Fixpoint):
-        base = _simplify_expr(expr.base, schema_env)
-        source = (
-            None
-            if expr.source_anchor is None
-            else _simplify_expr(expr.source_anchor, schema_env)
-        )
-        target = (
-            None
-            if expr.target_anchor is None
-            else _simplify_expr(expr.target_anchor, schema_env)
-        )
-        if isinstance(base, EmptyRelation):
-            return EmptyRelation()
-        if isinstance(source, EmptyRelation) or (
-            isinstance(target, EmptyRelation) and source is None
+        source, target = expr.source_anchor, expr.target_anchor
+        if (
+            isinstance(expr.base, EmptyRelation)
+            or isinstance(source, EmptyRelation)
+            or (isinstance(target, EmptyRelation) and source is None)
         ):
             # An empty anchor admits no seed tuples, so the closure is empty.
-            return EmptyRelation()
-        return Fixpoint(base, source, target)
-    if isinstance(expr, TagProject):
-        return TagProject(_simplify_expr(expr.input, schema_env), expr.tag)
-    if isinstance(expr, RecursiveUnion):
-        init = _simplify_expr(expr.init, schema_env)
-        steps = tuple(
-            EdgeStep(
-                _simplify_expr(step.relation, schema_env),
-                step.parent_tag,
-                step.child_tag,
-            )
-            for step in expr.steps
-        )
-        return RecursiveUnion(init, steps)
-    if isinstance(expr, EquiJoin):
-        return EquiJoin(
-            _simplify_expr(expr.left, schema_env),
-            _simplify_expr(expr.right, schema_env),
-            expr.left_column,
-            expr.right_column,
-            expr.output,
-        )
-    if isinstance(expr, IntervalJoin):
-        left = _simplify_expr(expr.left, schema_env)
-        right = _simplify_expr(expr.right, schema_env)
-        if isinstance(left, EmptyRelation) or isinstance(right, EmptyRelation):
-            return EmptyRelation()
-        return IntervalJoin(left, right, _simplify_expr(expr.order, schema_env))
+            return _EMPTY
+        return expr
     return expr
 
 
 def simplify_program(program: Program) -> Program:
     """Schema-free clean-ups: merge selections, collapse projections, flatten
     and deduplicate unions, fold operators over constant-empty inputs, and
-    drop assignments the result no longer needs."""
+    drop assignments the result no longer needs.
+
+    One bottom-up pass per expression; a subtree that no rule changes is
+    kept as it is."""
     schema_env: Dict[str, Tuple[str, ...]] = {}
+
+    def simplify(expr: RAExpr) -> RAExpr:
+        return _simplify_node(expr.map_children(simplify), schema_env)
+
     assignments: List[Assignment] = []
     for assignment in program.assignments:
-        simplified = _simplify_expr(assignment.expression, schema_env)
-        columns = _columns_of(simplified, schema_env)
+        assignment = assignment.map_children(simplify)
+        columns = _columns_of(assignment.expression, schema_env)
         if columns is not None:
             schema_env[assignment.target] = columns
-        assignments.append(Assignment(assignment.target, simplified))
-    result = _simplify_expr(program.result, schema_env)
-    return Program(assignments, result).pruned()
+        assignments.append(assignment)
+    return Program(assignments, simplify(program.result)).pruned()
 
 
 # ---------------------------------------------------------------------------
@@ -580,75 +535,20 @@ class _EmptinessFolder:
         self._schema_env = schema_env
 
     def fold(self, expr: RAExpr) -> RAExpr:
-        if self._analysis.is_empty(expr) and _columns_of(expr, self._schema_env) == _FTV:
-            return EmptyRelation()
-        if isinstance(expr, Select):
-            return Select(self.fold(expr.input), expr.conditions)
-        if isinstance(expr, Project):
-            return Project(self.fold(expr.input), expr.columns, expr.aliases)
-        if isinstance(expr, TagProject):
-            return TagProject(self.fold(expr.input), expr.tag)
-        if isinstance(expr, Compose):
-            return Compose(self.fold(expr.left), self.fold(expr.right))
-        if isinstance(expr, EquiJoin):
-            return EquiJoin(
-                self.fold(expr.left),
-                self.fold(expr.right),
-                expr.left_column,
-                expr.right_column,
-                expr.output,
-            )
-        if isinstance(expr, SemiJoin):
-            return SemiJoin(
-                self.fold(expr.left),
-                self.fold(expr.right),
-                expr.left_column,
-                expr.right_column,
-            )
-        if isinstance(expr, AntiJoin):
-            if self._analysis.is_empty(expr.right):
-                # No right rows can ever match: the anti-join passes left through.
-                return self.fold(expr.left)
-            return AntiJoin(
-                self.fold(expr.left),
-                self.fold(expr.right),
-                expr.left_column,
-                expr.right_column,
-            )
+        analysis = self._analysis
+        if analysis.is_empty(expr) and _columns_of(expr, self._schema_env) == _FTV:
+            return _EMPTY
+        if isinstance(expr, (AntiJoin, Difference)) and analysis.is_empty(expr.right):
+            # No right rows can ever match: the operator passes left through.
+            return self.fold(expr.left)
         if isinstance(expr, Union):
-            children = [
-                child for child in expr.inputs if not self._analysis.is_empty(child)
-            ]
-            children = children or list(expr.inputs[:1])
-            folded = [self.fold(child) for child in children]
-            if len(folded) == 1:
-                return folded[0]
-            return Union(tuple(folded))
-        if isinstance(expr, Difference):
-            if self._analysis.is_empty(expr.right):
-                return self.fold(expr.left)
-            return Difference(self.fold(expr.left), self.fold(expr.right))
-        if isinstance(expr, Intersect):
-            return Intersect(self.fold(expr.left), self.fold(expr.right))
-        if isinstance(expr, Fixpoint):
-            return Fixpoint(
-                self.fold(expr.base),
-                None if expr.source_anchor is None else self.fold(expr.source_anchor),
-                None if expr.target_anchor is None else self.fold(expr.target_anchor),
-            )
-        if isinstance(expr, RecursiveUnion):
-            return RecursiveUnion(
-                self.fold(expr.init),
-                tuple(
-                    EdgeStep(self.fold(step.relation), step.parent_tag, step.child_tag)
-                    for step in expr.steps
-                ),
-            )
-        if isinstance(expr, IntervalJoin):
-            return IntervalJoin(
-                self.fold(expr.left), self.fold(expr.right), expr.order
-            )
-        return expr
+            live = [child for child in expr.inputs if not analysis.is_empty(child)]
+            live = live or list(expr.inputs[:1])
+            if len(live) == 1:
+                return self.fold(live[0])
+            if len(live) < len(expr.inputs):
+                return Union(tuple(self.fold(child) for child in live))
+        return expr.map_children(self.fold)
 
 
 def prune_unreachable(
@@ -673,13 +573,12 @@ def prune_unreachable(
     assignments: List[Assignment] = []
     for assignment in program.assignments:
         analysis.define(assignment.target, assignment.expression)
-        folded = folder.fold(assignment.expression)
-        columns = _columns_of(folded, schema_env)
+        assignment = assignment.map_children(folder.fold)
+        columns = _columns_of(assignment.expression, schema_env)
         if columns is not None:
             schema_env[assignment.target] = columns
-        assignments.append(Assignment(assignment.target, folded))
-    result = folder.fold(program.result)
-    return Program(assignments, result).pruned()
+        assignments.append(assignment)
+    return Program(assignments, folder.fold(program.result)).pruned()
 
 
 # ---------------------------------------------------------------------------

@@ -328,10 +328,6 @@ class XPathToSQLTranslator:
             optimize_level=self._optimize_level,
         )
 
-    def to_sql(self, query: QueryLike, dialect: SQLDialect = SQLDialect.GENERIC) -> str:
-        """Translate and render as SQL text."""
-        return self.translate(query).sql(dialect)
-
     # -- query answering ------------------------------------------------------------
 
     def shred(self, tree: XMLTree) -> ShreddedDocument:

@@ -14,9 +14,9 @@ temporary tables in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro._support import Frozen
+from repro._support import Node
 from repro.errors import ExtendedXPathError
 
 __all__ = [
@@ -41,33 +41,48 @@ __all__ = [
     "ExtendedXPathQuery",
     "eslash",
     "eunion",
+    "folded",
     "iter_subexpressions",
+    "substitute",
 ]
 
 
-class Expr(Frozen):
-    """Base class of extended XPath expressions."""
+class Expr(Node):
+    """Base class of extended XPath expressions.
+
+    A class's ``_child_fields`` name its sub-expressions and, on
+    :class:`EQualified`, its qualifier.  :meth:`map_children` applies its
+    function to both, so a rewrite's function takes expressions and
+    qualifiers alike.
+    """
 
     def children(self) -> Tuple["Expr", ...]:
         """Immediate sub-expressions (qualifier contents excluded)."""
-        return ()
+        return tuple(child for child in self._child_nodes() if isinstance(child, Expr))
 
     def variables(self) -> Set[str]:
         """All variable names occurring in this expression (including qualifiers)."""
-        out: Set[str] = set()
-        for child in self.children():
-            out |= child.variables()
-        return out
+        names: Set[str] = set()
+        stack: List[Node] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, EVar):
+                names.add(node.name)
+            elif node._child_fields:
+                stack.extend(node._child_nodes())
+        return names
 
     def __str__(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
 
 
-class EQualifier(Frozen):
-    """Base class of extended XPath qualifiers."""
+class EQualifier(Node):
+    """Base class of extended XPath qualifiers.
 
-    def variables(self) -> Set[str]:
-        return set()
+    Their children are expressions (:class:`EPathQual`) or qualifiers.
+    """
+
+    variables = Expr.variables
 
     def __str__(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -125,12 +140,11 @@ class ESlash(Expr):
     left: Expr
     right: Expr
 
+    _child_fields = ("left", "right")
+
     def __init__(self, left: Expr, right: Expr) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"{self.left}/{self.right}"
@@ -142,12 +156,11 @@ class EUnion(Expr):
     left: Expr
     right: Expr
 
+    _child_fields = ("left", "right")
+
     def __init__(self, left: Expr, right: Expr) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"({self.left} | {self.right})"
@@ -158,11 +171,10 @@ class EStar(Expr):
 
     inner: Expr
 
+    _child_fields = ("inner",)
+
     def __init__(self, inner: Expr) -> None:
         object.__setattr__(self, "inner", inner)
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.inner,)
 
     def __str__(self) -> str:
         return f"({self.inner})*"
@@ -216,15 +228,11 @@ class EQualified(Expr):
     expr: Expr
     qualifier: "EQualifier"
 
+    _child_fields = ("expr", "qualifier")
+
     def __init__(self, expr: Expr, qualifier: "EQualifier") -> None:
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "qualifier", qualifier)
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.expr,)
-
-    def variables(self) -> Set[str]:
-        return self.expr.variables() | self.qualifier.variables()
 
     def __str__(self) -> str:
         return f"{self.expr}[{self.qualifier}]"
@@ -240,11 +248,10 @@ class EPathQual(EQualifier):
 
     expr: Expr
 
+    _child_fields = ("expr",)
+
     def __init__(self, expr: Expr) -> None:
         object.__setattr__(self, "expr", expr)
-
-    def variables(self) -> Set[str]:
-        return self.expr.variables()
 
     def __str__(self) -> str:
         return str(self.expr)
@@ -267,11 +274,10 @@ class ENot(EQualifier):
 
     inner: EQualifier
 
+    _child_fields = ("inner",)
+
     def __init__(self, inner: EQualifier) -> None:
         object.__setattr__(self, "inner", inner)
-
-    def variables(self) -> Set[str]:
-        return self.inner.variables()
 
     def __str__(self) -> str:
         return f"not({self.inner})"
@@ -283,12 +289,11 @@ class EAnd(EQualifier):
     left: EQualifier
     right: EQualifier
 
+    _child_fields = ("left", "right")
+
     def __init__(self, left: EQualifier, right: EQualifier) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def variables(self) -> Set[str]:
-        return self.left.variables() | self.right.variables()
 
     def __str__(self) -> str:
         return f"({self.left} and {self.right})"
@@ -300,12 +305,11 @@ class EOr(EQualifier):
     left: EQualifier
     right: EQualifier
 
+    _child_fields = ("left", "right")
+
     def __init__(self, left: EQualifier, right: EQualifier) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def variables(self) -> Set[str]:
-        return self.left.variables() | self.right.variables()
 
     def __str__(self) -> str:
         return f"({self.left} or {self.right})"
@@ -316,26 +320,47 @@ class EOr(EQualifier):
 # ---------------------------------------------------------------------------
 
 
-def eslash(left: Expr, right: Expr) -> Expr:
-    """Concatenate two expressions, short-circuiting the empty set and ``eps``."""
+def eslash(left: Expr, right: Expr, node: Optional[Expr] = None) -> Expr:
+    """Concatenate two expressions, short-circuiting the empty set and ``eps``.
+
+    When nothing folds, ``node`` (an existing ``left/right``) is returned
+    in place of a new one.
+    """
     if isinstance(left, EEmptySet) or isinstance(right, EEmptySet):
         return EEmptySet()
     if isinstance(left, EEmpty):
         return right
     if isinstance(right, EEmpty):
         return left
-    return ESlash(left, right)
+    return ESlash(left, right) if node is None else node
 
 
-def eunion(left: Expr, right: Expr) -> Expr:
-    """Union of two expressions, dropping empty-set operands and duplicates."""
+def eunion(left: Expr, right: Expr, node: Optional[Expr] = None) -> Expr:
+    """Union of two expressions, dropping empty-set operands and duplicates.
+
+    When nothing folds, ``node`` (an existing ``left | right``) is returned
+    in place of a new one.
+    """
     if isinstance(left, EEmptySet):
         return right
     if isinstance(right, EEmptySet):
         return left
     if left == right:
         return left
-    return EUnion(left, right)
+    return EUnion(left, right) if node is None else node
+
+
+def folded(expr: Expr) -> Expr:
+    """``expr`` after :func:`eslash`'s or :func:`eunion`'s folding at its root.
+
+    Returns ``expr`` itself when nothing folds, so a rewrite that ends in
+    this keeps the smart constructors' results without rebuilding nodes.
+    """
+    if isinstance(expr, ESlash):
+        return eslash(expr.left, expr.right, expr)
+    if isinstance(expr, EUnion):
+        return eunion(expr.left, expr.right, expr)
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +368,18 @@ def eunion(left: Expr, right: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-class Equation(Frozen):
-    """A single binding ``X = E``."""
+class Equation(Node):
+    """A single binding ``X = E``.
+
+    Its one child is ``expression``, so a pass rewrites an equation with
+    :meth:`map_children` and keeps it when the expression comes back
+    unchanged.
+    """
 
     variable: str
     expression: Expr
+
+    _child_fields = ("expression",)
 
     def __init__(self, variable: str, expression: Expr) -> None:
         object.__setattr__(self, "variable", variable)
@@ -448,63 +480,33 @@ class ExtendedXPathQuery:
         """
         bindings: Dict[str, Expr] = {}
         for equation in self._equations:
-            bindings[equation.variable] = _substitute(equation.expression, bindings)
-        return _substitute(self._result, bindings)
+            bindings[equation.variable] = substitute(equation.expression, bindings)
+        return substitute(self._result, bindings)
 
 
-def _substitute(expr: Expr, bindings: Dict[str, Expr]) -> Expr:
-    if isinstance(expr, EVar):
-        if expr.name not in bindings:
-            raise ExtendedXPathError(f"unbound variable {expr.name!r}")
-        return bindings[expr.name]
-    if isinstance(expr, ESlash):
-        return eslash(_substitute(expr.left, bindings), _substitute(expr.right, bindings))
-    if isinstance(expr, EUnion):
-        return eunion(_substitute(expr.left, bindings), _substitute(expr.right, bindings))
-    if isinstance(expr, EStar):
-        inner = _substitute(expr.inner, bindings)
-        return EEmpty() if isinstance(inner, EEmptySet) else EStar(inner)
-    if isinstance(expr, EQualified):
-        return EQualified(
-            _substitute(expr.expr, bindings), _substitute_qualifier(expr.qualifier, bindings)
-        )
-    return expr
+def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
+    """``expr`` with every variable bound in ``bindings`` replaced by its binding.
 
+    Unbound variables are left alone.  Qualifiers are rewritten too.  Every
+    slash and union folds as :func:`eslash` and :func:`eunion` do, and a
+    closure over the empty set becomes ``eps``.  A subtree that none of this
+    changes is returned as it is.
+    """
 
-def _substitute_qualifier(qualifier: EQualifier, bindings: Dict[str, Expr]) -> EQualifier:
-    if isinstance(qualifier, EPathQual):
-        return EPathQual(_substitute(qualifier.expr, bindings))
-    if isinstance(qualifier, ENot):
-        return ENot(_substitute_qualifier(qualifier.inner, bindings))
-    if isinstance(qualifier, EAnd):
-        return EAnd(
-            _substitute_qualifier(qualifier.left, bindings),
-            _substitute_qualifier(qualifier.right, bindings),
-        )
-    if isinstance(qualifier, EOr):
-        return EOr(
-            _substitute_qualifier(qualifier.left, bindings),
-            _substitute_qualifier(qualifier.right, bindings),
-        )
-    return qualifier
+    def visit(node: Expr) -> Expr:
+        if isinstance(node, EVar):
+            return bindings.get(node.name, node)
+        node = node.map_children(visit)
+        if isinstance(node, EStar) and isinstance(node.inner, EEmptySet):
+            return EEmpty()
+        return folded(node)
+
+    return visit(expr)
 
 
 def iter_subexpressions(expr: Expr) -> Iterator[Expr]:
     """Yield every sub-expression of ``expr`` in post-order (qualifiers included)."""
-    if isinstance(expr, EQualified):
-        yield from iter_subexpressions(expr.expr)
-        yield from _iter_qualifier_exprs(expr.qualifier)
-    else:
-        for child in expr.children():
-            yield from iter_subexpressions(child)
-    yield expr
-
-
-def _iter_qualifier_exprs(qualifier: EQualifier) -> Iterator[Expr]:
-    if isinstance(qualifier, EPathQual):
-        yield from iter_subexpressions(qualifier.expr)
-    elif isinstance(qualifier, ENot):
-        yield from _iter_qualifier_exprs(qualifier.inner)
-    elif isinstance(qualifier, (EAnd, EOr)):
-        yield from _iter_qualifier_exprs(qualifier.left)
-        yield from _iter_qualifier_exprs(qualifier.right)
+    for child in expr._child_nodes():
+        yield from iter_subexpressions(child)
+    if isinstance(expr, Expr):
+        yield expr

@@ -10,21 +10,17 @@ layer offers the analogous counts on translated programs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from repro.expath.ast import (
-    EAnd,
-    ENot,
-    EOr,
-    EPathQual,
     EQualified,
-    EQualifier,
     ESlash,
     EStar,
     EUnion,
     EVar,
     Expr,
     ExtendedXPathQuery,
+    iter_subexpressions,
 )
 
 __all__ = ["OperatorCounts", "count_operators"]
@@ -62,35 +58,17 @@ class OperatorCounts:
 
 def _count_expr(expr: Expr) -> OperatorCounts:
     counts = OperatorCounts()
-    if isinstance(expr, ESlash):
-        counts.slashes += 1
-        counts += _count_expr(expr.left)
-        counts += _count_expr(expr.right)
-    elif isinstance(expr, EUnion):
-        counts.unions += 1
-        counts += _count_expr(expr.left)
-        counts += _count_expr(expr.right)
-    elif isinstance(expr, EStar):
-        counts.stars += 1
-        counts += _count_expr(expr.inner)
-    elif isinstance(expr, EQualified):
-        counts.qualifiers += 1
-        counts += _count_expr(expr.expr)
-        counts += _count_qualifier(expr.qualifier)
-    elif isinstance(expr, EVar):
-        counts.variables += 1
-    return counts
-
-
-def _count_qualifier(qualifier: EQualifier) -> OperatorCounts:
-    counts = OperatorCounts()
-    if isinstance(qualifier, EPathQual):
-        counts += _count_expr(qualifier.expr)
-    elif isinstance(qualifier, ENot):
-        counts += _count_qualifier(qualifier.inner)
-    elif isinstance(qualifier, (EAnd, EOr)):
-        counts += _count_qualifier(qualifier.left)
-        counts += _count_qualifier(qualifier.right)
+    for node in iter_subexpressions(expr):
+        if isinstance(node, ESlash):
+            counts.slashes += 1
+        elif isinstance(node, EUnion):
+            counts.unions += 1
+        elif isinstance(node, EStar):
+            counts.stars += 1
+        elif isinstance(node, EQualified):
+            counts.qualifiers += 1
+        elif isinstance(node, EVar):
+            counts.variables += 1
     return counts
 
 

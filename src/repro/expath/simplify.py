@@ -8,11 +8,15 @@ Implements the pruning applied by the translation algorithms (Sect. 4):
 * equation pruning — drop ``X = EMPTYSET``, inline trivial aliases
   ``X = Y`` / ``X = A``, and drop equations the result does not depend on
   (the three pruning rules listed for CycleEX).
+
+Each rule rewrites one node whose children are already simplified; the
+rebuilding is :meth:`~repro._support.Node.map_children`'s, so a
+subexpression no rule changes is kept as it is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Union
 
 from repro.expath.ast import (
     EAnd,
@@ -24,19 +28,31 @@ from repro.expath.ast import (
     EPathQual,
     EQualified,
     EQualifier,
-    ESlash,
     EStar,
-    ETextEquals,
     EUnion,
     EVar,
     Equation,
     Expr,
     ExtendedXPathQuery,
-    eslash,
-    eunion,
+    folded,
+    substitute,
 )
 
 __all__ = ["simplify_expression", "simplify_qualifier", "simplify_query"]
+
+# Statically true and false qualifiers, ``[eps]`` and ``[EMPTYSET]``.  While
+# simplifying, a qualifier that folds to a constant folds to one of these
+# forms; EQualified's rule then removes it.
+_TRUE = EPathQual(EEmpty())
+_FALSE = EPathQual(EEmptySet())
+
+
+def _is_true(qualifier: EQualifier) -> bool:
+    return isinstance(qualifier, EPathQual) and isinstance(qualifier.expr, EEmpty)
+
+
+def _is_false(qualifier: EQualifier) -> bool:
+    return isinstance(qualifier, EPathQual) and isinstance(qualifier.expr, EEmptySet)
 
 
 def _strip_empty_branches(expr: Expr) -> Expr:
@@ -48,36 +64,56 @@ def _strip_empty_branches(expr: Expr) -> Expr:
     if isinstance(expr, EEmpty):
         return EEmptySet()
     if isinstance(expr, EUnion):
-        return eunion(_strip_empty_branches(expr.left), _strip_empty_branches(expr.right))
+        return folded(expr.map_children(_strip_empty_branches))
     return expr
 
 
-def simplify_expression(expr: Expr) -> Expr:
-    """Return an equivalent expression with trivial sub-expressions folded."""
-    if isinstance(expr, ESlash):
-        return eslash(simplify_expression(expr.left), simplify_expression(expr.right))
-    if isinstance(expr, EUnion):
-        left = simplify_expression(expr.left)
-        right = simplify_expression(expr.right)
-        return eunion(left, right)
-    if isinstance(expr, EStar):
-        inner = _strip_empty_branches(simplify_expression(expr.inner))
+def _simplify(node: Union[Expr, EQualifier]) -> Union[Expr, EQualifier]:
+    node = node.map_children(_simplify)
+    if isinstance(node, EStar):
+        inner = _strip_empty_branches(node.inner)
         if isinstance(inner, (EEmptySet, EEmpty)):
             return EEmpty()
         if isinstance(inner, EStar):
             return inner  # (E*)* == E*
-        return EStar(inner)
-    if isinstance(expr, EQualified):
-        base = simplify_expression(expr.expr)
-        if isinstance(base, EEmptySet):
+        return node if inner is node.inner else EStar(inner)
+    if isinstance(node, EQualified):
+        if isinstance(node.expr, EEmptySet) or _is_false(node.qualifier):
             return EEmptySet()
-        qualifier = simplify_qualifier(expr.qualifier)
-        if qualifier is None:
-            return base  # qualifier statically true
-        if qualifier is False:
-            return EEmptySet()  # qualifier statically false
-        return EQualified(base, qualifier)
-    return expr
+        if _is_true(node.qualifier):
+            return node.expr
+        return node
+    if isinstance(node, EQualifier):
+        return _simplify_qualifier_node(node)
+    return folded(node)
+
+
+def _simplify_qualifier_node(node: EQualifier) -> EQualifier:
+    if isinstance(node, ENot):
+        if _is_true(node.inner):
+            return _FALSE
+        if _is_false(node.inner):
+            return _TRUE
+    elif isinstance(node, EAnd):
+        if _is_false(node.left) or _is_false(node.right):
+            return _FALSE
+        if _is_true(node.left):
+            return node.right
+        if _is_true(node.right):
+            return node.left
+    elif isinstance(node, EOr):
+        if _is_true(node.left) or _is_true(node.right):
+            return _TRUE
+        if _is_false(node.left):
+            return node.right
+        if _is_false(node.right):
+            return node.left
+    return node
+
+
+def simplify_expression(expr: Expr) -> Expr:
+    """Return an equivalent expression with trivial sub-expressions folded."""
+    return _simplify(expr)
 
 
 def simplify_qualifier(qualifier: EQualifier):
@@ -87,81 +123,12 @@ def simplify_qualifier(qualifier: EQualifier):
     ``False`` when statically false (``[EMPTYSET]``), or a simplified
     qualifier otherwise.
     """
-    if isinstance(qualifier, EPathQual):
-        expr = simplify_expression(qualifier.expr)
-        if isinstance(expr, EEmpty):
-            return None
-        if isinstance(expr, EEmptySet):
-            return False
-        return EPathQual(expr)
-    if isinstance(qualifier, ENot):
-        inner = simplify_qualifier(qualifier.inner)
-        if inner is None:
-            return False
-        if inner is False:
-            return None
-        return ENot(inner)
-    if isinstance(qualifier, EAnd):
-        left = simplify_qualifier(qualifier.left)
-        right = simplify_qualifier(qualifier.right)
-        if left is False or right is False:
-            return False
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return EAnd(left, right)
-    if isinstance(qualifier, EOr):
-        left = simplify_qualifier(qualifier.left)
-        right = simplify_qualifier(qualifier.right)
-        if left is None or right is None:
-            return None
-        if left is False:
-            return right
-        if right is False:
-            return left
-        return EOr(left, right)
-    return qualifier
-
-
-def _substitute_aliases(expr: Expr, aliases: Dict[str, Expr]) -> Expr:
-    if isinstance(expr, EVar) and expr.name in aliases:
-        return aliases[expr.name]
-    if isinstance(expr, ESlash):
-        return eslash(
-            _substitute_aliases(expr.left, aliases), _substitute_aliases(expr.right, aliases)
-        )
-    if isinstance(expr, EUnion):
-        return eunion(
-            _substitute_aliases(expr.left, aliases), _substitute_aliases(expr.right, aliases)
-        )
-    if isinstance(expr, EStar):
-        inner = _substitute_aliases(expr.inner, aliases)
-        return EEmpty() if isinstance(inner, EEmptySet) else EStar(inner)
-    if isinstance(expr, EQualified):
-        return EQualified(
-            _substitute_aliases(expr.expr, aliases),
-            _substitute_aliases_qualifier(expr.qualifier, aliases),
-        )
-    return expr
-
-
-def _substitute_aliases_qualifier(qualifier: EQualifier, aliases: Dict[str, Expr]) -> EQualifier:
-    if isinstance(qualifier, EPathQual):
-        return EPathQual(_substitute_aliases(qualifier.expr, aliases))
-    if isinstance(qualifier, ENot):
-        return ENot(_substitute_aliases_qualifier(qualifier.inner, aliases))
-    if isinstance(qualifier, EAnd):
-        return EAnd(
-            _substitute_aliases_qualifier(qualifier.left, aliases),
-            _substitute_aliases_qualifier(qualifier.right, aliases),
-        )
-    if isinstance(qualifier, EOr):
-        return EOr(
-            _substitute_aliases_qualifier(qualifier.left, aliases),
-            _substitute_aliases_qualifier(qualifier.right, aliases),
-        )
-    return qualifier
+    simplified = _simplify(qualifier)
+    if _is_true(simplified):
+        return None
+    if _is_false(simplified):
+        return False
+    return simplified
 
 
 def simplify_query(query: ExtendedXPathQuery) -> ExtendedXPathQuery:
@@ -173,11 +140,14 @@ def simplify_query(query: ExtendedXPathQuery) -> ExtendedXPathQuery:
     """
     aliases: Dict[str, Expr] = {}
     equations: List[Equation] = []
+
+    def simplify(expr: Expr) -> Expr:
+        return _simplify(substitute(expr, aliases))
+
     for equation in query.equations:
-        expr = simplify_expression(_substitute_aliases(equation.expression, aliases))
-        if isinstance(expr, (EEmptySet, EEmpty, EVar, ELabel)):
-            aliases[equation.variable] = expr
+        equation = equation.map_children(simplify)
+        if isinstance(equation.expression, (EEmptySet, EEmpty, EVar, ELabel)):
+            aliases[equation.variable] = equation.expression
             continue
-        equations.append(Equation(equation.variable, expr))
-    result = simplify_expression(_substitute_aliases(query.result, aliases))
-    return ExtendedXPathQuery(equations, result).pruned()
+        equations.append(equation)
+    return ExtendedXPathQuery(equations, simplify(query.result)).pruned()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.cycleex import CycleEXIndex
 from repro.core.expath_to_sql import ExtendedToSQL
@@ -26,9 +26,8 @@ from repro.core.tarjan import CycleE
 from repro.dtd.graph import DTDGraph
 from repro.dtd.model import DTD
 from repro.dtd import samples
-from repro.expath.ast import Equation, ExtendedXPathQuery
+from repro.expath.ast import ExtendedXPathQuery
 from repro.expath.metrics import count_operators
-from repro.expath.simplify import simplify_query
 from repro.experiments.harness import format_table
 from repro.shredding.inlining import SimpleMapping
 
@@ -63,13 +62,6 @@ def _min_max_avg(values: List[int]) -> Tuple[int, int, float]:
     if not values:
         return (0, 0, 0.0)
     return (min(values), max(values), sum(values) / len(values))
-
-
-def _program_counts(dtd: DTD, query: ExtendedXPathQuery) -> Tuple[int, int]:
-    """Lower a rec(A,B) query and count (LFP operators, all operators)."""
-    program = ExtendedToSQL(SimpleMapping(dtd), standard_options()).translate(query)
-    profile = program.operator_profile()
-    return profile.lfps, profile.total
 
 
 def run(dtds: Sequence[Tuple[str, Callable[[], DTD]]] = TABLE5_DTDS) -> List[TableFiveRow]:

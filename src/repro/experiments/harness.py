@@ -80,7 +80,6 @@ class Approach:
             optimize_level=self.optimize_level,
             use_small_seed=self.options.use_small_seed,
             push_selections=self.options.push_selections,
-            select_root=self.options.select_root,
         )
 
     def translator(self, dtd: DTD) -> XPathToSQLTranslator:

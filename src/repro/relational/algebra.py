@@ -25,9 +25,9 @@ what Table 5 and Exp-5 report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro._support import Frozen
+from repro._support import Node
 
 __all__ = [
     "RAExpr",
@@ -56,12 +56,13 @@ __all__ = [
 ]
 
 
-class RAExpr(Frozen):
-    """Base class of relational-algebra expressions."""
+class RAExpr(Node):
+    """Base class of relational-algebra expressions.
 
-    def children(self) -> Tuple["RAExpr", ...]:
-        """Immediate sub-expressions."""
-        return ()
+    :meth:`children` lists the immediate sub-expressions and
+    :meth:`map_children` rebuilds a node from new ones, both from the
+    ``_child_fields`` each class declares.
+    """
 
     def __str__(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -115,12 +116,11 @@ class Select(RAExpr):
     input: RAExpr
     conditions: Tuple[Condition, ...]
 
+    _child_fields = ("input",)
+
     def __init__(self, input: RAExpr, conditions: Tuple[Condition, ...]) -> None:
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "conditions", conditions)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.input,)
 
     def __str__(self) -> str:
         conds = " AND ".join(str(c) for c in self.conditions)
@@ -134,6 +134,8 @@ class Project(RAExpr):
     columns: Tuple[str, ...]
     aliases: Optional[Tuple[str, ...]]
 
+    _child_fields = ("input",)
+
     def __init__(
         self,
         input: RAExpr,
@@ -143,9 +145,6 @@ class Project(RAExpr):
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "aliases", aliases)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.input,)
 
     def __str__(self) -> str:
         cols = ", ".join(self.columns)
@@ -163,12 +162,11 @@ class Compose(RAExpr):
     left: RAExpr
     right: RAExpr
 
+    _child_fields = ("left", "right")
+
     def __init__(self, left: RAExpr, right: RAExpr) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"({self.left} . {self.right})"
@@ -187,6 +185,8 @@ class EquiJoin(RAExpr):
     right_column: str
     output: Tuple[Tuple[str, str, str], ...]
 
+    _child_fields = ("left", "right")
+
     def __init__(
         self,
         left: RAExpr,
@@ -200,9 +200,6 @@ class EquiJoin(RAExpr):
         object.__setattr__(self, "left_column", left_column)
         object.__setattr__(self, "right_column", right_column)
         object.__setattr__(self, "output", output)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.left, self.right)
 
     def __str__(self) -> str:
         return (
@@ -219,6 +216,8 @@ class SemiJoin(RAExpr):
     left_column: str
     right_column: str
 
+    _child_fields = ("left", "right")
+
     def __init__(
         self,
         left: RAExpr,
@@ -230,9 +229,6 @@ class SemiJoin(RAExpr):
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "left_column", left_column)
         object.__setattr__(self, "right_column", right_column)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"({self.left} SEMIJOIN {self.right})"
@@ -246,6 +242,8 @@ class AntiJoin(RAExpr):
     left_column: str
     right_column: str
 
+    _child_fields = ("left", "right")
+
     def __init__(
         self,
         left: RAExpr,
@@ -258,9 +256,6 @@ class AntiJoin(RAExpr):
         object.__setattr__(self, "left_column", left_column)
         object.__setattr__(self, "right_column", right_column)
 
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.left, self.right)
-
     def __str__(self) -> str:
         return f"({self.left} ANTIJOIN {self.right})"
 
@@ -270,11 +265,10 @@ class Union(RAExpr):
 
     inputs: Tuple[RAExpr, ...]
 
+    _child_fields = ("inputs*",)
+
     def __init__(self, inputs: Tuple[RAExpr, ...]) -> None:
         object.__setattr__(self, "inputs", inputs)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return self.inputs
 
     def __str__(self) -> str:
         return "(" + " UNION ".join(str(i) for i in self.inputs) + ")"
@@ -286,12 +280,11 @@ class Difference(RAExpr):
     left: RAExpr
     right: RAExpr
 
+    _child_fields = ("left", "right")
+
     def __init__(self, left: RAExpr, right: RAExpr) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"({self.left} EXCEPT {self.right})"
@@ -303,12 +296,11 @@ class Intersect(RAExpr):
     left: RAExpr
     right: RAExpr
 
+    _child_fields = ("left", "right")
+
     def __init__(self, left: RAExpr, right: RAExpr) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.left, self.right)
 
     def __str__(self) -> str:
         return f"({self.left} INTERSECT {self.right})"
@@ -345,12 +337,11 @@ class TagProject(RAExpr):
     input: RAExpr
     tag: str
 
+    _child_fields = ("input",)
+
     def __init__(self, input: RAExpr, tag: str) -> None:
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "tag", tag)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.input,)
 
     def __str__(self) -> str:
         return f"TAG[{self.tag}]({self.input})"
@@ -372,13 +363,12 @@ class IntervalJoin(RAExpr):
     right: RAExpr
     order: RAExpr
 
+    _child_fields = ("left", "right", "order")
+
     def __init__(self, left: RAExpr, right: RAExpr, order: RAExpr) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "order", order)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.left, self.right, self.order)
 
     def __str__(self) -> str:
         return f"({self.left} IVJOIN {self.right})"
@@ -402,6 +392,8 @@ class Fixpoint(RAExpr):
     source_anchor: Optional[RAExpr]
     target_anchor: Optional[RAExpr]
 
+    _child_fields = ("base", "source_anchor", "target_anchor")
+
     def __init__(
         self,
         base: RAExpr,
@@ -411,14 +403,6 @@ class Fixpoint(RAExpr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "source_anchor", source_anchor)
         object.__setattr__(self, "target_anchor", target_anchor)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        out: List[RAExpr] = [self.base]
-        if self.source_anchor is not None:
-            out.append(self.source_anchor)
-        if self.target_anchor is not None:
-            out.append(self.target_anchor)
-        return tuple(out)
 
     def __str__(self) -> str:
         anchors = []
@@ -430,7 +414,7 @@ class Fixpoint(RAExpr):
         return f"LFP({self.base}{suffix})"
 
 
-class EdgeStep(Frozen):
+class EdgeStep(Node):
     """One recursive branch of a SQL'99 recursive union.
 
     ``relation`` holds the edge tuples; a working tuple with tag
@@ -438,11 +422,17 @@ class EdgeStep(Frozen):
     edge, producing a tuple ``(origin F, edge T, edge V, child_tag)`` — this
     is the per-edge SELECT of Fig. 2, except that the origin node is kept in
     ``F`` so the recursion yields ancestor/descendant pairs directly.
+
+    A step is a part of its union (see :class:`repro._support.Node`): its
+    ``relation`` is one of the union's children.
     """
 
     relation: RAExpr
     parent_tag: str
     child_tag: str
+
+    _child_fields = ("relation",)
+    _part = True
 
     def __init__(self, relation: RAExpr, parent_tag: str, child_tag: str) -> None:
         object.__setattr__(self, "relation", relation)
@@ -462,12 +452,11 @@ class RecursiveUnion(RAExpr):
     init: RAExpr
     steps: Tuple[EdgeStep, ...]
 
+    _child_fields = ("init", "steps*")
+
     def __init__(self, init: RAExpr, steps: Tuple[EdgeStep, ...]) -> None:
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "steps", steps)
-
-    def children(self) -> Tuple[RAExpr, ...]:
-        return (self.init,) + tuple(step.relation for step in self.steps)
 
     def __str__(self) -> str:
         steps = ", ".join(
@@ -481,11 +470,18 @@ class RecursiveUnion(RAExpr):
 # ---------------------------------------------------------------------------
 
 
-class Assignment(Frozen):
-    """One program step ``target <- expression``."""
+class Assignment(Node):
+    """One program step ``target <- expression``.
+
+    Its one child is ``expression``, so a pass rewrites an assignment with
+    :meth:`map_children` and keeps it when the expression comes back
+    unchanged.
+    """
 
     target: str
     expression: RAExpr
+
+    _child_fields = ("expression",)
 
     def __init__(self, target: str, expression: RAExpr) -> None:
         object.__setattr__(self, "target", target)
@@ -611,83 +607,45 @@ class Program:
 
     def pruned(self) -> "Program":
         """Drop assignments whose temporaries the result never (transitively) uses."""
-        needed = {name for name in _scan_names(self._result)}
+        needed = _scan_names(self._result)
         keep: List[Assignment] = []
         for assignment in reversed(self._assignments):
             if assignment.target in needed:
                 keep.append(assignment)
-                needed |= set(_scan_names(assignment.expression))
+                needed |= _scan_names(assignment.expression)
         keep.reverse()
         return Program(keep, self._result)
 
 
-def _scan_names(expr: RAExpr) -> Iterator[str]:
-    if isinstance(expr, Scan):
-        yield expr.name
-    for child in expr.children():
-        yield from _scan_names(child)
+def _scan_names(expr: RAExpr) -> Set[str]:
+    """The names of the relations ``expr`` scans."""
+    names: Set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Scan):
+            names.add(node.name)
+        else:
+            stack.extend(node.children())
+    return names
 
 
 def rename_scans(expr: RAExpr, renames: Mapping[str, Hashable]) -> RAExpr:
-    """Rebuild ``expr`` with every ``Scan`` name in ``renames`` substituted.
+    """``expr`` with every ``Scan`` name in ``renames`` substituted.
 
     This is the canonical form of an assignment's expression: with each
     temporary it reads renamed to a representative, two structurally equal
     results denote the same relation.  The optimizer's common-subexpression
     elimination renames to the first temporary computed the same way; the
     columnar store renames to its shared-table entries (any hashable works,
-    because a canonical key is compared, never evaluated).
+    because a canonical key is compared, never evaluated).  A subtree that
+    reads no renamed scan is returned as it is.
     """
-    if isinstance(expr, Scan):
-        name = renames.get(expr.name)
-        return expr if name is None else Scan(name)  # type: ignore[arg-type]
-    if isinstance(expr, Select):
-        return Select(rename_scans(expr.input, renames), expr.conditions)
-    if isinstance(expr, Project):
-        return Project(rename_scans(expr.input, renames), expr.columns, expr.aliases)
-    if isinstance(expr, TagProject):
-        return TagProject(rename_scans(expr.input, renames), expr.tag)
-    if isinstance(expr, Compose):
-        return Compose(rename_scans(expr.left, renames), rename_scans(expr.right, renames))
-    if isinstance(expr, EquiJoin):
-        return EquiJoin(
-            rename_scans(expr.left, renames),
-            rename_scans(expr.right, renames),
-            expr.left_column,
-            expr.right_column,
-            expr.output,
-        )
-    if isinstance(expr, (SemiJoin, AntiJoin)):
-        return type(expr)(
-            rename_scans(expr.left, renames),
-            rename_scans(expr.right, renames),
-            expr.left_column,
-            expr.right_column,
-        )
-    if isinstance(expr, Union):
-        return Union(tuple(rename_scans(child, renames) for child in expr.inputs))
-    if isinstance(expr, (Difference, Intersect)):
-        return type(expr)(
-            rename_scans(expr.left, renames), rename_scans(expr.right, renames)
-        )
-    if isinstance(expr, Fixpoint):
-        return Fixpoint(
-            rename_scans(expr.base, renames),
-            None if expr.source_anchor is None else rename_scans(expr.source_anchor, renames),
-            None if expr.target_anchor is None else rename_scans(expr.target_anchor, renames),
-        )
-    if isinstance(expr, RecursiveUnion):
-        return RecursiveUnion(
-            rename_scans(expr.init, renames),
-            tuple(
-                EdgeStep(rename_scans(step.relation, renames), step.parent_tag, step.child_tag)
-                for step in expr.steps
-            ),
-        )
-    if isinstance(expr, IntervalJoin):
-        return IntervalJoin(
-            rename_scans(expr.left, renames),
-            rename_scans(expr.right, renames),
-            rename_scans(expr.order, renames),
-        )
-    return expr
+
+    def rename(node: RAExpr) -> RAExpr:
+        if isinstance(node, Scan):
+            name = renames.get(node.name)
+            return node if name is None else Scan(name)  # type: ignore[arg-type]
+        return node.map_children(rename)
+
+    return rename(expr)

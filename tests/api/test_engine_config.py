@@ -133,12 +133,14 @@ class TestSerializationRoundTrips:
         with pytest.raises(ConfigError, match="unknown EngineConfig key"):
             EngineConfig.from_dict({"strategy": "cycleex", "shards": 4})
 
-    @pytest.mark.parametrize("key", ["executor", "emission", "dialect"])
+    @pytest.mark.parametrize("key", ["executor", "emission", "dialect", "select_root"])
     def test_from_dict_rejects_a_removed_key(self, key):
         # A config serialized while `key` was a field fails loudly instead
-        # of silently running on another executor, statement shape or
-        # dialect.
-        old_value = {"executor": "tuple", "emission": "single", "dialect": "sqlite"}[key]
+        # of silently running on another executor, statement shape,
+        # dialect or root filter.
+        old_value = {
+            "executor": "tuple", "emission": "single", "dialect": "sqlite", "select_root": False
+        }[key]
         data = dict(EngineConfig().to_dict(), **{key: old_value})
         with pytest.raises(ConfigError, match=f"'{key}'"):
             EngineConfig.from_dict(data)

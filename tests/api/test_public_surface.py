@@ -89,7 +89,6 @@ ENGINE_CONFIG_FIELDS = [
     "backend",
     "use_small_seed",
     "push_selections",
-    "select_root",
     "plan_cache_size",
     "result_cache_size",
     "observability",

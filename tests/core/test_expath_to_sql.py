@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.expath_to_sql import ExtendedToSQL, TranslationOptions, extended_to_sql
+from repro.core.expath_to_sql import ExtendedToSQL, extended_to_sql
 from repro.core.optimize import baseline_options, push_selection_options, standard_options
 from repro.dtd import samples
 from repro.expath.ast import (
@@ -158,12 +158,6 @@ class TestLoweringCases:
         dtd, _, _ = dept
         program = self._translate(dtd, ELabel("dept"))
         assert isinstance(program.result, Select)
-
-    def test_root_selection_can_be_disabled(self, dept):
-        dtd, _, _ = dept
-        options = TranslationOptions(select_root=False)
-        program = self._translate(dtd, ELabel("dept"), options=options)
-        assert not isinstance(program.result, Select)
 
 
 class TestOptionVariants:

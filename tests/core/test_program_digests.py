@@ -50,8 +50,8 @@ def _sha256(value: object) -> str:
     return hashlib.sha256(str(value).encode("utf-8")).hexdigest()
 
 
-def digest_translations() -> Iterator[Tuple[str, TranslationResult]]:
-    """``(key, translation)`` for every translation the table pins."""
+def digest_translations() -> Iterator[Tuple[str, XPathToSQLTranslator, TranslationResult]]:
+    """``(key, translator, translation)`` for every translation the table pins."""
     strategies = [s for s in DescendantStrategy if s is not DescendantStrategy.AUTO]
     for case in workload_cases(max_elements=200):
         dtd = case.dtd()
@@ -60,22 +60,22 @@ def digest_translations() -> Iterator[Tuple[str, TranslationResult]]:
             for level in LEVELS:
                 config = EngineConfig(strategy=strategy, optimize_level=level)
                 translator = XPathToSQLTranslator(dtd, config=config)
-                yield f"{prefix}/O{level}", translator.translate(case.query)
+                yield f"{prefix}/O{level}", translator, translator.translate(case.query)
             for variant, changes in VARIANTS.items():
                 config = EngineConfig(strategy=strategy, optimize_level=2, **changes)
                 translator = XPathToSQLTranslator(dtd, config=config)
-                yield f"{prefix}/O2/{variant}", translator.translate(case.query)
+                yield f"{prefix}/O2/{variant}", translator, translator.translate(case.query)
     for name, dtd in sorted(paper_dtds().items()):
         translator = XPathToSQLTranslator(dtd)
         generator = RandomXPathGenerator(dtd, XPathGenConfig(seed=FUZZ_SEED))
         for index, query in enumerate(generator.queries(FUZZ_QUERIES)):
-            yield f"fuzz/{name}/{index:02d}", translator.translate(query)
+            yield f"fuzz/{name}/{index:02d}", translator, translator.translate(query)
 
 
 def program_digests() -> Dict[str, str]:
     """The digest table of the current tree, keyed as the module describes."""
     digests: Dict[str, str] = {}
-    for key, result in digest_translations():
+    for key, _, result in digest_translations():
         digests[key] = _sha256(result.program)
         digests[f"{key}/extended"] = _sha256(result.extended)
     return digests

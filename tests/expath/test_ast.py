@@ -17,9 +17,11 @@ from repro.expath.ast import (
     EVar,
     Equation,
     ExtendedXPathQuery,
+    ENot,
     eslash,
     eunion,
     iter_subexpressions,
+    substitute,
 )
 
 
@@ -48,6 +50,25 @@ class TestConstructors:
 
     def test_descendants_marker_str(self):
         assert str(EDescendants("a", "b")) == "DESC(a, b)"
+
+
+class TestSubstitute:
+    def test_bound_variables_are_replaced_in_qualifiers_too(self):
+        expr = ESlash(EVar("X"), EQualified(ELabel("a"), ENot(EPathQual(EVar("X")))))
+        replaced = substitute(expr, {"X": ELabel("b")})
+        assert str(replaced) == "b/a[not(b)]"
+
+    def test_unbound_variables_are_left_alone(self):
+        expr = ESlash(EVar("X"), EVar("Y"))
+        assert substitute(expr, {"X": ELabel("a")}) == ESlash(ELabel("a"), EVar("Y"))
+        assert substitute(expr, {}) is expr
+
+    def test_an_unfolded_node_folds_as_the_smart_constructors_do(self):
+        # Keeping unchanged children does not skip the folding rules.
+        assert substitute(ESlash(EEmpty(), ELabel("a")), {}) == ELabel("a")
+        assert substitute(EUnion(ELabel("a"), ELabel("a")), {}) == ELabel("a")
+        assert substitute(EStar(EEmptySet()), {}) == EEmpty()
+        assert substitute(ESlash(EVar("X"), ELabel("a")), {"X": EEmptySet()}) == EEmptySet()
 
 
 class TestQuerySystem:

@@ -71,7 +71,7 @@ class TestSQLArtifacts:
             translator = XPathToSQLTranslator(
                 dtd, config=EngineConfig(strategy=strategy)
             )
-            sql = translator.to_sql("a//d", SQLDialect.DB2)
+            sql = translator.translate("a//d").sql(SQLDialect.DB2)
             assert "SELECT" in sql
             assert "R_d" in sql
 
@@ -80,13 +80,13 @@ class TestSQLArtifacts:
         translator = XPathToSQLTranslator(
             dtd, config=EngineConfig(strategy=DescendantStrategy.RECURSIVE_UNION)
         )
-        sql = translator.to_sql("a//d", SQLDialect.GENERIC)
+        sql = translator.translate("a//d").sql(SQLDialect.GENERIC)
         assert "WITH RECURSIVE r" in sql
 
     def test_cycleex_sql_uses_connect_by_on_oracle(self):
         dtd = samples.cross_dtd()
         translator = XPathToSQLTranslator(dtd)
-        sql = translator.to_sql("a//d", SQLDialect.ORACLE)
+        sql = translator.translate("a//d").sql(SQLDialect.ORACLE)
         assert "CONNECT BY" in sql
 
 

@@ -196,7 +196,7 @@ class TestProgramRendering:
         from repro.dtd.samples import dept_dtd
 
         translator = XPathToSQLTranslator(dept_dtd())
-        sql = translator.to_sql("dept//project")
+        sql = translator.translate("dept//project").sql()
         assert "CREATE TEMPORARY TABLE" in sql
         assert "WITH RECURSIVE" in sql
         assert "R_project" in sql
