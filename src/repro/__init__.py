@@ -57,7 +57,6 @@ __all__ = [
     "SQLGenR",
     "SQLDialect",
     "GAVView",
-    "answer_xpath",
     # -- execution backends --
     "Backend",
     "BackendResult",
@@ -89,7 +88,7 @@ __getattr__, __dir__ = lazy_exports(
             "create_backend",
         ),
         "repro.core.expath_to_sql": ("TranslationOptions",),
-        "repro.core.pipeline": ("TranslationResult", "XPathToSQLTranslator", "answer_xpath"),
+        "repro.core.pipeline": ("TranslationResult", "XPathToSQLTranslator"),
         "repro.core.sqlgen_r": ("SQLGenR",),
         "repro.core.xpath_to_expath": ("DescendantStrategy",),
         "repro.dtd.model": ("DTD",),

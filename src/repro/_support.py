@@ -183,18 +183,10 @@ class Node(Frozen):
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         if "_child_fields" in cls.__dict__:
-            nodes, cls.map_children = _child_accessors(cls)  # type: ignore[assignment]
-            cls._child_nodes = nodes  # type: ignore[assignment]
-            if cls.children is Node.children:
-                # No base narrows children(), so it is every child node.
-                cls.children = nodes  # type: ignore[assignment]
+            cls.children, cls.map_children = _child_accessors(cls)  # type: ignore[assignment]
 
     def children(self) -> Tuple["Node", ...]:
         """The child nodes, in field order."""
-        return ()
-
-    def _child_nodes(self) -> Tuple["Node", ...]:
-        """Every child node, whatever :meth:`children` leaves out."""
         return ()
 
     def map_children(self, fn: Callable[["Node"], "Node"]) -> "Node":
@@ -209,7 +201,7 @@ class Node(Frozen):
 
 
 def _child_accessors(cls: type) -> Tuple[Callable, Callable]:
-    """``(_child_nodes, map_children)`` of ``cls``, from its ``_child_fields``.
+    """``(children, map_children)`` of ``cls``, from its ``_child_fields``.
 
     The generic pair below reads every declaration.  The three shapes that
     translation visits most, one or two plain children and one tuple of

@@ -2,11 +2,11 @@
 
 This is the top-down contract over every layer built underneath: an
 :class:`Engine` owns one DTD plus one frozen
-:class:`~repro.api.config.EngineConfig` (and the shared translation-plan
-cache), a :class:`Session` owns registered documents (shredded once,
-backend kept warm, results memoized) and answers queries as typed
-:class:`QueryResult` objects.  Both are context managers; everything they
-raise is rooted at :class:`~repro.errors.ReproError`.
+:class:`~repro.api.config.EngineConfig` (and the translator, with its plan
+cache, that every session shares), a :class:`Session` owns registered
+documents (shredded once, backend kept warm, results memoized) and answers
+queries as typed :class:`QueryResult` objects.  Both are context managers;
+everything they raise is rooted at :class:`~repro.errors.ReproError`.
 
 Compared to driving :class:`~repro.core.pipeline.XPathToSQLTranslator` or
 :class:`~repro.service.QueryService` directly, the facade adds no
@@ -185,9 +185,10 @@ class Session:
     """Registered documents under one engine; context-managed answering.
 
     Created with :meth:`Engine.open_session`; not constructed directly.
-    The session shares its engine's translation-plan cache (translating a
-    query in any session of an engine warms them all) and keeps each
-    registered document's execution backend loaded for its lifetime.
+    The session shares its engine's translator and its plan cache
+    (translating a query in any session of an engine warms them all) and
+    keeps each registered document's execution backend loaded for its
+    lifetime.
     """
 
     def __init__(self, engine: "Engine", service: QueryService) -> None:
@@ -312,7 +313,7 @@ class Session:
 
 
 class Engine:
-    """A query engine: one DTD, one frozen config, shared plan cache.
+    """A query engine: one DTD, one frozen config, one shared translator.
 
     Build one with :meth:`from_dtd` (accepts a :class:`~repro.dtd.model.DTD`,
     a paper-sample name like ``"dept"``, or DTD grammar text), translate
@@ -334,14 +335,7 @@ class Engine:
     def __init__(self, dtd: DTD, config: Optional[EngineConfig] = None) -> None:
         self._dtd = dtd
         self._config = config or EngineConfig()
-        self._plan_cache = (
-            PlanCache(self._config.plan_cache_size)
-            if self._config.plan_cache_size > 0
-            else None
-        )
-        self._translator = XPathToSQLTranslator(
-            dtd, plan_cache=self._plan_cache, config=self._config
-        )
+        self._translator = XPathToSQLTranslator(dtd, self._config)
         self._sessions: List[Session] = []
         self._closed = False
 
@@ -401,7 +395,7 @@ class Engine:
     @property
     def plan_cache(self) -> Optional[PlanCache]:
         """The shared translation-plan cache (``None`` when disabled)."""
-        return self._plan_cache
+        return self._translator.plan_cache
 
     # -- translation ------------------------------------------------------------
 
@@ -499,9 +493,7 @@ class Engine:
         """
         self._check_open()
         named = _named_documents(documents)
-        service = QueryService(
-            self._dtd, plan_cache=self._plan_cache, config=self._config
-        )
+        service = QueryService(self._dtd, self._config, translator=self._translator)
         try:
             for document_id, tree in named:
                 service.register_document(document_id, tree)

@@ -4,8 +4,8 @@ Two implementations ship today:
 
 * :class:`~repro.backends.memory.MemoryBackend` — the pure-Python
   columnar engine of ``repro.relational``; every in-process execution
-  route, :class:`~repro.core.pipeline.XPathToSQLTranslator` and the GAV
-  views included, runs through it;
+  route, :class:`~repro.service.QueryService` on its default backend and
+  the GAV views included, runs through it;
 * :class:`~repro.backends.sqlite.SqliteBackend` — real execution on SQLite
   via the ``SQLITE`` SQL dialect (``WITH RECURSIVE`` for the LFP operator).
 

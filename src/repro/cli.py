@@ -36,16 +36,16 @@ Installed as ``python -m repro`` (see ``repro.__main__``).  Subcommands:
 ``serve``
     Boot the multiprocess serving tier behind the asyncio HTTP/JSON
     front end (:mod:`repro.service.http`): N worker processes, generated
-    documents registered by recipe (so load generators can rebuild a
-    local verification oracle from ``GET /meta``), serving until
+    documents registered by recipe (so load generators can regenerate
+    them from ``GET /meta`` and verify answers locally), serving until
     SIGINT/SIGTERM.
 
 ``loadtest``
     Drive fuzz-generated queries at a live ``repro serve`` over
-    ``--concurrency`` keep-alive connections and verify every response
-    node-for-node against a locally rebuilt serial service; prints one
-    JSON report (rps, p50/p99, failures, mismatches) and exits non-zero
-    on any failure or cross-engine mismatch.
+    ``--concurrency`` keep-alive connections and check every response's
+    node ids against the XPath evaluator on a regenerated copy of the
+    document; prints one JSON report (rps, p50/p99, failures, mismatches)
+    and exits non-zero on any failure or mismatch.
 
 The engine-configuration flags (``--strategy``, ``--backend``,
 ``--optimize-level``, ``--push-selections``) are declared once in the shared
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--no-verify", action="store_true",
-        help="skip the local-oracle node-for-node verification",
+        help="skip checking answers against the XPath evaluator",
     )
     loadtest.add_argument(
         "--timeout", type=float, default=30.0, help="per-request timeout in seconds"
@@ -763,7 +763,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Documents are registered by *recipe* (``register_generated``) so that
     ``GET /meta`` exposes how to rebuild them — that is what lets
-    ``repro loadtest`` verify responses against a local oracle.
+    ``repro loadtest`` verify responses against the XPath evaluator.
     """
     import os
 

@@ -22,7 +22,7 @@ Modules
     Sect. 5.2 optimisations: pushing selections into the LFP operator and
     seeding ``(E)*`` with small relations instead of ``R_id``.
 ``pipeline``
-    The end-to-end translator of Fig. 5 plus convenience query answering.
+    The end-to-end translator of Fig. 5, with its plan cache.
 """
 
 from repro._support import lazy_exports
@@ -41,7 +41,6 @@ __all__ = [
     "SQLGenR",
     "XPathToSQLTranslator",
     "TranslationResult",
-    "answer_xpath",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -63,7 +62,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.core.pipeline": (
             "TranslationResult",
             "XPathToSQLTranslator",
-            "answer_xpath",
         ),
     },
 )

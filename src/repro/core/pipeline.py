@@ -8,36 +8,25 @@
 2. extended XPath -> a relational program with the simple LFP operator
    (EXpToSQL), optionally with the Sect. 5.2 optimisations.
 
-It can also *answer* queries: shred a document, run the translated program
-on the in-memory backend, and map the resulting node ids back to XML nodes —
-which is how the test suite checks the central invariant
-``Q(T) = Q'(tau_d(T))`` against the direct XPath evaluator.
+It only translates.  Answering a query over a document is
+:class:`~repro.service.QueryService`'s job (and the pool's and the
+:class:`~repro.api.Engine` facade's, both built on it).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union as TUnion
-
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Union as TUnion
 
 from repro import obs
-from repro.backends.base import BackendResult
-from repro.backends.memory import MemoryBackend
 from repro.core.expath_to_sql import ExtendedToSQL, TranslationOptions
 from repro.core.optimize import (
     DEFAULT_OPTIMIZE_LEVEL,
     ProgramOptimizer,
     select_strategy,
 )
-from repro.core.plancache import (
-    PlanCache,
-    PlanKey,
-    dtd_fingerprint,
-    mapping_fingerprint,
-    options_fingerprint,
-)
+from repro.core.plancache import PlanCache
 from repro.core.xpath_to_expath import DescendantStrategy, XPathToExtended
 from repro.dtd.graph import DTDGraph
 from repro.dtd.model import DTD
@@ -46,15 +35,13 @@ from repro.expath.metrics import OperatorCounts, count_operators
 from repro.relational.algebra import OperatorProfile, Program
 from repro.relational.sqlgen import SQLDialect, program_to_sql
 from repro.shredding.inlining import SimpleMapping
-from repro.shredding.shredder import ShreddedDocument, shred_document
-from repro.xmltree.tree import XMLNode, XMLTree
 from repro.xpath.ast import Path
 from repro.xpath.parser import parse_xpath
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.config import EngineConfig
 
-__all__ = ["TranslationResult", "XPathToSQLTranslator", "answer_xpath"]
+__all__ = ["TranslationResult", "XPathToSQLTranslator"]
 
 QueryLike = TUnion[str, Path]
 
@@ -96,28 +83,23 @@ class TranslationResult:
 
 
 class XPathToSQLTranslator:
-    """Translate and answer XPath queries over one DTD.
+    """Translate XPath queries over one DTD to relational programs.
 
     Parameters
     ----------
     dtd:
-        The DTD queries range over.
+        The DTD queries range over.  Programs read the relations of its
+        simplified per-type mapping (:attr:`mapping`).
     config:
         One :class:`~repro.api.EngineConfig` supplying the descendant-axis
-        strategy, lowering options and optimizer level; ``None`` means
-        ``EngineConfig()``.
-    mapping:
-        Storage mapping; defaults to the simplified per-type mapping.
-        (Orthogonal to ``config``: mappings are objects, not serializable
-        knobs.)
-    plan_cache:
-        Optional :class:`~repro.core.plancache.PlanCache`.  When set,
-        :meth:`translate` becomes a cache lookup keyed by (DTD fingerprint,
-        canonical query, strategy, options, mapping fingerprint, optimizer
-        level) — the hook :class:`~repro.service.QueryService` hangs its
-        serving cache on.  Caching is semantically invisible: a hit
-        returns the same :class:`TranslationResult` a fresh translation
-        would produce.
+        strategy, lowering options, optimizer level and plan-cache size;
+        ``None`` means ``EngineConfig()``.
+
+    With ``plan_cache_size > 0`` the translator keeps a private
+    :class:`~repro.core.plancache.PlanCache` of that capacity, and
+    :meth:`translate` becomes a lookup keyed by :meth:`plan_key`.  Caching
+    is semantically invisible: a hit returns the same
+    :class:`TranslationResult` a fresh translation would produce.
 
     Example
     -------
@@ -128,13 +110,7 @@ class XPathToSQLTranslator:
     True
     """
 
-    def __init__(
-        self,
-        dtd: DTD,
-        config: Optional["EngineConfig"] = None,
-        mapping: Optional[SimpleMapping] = None,
-        plan_cache: Optional[PlanCache] = None,
-    ) -> None:
+    def __init__(self, dtd: DTD, config: Optional["EngineConfig"] = None) -> None:
         if config is None:
             # Imported here, not at module level: repro.api.config is the
             # top of the layering and importing it from this (lower) module
@@ -150,18 +126,13 @@ class XPathToSQLTranslator:
         )
         self._config = config
         self._dtd = dtd
-        self._mapping = mapping or SimpleMapping(dtd)
+        self._mapping = SimpleMapping(dtd)
         self._strategy = strategy
         self._options = config.translation_options()
         # Front ends are created lazily per concrete strategy: the AUTO
         # strategy resolves per query and may use several of them.
         self._front_ends: Dict[DescendantStrategy, XPathToExtended] = {}
         self._graph: Optional[DTDGraph] = None
-        # Per-canonical-query memo of AUTO resolutions: selection is
-        # deterministic per (DTD, query), and without this every warm-path
-        # plan_key() would re-run the SCC/reachability analysis.  Bounded so
-        # an unbounded query stream cannot grow it without limit.
-        self._resolved_strategies: Dict[str, DescendantStrategy] = {}
         if strategy is not DescendantStrategy.AUTO:
             self._front_ends[strategy] = XPathToExtended(dtd, strategy=strategy)
         self._back_end = ExtendedToSQL(self._mapping, self._options)
@@ -169,10 +140,9 @@ class XPathToSQLTranslator:
         self._optimizer = ProgramOptimizer(
             dtd=dtd, mapping=self._mapping, level=level
         )
-        self._plan_cache = plan_cache
-        self._dtd_fingerprint: Optional[str] = None
-        self._options_fingerprint: Optional[str] = None
-        self._mapping_fingerprint: Optional[str] = None
+        self._plan_cache = (
+            PlanCache(config.plan_cache_size) if config.plan_cache_size > 0 else None
+        )
 
     # -- accessors --------------------------------------------------------------
 
@@ -217,23 +187,13 @@ class XPathToSQLTranslator:
     def _parse(query: QueryLike) -> Path:
         return parse_xpath(query) if isinstance(query, str) else query
 
-    _RESOLUTION_MEMO_LIMIT = 4096
-
     def resolve_strategy(self, query: QueryLike) -> DescendantStrategy:
         """The concrete strategy used for ``query`` (resolves ``AUTO``)."""
         if self._strategy is not DescendantStrategy.AUTO:
             return self._strategy
-        path = self._parse(query)
-        canonical = str(path)
-        resolved = self._resolved_strategies.get(canonical)
-        if resolved is None:
-            if self._graph is None:
-                self._graph = DTDGraph(self._dtd)
-            resolved = select_strategy(self._dtd, path, graph=self._graph)
-            if len(self._resolved_strategies) >= self._RESOLUTION_MEMO_LIMIT:
-                self._resolved_strategies.clear()
-            self._resolved_strategies[canonical] = resolved
-        return resolved
+        if self._graph is None:
+            self._graph = DTDGraph(self._dtd)
+        return select_strategy(self._dtd, self._parse(query), graph=self._graph)
 
     def _front_end_for(self, strategy: DescendantStrategy) -> XPathToExtended:
         front_end = self._front_ends.get(strategy)
@@ -251,34 +211,21 @@ class XPathToSQLTranslator:
         """Step 2 only: lower an extended XPath query to a relational program."""
         return self._back_end.translate(extended)
 
-    def plan_key(self, query: QueryLike) -> PlanKey:
-        """The cache key of ``query`` under this translator's configuration.
+    def plan_key(self, query: QueryLike) -> str:
+        """The cache key of ``query``: its canonical text.
 
-        The query component is the *canonical* rendering of the parsed path,
-        so whitespace variants of one query share an entry; the fingerprints
-        are computed once per translator.
+        Everything else a plan depends on (DTD, mapping, strategy, lowering
+        options, optimizer level) is fixed for this translator, and an
+        ``auto`` strategy resolves one query the same way every time, so
+        whitespace variants of one query share an entry.
         """
-        if self._dtd_fingerprint is None:
-            self._dtd_fingerprint = dtd_fingerprint(self._dtd)
-        if self._options_fingerprint is None:
-            self._options_fingerprint = options_fingerprint(self._options)
-        if self._mapping_fingerprint is None:
-            self._mapping_fingerprint = mapping_fingerprint(self._mapping)
-        path = self._parse(query)
-        return PlanKey(
-            dtd=self._dtd_fingerprint,
-            query=str(path),
-            strategy=self.resolve_strategy(path).value,
-            options=self._options_fingerprint,
-            mapping=self._mapping_fingerprint,
-            optimize=str(self._optimize_level),
-        )
+        return str(self._parse(query))
 
     def translate(self, query: QueryLike) -> TranslationResult:
         """Run both translation steps and return all intermediate artifacts.
 
-        With a ``plan_cache`` configured this consults the cache first and
-        only translates on a miss.
+        With a plan cache this consults the cache first and only translates
+        on a miss.
         """
         path = self._parse(query)
         if self._plan_cache is None:
@@ -327,39 +274,3 @@ class XPathToSQLTranslator:
             strategy=strategy,
             optimize_level=self._optimize_level,
         )
-
-    # -- query answering ------------------------------------------------------------
-
-    def shred(self, tree: XMLTree) -> ShreddedDocument:
-        """Shred a document with this translator's mapping."""
-        return shred_document(tree, self._dtd, self._mapping)
-
-    def execute(self, query: QueryLike, shredded: ShreddedDocument) -> BackendResult:
-        """Translate and execute on the in-memory backend.
-
-        The :class:`~repro.backends.memory.MemoryBackend` runs the columnar
-        executor; the result's ``stats`` carry the executor's counters.
-        """
-        backend = MemoryBackend(shredded.database)
-        return backend.execute(self.translate(query).program)
-
-    def answer(self, query: QueryLike, shredded: ShreddedDocument) -> List[XMLNode]:
-        """Answer a query over a shredded document, returning XML nodes.
-
-        The answer is the set of nodes whose ids appear in the ``T`` column
-        of the translated program's result relation, in node-id order.
-        """
-        result = self.execute(query, shredded)
-        return shredded.nodes_for_ids(result.node_ids())
-
-
-def answer_xpath(
-    query: QueryLike,
-    tree: XMLTree,
-    dtd: DTD,
-    config: Optional["EngineConfig"] = None,
-) -> List[XMLNode]:
-    """One-shot helper: shred ``tree`` and answer ``query`` through the RDBMS path."""
-    translator = XPathToSQLTranslator(dtd, config=config)
-    shredded = translator.shred(tree)
-    return translator.answer(query, shredded)

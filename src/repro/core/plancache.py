@@ -1,18 +1,14 @@
 """The translation-plan cache: reuse compiled plans across queries.
 
 Translating one XPath query runs CycleEX/CycleE over the DTD graph and the
-Sect. 5 lowering — work that depends only on (DTD, query, strategy,
-options), never on the document.  A serving layer that answers thousands of
-queries over the same DTD therefore wants to pay it once; :class:`PlanCache`
-is the LRU that makes that safe:
+Sect. 5 lowering — work that depends only on the query once the DTD,
+storage mapping, strategy, lowering options and optimizer level are fixed,
+and never on the document.  Each
+:class:`~repro.core.pipeline.XPathToSQLTranslator` fixes all of those, so
+it keys its own :class:`PlanCache` by the canonical query text alone
+(:meth:`~repro.core.pipeline.XPathToSQLTranslator.plan_key`), and no cache
+is shared between translators:
 
-* entries are keyed by :class:`PlanKey` — the DTD *fingerprint* (a content
-  hash, so two structurally different DTDs can never alias), the canonical
-  query text, the descendant strategy, the optimisation options, the
-  storage-mapping fingerprint (plans lowered against differently-named
-  relations must not alias) and the optimizer level.  SQL rendering is not
-  part of the key: a plan is a relational program, the same for every
-  dialect, and each store caches the statements its backend renders;
 * the cache is bounded (LRU eviction at ``capacity``) and thread-safe, so
   one cache can sit behind a multi-threaded :class:`~repro.service.QueryService`;
 * :meth:`PlanCache.cache_info` exposes hit/miss/eviction counters in the
@@ -21,7 +17,8 @@ is the LRU that makes that safe:
 
 The cache stores opaque values (in practice
 :class:`~repro.core.pipeline.TranslationResult` objects); it never inspects
-them, so it is reusable for prepared backend plans too.
+them, so each document store reuses it for prepared programs and results
+under the same keys.
 """
 
 from __future__ import annotations
@@ -29,82 +26,23 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Optional
 
 from repro import obs
-from repro.core.expath_to_sql import TranslationOptions
 from repro.dtd.model import DTD
-from repro.shredding.inlining import SimpleMapping
 
-__all__ = [
-    "CacheInfo",
-    "PlanCache",
-    "PlanKey",
-    "dtd_fingerprint",
-    "mapping_fingerprint",
-    "options_fingerprint",
-]
+__all__ = ["CacheInfo", "PlanCache", "dtd_fingerprint"]
 
 
 def dtd_fingerprint(dtd: DTD) -> str:
     """A short content hash of a DTD (name + grammar text).
 
-    Two DTDs share a fingerprint iff they serialize identically, so a cache
-    keyed on it is invalidated "for free" the moment a service is pointed at
-    a different (or edited) DTD — there is no stale-plan failure mode.
+    Two DTDs share a fingerprint iff they serialize identically; the
+    process pool hashes it with a document id to place the document.
     """
     digest = hashlib.sha256(f"{dtd.name}\n{dtd.to_text()}".encode("utf-8"))
     return digest.hexdigest()[:16]
-
-
-def mapping_fingerprint(mapping: SimpleMapping) -> str:
-    """A short content hash of a storage mapping.
-
-    Covers the mapping's class and its complete element-type -> relation
-    assignment, so translators lowering against differently-named (or
-    differently-shaped) storage never alias in a shared cache.
-    """
-    assignment = ",".join(
-        f"{element_type}->{mapping.relation_for(element_type)}"
-        for element_type in mapping.dtd.element_types
-    )
-    digest = hashlib.sha256(
-        f"{type(mapping).__qualname__}\n{assignment}".encode("utf-8")
-    )
-    return digest.hexdigest()[:16]
-
-
-def options_fingerprint(options: TranslationOptions) -> str:
-    """A canonical rendering of the lowering options (all fields, sorted)."""
-    parts = [
-        f"{field.name}={getattr(options, field.name)!r}"
-        for field in sorted(fields(options), key=lambda field: field.name)
-    ]
-    return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class PlanKey:
-    """The identity of one compiled plan.
-
-    Everything translation output depends on is in the key; the document is
-    deliberately *not* (plans are document-independent, which is the whole
-    point of caching them).  ``optimize`` records the optimizer level the
-    program was rewritten at (PR 4): plans produced at different levels are
-    semantically identical but structurally different, so they must not
-    alias.  For the ``auto`` strategy the *resolved* per-query strategy is
-    recorded, so an auto translator and an explicit one sharing a cache
-    converge on the same entry.  Build keys with
-    :meth:`repro.core.pipeline.XPathToSQLTranslator.plan_key`.
-    """
-
-    dtd: str
-    query: str
-    strategy: str
-    options: str
-    mapping: str
-    optimize: str = "2"
 
 
 class _InFlight:
@@ -140,7 +78,7 @@ class CacheInfo:
 
 
 class PlanCache:
-    """A bounded, thread-safe LRU mapping :class:`PlanKey` -> plan.
+    """A bounded, thread-safe LRU mapping a key to a plan.
 
     ``capacity`` bounds the number of retained plans; 0 disables retention
     entirely (every lookup misses) while keeping the counters live, which is
@@ -165,8 +103,8 @@ class PlanCache:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self._capacity = capacity
-        self._entries: "OrderedDict[PlanKey, Any]" = OrderedDict()
-        self._inflight: "dict[PlanKey, _InFlight]" = {}
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._inflight: "dict[Hashable, _InFlight]" = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -186,11 +124,11 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: PlanKey) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: PlanKey) -> Optional[Any]:
+    def get(self, key: Hashable) -> Optional[Any]:
         """The cached plan for ``key``, or ``None`` (counts a hit/miss)."""
         with self._lock:
             if key in self._entries:
@@ -206,7 +144,7 @@ class PlanCache:
             self._miss_counter.inc()
         return value
 
-    def put(self, key: PlanKey, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry at capacity."""
         evicted = 0
         with self._lock:
@@ -222,7 +160,7 @@ class PlanCache:
         if evicted:
             self._eviction_counter.inc(evicted)
 
-    def get_or_create(self, key: PlanKey, factory: Callable[[], Any]) -> Any:
+    def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """The cached plan for ``key``, creating it via ``factory`` on a miss.
 
         Concurrent misses on the same key are deduplicated (single-flight):

@@ -277,7 +277,6 @@ class _Translation:
     # -- the dynamic program -------------------------------------------------------
 
     def run(self) -> ExtendedXPathQuery:
-        sub_queries = list(dict.fromkeys(iter_subpaths(self._query)))
         # Keep only distinct object identities in post-order; equal sub-trees
         # at different positions are translated independently (their results
         # are identical, the duplication is harmless and keeps indexing by id

@@ -14,7 +14,7 @@ temporary tables in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro._support import Node
 from repro.errors import ExtendedXPathError
@@ -51,14 +51,10 @@ class Expr(Node):
     """Base class of extended XPath expressions.
 
     A class's ``_child_fields`` name its sub-expressions and, on
-    :class:`EQualified`, its qualifier.  :meth:`map_children` applies its
-    function to both, so a rewrite's function takes expressions and
-    qualifiers alike.
+    :class:`EQualified`, its qualifier.  :meth:`children` returns both and
+    :meth:`map_children` applies its function to both, so a rewrite's
+    function takes expressions and qualifiers alike.
     """
-
-    def children(self) -> Tuple["Expr", ...]:
-        """Immediate sub-expressions (qualifier contents excluded)."""
-        return tuple(child for child in self._child_nodes() if isinstance(child, Expr))
 
     def variables(self) -> Set[str]:
         """All variable names occurring in this expression (including qualifiers)."""
@@ -69,7 +65,7 @@ class Expr(Node):
             if isinstance(node, EVar):
                 names.add(node.name)
             elif node._child_fields:
-                stack.extend(node._child_nodes())
+                stack.extend(node.children())
         return names
 
     def __str__(self) -> str:  # pragma: no cover - overridden
@@ -506,7 +502,7 @@ def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
 def iter_subexpressions(expr: Expr) -> Iterator[Expr]:
     """Yield every sub-expression of ``expr`` in post-order (qualifiers included)."""
-    for child in expr._child_nodes():
+    for child in expr.children():
         yield from iter_subexpressions(child)
     if isinstance(expr, Expr):
         yield expr

@@ -38,7 +38,7 @@ from repro.expath.ast import (
     substitute,
 )
 
-__all__ = ["simplify_expression", "simplify_qualifier", "simplify_query"]
+__all__ = ["simplify_expression", "simplify_query"]
 
 # Statically true and false qualifiers, ``[eps]`` and ``[EMPTYSET]``.  While
 # simplifying, a qualifier that folds to a constant folds to one of these
@@ -114,21 +114,6 @@ def _simplify_qualifier_node(node: EQualifier) -> EQualifier:
 def simplify_expression(expr: Expr) -> Expr:
     """Return an equivalent expression with trivial sub-expressions folded."""
     return _simplify(expr)
-
-
-def simplify_qualifier(qualifier: EQualifier):
-    """Simplify a qualifier.
-
-    Returns ``None`` when the qualifier is statically true (``[eps]``),
-    ``False`` when statically false (``[EMPTYSET]``), or a simplified
-    qualifier otherwise.
-    """
-    simplified = _simplify(qualifier)
-    if _is_true(simplified):
-        return None
-    if _is_false(simplified):
-        return False
-    return simplified
 
 
 def simplify_query(query: ExtendedXPathQuery) -> ExtendedXPathQuery:

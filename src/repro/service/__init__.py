@@ -1,12 +1,11 @@
 """The query service layer: cached plans over prepared document stores.
 
-The translation pipeline is stateless — :func:`repro.core.pipeline.answer_xpath`
-re-runs both translation steps and re-shreds the document on every call.
-:class:`QueryService` is the serving-side counterpart: it owns one DTD,
-keeps an LRU :class:`~repro.core.plancache.PlanCache` of compiled plans,
-holds registered documents as *prepared stores* (shredded once, backend
-loaded once, plans prepared once) and answers queries — singly, in batches,
-and concurrently from many threads.
+:class:`QueryService` is the one route from a query to an answer: it owns
+one DTD and a translator with an LRU
+:class:`~repro.core.plancache.PlanCache` of compiled plans, holds
+registered documents as *prepared stores* (shredded once, backend loaded
+once, plans prepared once) and answers queries — singly, in batches, and
+concurrently from many threads.
 
 Threads do not speed up this pure-Python CPU workload (the frozen
 ``BENCH_3.json`` record), so :mod:`repro.service.pool` adds the
@@ -19,7 +18,7 @@ requests through that stack.
 
 from __future__ import annotations
 
-from repro.core.plancache import CacheInfo, PlanCache, PlanKey, dtd_fingerprint
+from repro.core.plancache import CacheInfo, PlanCache, dtd_fingerprint
 from repro.service.pool import PoolAnswer, ProcessQueryService
 from repro.service.service import DocumentStore, QueryService
 
@@ -27,7 +26,6 @@ __all__ = [
     "CacheInfo",
     "DocumentStore",
     "PlanCache",
-    "PlanKey",
     "PoolAnswer",
     "ProcessQueryService",
     "QueryService",

@@ -28,18 +28,18 @@ Routes
     ``{"http": <server metrics>, "pool": <pool stats>}`` — the pool side
     is merged across workers (:func:`repro.obs.merge_snapshots`).
 ``GET /meta``
-    Everything a client needs to rebuild a local oracle: DTD text + name,
+    Everything a client needs to verify answers locally: DTD text + name,
     the engine config dict, and each document's generator recipe (or
     ``null`` for documents registered as trees).
 ``GET /healthz``
     Liveness probe for CI and load balancers.
 
 :func:`run_loadtest` is the matching load generator: it reads ``/meta``,
-rebuilds a *serial* :class:`~repro.service.QueryService` oracle locally,
-drives ``concurrency`` keep-alive sessions of schema-guided fuzz queries
-(:class:`~repro.fuzz.xpath_gen.RandomXPathGenerator`) and verifies every
-response node-for-node against the oracle — the cross-engine mismatch
-count is the acceptance gate, not just the latency numbers.
+regenerates each document locally from its recipe, drives ``concurrency``
+keep-alive sessions of schema-guided fuzz queries
+(:class:`~repro.fuzz.xpath_gen.RandomXPathGenerator`) and checks every
+response's node ids against the XPath evaluator on that copy — the
+mismatch count is the acceptance gate, not just the latency numbers.
 
 Errors map onto transport-appropriate statuses: unknown documents are 404,
 any other :class:`~repro.errors.ReproError` (bad query, bad payload) is
@@ -438,18 +438,18 @@ def run_loadtest(
     ``concurrency`` keep-alive sessions pull work from one shared budget,
     each request answering a schema-guided random XPath query on a random
     registered document.  With ``verify=True`` (the default) every
-    response is checked node-for-node against a locally rebuilt serial
-    :class:`~repro.service.QueryService` — the zero-mismatch guarantee the
-    acceptance criteria demand.  Returns the report dict (also the JSON
-    printed by ``repro loadtest``).
+    response's node ids are checked against the reference: the XPath
+    evaluator run on a local copy of the document, regenerated from its
+    recipe.  Returns the report dict (also the JSON printed by
+    ``repro loadtest``).
     """
     import random
 
     from repro.dtd.parser import parse_dtd
     from repro.fuzz.cases import DocumentSpec
     from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
-    from repro.service.service import QueryService
-    from repro.api.config import EngineConfig
+    from repro.xpath.evaluator import evaluate_xpath
+    from repro.xpath.parser import parse_xpath
 
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -471,22 +471,16 @@ def run_loadtest(
         if not document_ids:
             raise RuntimeError("server has no registered documents")
 
-        oracle = None
+        trees: Dict[str, Any] = {}
         expected: Dict[Tuple[str, str], List[int]] = {}
         verifiable_ids = document_ids
         if verify:
-            oracle = QueryService(
-                dtd, config=EngineConfig.from_dict(meta["config"])
-            )
-            verifiable_ids = []
             for document_id in document_ids:
                 spec_dict = meta["documents"][document_id]
                 if spec_dict is None:
                     continue  # registered as a tree: recipe unknown, skip
-                oracle.register_document(
-                    document_id, DocumentSpec(**spec_dict).generate(dtd)
-                )
-                verifiable_ids.append(document_id)
+                trees[document_id] = DocumentSpec(**spec_dict).generate(dtd)
+            verifiable_ids = list(trees)
             if not verifiable_ids:
                 raise RuntimeError(
                     "verify=True but no document has a generator recipe; "
@@ -496,7 +490,8 @@ def run_loadtest(
         def expected_ids(document_id: str, query: str) -> List[int]:
             key = (document_id, query)
             if key not in expected:
-                expected[key] = list(oracle.execute(query, document_id).node_ids())
+                nodes = evaluate_xpath(trees[document_id], parse_xpath(query))
+                expected[key] = sorted({node.node_id for node in nodes})
             return expected[key]
 
         remaining = {"count": budget}
@@ -541,7 +536,7 @@ def run_loadtest(
                         mismatches.append(
                             f"{document_id} {query!r}: "
                             f"server={payload['node_ids']} "
-                            f"oracle={expected_ids(document_id, query)}"
+                            f"reference={expected_ids(document_id, query)}"
                         )
             finally:
                 await client.close()
@@ -549,8 +544,6 @@ def run_loadtest(
         started = time.perf_counter()
         await asyncio.gather(*(session(index) for index in range(concurrency)))
         elapsed = time.perf_counter() - started
-        if oracle is not None:
-            oracle.close()
 
         ordered = sorted(latencies)
         completed = len(latencies)

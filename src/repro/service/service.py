@@ -1,14 +1,16 @@
 """:class:`QueryService` — answer XPath queries over long-lived documents.
 
-One service owns one DTD (plus strategy/options/mapping) and any number of
-registered documents.  Against the stateless one-shot path
-(:func:`repro.core.pipeline.answer_xpath`) it changes three things:
+One service owns one DTD and one :class:`~repro.api.EngineConfig`, and any
+number of registered documents.  It is the one route from a query to an
+answer (the process pool and the :class:`~repro.api.Engine` facade both
+run on it), and it differs from translating and executing by hand in four
+ways:
 
-* **plans are cached** — an LRU :class:`~repro.core.plancache.PlanCache`
-  sits behind the translator (the :class:`~repro.core.pipeline.XPathToSQLTranslator`
-  ``plan_cache`` hook), keyed by DTD fingerprint × canonical query ×
-  (resolved) strategy × options × mapping × optimizer level, so a repeated
-  query skips both translation steps and the optimizer passes;
+* **plans are cached** — the service's
+  :class:`~repro.core.pipeline.XPathToSQLTranslator` keeps an LRU
+  :class:`~repro.core.plancache.PlanCache` keyed by the canonical query
+  text, so a repeated query skips both translation steps and the optimizer
+  passes;
 * **documents are stores, not arguments** — :meth:`register_document`
   shreds a document once and keeps its execution backend loaded (the
   in-memory relations stay resident; the SQLite store keeps a persistent
@@ -27,9 +29,9 @@ registered documents.  Against the stateless one-shot path
   lock-free, and the SQLite backend hands each thread its own connection,
   so many threads may call :meth:`answer` on one service at once.
 
-The cache is semantically invisible: for any query, document and
-configuration, :meth:`answer` returns node-for-node what a fresh
-translator-plus-shred would (the property suite pins this).
+The caches are semantically invisible: for any query, document and
+configuration, :meth:`answer` returns node-for-node what the XPath
+evaluator returns on the document (the property suite pins this).
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ from repro.api.config import EngineConfig
 from repro.backends import create_backend
 from repro.backends.base import Backend, BackendResult, PreparedProgram
 from repro.core.pipeline import QueryLike, TranslationResult, XPathToSQLTranslator
-from repro.core.plancache import CacheInfo, PlanCache, PlanKey
+from repro.core.plancache import CacheInfo, PlanCache
 from repro.dtd.model import DTD
 from repro.errors import (
+    ConfigError,
     DuplicateDocumentError,
     MutationError,
     SessionClosedError,
     UnknownDocumentError,
 )
-from repro.shredding.inlining import SimpleMapping
-from repro.shredding.shredder import ShreddedDocument
+from repro.shredding.shredder import ShreddedDocument, shred_document
 from repro.xmltree.tree import XMLNode, XMLTree
 from repro.xpath.parser import parse_xpath
 
@@ -132,7 +134,7 @@ class DocumentStore:
         return self.shredded.tree
 
     def prepared_program(
-        self, key: Optional[PlanKey], result: TranslationResult
+        self, key: Optional[str], result: TranslationResult
     ) -> PreparedProgram:
         """The prepared form of ``result``'s program on this store's backend."""
         if key is None:
@@ -141,14 +143,14 @@ class DocumentStore:
             key, lambda: self.backend.prepare(result.program)
         )
 
-    def cached_result(self, key: Optional[PlanKey]) -> Optional[BackendResult]:
+    def cached_result(self, key: Optional[str]) -> Optional[BackendResult]:
         """The memoized result for ``key``, or ``None`` (counts hit/miss)."""
         if key is None:
             return None
         return self._results.get(key)
 
     def store_result(
-        self, key: Optional[PlanKey], result: BackendResult, generation: int
+        self, key: Optional[str], result: BackendResult, generation: int
     ) -> None:
         """Memoize ``result`` under ``key``, unless the results were
         invalidated since ``generation`` was read (the answer may be stale)."""
@@ -188,14 +190,10 @@ class QueryService:
         ``result_cache_size`` the per-store result LRU; ``0`` disables a
         layer, and both at ``0`` give the fully stateless baseline);
         ``None`` means ``EngineConfig()``.
-    mapping:
-        Storage mapping forwarded to the translator (an object, so
-        orthogonal to ``config``).
-    plan_cache:
-        Pass an existing :class:`PlanCache` to share one cache across
-        services (e.g. several services over the same DTD, or all sessions
-        of one :class:`~repro.api.Engine`); overrides the configured
-        plan-cache sizing.
+    translator:
+        The translator to plan with, built over ``dtd`` and ``config``;
+        ``None`` builds one.  Services that share a translator share its
+        plans (every session of one :class:`~repro.api.Engine` does).
 
     Example
     -------
@@ -215,32 +213,20 @@ class QueryService:
         self,
         dtd: DTD,
         config: Optional[EngineConfig] = None,
-        mapping: Optional[SimpleMapping] = None,
-        plan_cache: Optional[PlanCache] = None,
+        translator: Optional[XPathToSQLTranslator] = None,
     ) -> None:
         config = config or EngineConfig()
+        if translator is None:
+            translator = XPathToSQLTranslator(dtd, config)
+        elif translator.dtd is not dtd or translator.config != config:
+            raise ConfigError(
+                "a shared translator must be built over the service's DTD and config"
+            )
         self._dtd = dtd
+        self._config = config
         self._backend_name = config.backend
-        if plan_cache is not None:
-            self._plan_cache: Optional[PlanCache] = plan_cache
-        elif config.plan_cache_size > 0:
-            self._plan_cache = PlanCache(config.plan_cache_size)
-        else:
-            self._plan_cache = None
-        self._translator = XPathToSQLTranslator(
-            dtd,
-            mapping=mapping,
-            plan_cache=self._plan_cache,
-            config=config,
-        )
-        self._prepared_capacity = (
-            self._plan_cache.capacity if self._plan_cache is not None else 0
-        )
+        self._translator = translator
         self._result_capacity = config.result_cache_size
-        # Re-anchor the config on the capacities actually in effect (a
-        # shared plan_cache instance brings its own size), so that
-        # rebuilding a service from self.config reproduces this one.
-        self._config = config.with_(plan_cache_size=self._prepared_capacity)
         self._stores: "OrderedDict[str, DocumentStore]" = OrderedDict()
         self._lock = threading.Lock()
         self._closed = False
@@ -264,14 +250,15 @@ class QueryService:
 
     @property
     def translator(self) -> XPathToSQLTranslator:
-        """The (cache-backed) translator; exposed for inspection and tests."""
+        """The translator that plans every query, with its plan cache."""
         return self._translator
 
     def cache_info(self) -> CacheInfo:
         """Plan-cache counters (all zeros, capacity 0, when caching is off)."""
-        if self._plan_cache is None:
+        plan_cache = self._translator.plan_cache
+        if plan_cache is None:
             return CacheInfo(hits=0, misses=0, evictions=0, size=0, capacity=0)
-        return self._plan_cache.cache_info()
+        return plan_cache.cache_info()
 
     def result_cache_info(self) -> CacheInfo:
         """Result-cache counters aggregated across all registered stores."""
@@ -307,12 +294,12 @@ class QueryService:
                 raise DuplicateDocumentError(
                     f"document {document_id!r} is already registered"
                 )
-        shredded = self._translator.shred(tree)
+        shredded = shred_document(tree, self._dtd, self._translator.mapping)
         store = DocumentStore(
             document_id=document_id,
             shredded=shredded,
             backend=create_backend(self._config, shredded.database),
-            prepared_capacity=self._prepared_capacity,
+            prepared_capacity=self._config.plan_cache_size,
             result_capacity=self._result_capacity,
         )
         with self._lock:
@@ -459,7 +446,7 @@ class QueryService:
                 answer_sp.set(query=str(parsed))
             key = (
                 self._translator.plan_key(parsed)
-                if self._plan_cache is not None
+                if self._translator.plan_cache is not None
                 else None
             )
             cached = store.cached_result(key)

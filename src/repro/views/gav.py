@@ -36,6 +36,7 @@ from repro.dtd.model import DTD
 from repro.errors import ViewError
 from repro.expath.ast import ExtendedXPathQuery
 from repro.expath.evaluator import ExtendedXPathEvaluator
+from repro.shredding.shredder import shred_document
 from repro.xmltree.tree import XMLNode, XMLTree
 from repro.xpath.ast import Path
 from repro.xpath.parser import parse_xpath
@@ -136,7 +137,7 @@ class GAVView:
         # followed; lowering happens over the storage mapping of the source.
         rewritten = self.rewrite(query)
         program = translator.lower_extended(rewritten)
-        shredded = translator.shred(source)
+        shredded = shred_document(source, storage_dtd, translator.mapping)
         backend = MemoryBackend(shredded.database)
         return shredded.nodes_for_ids(backend.execute(program).node_ids())
 

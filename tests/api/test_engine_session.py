@@ -18,7 +18,6 @@ from repro.api import (
 from repro.dtd.samples import dept_dtd
 from repro.errors import ConfigError, DuplicateDocumentError, UnknownDocumentError
 from repro.relational.sqlgen import SQLDialect, program_to_sql
-from repro.service import QueryService
 from repro.xmltree.generator import generate_document
 
 QUERY = "dept//project"
@@ -149,6 +148,15 @@ class TestSessions:
                 assert engine.plan_cache.cache_info().misses == misses_after_first
                 assert engine.plan_cache.cache_info().hits > 0
 
+    def test_sessions_answer_from_the_engine_translator(self, dtd, document):
+        engine = Engine.from_dtd(dtd)
+        with engine.open_session(document) as first, engine.open_session(
+            document
+        ) as second:
+            assert first._service.translator is second._service.translator
+            assert first._service.translator.plan_cache is engine.plan_cache
+            assert first.answer(QUERY).plan is second.answer(QUERY).plan
+
 
 class TestQueryResult:
     def test_metadata(self, dtd, document):
@@ -170,17 +178,6 @@ class TestQueryResult:
             result = session.answer(QUERY)
             assert result._plan is None  # not derived until asked for
             assert result.plan is result.plan  # derived once, then cached
-
-    def test_service_config_reflects_shared_plan_cache_capacity(self, dtd):
-        from repro.core.plancache import PlanCache
-
-        service = QueryService(
-            dtd, config=EngineConfig(result_cache_size=5), plan_cache=PlanCache(8)
-        )
-        assert service.config.plan_cache_size == 8
-        # The result cache is sized by the config alone.
-        assert service.config.result_cache_size == 5
-        assert service.result_cache_info().capacity == 5
 
     def test_lazy_node_materialization(self, dtd, document):
         with Engine.from_dtd(dtd).open_session(document) as session:

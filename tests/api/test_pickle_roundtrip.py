@@ -1,12 +1,12 @@
 """Pickle-equivalence property tests for every multiprocessing payload.
 
 The process-pool serving tier ships :class:`EngineConfig`,
-:class:`PlanKey`, :class:`BackendResult` and fuzz :class:`DocumentSpec`
-values over ``multiprocessing`` queues — i.e. through ``pickle``.  These
-tests pin the contract next to the existing ``to_dict``/``from_dict``
-round-trips: pickling (at every protocol the interpreter supports) must
-reproduce each value *exactly*, agreeing with the JSON wire form wherever
-one exists, across the same configuration grid the fuzz oracle exercises.
+:class:`BackendResult` and fuzz :class:`DocumentSpec` values over
+``multiprocessing`` queues — i.e. through ``pickle``.  These tests pin the
+contract next to the existing ``to_dict``/``from_dict`` round-trips:
+pickling (at every protocol the interpreter supports) must reproduce each
+value *exactly*, agreeing with the JSON wire form wherever one exists,
+across the same configuration grid the fuzz oracle exercises.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import pytest
 from repro.api import EngineConfig
 from repro.backends import create_backend
 from repro.backends.base import BackendResult
-from repro.core.plancache import PlanKey
 from repro.core.pipeline import XPathToSQLTranslator
-from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
 from repro.fuzz.cases import DocumentSpec, FuzzCase
 from repro.fuzz.oracle import default_engines
+from repro.shredding.shredder import shred_document
 from repro.xmltree.generator import generate_document
 
 PROTOCOLS = list(range(2, pickle.HIGHEST_PROTOCOL + 1))
@@ -54,46 +53,12 @@ class TestEngineConfigPickle:
         assert clone.with_(optimize_level=0).optimize_level == 0
 
 
-class TestPlanKeyPickle:
-    def _keys(self):
-        for dtd in (samples.cross_dtd(), samples.dept_dtd()):
-            for strategy in (
-                DescendantStrategy.CYCLEEX,
-                DescendantStrategy.CYCLEE,
-            ):
-                config = EngineConfig(
-                    strategy=strategy,
-                    use_small_seed=True,
-                    push_selections=True,
-                    backend="sqlite",
-                    optimize_level=1,
-                )
-                yield XPathToSQLTranslator(dtd, config).plan_key(
-                    "a//d" if dtd.name == "cross" else "dept//project"
-                )
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_plan_keys_round_trip_and_stay_cache_compatible(self, protocol):
-        for key in self._keys():
-            clone = _round_trips(key, protocol)
-            # Equal AND same hash: a key shipped to a worker must land on
-            # the same cache entry as the original.
-            assert hash(clone) == hash(key)
-            assert isinstance(clone, PlanKey)
-
-    def test_translator_accepts_a_pickled_key_as_its_own(self):
-        translator = XPathToSQLTranslator(samples.cross_dtd())
-        key = translator.plan_key("a//d")
-        assert pickle.loads(pickle.dumps(key)) == translator.plan_key("a//d")
-
-
 class TestBackendResultPickle:
     def _results(self):
         dtd = samples.cross_dtd()
         tree = generate_document(dtd, seed=7)
-        translator = XPathToSQLTranslator(dtd)
-        shredded = translator.shred(tree)
-        program = translator.translate("a//d").program
+        shredded = shred_document(tree, dtd)
+        program = XPathToSQLTranslator(dtd).translate("a//d").program
         for backend_name in ("memory", "sqlite"):
             backend = create_backend(backend_name, shredded.database)
             try:

@@ -1,10 +1,11 @@
 """The public-API surface snapshot.
 
-``repro.__all__`` (and ``repro.api.__all__``) are the supported surface;
-this test pins them to the committed snapshots below so accidental surface
-growth — a new re-export slipping into ``repro/__init__.py`` — fails CI
-instead of silently becoming API.  Growing the surface is fine, but it is
-an explicit act: update the snapshot here in the same change.
+``repro.__all__`` (and ``repro.api.__all__``, ``repro.service.__all__``)
+are the supported surface; this test pins them to the committed snapshots
+below so accidental surface growth — a new re-export slipping into
+``repro/__init__.py`` — fails CI instead of silently becoming API.
+Growing the surface is fine, but it is an explicit act: update the
+snapshot here in the same change.
 
 The configuration surface is pinned the same way: :class:`EngineConfig`'s
 fields are the one configuration route, so the constructors and batch
@@ -21,11 +22,12 @@ import pytest
 
 import repro
 import repro.api
+import repro.service
 from repro.api import EngineConfig, Session
 from repro.backends import create_backend
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
-from repro.core.pipeline import XPathToSQLTranslator, answer_xpath
+from repro.core.pipeline import XPathToSQLTranslator
 from repro.service import QueryService
 
 # The committed snapshot of the top-level surface.  Keep sorted.
@@ -56,7 +58,6 @@ PUBLIC_SURFACE = sorted(
         "TranslationResult",
         "XPathToSQLTranslator",
         "__version__",
-        "answer_xpath",
         "create_backend",
         "generate_document",
         "parse_dtd",
@@ -82,6 +83,19 @@ API_SURFACE = sorted(
     ]
 )
 
+# The committed snapshot of the serving package's surface.  Keep sorted.
+SERVICE_SURFACE = sorted(
+    [
+        "CacheInfo",
+        "DocumentStore",
+        "PlanCache",
+        "PoolAnswer",
+        "ProcessQueryService",
+        "QueryService",
+        "dtd_fingerprint",
+    ]
+)
+
 # The committed snapshot of EngineConfig's fields, in declaration order.
 ENGINE_CONFIG_FIELDS = [
     "strategy",
@@ -98,13 +112,12 @@ ENGINE_CONFIG_FIELDS = [
 SIGNATURES = {
     "XPathToSQLTranslator.__init__": (
         XPathToSQLTranslator.__init__,
-        ["self", "dtd", "config", "mapping", "plan_cache"],
+        ["self", "dtd", "config"],
     ),
     "QueryService.__init__": (
         QueryService.__init__,
-        ["self", "dtd", "config", "mapping", "plan_cache"],
+        ["self", "dtd", "config", "translator"],
     ),
-    "answer_xpath": (answer_xpath, ["query", "tree", "dtd", "config"]),
     "MemoryBackend.__init__": (MemoryBackend.__init__, ["self", "database"]),
     "SqliteBackend.__init__": (SqliteBackend.__init__, ["self", "database", "path"]),
     "create_backend": (create_backend, ["name", "database"]),
@@ -125,6 +138,9 @@ class TestPublicSurface:
 
     def test_api_all_matches_snapshot(self):
         assert sorted(repro.api.__all__) == API_SURFACE
+
+    def test_service_all_matches_snapshot(self):
+        assert sorted(repro.service.__all__) == SERVICE_SURFACE
 
     def test_every_top_level_name_resolves(self):
         for name in repro.__all__:

@@ -118,16 +118,6 @@ class TestSqliteExecution:
         with SqliteBackend(dept_shredded.database) as sqlite:
             assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()
 
-    def test_matches_direct_answer_path(self, dept_dtd, dept_shredded):
-        translator = XPathToSQLTranslator(dept_dtd)
-        expected = {
-            node.node_id for node in translator.answer("dept//project", dept_shredded)
-        }
-        program = translator.translate("dept//project").program
-        with SqliteBackend(dept_shredded.database) as sqlite:
-            actual = set(sqlite.execute(program).node_ids())
-        assert actual == expected
-
     def test_pushed_selections_agree(self, cross_dtd, cross_shredded):
         """Anchored fixpoints (incl. the backward case) execute correctly."""
         translator = XPathToSQLTranslator(
@@ -184,6 +174,7 @@ class TestSqliteExecution:
         result = MemoryBackend(dept_shredded.database).execute(program)
         assert result.backend == "memory"
         assert result.stats["rows"] == len(result.node_ids())
+        assert result.stats["elapsed_seconds"] >= 0
         assert "fixpoint_iterations" in result.stats
 
 
@@ -200,9 +191,8 @@ class TestIdentifierQuoting:
             name="hyphens",
         )
         tree = generate_document(dtd, x_l=5, x_r=2, seed=1, max_elements=100)
-        translator = XPathToSQLTranslator(dtd)
-        shredded = translator.shred(tree)
-        program = translator.translate("event-log//event-date").program
+        shredded = shred_document(tree, dtd)
+        program = XPathToSQLTranslator(dtd).translate("event-log//event-date").program
         memory = MemoryBackend(shredded.database)
         with SqliteBackend(shredded.database) as sqlite:
             assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()

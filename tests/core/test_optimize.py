@@ -49,6 +49,8 @@ from repro.workloads.queries import (
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
 
+from ..helpers import rdbms_ids
+
 
 class TestOptionPresets:
     def test_baseline_disables_everything(self):
@@ -441,9 +443,9 @@ class TestSelectStrategy:
             cross_dtd, config=EngineConfig(strategy=DescendantStrategy.CYCLEEX)
         )
         for query in ("a//d", "a/b//c/d", "a[not //c]"):
-            assert {n.node_id for n in auto.answer(query, cross_shredded)} == {
-                n.node_id for n in fixed.answer(query, cross_shredded)
-            }
+            assert rdbms_ids(auto, query, cross_shredded) == rdbms_ids(
+                fixed, query, cross_shredded
+            )
 
 
 class TestPushSelectionEffect:
@@ -455,8 +457,9 @@ class TestPushSelectionEffect:
         plain = XPathToSQLTranslator(
             cross_dtd, config=EngineConfig(use_small_seed=True, push_selections=False)
         )
-        push_stats = pushed.execute(query, cross_shredded).stats
-        plain_stats = plain.execute(query, cross_shredded).stats
+        backend = create_backend("memory", cross_shredded.database)
+        push_stats = backend.execute(pushed.translate(query).program).stats
+        plain_stats = backend.execute(plain.translate(query).program).stats
         assert push_stats["tuples_materialized"] <= plain_stats["tuples_materialized"]
 
     def test_push_and_plain_agree(self, cross_dtd, cross_tree, cross_shredded):
@@ -468,5 +471,5 @@ class TestPushSelectionEffect:
             EngineConfig(use_small_seed=False, push_selections=False),
         ):
             translator = XPathToSQLTranslator(cross_dtd, config=config)
-            got = {n.node_id for n in translator.answer(query, cross_shredded)}
+            got = set(rdbms_ids(translator, query, cross_shredded))
             assert got == expected

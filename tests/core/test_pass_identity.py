@@ -12,9 +12,7 @@ over the 396 level-2 translations of the program-digest table.
 
 ``children()`` and ``map_children()`` read one declaration per class, the
 class's ``_child_fields``.  The second half checks that they agree for
-every node class.  The one documented difference is on expressions: an
-expression's ``children()`` leaves its qualifier out, and
-``map_children()`` visits it.
+every node class.
 """
 
 from __future__ import annotations
@@ -234,15 +232,7 @@ def test_map_children_visits_exactly_the_children(label):
     node = SAMPLES[label]
     kept, visited = _visits(node)
     assert kept is node
-    if isinstance(node, Expr):
-        # An expression's children() names sub-expressions only; its
-        # qualifier is the one child that map_children() visits besides.
-        qualifiers = [node.qualifier] if isinstance(node, EQualified) else []
-        assert [child for child in visited if isinstance(child, Expr)] == list(node.children())
-        assert [child for child in visited if not isinstance(child, Expr)] == qualifiers
-    else:
-        assert len(visited) == len(node.children())
-        assert all(a is b for a, b in zip(visited, node.children()))
+    assert [id(child) for child in visited] == [id(child) for child in node.children()]
 
 
 @pytest.mark.parametrize("label", sorted(SAMPLES))
@@ -278,7 +268,7 @@ def test_a_none_field_holds_no_child(label, name):
     kept, visited = _visits(node)
     assert kept is node
     assert all(child is not None for child in visited)
-    assert [id(child) for child in node._child_nodes()] == [id(child) for child in visited]
+    assert [id(child) for child in node.children()] == [id(child) for child in visited]
     assert getattr(node.map_children(copy.copy), name) is None
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import EngineConfig
-from repro.core.pipeline import XPathToSQLTranslator, answer_xpath
+from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
 from repro.relational.executor import Executor
@@ -11,6 +11,8 @@ from repro.relational.schema import T
 from repro.relational.sqlgen import SQLDialect
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
+
+from ..helpers import rdbms_ids
 
 
 class TestTranslationResult:
@@ -64,29 +66,18 @@ class TestQueryAnswering:
         translator = XPathToSQLTranslator(
             dept_dtd, config=EngineConfig(strategy=strategy)
         )
-        via_sql = {n.node_id for n in translator.answer(query, dept_shredded)}
+        via_sql = set(rdbms_ids(translator, query, dept_shredded))
         via_oracle = {n.node_id for n in evaluate_xpath(dept_tree, parse_xpath(query))}
         assert via_sql == via_oracle
 
-    def test_answer_xpath_one_shot_helper(self, dept_dtd, dept_tree):
-        nodes = answer_xpath("dept//project", dept_tree, dept_dtd)
-        expected = evaluate_xpath(dept_tree, parse_xpath("dept//project"))
-        assert [n.node_id for n in nodes] == [n.node_id for n in expected]
-
     def test_lazy_and_eager_execution_agree(self, dept_dtd, dept_shredded):
-        # The translator serves lazily on the columnar executor; the tuple
+        # The memory backend serves lazily on the columnar executor; the tuple
         # executor's eager mode must find the same answer for its plan.
         translator = XPathToSQLTranslator(dept_dtd)
-        lazy = {n.node_id for n in translator.answer("dept//project", dept_shredded)}
+        lazy = set(rdbms_ids(translator, "dept//project", dept_shredded))
         program = translator.translate("dept//project").program
         eager = Executor(dept_shredded.database, lazy=False)
         assert eager.run(program).column_values(T) == lazy
-
-    def test_execute_returns_stats(self, dept_dtd, dept_shredded):
-        translator = XPathToSQLTranslator(dept_dtd)
-        result = translator.execute("dept//project", dept_shredded)
-        assert result.stats["elapsed_seconds"] >= 0
-        assert result.stats["rows"] == len(result.node_ids())
 
     def test_options_do_not_change_answers(self, dept_dtd, dept_tree, dept_shredded):
         expected = {
@@ -96,13 +87,13 @@ class TestQueryAnswering:
             translator = XPathToSQLTranslator(
                 dept_dtd, config=EngineConfig(push_selections=push_selections)
             )
-            got = {n.node_id for n in translator.answer("dept//project", dept_shredded)}
+            got = set(rdbms_ids(translator, "dept//project", dept_shredded))
             assert got == expected
 
     def test_cross_dtd_queries(self, cross_dtd, cross_tree, cross_shredded):
         for query in ("a/b//c/d", "a[not //c or (b and //d)]", "a//d"):
             translator = XPathToSQLTranslator(cross_dtd)
-            via_sql = {n.node_id for n in translator.answer(query, cross_shredded)}
+            via_sql = set(rdbms_ids(translator, query, cross_shredded))
             via_oracle = {
                 n.node_id for n in evaluate_xpath(cross_tree, parse_xpath(query))
             }

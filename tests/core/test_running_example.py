@@ -15,6 +15,8 @@ from repro.workloads.queries import DEPT_QUERIES
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
 
+from ..helpers import rdbms_ids
+
 
 @pytest.fixture(scope="module")
 def table1():
@@ -56,7 +58,7 @@ class TestQ1DeptProject:
             translator = XPathToSQLTranslator(
                 dtd, config=EngineConfig(strategy=strategy)
             )
-            got = {n.node_id for n in translator.answer("dept//project", shredded)}
+            got = set(rdbms_ids(translator, "dept//project", shredded))
             assert got == expected, strategy
 
     def test_sqlgen_r_iterations_match_table2_depth(self, table1):
@@ -100,7 +102,7 @@ class TestQ2OverFullDeptDTD:
         query = DEPT_QUERIES["Q2"].replace("cs66", cno_value)
         expected = {n.node_id for n in evaluate_xpath(tree, parse_xpath(query))}
         translator = XPathToSQLTranslator(dtd)
-        got = {n.node_id for n in translator.answer(query, shredded)}
+        got = set(rdbms_ids(translator, query, shredded))
         assert got == expected
 
     def test_example_4_3_rec_pairs_appear_in_translation(self):

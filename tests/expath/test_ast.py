@@ -48,6 +48,10 @@ class TestConstructors:
         expr = ESlash(EVar("X"), EQualified(ELabel("a"), EPathQual(EVar("Y"))))
         assert expr.variables() == {"X", "Y"}
 
+    def test_children_include_the_qualifier(self):
+        qualifier = EPathQual(ELabel("b"))
+        assert EQualified(ELabel("a"), qualifier).children() == (ELabel("a"), qualifier)
+
     def test_descendants_marker_str(self):
         assert str(EDescendants("a", "b")) == "DESC(a, b)"
 

@@ -17,7 +17,7 @@ from repro.expath.ast import (
     Equation,
     ExtendedXPathQuery,
 )
-from repro.expath.simplify import simplify_expression, simplify_qualifier, simplify_query
+from repro.expath.simplify import simplify_expression, simplify_query
 
 
 class TestExpressionSimplification:
@@ -63,32 +63,37 @@ class TestExpressionSimplification:
         assert simplify_expression(expr) == EEmptySet()
 
 
+def _qualify(qualifier):
+    """``a[qualifier]``, simplified."""
+    return simplify_expression(EQualified(ELabel("a"), qualifier))
+
+
 class TestQualifierSimplification:
     def test_not_of_true_is_false(self):
-        assert simplify_qualifier(ENot(EPathQual(EEmpty()))) is False
+        assert _qualify(ENot(EPathQual(EEmpty()))) == EEmptySet()
 
     def test_not_of_false_is_true(self):
-        assert simplify_qualifier(ENot(EPathQual(EEmptySet()))) is None
+        assert _qualify(ENot(EPathQual(EEmptySet()))) == ELabel("a")
 
     def test_and_with_false_is_false(self):
         qualifier = EAnd(EPathQual(ELabel("a")), EPathQual(EEmptySet()))
-        assert simplify_qualifier(qualifier) is False
+        assert _qualify(qualifier) == EEmptySet()
 
     def test_and_with_true_keeps_other(self):
         qualifier = EAnd(EPathQual(EEmpty()), EPathQual(ELabel("a")))
-        assert simplify_qualifier(qualifier) == EPathQual(ELabel("a"))
+        assert _qualify(qualifier) == EQualified(ELabel("a"), EPathQual(ELabel("a")))
 
     def test_or_with_true_is_true(self):
         qualifier = EOr(EPathQual(ELabel("a")), EPathQual(EEmpty()))
-        assert simplify_qualifier(qualifier) is None
+        assert _qualify(qualifier) == ELabel("a")
 
     def test_or_with_false_keeps_other(self):
         qualifier = EOr(EPathQual(EEmptySet()), EPathQual(ELabel("a")))
-        assert simplify_qualifier(qualifier) == EPathQual(ELabel("a"))
+        assert _qualify(qualifier) == EQualified(ELabel("a"), EPathQual(ELabel("a")))
 
     def test_text_qualifier_unchanged(self):
-        qualifier = ETextEquals("x")
-        assert simplify_qualifier(qualifier) == qualifier
+        expr = EQualified(ELabel("a"), ETextEquals("x"))
+        assert simplify_expression(expr) is expr
 
 
 class TestQuerySimplification:

@@ -30,6 +30,8 @@ from repro.xpath.parser import parse_xpath
 
 from pathlib import Path
 
+from ..helpers import rdbms_ids
+
 ALL_SAMPLE_DTDS = sorted(samples.paper_dtds())
 BACKENDS = ("memory", "sqlite")
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz" / "corpus"
@@ -112,7 +114,7 @@ class TestAutoStrategyEquivalence:
         ]
         for query_text in queries:
             query = parse_xpath(query_text)
-            via_auto = {n.node_id for n in auto.answer(query, shredded)}
+            via_auto = set(rdbms_ids(auto, query, shredded))
             for translator in concrete:
-                got = {n.node_id for n in translator.answer(query, shredded)}
+                got = set(rdbms_ids(translator, query, shredded))
                 assert got == via_auto, (dtd_name, translator.strategy, query_text)

@@ -2,9 +2,10 @@
 
 For every sample DTD x both optimisation settings x both backends, a
 cached :class:`~repro.service.QueryService` must return node-for-node what
-a fresh :class:`~repro.core.pipeline.XPathToSQLTranslator` (new shred, no
-caches) returns — on the first call (cold), on a repeat (plan + result
-cache hits) and after the cache has evicted and recompiled the plan.
+a fresh :class:`~repro.core.pipeline.XPathToSQLTranslator`'s program returns
+on the memory backend over a new shred — on the first call (cold), on a
+repeat (plan + result cache hits) and after the cache has evicted and
+recompiled the plan.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from repro.api import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.dtd import samples
 from repro.service import QueryService
+from repro.shredding.shredder import shred_document
 from repro.workloads.queries import GEDML_QUERY
 from repro.xmltree.generator import generate_document
+
+from ..helpers import rdbms_ids
 
 # One representative query per sample DTD (each exercises recursion where
 # the DTD has any).
@@ -50,7 +54,7 @@ def test_cached_answers_equal_fresh_translation(dtd_name, options_name):
     tree = generate_document(dtd, x_l=7, x_r=3, seed=13, max_elements=250)
 
     translator = XPathToSQLTranslator(dtd, config=config)
-    expected = _ids(translator.answer(query, translator.shred(tree)))
+    expected = list(rdbms_ids(translator, query, shred_document(tree, dtd)))
 
     with QueryService(dtd, config=config) as service:
         service.register_document("doc", tree)
@@ -69,7 +73,7 @@ def test_cached_answers_equal_fresh_translation_on_both_backends(backend):
     dtd = factory()
     tree = generate_document(dtd, x_l=7, x_r=3, seed=13, max_elements=250)
     translator = XPathToSQLTranslator(dtd)
-    expected = _ids(translator.answer(query, translator.shred(tree)))
+    expected = list(rdbms_ids(translator, query, shred_document(tree, dtd)))
     with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
         service.register_document("doc", tree)
         assert _ids(service.answer(query)) == expected
@@ -83,7 +87,7 @@ def test_answers_survive_eviction_and_recompilation(dtd_name):
     dtd = factory()
     tree = generate_document(dtd, x_l=7, x_r=3, seed=13, max_elements=250)
     translator = XPathToSQLTranslator(dtd)
-    expected = _ids(translator.answer(query, translator.shred(tree)))
+    expected = list(rdbms_ids(translator, query, shred_document(tree, dtd)))
     fillers = [f"{dtd.root}//{dtd.root}", f"{dtd.root}/*", dtd.root]
     config = EngineConfig(plan_cache_size=1, result_cache_size=1)
     with QueryService(dtd, config=config) as service:

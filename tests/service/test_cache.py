@@ -1,4 +1,4 @@
-"""Cache-policy tests: LRU eviction, fingerprint invalidation, counters."""
+"""Cache-policy tests: LRU eviction, counters, the translator's plan key."""
 
 from __future__ import annotations
 
@@ -7,52 +7,47 @@ import threading
 import pytest
 
 from repro.api import EngineConfig
-from repro.core.expath_to_sql import TranslationOptions
-from repro.core.optimize import push_selection_options, standard_options
-from repro.core.plancache import (
-    CacheInfo,
-    PlanCache,
-    PlanKey,
-    dtd_fingerprint,
-    options_fingerprint,
-)
+from repro.core.optimize import select_strategy
+from repro.core.plancache import CacheInfo, PlanCache, dtd_fingerprint
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd import samples
 from repro.dtd.parser import parse_dtd
-
-
-def _key(tag: str) -> PlanKey:
-    return PlanKey(
-        dtd="fp", query=tag, strategy="cycleex", options="o", mapping="m"
-    )
+from repro.fuzz.xpath_gen import RandomXPathGenerator, XPathGenConfig
+from repro.workloads.queries import (
+    BIOML_CASES,
+    CROSS_QUERIES,
+    DEPT_QUERIES,
+    GEDML_QUERY,
+)
+from repro.xpath.parser import parse_xpath
 
 
 class TestLRUPolicy:
     def test_eviction_at_capacity_drops_least_recently_used(self):
         cache = PlanCache(capacity=2)
-        cache.put(_key("q1"), "p1")
-        cache.put(_key("q2"), "p2")
-        assert cache.get(_key("q1")) == "p1"  # q1 is now most recently used
-        cache.put(_key("q3"), "p3")  # evicts q2, not q1
-        assert cache.get(_key("q1")) == "p1"
-        assert cache.get(_key("q2")) is None
-        assert cache.get(_key("q3")) == "p3"
+        cache.put("q1", "p1")
+        cache.put("q2", "p2")
+        assert cache.get("q1") == "p1"  # q1 is now most recently used
+        cache.put("q3", "p3")  # evicts q2, not q1
+        assert cache.get("q1") == "p1"
+        assert cache.get("q2") is None
+        assert cache.get("q3") == "p3"
         assert cache.cache_info().evictions == 1
 
     def test_put_refreshes_recency(self):
         cache = PlanCache(capacity=2)
-        cache.put(_key("q1"), "p1")
-        cache.put(_key("q2"), "p2")
-        cache.put(_key("q1"), "p1b")  # refresh, not insert
-        cache.put(_key("q3"), "p3")  # evicts q2
-        assert cache.get(_key("q1")) == "p1b"
-        assert cache.get(_key("q2")) is None
+        cache.put("q1", "p1")
+        cache.put("q2", "p2")
+        cache.put("q1", "p1b")  # refresh, not insert
+        cache.put("q3", "p3")  # evicts q2
+        assert cache.get("q1") == "p1b"
+        assert cache.get("q2") is None
 
     def test_zero_capacity_never_retains(self):
         cache = PlanCache(capacity=0)
-        cache.put(_key("q1"), "p1")
-        assert cache.get(_key("q1")) is None
+        cache.put("q1", "p1")
+        assert cache.get("q1") is None
         assert len(cache) == 0
         info = cache.cache_info()
         assert info.misses == 1 and info.hits == 0
@@ -63,9 +58,9 @@ class TestLRUPolicy:
 
     def test_clear_resets_entries_and_counters(self):
         cache = PlanCache(capacity=4)
-        cache.put(_key("q1"), "p1")
-        cache.get(_key("q1"))
-        cache.get(_key("nope"))
+        cache.put("q1", "p1")
+        cache.get("q1")
+        cache.get("nope")
         cache.clear()
         assert len(cache) == 0
         assert cache.cache_info() == CacheInfo(
@@ -76,10 +71,10 @@ class TestLRUPolicy:
 class TestCounters:
     def test_hit_and_miss_counters(self):
         cache = PlanCache(capacity=4)
-        assert cache.get(_key("q")) is None  # miss
-        cache.put(_key("q"), "plan")
-        assert cache.get(_key("q")) == "plan"  # hit
-        assert cache.get(_key("q")) == "plan"  # hit
+        assert cache.get("q") is None  # miss
+        cache.put("q", "plan")
+        assert cache.get("q") == "plan"  # hit
+        assert cache.get("q") == "plan"  # hit
         info = cache.cache_info()
         assert (info.hits, info.misses, info.size) == (2, 1, 1)
         assert info.hit_rate == pytest.approx(2 / 3)
@@ -88,8 +83,8 @@ class TestCounters:
         cache = PlanCache(capacity=4)
         calls = []
         factory = lambda: calls.append(1) or "plan"
-        assert cache.get_or_create(_key("q"), factory) == "plan"
-        assert cache.get_or_create(_key("q"), factory) == "plan"
+        assert cache.get_or_create("q", factory) == "plan"
+        assert cache.get_or_create("q", factory) == "plan"
         assert len(calls) == 1
         info = cache.cache_info()
         assert (info.hits, info.misses) == (1, 1)
@@ -115,7 +110,7 @@ class TestCounters:
         def worker():
             try:
                 barrier.wait()
-                results.append(cache.get_or_create(_key("q"), factory))
+                results.append(cache.get_or_create("q", factory))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -148,7 +143,7 @@ class TestCounters:
         def worker():
             barrier.wait()
             try:
-                cache.get_or_create(_key("bad"), failing_factory)
+                cache.get_or_create("bad", failing_factory)
             except RuntimeError as exc:
                 errors.append(exc)
 
@@ -160,8 +155,8 @@ class TestCounters:
         # Every caller saw the failure (leader's raise or a re-raise), and
         # nothing was cached, so a later call retries the factory.
         assert len(errors) == threads_n
-        assert _key("bad") not in cache
-        assert cache.get_or_create(_key("bad2"), lambda: "ok") == "ok"
+        assert "bad" not in cache
+        assert cache.get_or_create("bad2", lambda: "ok") == "ok"
 
     def test_distinct_keys_do_not_serialize_each_other(self):
         # Single-flight is per-key: a slow factory on one key must not block
@@ -177,12 +172,12 @@ class TestCounters:
             return "slow"
 
         slow = threading.Thread(
-            target=lambda: done.append(cache.get_or_create(_key("slow"), slow_factory))
+            target=lambda: done.append(cache.get_or_create("slow", slow_factory))
         )
         slow.start()
         assert slow_started.wait(timeout=5)
         # While 'slow' is in flight, an unrelated key completes immediately.
-        assert cache.get_or_create(_key("fast"), lambda: "fast") == "fast"
+        assert cache.get_or_create("fast", lambda: "fast") == "fast"
         slow_release.set()
         slow.join()
         assert done == ["slow"]
@@ -194,7 +189,7 @@ class TestCounters:
         def worker(tag):
             try:
                 for i in range(200):
-                    cache.get_or_create(_key(f"{tag}-{i % 12}"), lambda: i)
+                    cache.get_or_create(f"{tag}-{i % 12}", lambda: i)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -212,7 +207,7 @@ class TestCounters:
         # single lookup (no lost counter updates, no double counts).
         threads_n, lookups = 8, 500
         cache = PlanCache(capacity=threads_n * lookups)
-        hot = _key("hot")
+        hot = "hot"
         cache.put(hot, "plan")
         barrier = threading.Barrier(threads_n)
         errors = []
@@ -224,7 +219,7 @@ class TestCounters:
                     if i % 2:  # every odd lookup hits the shared hot entry
                         assert cache.get(hot) == "plan"
                     else:  # every even lookup misses a thread-unique key
-                        assert cache.get(_key(f"cold-{tag}-{i}")) is None
+                        assert cache.get(f"cold-{tag}-{i}") is None
                     # cache_info() snapshots mid-race must stay coherent.
                     info = cache.cache_info()
                     assert 0 <= info.hits <= threads_n * lookups
@@ -261,78 +256,64 @@ class TestFingerprints:
         )
         assert dtd_fingerprint(base) != dtd_fingerprint(edited)
 
-    def test_options_fingerprint_distinguishes_settings(self):
-        assert options_fingerprint(standard_options()) != options_fingerprint(
-            push_selection_options()
-        )
-        assert options_fingerprint(TranslationOptions()) == options_fingerprint(
-            TranslationOptions()
-        )
 
-    def test_plan_key_separates_every_axis(self):
-        from repro.shredding.inlining import SimpleMapping
-
-        dtd = samples.cross_dtd()
-
-        def key(query="a//d", dtd=dtd, config=None, mapping=None):
-            return XPathToSQLTranslator(dtd, config, mapping).plan_key(query)
-
-        base = key()
-        assert key() == base
-        assert key("a//c") != base
-        assert key(dtd=samples.dept_dtd()) != base
-        assert key(config=EngineConfig(strategy=DescendantStrategy.CYCLEE)) != base
-        assert key(config=EngineConfig(push_selections=True)) != base
-        assert key(config=EngineConfig(optimize_level=0)) != base
-        assert key(mapping=SimpleMapping(dtd, prefix="S_")) != base
-        # Execution settings are no part of a plan's identity.
-        assert key(config=EngineConfig(backend="sqlite")) == base
-
-    def test_translators_with_different_mappings_never_alias(self):
-        """Programs lowered against differently-named relations must not be
-        served to each other from a shared cache."""
-        from repro.shredding.inlining import SimpleMapping
-
-        dtd = samples.cross_dtd()
-        cache = PlanCache(capacity=8)
-        default = XPathToSQLTranslator(dtd, plan_cache=cache)
-        renamed = XPathToSQLTranslator(
-            dtd, mapping=SimpleMapping(dtd, prefix="S_"), plan_cache=cache
-        )
-        assert default.plan_key("a//d") != renamed.plan_key("a//d")
-        default.translate("a//d")
-        program = renamed.translate("a//d").program
-        # The renamed translator got its own plan, over its own relations.
-        assert any("S_" in str(statement) for statement in program.assignments)
+def _workload_queries():
+    """``(dtd, queries)``: every workload query, and fuzz queries on each sample DTD."""
+    groups = [
+        (samples.cross_dtd(), list(CROSS_QUERIES.values())),
+        (samples.dept_dtd(), list(DEPT_QUERIES.values())),
+        (samples.gedml_dtd(), [GEDML_QUERY]),
+    ]
+    groups += [(case.dtd(), [case.query]) for case in BIOML_CASES]
+    for dtd in samples.paper_dtds().values():
+        groups.append((dtd, RandomXPathGenerator(dtd, XPathGenConfig(seed=5)).queries(10)))
+    return groups
 
 
 class TestTranslatorCacheHook:
     def test_translator_reuses_cached_plans(self):
-        cache = PlanCache(capacity=8)
-        translator = XPathToSQLTranslator(samples.cross_dtd(), plan_cache=cache)
+        translator = XPathToSQLTranslator(
+            samples.cross_dtd(), EngineConfig(plan_cache_size=8)
+        )
         first = translator.translate("a//d")
         second = translator.translate("a//d")
         assert second is first  # the very same TranslationResult object
-        info = cache.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        info = translator.plan_cache.cache_info()
+        assert (info.hits, info.misses, info.capacity) == (1, 1, 8)
+
+    @pytest.mark.parametrize("strategy", list(DescendantStrategy))
+    def test_plan_key_is_the_canonical_query_text(self, strategy):
+        for dtd, queries in _workload_queries():
+            translator = XPathToSQLTranslator(dtd, EngineConfig(strategy=strategy))
+            for query in queries:
+                assert translator.plan_key(query) == str(parse_xpath(query)), query
 
     def test_whitespace_variants_share_one_entry(self):
-        cache = PlanCache(capacity=8)
-        translator = XPathToSQLTranslator(samples.cross_dtd(), plan_cache=cache)
-        # The key is the canonical rendering of the parsed path.
-        assert translator.plan_key("a //d") == translator.plan_key("a//d")
+        translator = XPathToSQLTranslator(samples.cross_dtd())
+        assert translator.plan_key("a //d") == translator.plan_key("a//d") == "a//d"
+        first = translator.translate("a //d")
+        assert translator.translate("a//d") is first
+        info = translator.plan_cache.cache_info()
+        assert (info.hits, info.misses, info.size) == (1, 1, 1)
 
-    def test_different_dtds_never_alias_in_a_shared_cache(self):
-        cache = PlanCache(capacity=8)
-        cross = XPathToSQLTranslator(samples.cross_dtd(), plan_cache=cache)
-        dept = XPathToSQLTranslator(samples.dept_dtd(), plan_cache=cache)
-        cross.translate("a//d")
-        # dept has no 'a' type: translating the same text must not hit the
-        # cross entry (it would if keys ignored the DTD fingerprint).
-        assert dept.plan_key("a//d") != cross.plan_key("a//d")
+    def test_auto_records_the_resolved_strategy(self):
+        dtd = samples.dept_dtd()
+        translator = XPathToSQLTranslator(
+            dtd, EngineConfig(strategy=DescendantStrategy.AUTO)
+        )
+        resolved = set()
+        for query in DEPT_QUERIES.values():
+            result = translator.translate(query)
+            assert result.strategy is select_strategy(dtd, query), query
+            assert result.strategy is translator.resolve_strategy(query)
+            assert translator.translate(query) is result
+            resolved.add(result.strategy)
+        assert DescendantStrategy.AUTO not in resolved
 
     def test_uncached_translator_unaffected(self):
-        translator = XPathToSQLTranslator(samples.cross_dtd())
+        translator = XPathToSQLTranslator(
+            samples.cross_dtd(), EngineConfig(plan_cache_size=0)
+        )
         assert translator.plan_cache is None
         first = translator.translate("a//d")
         second = translator.translate("a//d")

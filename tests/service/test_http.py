@@ -236,6 +236,28 @@ class TestLoadtest:
         assert report["p50_ms"] is not None and report["p99_ms"] is not None
         json.dumps(report)  # the CLI prints it verbatim
 
+    def test_an_answer_the_reference_disagrees_with_is_a_mismatch(
+        self, server, monkeypatch
+    ):
+        # The loadtest checks answers against the XPath evaluator, not
+        # against another copy of the engine: an evaluator that disagrees
+        # with the server on every query turns every answer into a mismatch.
+        from repro.xpath import evaluator
+
+        real = evaluator.evaluate_xpath
+
+        def disagreeing(tree, path):
+            nodes = real(tree, path)
+            return nodes[1:] if nodes else [tree.root]
+
+        monkeypatch.setattr(evaluator, "evaluate_xpath", disagreeing)
+        host, port, _pool = server
+        report = run_loadtest(host, port, budget=12, concurrency=2, seed=3, query_pool=6)
+        assert report["failures"] == 0
+        assert report["mismatches"] == report["requests"] == 12
+        assert "reference=" in report["mismatch_samples"][0]
+        assert report["ok"] is False
+
     def test_unverified_loadtest_still_counts_requests(self, server):
         host, port, _pool = server
         report = run_loadtest(

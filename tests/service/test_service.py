@@ -5,11 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.api import EngineConfig
-from repro.core.pipeline import XPathToSQLTranslator, answer_xpath
+from repro.core.pipeline import XPathToSQLTranslator
 from repro.dtd import samples
-from repro.service import PlanCache, QueryService
+from repro.errors import ConfigError
+from repro.service import QueryService
 from repro.workloads.queries import CROSS_QUERIES
 from repro.xmltree.generator import generate_document
+from repro.xpath.evaluator import evaluate_xpath
+from repro.xpath.parser import parse_xpath
+
+
+def _ids(nodes):
+    return [node.node_id for node in nodes]
+
+
+def _reference_ids(tree, query):
+    """The node ids the XPath evaluator selects on ``tree``, ascending."""
+    return sorted(node.node_id for node in evaluate_xpath(tree, parse_xpath(query)))
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +75,12 @@ class TestDocumentRegistry:
 
 class TestAnswering:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_matches_stateless_pipeline(self, cross_setup, backend):
+    def test_matches_the_evaluator(self, cross_setup, backend):
         dtd, tree = cross_setup
         with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
             service.register_document("doc", tree)
             for query in CROSS_QUERIES.values():
-                assert service.answer(query) == answer_xpath(query, tree, dtd)
+                assert _ids(service.answer(query)) == _reference_ids(tree, query)
 
     def test_answer_batch_preserves_order(self, cross_setup):
         dtd, tree = cross_setup
@@ -84,8 +96,8 @@ class TestAnswering:
         with QueryService(dtd) as service:
             service.register_document("big", tree)
             service.register_document("small", other)
-            assert service.answer("a//d", "big") == answer_xpath("a//d", tree, dtd)
-            assert service.answer("a//d", "small") == answer_xpath("a//d", other, dtd)
+            assert _ids(service.answer("a//d", "big")) == _reference_ids(tree, "a//d")
+            assert _ids(service.answer("a//d", "small")) == _reference_ids(other, "a//d")
 
 
 class TestCachingLayers:
@@ -136,29 +148,32 @@ class TestCachingLayers:
             dtd, config=EngineConfig(plan_cache_size=0, result_cache_size=0)
         ) as service:
             service.register_document("doc", tree)
-            reference = answer_xpath("a//d", tree, dtd)
-            assert service.answer("a//d") == reference
-            assert service.answer("a//d") == reference
+            reference = _reference_ids(tree, "a//d")
+            assert _ids(service.answer("a//d")) == reference
+            assert _ids(service.answer("a//d")) == reference
             info = service.cache_info()
             assert info.capacity == 0 and info.hits == 0 and info.misses == 0
 
     def test_shared_plan_cache_across_services(self, cross_setup):
         dtd, tree = cross_setup
-        shared = PlanCache(capacity=16)
-        with QueryService(dtd, plan_cache=shared) as one:
+        config = EngineConfig(plan_cache_size=16)
+        shared = XPathToSQLTranslator(dtd, config)
+        with QueryService(dtd, config, translator=shared) as one:
             one.register_document("doc", tree)
             one.answer("a//d")
-        with QueryService(dtd, plan_cache=shared) as two:
+        with QueryService(dtd, config, translator=shared) as two:
             two.register_document("doc", tree)
             two.answer("a//d")  # plan already compiled by the first service
-        info = shared.cache_info()
+            assert two.translator is shared
+        info = shared.plan_cache.cache_info()
         assert info.hits >= 1 and info.misses == 1
 
-    def test_shared_plan_cache_does_not_size_the_result_cache(self, cross_setup):
-        # The shared cache brings its own capacity; results follow the config.
+    def test_plan_cache_size_does_not_size_the_result_cache(self, cross_setup):
+        # Plans and prepared programs follow plan_cache_size; results follow
+        # result_cache_size alone.
         dtd, tree = cross_setup
         queries = ["a//d", "a/b//c/d", "a[//c]//d", "a//c", "a/b"]
-        with QueryService(dtd, plan_cache=PlanCache(capacity=2)) as service:
+        with QueryService(dtd, config=EngineConfig(plan_cache_size=2)) as service:
             service.register_document("doc", tree)
             for _ in range(2):
                 for query in queries:
@@ -167,6 +182,14 @@ class TestCachingLayers:
             results = service.result_cache_info()
         assert results.capacity == EngineConfig().result_cache_size
         assert (results.hits, results.evictions) == (len(queries), 0)
+
+    def test_a_shared_translator_must_match_the_dtd_and_config(self, cross_setup):
+        dtd, _ = cross_setup
+        translator = XPathToSQLTranslator(dtd, EngineConfig())
+        with pytest.raises(ConfigError, match="shared translator"):
+            QueryService(dtd, EngineConfig(optimize_level=0), translator=translator)
+        with pytest.raises(ConfigError, match="shared translator"):
+            QueryService(samples.cross_dtd(), EngineConfig(), translator=translator)
 
     def test_eviction_keeps_answers_correct(self, cross_setup):
         dtd, tree = cross_setup
@@ -177,7 +200,7 @@ class TestCachingLayers:
             service.register_document("doc", tree)
             for _ in range(3):  # cycle through more queries than capacity
                 for query in queries:
-                    assert service.answer(query) == answer_xpath(query, tree, dtd)
+                    assert _ids(service.answer(query)) == _reference_ids(tree, query)
             assert service.cache_info().evictions > 0
 
 
