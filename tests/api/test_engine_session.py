@@ -179,6 +179,19 @@ class TestQueryResult:
             assert result._plan is None  # not derived until asked for
             assert result.plan is result.plan  # derived once, then cached
 
+    def test_service_config_reflects_shared_plan_cache_capacity(self, dtd, document):
+        engine = Engine.from_dtd(
+            dtd, EngineConfig(plan_cache_size=8, result_cache_size=5)
+        )
+        with engine.open_session(document) as session:
+            service = session._service
+            assert service.config.plan_cache_size == 8
+            assert service.cache_info().capacity == 8
+            assert engine.plan_cache.cache_info().capacity == 8
+            # The result cache is sized by the config alone.
+            assert service.config.result_cache_size == 5
+            assert service.result_cache_info().capacity == 5
+
     def test_lazy_node_materialization(self, dtd, document):
         with Engine.from_dtd(dtd).open_session(document) as session:
             result = session.answer(QUERY)

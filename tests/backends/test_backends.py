@@ -15,6 +15,7 @@ from repro.backends.base import BackendResult
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import DescendantStrategy
 from repro.errors import ExecutionError
+from repro.service import QueryService
 from repro.shredding.shredder import shred_document
 from repro.xmltree.generator import generate_document
 from repro.xpath.evaluator import evaluate_xpath
@@ -117,6 +118,16 @@ class TestSqliteExecution:
         memory = MemoryBackend(dept_shredded.database)
         with SqliteBackend(dept_shredded.database) as sqlite:
             assert sqlite.execute(program).node_ids() == memory.execute(program).node_ids()
+
+    def test_matches_direct_answer_path(self, dept_dtd, dept_tree, dept_shredded):
+        # The direct answer path registers the tree with a QueryService.
+        with QueryService(dept_dtd) as service:
+            service.register_document("doc", dept_tree)
+            expected = set(service.execute("dept//project").node_ids())
+        program = XPathToSQLTranslator(dept_dtd).translate("dept//project").program
+        with SqliteBackend(dept_shredded.database) as sqlite:
+            actual = set(sqlite.execute(program).node_ids())
+        assert actual == expected
 
     def test_pushed_selections_agree(self, cross_dtd, cross_shredded):
         """Anchored fixpoints (incl. the backward case) execute correctly."""

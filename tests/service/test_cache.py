@@ -310,6 +310,29 @@ class TestTranslatorCacheHook:
             resolved.add(result.strategy)
         assert DescendantStrategy.AUTO not in resolved
 
+    def test_translators_never_share_plans(self):
+        # The key is the query text alone; that is sound because each
+        # translator owns its cache, so the same text under another DTD or
+        # config is a miss in that translator's cache, never another's plan.
+        cross = XPathToSQLTranslator(samples.cross_dtd())
+        cyclee = XPathToSQLTranslator(
+            samples.cross_dtd(), EngineConfig(strategy=DescendantStrategy.CYCLEE)
+        )
+        dept = XPathToSQLTranslator(samples.dept_dtd())
+        first = cross.translate("a//d")
+        assert cyclee.plan_key("a//d") == cross.plan_key("a//d")
+        other = cyclee.translate("a//d")
+        assert other is not first
+        assert (first.strategy, other.strategy) == (
+            DescendantStrategy.CYCLEEX,
+            DescendantStrategy.CYCLEE,
+        )
+        for translator in (cross, cyclee):
+            info = translator.plan_cache.cache_info()
+            assert (info.hits, info.misses, info.size) == (0, 1, 1)
+        assert dept.plan_cache is not cross.plan_cache
+        assert "a//d" not in dept.plan_cache
+
     def test_uncached_translator_unaffected(self):
         translator = XPathToSQLTranslator(
             samples.cross_dtd(), EngineConfig(plan_cache_size=0)

@@ -82,6 +82,16 @@ class TestAnswering:
             for query in CROSS_QUERIES.values():
                 assert _ids(service.answer(query)) == _reference_ids(tree, query)
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_execute_returns_stats(self, cross_setup, backend):
+        dtd, tree = cross_setup
+        with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
+            service.register_document("doc", tree)
+            result = service.execute("a//d")
+        assert result.backend == backend
+        assert result.stats["elapsed_seconds"] >= 0
+        assert result.stats["rows"] == len(result.node_ids())
+
     def test_answer_batch_preserves_order(self, cross_setup):
         dtd, tree = cross_setup
         queries = ["a//d", "a/b//c/d", "a//d", "a[//c]//d"]
