@@ -113,12 +113,21 @@ class Backend(abc.ABC):
     shipped; the multiprocess serving tier keys its worker initializers off
     this flag, and affine backends raise
     :class:`~repro.errors.ExecutionError` on any cross-process use.
+
+    :attr:`warms_by_executing` declares whether an execution leaves state
+    the next execution of the same or another plan reuses (the memory
+    backend's shared temporaries).  Warming a store for a query then means
+    executing it; otherwise translating and preparing it is all that
+    carries over, unless the store caches results
+    (:meth:`repro.service.QueryService.warm`).
     """
 
     name: str = "abstract"
     dialect: SQLDialect = SQLDialect.GENERIC
     #: True when instances must not cross a process boundary (see class doc).
     process_affine: bool = False
+    #: True when an execution leaves state later executions reuse (see class doc).
+    warms_by_executing: bool = False
 
     def __init__(self, database: Database) -> None:
         self._database = database

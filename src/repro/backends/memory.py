@@ -24,10 +24,14 @@ class MemoryBackend(Backend):
 
     Every plan runs on :class:`~repro.relational.columnar.ColumnarExecutor`,
     the batched operator-at-a-time engine over dictionary-encoded column
-    arrays, whatever the size of the database.  The backend encodes the
-    shared store at construction, so the per-call path only pays for
-    operator evaluation, and temporaries one plan computes are reused by
-    the next plan that needs them.
+    arrays, whatever the size of the database.  The store encodes each
+    base relation on its first read, so a relation no plan reads is never
+    encoded.  Temporaries stay in the store's shared table, in full or for
+    the origins an answer reached (see
+    :class:`~repro.relational.columnar.ColumnarExecutor`), for the next plan
+    that needs them; since an execution leaves that state behind,
+    registration warms a store by executing its warm-up queries
+    (:attr:`~repro.backends.base.Backend.warms_by_executing`).
 
     Every :meth:`execute` call builds a fresh executor over the store, so
     concurrent calls from many threads are lock-free reads — there is no
@@ -45,11 +49,12 @@ class MemoryBackend(Backend):
 
     name = "memory"
     dialect = SQLDialect.GENERIC
+    warms_by_executing = True
 
     def __init__(self, database: Database) -> None:
         super().__init__(database)
-        # Encode the store eagerly so the (amortised) dictionary-encoding
-        # cost is paid at registration time, not on the first query.
+        # Create the store here, once, so concurrent first executions share
+        # it.  It encodes each base relation on the first read of it.
         columnar_store(database)
         # Snapshot of database.version: queries refuse to run against a
         # database mutated behind the backend's back (see apply_delta).
@@ -114,5 +119,7 @@ class MemoryBackend(Backend):
                 rows=len(relation),
                 temporaries_evaluated=executor.stats.temporaries_evaluated,
                 temporaries_reused=executor.stats.temporaries_reused,
+                temporaries_demanded=executor.stats.temporaries_demanded,
+                temporaries_demanded_reused=executor.stats.temporaries_demanded_reused,
             )
         return BackendResult(self.name, node_ids, stats)

@@ -15,9 +15,10 @@ It only translates.  Answering a query over a document is
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Union as TUnion
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union as TUnion
 
 from repro import obs
 from repro.core.expath_to_sql import ExtendedToSQL, TranslationOptions
@@ -99,7 +100,10 @@ class XPathToSQLTranslator:
     :class:`~repro.core.plancache.PlanCache` of that capacity, and
     :meth:`translate` becomes a lookup keyed by :meth:`plan_key`.  Caching
     is semantically invisible: a hit returns the same
-    :class:`TranslationResult` a fresh translation would produce.
+    :class:`TranslationResult` a fresh translation would produce.  The
+    translator then also remembers, for as many query texts as the cache
+    holds plans, each text's key and parsed form, so a repeated query text
+    is not parsed again.
 
     Example
     -------
@@ -143,6 +147,10 @@ class XPathToSQLTranslator:
         self._plan_cache = (
             PlanCache(config.plan_cache_size) if config.plan_cache_size > 0 else None
         )
+        # Query text -> (key, parsed query), oldest first; bounded by the
+        # plan cache's capacity.
+        self._texts: Dict[str, Tuple[str, Path]] = {}
+        self._texts_lock = threading.Lock()
 
     # -- accessors --------------------------------------------------------------
 
@@ -211,6 +219,25 @@ class XPathToSQLTranslator:
         """Step 2 only: lower an extended XPath query to a relational program."""
         return self._back_end.translate(extended)
 
+    def _canonical(self, query: QueryLike) -> Tuple[str, Path]:
+        """``query``'s canonical text and parsed form.
+
+        With a plan cache, a query text seen before is looked up instead of
+        parsed again.
+        """
+        if not isinstance(query, str):
+            return str(query), query
+        known = self._texts.get(query)
+        if known is None:
+            path = parse_xpath(query)
+            known = (str(path), path)
+            if self._plan_cache is not None:
+                with self._texts_lock:
+                    if len(self._texts) >= self._plan_cache.capacity:
+                        del self._texts[next(iter(self._texts))]
+                    self._texts[query] = known
+        return known
+
     def plan_key(self, query: QueryLike) -> str:
         """The cache key of ``query``: its canonical text.
 
@@ -219,7 +246,7 @@ class XPathToSQLTranslator:
         ``auto`` strategy resolves one query the same way every time, so
         whitespace variants of one query share an entry.
         """
-        return str(self._parse(query))
+        return self._canonical(query)[0]
 
     def translate(self, query: QueryLike) -> TranslationResult:
         """Run both translation steps and return all intermediate artifacts.
@@ -227,14 +254,13 @@ class XPathToSQLTranslator:
         With a plan cache this consults the cache first and only translates
         on a miss.
         """
-        path = self._parse(query)
+        key, path = self._canonical(query)
         if self._plan_cache is None:
             return self._translate_fresh(path)
         missed = []
         with obs.span("plan-cache", cache=self._plan_cache.name) as sp:
             result = self._plan_cache.get_or_create(
-                self.plan_key(path),
-                lambda: missed.append(True) or self._translate_fresh(path),
+                key, lambda: missed.append(True) or self._translate_fresh(path)
             )
             sp.set(hit=not missed)
         return result

@@ -174,22 +174,30 @@ class _NoopSpan:
     def __enter__(self) -> "_NoopSpan":
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         return None
 
 
+class _TraceState(threading.local):
+    """Per-thread trace state.  ``span`` defaults to ``None`` on the class,
+    so the untraced check in :func:`span` is one attribute read, not a
+    ``getattr`` call with a default."""
+
+    span: Optional[Span] = None
+
+
 _NOOP = _NoopSpan()
-_STATE = threading.local()
+_STATE = _TraceState()
 
 
 def current_span() -> Optional[Span]:
     """The calling thread's innermost open span (``None`` when not tracing)."""
-    return getattr(_STATE, "span", None)
+    return _STATE.span
 
 
 def is_tracing() -> bool:
     """True when a trace is active on the calling thread."""
-    return getattr(_STATE, "span", None) is not None
+    return _STATE.span is not None
 
 
 def span(name: str, **attrs: Any):
@@ -198,7 +206,7 @@ def span(name: str, **attrs: Any):
     This is *the* instrumentation primitive: call it unconditionally in any
     code path worth timing; the un-traced cost is one thread-local read.
     """
-    if getattr(_STATE, "span", None) is None:
+    if _STATE.span is None:
         return _NOOP
     return Span(name, **attrs)
 

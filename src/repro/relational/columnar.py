@@ -23,6 +23,13 @@ but changes the *representation*:
   map built once per base relation (the semi-naive frontier collapses to
   int-set reachability).  Recursive unions batch the frontier per
   iteration, grouped by tag code.
+* **Demand-driven temporaries** — an evaluation may carry a *demand*, the
+  set of ``F`` codes its caller will read.  The program's root selection
+  ``SELECT[F = '_']`` seeds it and composes pass their left side's ``T``
+  codes on to their right side, so a temporary with no full result in the
+  store's shared table is computed only for the origins an answer can
+  reach (the magic-set idea of Bancilhon, Maier, Sagiv and Ullman, PODS
+  1986, applied at execution time; the programs do not change).
 
 It is the only engine the memory backend runs, on every database size.
 The tuple executor stays as the reference implementation:
@@ -44,6 +51,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -279,18 +287,22 @@ class ColumnarRelation:
 class TemporaryEntry:
     """One temporary in a store's shared table (see :meth:`ColumnarDatabase.temps_for`).
 
-    ``key`` is the temporary's canonical expression, ``relation`` its
-    materialized value (``None`` until a run evaluates it) and ``users`` the
-    number of live programs whose namespace holds the entry.  Entries compare
-    and hash by identity, so a canonical key can name the temporaries it
-    reads by their entries.
+    ``key`` is the temporary's canonical expression, ``relation`` its full
+    materialized value (``None`` until a run evaluates it in full),
+    ``demanded`` its results under a demand (a frozenset of ``F`` codes ->
+    exactly the rows of the full result with those ``F`` codes), and
+    ``users`` the number of live programs whose namespace holds the entry.
+    A full result serves every demand, so publishing one drops the demanded
+    results.  Entries compare and hash by identity, so a canonical key can
+    name the temporaries it reads by their entries.
     """
 
-    __slots__ = ("key", "relation", "users")
+    __slots__ = ("key", "relation", "demanded", "users")
 
     def __init__(self, key: RAExpr) -> None:
         self.key = key
         self.relation: Optional[ColumnarRelation] = None
+        self.demanded: Dict[FrozenSet[int], ColumnarRelation] = {}
         self.users = 0
 
     def __str__(self) -> str:
@@ -299,17 +311,22 @@ class TemporaryEntry:
 
     def __repr__(self) -> str:
         state = "empty" if self.relation is None else f"rows={len(self.relation)}"
-        return f"TemporaryEntry({self}, {state}, users={self.users})"
+        return (
+            f"TemporaryEntry({self}, {state}, demanded={len(self.demanded)}, "
+            f"users={self.users})"
+        )
 
 
 class ColumnarDatabase:
     """A :class:`~repro.relational.database.Database` encoded columnarly.
 
-    Every base relation is dictionary-encoded once (all relations share one
-    :class:`ValueDictionary`), and the identity relation ``R_id`` is built
-    once and cached — the tuple executor rebuilds it per executor instance.
-    The store snapshots the database's version counter; :func:`columnar_store`
-    rebuilds stale stores after ``set_relation`` mutations.
+    Every base relation is dictionary-encoded once, on its first read (all
+    relations share one :class:`ValueDictionary`), so a relation no plan
+    reads — ``DOC_ORDER`` outside the interval strategy — is never encoded.
+    The identity relation ``R_id`` is built once and cached — the tuple
+    executor rebuilds it per executor instance.  The store snapshots the
+    database's version counter; :func:`columnar_store` rebuilds stale stores
+    after ``set_relation`` mutations.
 
     The store also keeps one table of materialized temporaries for every
     :class:`~repro.relational.algebra.Program` run against it, keyed by each
@@ -340,16 +357,6 @@ class ColumnarDatabase:
         self._released: Deque[
             Tuple[int, weakref.ref, Tuple[TemporaryEntry, ...]]
         ] = collections.deque()
-        encode = self._dictionary.encode_column
-        for name in database:
-            relation = database.relation(name)
-            cols = tuple(
-                encode(map(itemgetter(index), relation.rows))
-                for index in range(len(relation.columns))
-            )
-            self._relations[name] = ColumnarRelation(
-                relation.columns, cols=cols, name=name
-            )
 
     @property
     def database(self) -> Database:
@@ -367,14 +374,24 @@ class ColumnarDatabase:
         return self._dictionary
 
     def __contains__(self, name: str) -> bool:
-        return name in self._relations
+        return name in self._relations or name in self._database
 
     def relation(self, name: str) -> ColumnarRelation:
-        """The encoded base relation named ``name``."""
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise SchemaError(f"unknown relation {name!r}") from None
+        """The encoded base relation named ``name`` (encoded on first read)."""
+        relation = self._relations.get(name)
+        if relation is not None:
+            return relation
+        source = self._database.relation(name)  # SchemaError if unknown
+        encode = self._dictionary.encode_column
+        cols = tuple(
+            encode(map(itemgetter(index), source.rows))
+            for index in range(len(source.columns))
+        )
+        # Two threads may encode one relation; both encodings are equal,
+        # and every reader keeps the first one published.
+        return self._relations.setdefault(
+            name, ColumnarRelation(source.columns, cols=cols, name=name)
+        )
 
     def identity(self) -> ColumnarRelation:
         """The identity relation ``R_id`` (built once, cached).
@@ -385,9 +402,9 @@ class ColumnarDatabase:
         if self._identity is None:
             rows: Set[Tuple[int, ...]] = set()
             for name in self._database.schema.node_relations:
-                relation = self._relations.get(name)
-                if relation is None:
+                if name not in self._database:
                     continue
+                relation = self.relation(name)
                 cols = relation.cols()
                 t_col = cols[relation.column_index(T)]
                 v_col = cols[relation.column_index(V)]
@@ -400,15 +417,17 @@ class ColumnarDatabase:
 
         ``delta`` is duck-typed (:class:`repro.live.delta.ShredDelta`): two
         mappings ``deletes`` / ``inserts`` from relation name to sets of
-        value rows.  Only the touched relations are re-materialized — the
-        shared dictionary is append-only so every existing code stays valid,
-        and untouched relations keep their encodings *and* their memoized
-        join structures.  The identity relation is rebuilt only when a node
-        relation changed, and the shared temporary table is dropped
-        wholesale (its entries may read any relation).  ``version`` is the
-        database version counter after the delta was applied to the row
-        store; adopting it keeps :func:`columnar_store` returning this
-        patched store instead of re-encoding from scratch.
+        value rows.  Only the touched relations that are already encoded
+        are re-materialized — the shared dictionary is append-only so every
+        existing code stays valid, untouched relations keep their encodings
+        *and* their memoized join structures, and a relation not encoded yet
+        is left to its first read, which encodes the updated rows.  The
+        identity relation is rebuilt only when a node relation changed, and
+        the shared temporary table, with every demanded result on its
+        entries, is dropped wholesale (its entries may read any relation).
+        ``version`` is the database version counter after the delta was
+        applied to the row store; adopting it keeps :func:`columnar_store`
+        returning this patched store instead of re-encoding from scratch.
 
         Relations where the delta is as large as the relation itself (the
         common case for ``DOC_ORDER``, whose pre/post numbers shift globally
@@ -421,6 +440,8 @@ class ColumnarDatabase:
         inserts: Mapping[str, Iterable[Tuple]] = delta.inserts  # type: ignore[attr-defined]
         node_relations = set(self._database.schema.node_relations)
         for name in set(deletes) | set(inserts):
+            if name in node_relations:
+                self._identity = None
             old = self._relations.get(name)
             if old is None:
                 continue
@@ -436,8 +457,6 @@ class ColumnarDatabase:
                 for row in insert_rows:
                     rows.add(tuple(map(encode, row)))
             self._relations[name] = ColumnarRelation(old.columns, rows=rows, name=name)
-            if name in node_relations:
-                self._identity = None
         with self._locked():
             # Dropping the views drops their weakrefs, so the callbacks of
             # the programs they served never fire against the new table.
@@ -509,7 +528,7 @@ class ColumnarDatabase:
             if entry is None:
                 entry = self._entries[key] = TemporaryEntry(key)
             view[name] = entry
-            if name not in self._relations:
+            if name not in self:
                 renames[name] = entry
         return view
 
@@ -590,6 +609,30 @@ class ColumnarExecutor:
     tell the executors apart except by speed; :meth:`run_encoded` returns
     the same result still encoded, for callers that read only part of it.
 
+    Evaluation is demand-driven.  :meth:`_evaluate` takes an optional
+    *demand*, the set of ``F`` codes its caller will read, and returns
+    exactly the rows of the full result whose ``F`` code is in it — never a
+    superset, so ``EXCEPT``, ``INTERSECT`` and anti-joins stay sound.
+    ``SELECT[F = c]`` starts a demand (every translated program ends in
+    ``SELECT[F = '_']``), and:
+
+    * a demanded compose evaluates its left input under the demand and its
+      right input under the left result's ``T`` codes — unless the right
+      input is held in full (a base relation, ``R_id`` or a temporary with
+      a full result), which is probed through its memoized ``F`` grouping;
+    * unions, differences and intersections pass the demand to every input;
+    * demanded semi- and anti-joins pass it to their left input, and the
+      left's join codes to their right input when its join column is ``F``;
+    * a forward fixpoint computes its base in full, so closure bases stay
+      shared, and runs only the demanded origins; a backward one emits only
+      the demanded ancestors;
+    * base relations, ``R_id`` and full temporaries are restricted through
+      their memoized ``F`` grouping, in O(demand + output);
+    * every other operator evaluates its inputs in full and restricts its
+      output.
+
+    Without a demand everything runs in full, as the tuple executor does.
+
     ``stats`` is an :class:`~repro.relational.stats.ExecutionStats` and
     is reset at the start of every ``run`` (per-run numbers).  Each operator
     evaluation is wrapped in an ``op.<type>`` obs span and feeds the
@@ -615,13 +658,14 @@ class ColumnarExecutor:
 
         Its codes decode through the store's
         :attr:`ColumnarDatabase.dictionary`.  Temporaries resolve through
-        the store's shared table (:meth:`ColumnarDatabase.temps_for`): one
-        already materialized — by an earlier run of this plan or by any
-        plan that computes it the same way — is taken from the table and
-        counted in ``stats.temporaries_reused``; only the rest are
-        evaluated (and published to the table) and counted in
-        ``stats.temporaries_evaluated``.  A warm re-run of a cached plan
-        evaluates none.
+        the store's shared table (:meth:`ColumnarDatabase.temps_for`): a
+        result already there — full, or cached under the same demand by any
+        plan that computes it the same way — is counted in
+        ``stats.temporaries_reused``; only the rest are evaluated (and
+        published to the table) and counted in
+        ``stats.temporaries_evaluated``, with ``temporaries_demanded`` and
+        ``temporaries_demanded_reused`` counting the demanded ones.  A warm
+        re-run of a cached plan evaluates none.
         """
         self.stats.reset()
         start = time.perf_counter()
@@ -640,42 +684,98 @@ class ColumnarExecutor:
         rows = self._store.dictionary.decode_rows(relation.rows())
         return Relation._from_parts(relation.columns, rows, name=relation.name)
 
-    def _resolve_scan(self, name: str, scope: _Scope) -> ColumnarRelation:
+    def _resolve_scan(
+        self, name: str, scope: _Scope, demand: Optional[FrozenSet[int]]
+    ) -> ColumnarRelation:
         relation = scope.resolved.get(name)
-        if relation is not None:
-            return relation
-        if name in self._store:
-            return self._store.relation(name)
-        if name not in scope.shared:
-            raise ExecutionError(f"unknown relation {name!r}")
-        return self._temporary(name, scope)
-
-    def _temporary(self, name: str, scope: _Scope) -> ColumnarRelation:
-        """Temporary ``name``: taken from its table entry, or evaluated and
-        published there."""
-        entry = scope.shared[name]
-        relation = entry.relation
         if relation is None:
-            # Runs on two threads may both evaluate an entry; their results
-            # are equal, so whichever is published last is as good.
-            expression = scope.program.expression_for(name)  # type: ignore[union-attr]
-            relation = entry.relation = self._evaluate(expression, scope)
-            self.stats.temporaries_evaluated += 1
+            if name not in self._store:
+                if name not in scope.shared:
+                    raise ExecutionError(f"unknown relation {name!r}")
+                return self._temporary(name, scope, demand)
+            relation = self._store.relation(name)
+        return relation if demand is None else self._restrict(relation, demand)
+
+    def _temporary(
+        self, name: str, scope: _Scope, demand: Optional[FrozenSet[int]]
+    ) -> ColumnarRelation:
+        """Temporary ``name`` under ``demand``: taken from its table entry,
+        or evaluated and published there.
+
+        Runs on two threads may both evaluate an entry, or one demand of it;
+        their results are equal, so whichever is published last is as good.
+        """
+        entry = scope.shared[name]
+        stats = self.stats
+        relation = entry.relation
+        if relation is not None:
+            stats.temporaries_reused += 1
+            scope.resolved[name] = relation
+            return relation if demand is None else self._restrict(relation, demand)
+        if demand is not None:
+            relation = entry.demanded.get(demand)
+            if relation is not None:
+                stats.temporaries_reused += 1
+                stats.temporaries_demanded_reused += 1
+                return relation
+        expression = scope.program.expression_for(name)  # type: ignore[union-attr]
+        relation = self._evaluate(expression, scope, demand)
+        stats.temporaries_evaluated += 1
+        if demand is None:
+            entry.relation = relation
+            entry.demanded = {}  # the full result serves every demand
+            scope.resolved[name] = relation
         else:
-            self.stats.temporaries_reused += 1
-        scope.resolved[name] = relation
+            stats.temporaries_demanded += 1
+            entry.demanded[demand] = relation
         return relation
 
-    def _evaluate(self, expr: RAExpr, scope: _Scope) -> ColumnarRelation:
+    def _held_in_full(self, expr: RAExpr, scope: _Scope) -> bool:
+        """Whether ``expr`` reads a relation the store holds in full: a base
+        relation, ``R_id`` or a temporary with a full result."""
         if isinstance(expr, Scan):
-            return self._resolve_scan(expr.name, scope)
-        handler = self._HANDLERS.get(type(expr))
+            name = expr.name
+            if name in scope.resolved or name in self._store:
+                return True
+            entry = scope.shared.get(name)
+            return entry is not None and entry.relation is not None
+        return isinstance(expr, IdentityRelation)
+
+    def _restrict(
+        self, relation: ColumnarRelation, demand: FrozenSet[int]
+    ) -> ColumnarRelation:
+        """The rows of ``relation`` whose ``F`` code is in ``demand``, read
+        through its memoized ``F`` grouping: O(demand + output)."""
+        get = self._group_rows(relation, relation.column_index(F)).get
+        rows: Set[Tuple[int, ...]] = set()
+        update = rows.update
+        for code in demand:
+            bucket = get(code)
+            if bucket:
+                update(bucket)
+        return ColumnarRelation(relation.columns, rows=rows)
+
+    def _evaluate(
+        self, expr: RAExpr, scope: _Scope, demand: Optional[FrozenSet[int]] = None
+    ) -> ColumnarRelation:
+        """``expr``'s result: in full, or only its rows with ``F`` in ``demand``."""
+        if isinstance(expr, Scan):
+            return self._resolve_scan(expr.name, scope, demand)
+        node_type = type(expr)
+        handler = self._HANDLERS.get(node_type)
         if handler is None:
             raise ExecutionError(f"unknown relational expression {expr!r}")
-        with obs.span(self._SPAN_NAMES[type(expr)]) as sp:
-            relation = handler(self, expr, scope)
+        with obs.span(self._SPAN_NAMES[node_type]) as sp:
+            if node_type in self._TAKES_DEMAND:
+                relation = handler(self, expr, scope, demand)
+            else:
+                relation = handler(self, expr, scope)
+                if demand is not None:
+                    relation = self._restrict(relation, demand)
             if sp:
                 sp.set(rows=len(relation))
+                if demand is not None:
+                    sp.set(demand=len(demand))
         self._batch_rows.observe(len(relation))
         return relation
 
@@ -687,12 +787,26 @@ class ColumnarExecutor:
     def _empty(self, expr, scope) -> ColumnarRelation:
         return ColumnarRelation(NODE_COLUMNS)
 
-    def _select(self, expr: Select, scope) -> ColumnarRelation:
-        relation = self._evaluate(expr.input, scope)
-        cols = relation.cols()
+    def _select(self, expr: Select, scope, demand) -> ColumnarRelation:
+        # Each F = c condition narrows the demand instead of filtering: the
+        # input then holds only rows that satisfy it.
         encode = self._store.dictionary.encode
-        keep: Optional[List[int]] = None
+        conditions = []
         for condition in expr.conditions:
+            if condition.column == F and condition.op == "=":
+                code = encode(condition.value)
+                if demand is None or code in demand:
+                    demand = frozenset((code,))
+                else:
+                    demand = frozenset()
+            else:
+                conditions.append(condition)
+        relation = self._evaluate(expr.input, scope, demand)
+        if not conditions:
+            return relation
+        cols = relation.cols()
+        keep: Optional[List[int]] = None
+        for condition in conditions:
             column = cols[relation.column_index(condition.column)]
             code = encode(condition.value)
             if condition.op == "=":
@@ -707,8 +821,6 @@ class ColumnarExecutor:
                     keep = [i for i in keep if column[i] != code]
             else:
                 raise ExecutionError(f"unsupported condition operator {condition.op!r}")
-        if keep is None:
-            return relation
         gathered = tuple([column[i] for i in keep] for column in cols)
         return ColumnarRelation(relation.columns, cols=gathered)
 
@@ -761,14 +873,18 @@ class ColumnarExecutor:
 
         return relation.memo(("rows-by", key_index), build)  # type: ignore[return-value]
 
-    def _compose(self, expr: Compose, scope) -> ColumnarRelation:
-        left = self._evaluate(expr.left, scope)
+    def _compose(self, expr: Compose, scope, demand) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope, demand)
         if not len(left):
             return ColumnarRelation(NODE_COLUMNS)
-        right = self._evaluate(expr.right, scope)
+        lf, lt = left.column_index(F), left.column_index(T)
+        # Under a demand, only the right rows the left side ends at can join.
+        right_demand = None
+        if demand is not None and not self._held_in_full(expr.right, scope):
+            right_demand = frozenset(left.column(lt))
+        right = self._evaluate(expr.right, scope, right_demand)
         if not len(right):
             return ColumnarRelation(NODE_COLUMNS)
-        lf, lt = left.column_index(F), left.column_index(T)
         rf, rt, rv = (right.column_index(c) for c in (F, T, V))
         # Hash join: the right side grouped by the join key (memoized, so a
         # base relation is grouped once per store, and the fixpoints reuse
@@ -813,13 +929,18 @@ class ColumnarExecutor:
         self.stats.join_output_rows += len(rows)
         return ColumnarRelation(out_columns, rows=rows)
 
-    def _semijoin(self, expr, scope, keep_matching: bool) -> ColumnarRelation:
-        left = self._evaluate(expr.left, scope)
+    def _semijoin(self, expr, scope, demand, keep_matching: bool) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope, demand)
         if not len(left):
             return ColumnarRelation(left.columns)
-        right = self._evaluate(expr.right, scope)
-        keys = set(right.column(right.column_index(expr.right_column)))
         index = left.column_index(expr.left_column)
+        # Under a demand, a right side joined on F is read only at the left
+        # side's join codes: the only keys a left row can match.
+        right_demand = None
+        if demand is not None and expr.right_column == F:
+            right_demand = frozenset(left.column(index))
+        right = self._evaluate(expr.right, scope, right_demand)
+        keys = set(right.column(right.column_index(expr.right_column)))
         if left.has_rows():
             if keep_matching:
                 rows = {row for row in left.rows() if row[index] in keys}
@@ -835,14 +956,14 @@ class ColumnarExecutor:
         gathered = tuple([col[i] for i in keep] for col in cols)
         return ColumnarRelation(left.columns, cols=gathered)
 
-    def _semi(self, expr: SemiJoin, scope) -> ColumnarRelation:
-        return self._semijoin(expr, scope, keep_matching=True)
+    def _semi(self, expr: SemiJoin, scope, demand) -> ColumnarRelation:
+        return self._semijoin(expr, scope, demand, keep_matching=True)
 
-    def _anti(self, expr: AntiJoin, scope) -> ColumnarRelation:
-        return self._semijoin(expr, scope, keep_matching=False)
+    def _anti(self, expr: AntiJoin, scope, demand) -> ColumnarRelation:
+        return self._semijoin(expr, scope, demand, keep_matching=False)
 
-    def _union(self, expr: Union, scope) -> ColumnarRelation:
-        relations = [self._evaluate(child, scope) for child in expr.inputs]
+    def _union(self, expr: Union, scope, demand) -> ColumnarRelation:
+        relations = [self._evaluate(child, scope, demand) for child in expr.inputs]
         non_empty = [rel for rel in relations if rel.columns]
         if not non_empty:
             return ColumnarRelation(NODE_COLUMNS)
@@ -857,14 +978,14 @@ class ColumnarExecutor:
         self.stats.union_output_rows += len(rows)
         return ColumnarRelation(columns, rows=rows)
 
-    def _difference(self, expr: Difference, scope) -> ColumnarRelation:
-        left = self._evaluate(expr.left, scope)
-        right = self._evaluate(expr.right, scope)
+    def _difference(self, expr: Difference, scope, demand) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope, demand)
+        right = self._evaluate(expr.right, scope, demand)
         return ColumnarRelation(left.columns, rows=left.rows() - right.rows())
 
-    def _intersect(self, expr: Intersect, scope) -> ColumnarRelation:
-        left = self._evaluate(expr.left, scope)
-        right = self._evaluate(expr.right, scope)
+    def _intersect(self, expr: Intersect, scope, demand) -> ColumnarRelation:
+        left = self._evaluate(expr.left, scope, demand)
+        right = self._evaluate(expr.right, scope, demand)
         return ColumnarRelation(left.columns, rows=left.rows() & right.rows())
 
     # -- fixpoints ---------------------------------------------------------------
@@ -913,20 +1034,22 @@ class ColumnarExecutor:
                         push(target)
         return seen
 
-    def _fixpoint(self, expr: Fixpoint, scope) -> ColumnarRelation:
+    def _fixpoint(self, expr: Fixpoint, scope, demand) -> ColumnarRelation:
         base = self._evaluate(expr.base, scope)
         fi, ti, vi = (base.column_index(c) for c in (F, T, V))
         if expr.target_anchor is not None and expr.source_anchor is None:
-            return self._fixpoint_backward(expr, base, fi, ti, vi, scope)
+            return self._fixpoint_backward(expr, base, fi, ti, vi, scope, demand)
 
         adjacency = self._adjacency(base, fi, ti)
         out_rows = self._group_rows(base, fi)
+        if demand is None:
+            origins = list(out_rows)
+        else:
+            origins = [origin for origin in demand if origin in out_rows]
         if expr.source_anchor is not None:
             anchor = self._evaluate(expr.source_anchor, scope)
             allowed = set(anchor.column(anchor.column_index(T)))
-            origins = [origin for origin in out_rows if origin in allowed]
-        else:
-            origins = list(out_rows)
+            origins = [origin for origin in origins if origin in allowed]
 
         result: Set[Tuple[int, ...]] = set()
         update = result.update
@@ -941,7 +1064,7 @@ class ColumnarExecutor:
         return ColumnarRelation(NODE_COLUMNS, rows=result)
 
     def _fixpoint_backward(
-        self, expr: Fixpoint, base: ColumnarRelation, fi, ti, vi, scope
+        self, expr: Fixpoint, base: ColumnarRelation, fi, ti, vi, scope, demand
     ) -> ColumnarRelation:
         anchor = self._evaluate(expr.target_anchor, scope)
         allowed = set(anchor.column(anchor.column_index(F)))
@@ -964,6 +1087,8 @@ class ColumnarExecutor:
         for source, payload in seeds.items():
             self.stats.fixpoint_iterations += 1
             ancestors = self._reach(source, reverse)
+            if demand is not None:
+                ancestors &= demand
             for ancestor in ancestors:
                 update((ancestor, target, value) for target, value in payload)
         self.stats.tuples_materialized += len(result)
@@ -1094,6 +1219,12 @@ class ColumnarExecutor:
         RecursiveUnion: _recursive_union,
         IntervalJoin: _interval_join,
     }
+
+    #: The operators whose handlers take a demand and return exactly the
+    #: demanded rows; ``_evaluate`` restricts the others' full output.
+    _TAKES_DEMAND = frozenset(
+        {Select, Compose, SemiJoin, AntiJoin, Union, Difference, Intersect, Fixpoint}
+    )
 
     _SPAN_NAMES: Dict[type, str] = {
         node_type: f"op.{node_type.__name__.lower()}" for node_type in _HANDLERS

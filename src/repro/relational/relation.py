@@ -163,8 +163,10 @@ class Relation:
         return index
 
     def copy(self, name: Optional[str] = None) -> "Relation":
-        """Shallow copy (rows are immutable tuples)."""
-        return Relation(self._columns, set(self._rows), name=name or self.name)
+        """Shallow copy (rows are immutable tuples, already validated)."""
+        return Relation._from_parts(
+            self._columns, set(self._rows), name=name or self.name
+        )
 
     def sorted_rows(self) -> List[Row]:
         """Rows in a stable, type-aware order (for tests, reports, shrinker output).

@@ -26,6 +26,12 @@ class ExecutionStats:
     #: store's shared table instead of evaluating them (the tuple executor
     #: shares nothing, so it always reports 0).
     temporaries_reused: int = 0
+    #: Of ``temporaries_evaluated``, those the columnar engine evaluated
+    #: under a demand: only for the origins an answer reaches.
+    temporaries_demanded: int = 0
+    #: Of ``temporaries_reused``, those taken as a result cached on the
+    #: entry under the same demand.
+    temporaries_demanded_reused: int = 0
     elapsed_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
@@ -38,6 +44,8 @@ class ExecutionStats:
             "tuples_materialized": self.tuples_materialized,
             "temporaries_evaluated": self.temporaries_evaluated,
             "temporaries_reused": self.temporaries_reused,
+            "temporaries_demanded": self.temporaries_demanded,
+            "temporaries_demanded_reused": self.temporaries_demanded_reused,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -50,4 +58,6 @@ class ExecutionStats:
         self.tuples_materialized = 0
         self.temporaries_evaluated = 0
         self.temporaries_reused = 0
+        self.temporaries_demanded = 0
+        self.temporaries_demanded_reused = 0
         self.elapsed_seconds = 0.0

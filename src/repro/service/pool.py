@@ -18,14 +18,18 @@
   allocation once at start (:data:`WORKER_GC_THRESHOLD`) and meters every
   collection into ``worker.gc_collections.gen<N>`` / ``worker.gc_seconds``;
 * registration ships a document to all its owners at once, and drops it
-  again from the owners that built it when another owner failed;
+  again from the owners that built it when another owner failed; each
+  owner then answers the warm-up queries that route to it
+  (:meth:`~repro.service.QueryService.warm`) while the others answer
+  theirs, so first requests find warm stores;
 * updates hold one lock from sending a script to every owner to logging
   it, so all owners apply scripts in the mutation log's order;
 * worker crashes are detected (end of file on the worker's pipe fails
   every request pending on it), the worker is respawned, its documents
   re-registered from the recipes the parent retains — with every retained
   mutation script replayed on top, so live documents recover their
-  updated state — and the in-flight request retried once;
+  updated state, and only then warmed — and the in-flight request retried
+  once;
 * workers ship their metrics ``snapshot(include_reservoirs=True)`` home on
   demand and at shutdown, and :meth:`ProcessQueryService.stats` merges
   them with :func:`repro.obs.merge_snapshots`, so counters and latency
@@ -201,7 +205,6 @@ def _worker_main(
     dtd_text: str,
     dtd_name: str,
     config_dict: Dict[str, Any],
-    warmup: Tuple[str, ...],
     connection,
 ) -> None:
     """The worker loop: one process-local engine, requests in, replies out.
@@ -222,11 +225,6 @@ def _worker_main(
     registry.gauge("worker.pid").set(os.getpid())
     dtd = parse_dtd(dtd_text, name=dtd_name)
     service = QueryService(dtd, config=EngineConfig.from_dict(config_dict))
-    for query in warmup:
-        try:
-            service.plan(query)
-        except ReproError:
-            pass  # warmup is best-effort; real requests report real errors
     while True:
         try:
             kind, request_id, *args = connection.recv()
@@ -235,11 +233,16 @@ def _worker_main(
         collector.flush()
         try:
             if kind in ("register_tree", "register_spec"):
-                document_id, source = args
+                document_id, source, warmup = args
                 tree = source if kind == "register_tree" else source.generate(dtd)
                 service.register_document(document_id, tree)
                 registry.gauge("worker.documents").add(1)
+                service.warm(warmup, document_id)
                 payload: Any = document_id
+            elif kind == "warm":
+                document_id, warmup = args
+                service.warm(warmup, document_id)
+                payload = document_id
             elif kind == "unregister":
                 service.unregister_document(args[0])
                 registry.gauge("worker.documents").add(-1)
@@ -397,8 +400,14 @@ class ProcessQueryService:
         ``fork``/``spawn``/``forkserver``; default
         :func:`default_start_method`.
     warmup:
-        Queries each worker translates at initialization (and again after
-        a respawn), so first requests hit a warm plan cache.
+        Queries answered at registration by the owner each query routes to
+        (the routing :meth:`answer` uses), every owner at once, so first
+        requests find warm stores: the owner executes its share where an
+        execution leaves something the next answer reuses (a result cache,
+        or the memory backend's shared temporaries) and otherwise translates
+        and prepares it (:meth:`~repro.service.QueryService.warm`).  A
+        respawned owner warms again after replaying its mutation log.  A
+        warm-up query that fails is skipped.
     """
 
     def __init__(
@@ -422,12 +431,8 @@ class ProcessQueryService:
         self._start_method = start_method or default_start_method()
         self._context = multiprocessing.get_context(self._start_method)
         self._fingerprint = dtd_fingerprint(dtd)
-        self._target_args = (
-            dtd.to_text(),
-            dtd.name,
-            self._config.to_dict(),
-            tuple(str(query) for query in warmup),
-        )
+        self._warmup = tuple(str(query) for query in warmup)
+        self._target_args = (dtd.to_text(), dtd.name, self._config.to_dict())
         # document id -> (payload kind, payload, owner worker indices)
         self._documents: "OrderedDict[str, Tuple[str, Any, Tuple[int, ...]]]"
         self._documents = OrderedDict()
@@ -493,6 +498,21 @@ class ProcessQueryService:
             (base + offset) % len(self._workers) for offset in range(self._replicas)
         )
 
+    @staticmethod
+    def _replica(text: str, owner_indices: Tuple[int, ...]) -> int:
+        """The owner that answers query ``text``: repeated identical queries
+        land on the same (warm) engine."""
+        digest = int(hashlib.sha256(text.encode("utf-8")).hexdigest(), 16)
+        return owner_indices[digest % len(owner_indices)]
+
+    def _warmup_share(
+        self, index: int, owner_indices: Tuple[int, ...]
+    ) -> Tuple[str, ...]:
+        """The warm-up queries owner ``index`` answers for a document."""
+        return tuple(
+            text for text in self._warmup if self._replica(text, owner_indices) == index
+        )
+
     def _register(self, document_id: str, kind: str, payload: Any) -> Tuple[int, ...]:
         self._check_open()
         with self._lock:
@@ -503,12 +523,19 @@ class ProcessQueryService:
             self._registering.add(document_id)
         try:
             owner_indices = self._owner_indices(document_id)
-            # All owners build their stores at once.  The document is
-            # recorded only when every owner succeeded; otherwise the owners
-            # that succeeded drop their store again, so a retry can succeed,
-            # and the first failure in owner order is raised.
+            # All owners build their stores, and answer their warm-up
+            # shares, at once.  The document is recorded only when every
+            # owner succeeded; otherwise the owners that succeeded drop
+            # their store again, so a retry can succeed, and the first
+            # failure in owner order is raised.
             _, failures = self._fan_out(
-                [(index, kind, document_id, payload) for index in owner_indices]
+                [
+                    (
+                        index, kind, document_id, payload,
+                        self._warmup_share(index, owner_indices),
+                    )
+                    for index in owner_indices
+                ]
             )
             if any(failure is not None for failure in failures):
                 self._fan_out(
@@ -655,14 +682,14 @@ class ProcessQueryService:
                 self._workers[worker_index] = replacement
                 log = self._mutation_log
                 to_restore = [
-                    (document_id, kind, payload, list(log.get(document_id, ())))
+                    (document_id, kind, payload, owners, list(log.get(document_id, ())))
                     for document_id, (kind, payload, owners) in self._documents.items()
                     if worker_index in owners
                 ]
             worker.close(timeout=10.0)
             self._metrics.counter("pool.respawns").inc()
-            for document_id, kind, payload, scripts in to_restore:
-                self._request(replacement, kind, document_id, payload)
+            for document_id, kind, payload, owners, scripts in to_restore:
+                self._request(replacement, kind, document_id, payload, ())
                 for script in scripts:
                     try:
                         self._request(replacement, "update", document_id, script)
@@ -671,6 +698,10 @@ class ProcessQueryService:
                         # the same (deterministic) way on replay; its
                         # applied prefix keeps the replica consistent.
                         pass
+                # Warmed last, so the warm state is the replayed document's.
+                share = self._warmup_share(worker_index, owners)
+                if share:
+                    self._request(replacement, "warm", document_id, share)
 
     def _resolve_document(
         self, document_id: Optional[str]
@@ -698,14 +729,13 @@ class ProcessQueryService:
     ) -> Tuple[Any, ...]:
         """The request that answers ``query``: the replica's index first.
 
-        Among replicas the query text picks the worker, so repeated
-        identical queries land on the same (result-cache-warm) engine.
+        Among replicas the query text picks the worker (:meth:`_replica`),
+        the same one registration warmed the query on.
         """
         self._check_open()
         document_id, owner_indices = self._resolve_document(document_id)
         text = str(query)
-        digest = int(hashlib.sha256(text.encode("utf-8")).hexdigest(), 16)
-        chosen = owner_indices[digest % len(owner_indices)]
+        chosen = self._replica(text, owner_indices)
         return chosen, "answer", document_id, text, include_nodes
 
     def answer(

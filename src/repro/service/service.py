@@ -51,12 +51,12 @@ from repro.errors import (
     ConfigError,
     DuplicateDocumentError,
     MutationError,
+    ReproError,
     SessionClosedError,
     UnknownDocumentError,
 )
 from repro.shredding.shredder import ShreddedDocument, shred_document
 from repro.xmltree.tree import XMLNode, XMLTree
-from repro.xpath.parser import parse_xpath
 
 if TYPE_CHECKING:
     from repro.live.mutations import DocumentMutator, Mutation
@@ -418,6 +418,29 @@ class QueryService:
                     f"unknown document {document_id!r} (registered: {known})"
                 ) from None
 
+    def warm(
+        self, queries: Sequence[QueryLike], document_id: Optional[str] = None
+    ) -> None:
+        """Make the first answers to ``queries`` on a store warm.
+
+        Each query is executed where an execution leaves something the next
+        answer reuses: the store's result cache, or a backend that
+        :attr:`~repro.backends.base.Backend.warms_by_executing` (the memory
+        backend's shared temporaries).  Otherwise it is only translated and
+        prepared.  A query that raises :class:`~repro.errors.ReproError` is
+        skipped: a real request for it reports the error.
+        """
+        store = self.store(document_id)
+        executes = self._result_capacity > 0 or store.backend.warms_by_executing
+        for query in queries:
+            try:
+                if executes:
+                    self._execute(store, query)
+                else:
+                    store.prepared_program(self._key(query), self.plan(query))
+            except ReproError:
+                continue
+
     # -- answering ---------------------------------------------------------------
 
     def plan(self, query: QueryLike) -> TranslationResult:
@@ -431,31 +454,35 @@ class QueryService:
         """Answer ``query`` on a store, returning the raw backend result."""
         return self._execute(self.store(document_id), query)
 
+    def _key(self, query: QueryLike) -> Optional[str]:
+        """The plan key stores cache ``query`` under; ``None`` without a plan cache."""
+        if self._translator.plan_cache is None:
+            return None
+        return self._translator.plan_key(query)
+
     def _execute(self, store: DocumentStore, query: QueryLike) -> BackendResult:
         """Answer ``query`` on an already-resolved store.
 
-        The query is parsed exactly once; on the fully warm path the call
-        is one key computation plus one result-cache lookup.
+        With a plan cache, a query text the translator has seen before is
+        not parsed again: on the fully warm path the call is one key lookup
+        plus one result-cache lookup.
         """
         obs.registry().counter("service.queries").inc()
         with obs.span(
             "answer", document=store.document_id, backend=store.backend.name
         ) as answer_sp:
-            parsed = parse_xpath(query) if isinstance(query, str) else query
+            key = self._key(query)
             if answer_sp:
-                answer_sp.set(query=str(parsed))
-            key = (
-                self._translator.plan_key(parsed)
-                if self._translator.plan_cache is not None
-                else None
-            )
+                answer_sp.set(
+                    query=key if key is not None else self._translator.plan_key(query)
+                )
             cached = store.cached_result(key)
             if cached is not None:
                 answer_sp.set(result_cache_hit=True)
                 return cached
             answer_sp.set(result_cache_hit=False)
             generation = store.generation
-            prepared = store.prepared_program(key, self.plan(parsed))
+            prepared = store.prepared_program(key, self.plan(query))
             result = store.backend.execute_prepared(prepared)
             store.store_result(key, result, generation)
             return result

@@ -111,8 +111,12 @@ def shred_document(
 
     database = Database(schema)
     for name, relation_rows in rows.items():
+        # Every row above has its relation's arity by construction.
         database.set_relation(
-            name, Relation(schema.relation(name).columns, relation_rows, name=name)
+            name,
+            Relation._from_parts(
+                tuple(schema.relation(name).columns), relation_rows, name=name
+            ),
         )
     return ShreddedDocument(database=database, mapping=mapping, tree=tree)
 

@@ -10,14 +10,17 @@ executor on a hand-built database.
 
 import gc
 import pickle
+import random
 import sys
 import threading
 
 import pytest
 
 from repro import obs
+from repro.api.config import EngineConfig
 from repro.core.pipeline import XPathToSQLTranslator
 from repro.errors import ExecutionError, SchemaError
+from repro.fuzz.cases import DocumentSpec
 from repro.backends.memory import MemoryBackend
 from repro.live.delta import ShredDelta, apply_delta_to_database
 from repro.relational import columnar
@@ -28,6 +31,7 @@ from repro.relational.algebra import (
     Condition,
     Difference,
     EdgeStep,
+    EmptyRelation,
     EquiJoin,
     Fixpoint,
     IdentityRelation,
@@ -198,6 +202,44 @@ class TestColumnarStore:
         assert not hasattr(clone, "_columnar_store")
         # And the clone rebuilds its own on demand.
         assert columnar_store(clone).database is clone
+
+    def test_base_relations_are_encoded_on_first_read(self, cross_dtd, cross_tree):
+        database = shred_document(cross_tree, cross_dtd).database
+        store = ColumnarDatabase(database)
+        assert store._relations == {}
+        assert all(name in store for name in database)
+        program = XPathToSQLTranslator(cross_dtd).translate("a//d").program
+        ColumnarExecutor(store).run(program)
+        # A CycleEX plan never reads the interval numbering.
+        assert "DOC_ORDER" in database and "DOC_ORDER" not in store._relations
+        assert len(store.relation("DOC_ORDER")) == len(database.relation("DOC_ORDER"))
+
+    def test_identity_encodes_the_node_relations_it_reads(self, database):
+        store = ColumnarDatabase(database)
+        decoded = store.dictionary.decode_rows(store.identity().rows())
+        assert decoded == {
+            (t, t, v) for name in ("R_r", "R_a", "R_b")
+            for _, t, v in database.relation(name).rows
+        }
+
+    def test_apply_delta_leaves_unencoded_relations_to_their_first_read(self, database):
+        store = columnar_store(database)
+        store.relation("R_a")
+        store.identity()
+        delta = ShredDelta.build(
+            deletes={"R_a": [(4, 5, "a-2")], "R_b": [(5, 6, "b-2")]},
+            inserts={"R_b": [(2, 7, "b-7")]},
+        )
+        encoded_r = store.relation("R_r")
+        apply_delta_to_database(database, delta)
+        store.apply_delta(delta, database.version)
+        assert "R_b" in store and store.relation("R_r") is encoded_r
+        for name in ("R_a", "R_b"):
+            decoded = store.dictionary.decode_rows(store.relation(name).rows())
+            assert decoded == set(database.relation(name).rows), name
+        assert ColumnarExecutor(store).evaluate(IdentityRelation()) == Executor(
+            database
+        ).evaluate(IdentityRelation())
 
     def test_temps_namespace_is_per_program_and_weak(self, database):
         store = columnar_store(database)
@@ -455,7 +497,10 @@ class TestProgramsAndWarmTemps:
         executor.run(program)
         first = executor.stats.as_dict()
         assert first["temporaries_evaluated"] == 1
-        assert first["join_output_rows"] == 3
+        # The result selects F = 0, so ``ab`` joins only R_a's two rows
+        # from node 0: the third, from node 4, reaches no answer.
+        assert first["temporaries_demanded"] == 1
+        assert first["join_output_rows"] == 2
         executor.run(program)
         second = executor.stats.as_dict()
         assert second["temporaries_evaluated"] == 0  # warm temps reused
@@ -465,6 +510,139 @@ class TestProgramsAndWarmTemps:
         result = ColumnarExecutor(database).run(self._program())
         assert isinstance(result, Relation)
         assert result.columns == NODE_COLUMNS
+
+
+#: One expression per operator type with an F column, over ``cyclic``'s base
+#: relations; nested composes and joins put non-base inputs under demands.
+_DEMAND_CASES = {
+    "scan": Scan("R_b"),
+    "identity": IdentityRelation(),
+    "empty": EmptyRelation(),
+    "select-f": Select(Scan("R_b"), (Condition("F", "=", 3),)),
+    "select-f-and-v": Select(
+        Scan("R_b"), (Condition("F", "=", 3), Condition("V", "!=", "b-1"))
+    ),
+    "select-f-ne": Select(Scan("R_b"), (Condition("F", "!=", 1),)),
+    "project": Project(Scan("R_b"), ("T", "T", "V"), aliases=("F", "T", "V")),
+    "tag-project": TagProject(Scan("R_b"), "b"),
+    "compose": Compose(Scan("R_a"), Scan("R_b")),
+    "compose-nested": Compose(
+        Compose(Scan("R_a"), Scan("R_b")), Compose(Scan("R_b"), Scan("R_a"))
+    ),
+    "equijoin": EquiJoin(
+        Scan("R_a"),
+        Compose(Scan("R_b"), Scan("R_a")),
+        "T",
+        "F",
+        output=(("L", "F", "F"), ("R", "T", "T"), ("R", "V", "V")),
+    ),
+    "semijoin-on-f": SemiJoin(Scan("R_b"), Compose(Scan("R_a"), Scan("R_b")), "T", "F"),
+    "semijoin-on-t": SemiJoin(Scan("R_b"), Compose(Scan("R_a"), Scan("R_b")), "F", "T"),
+    "antijoin-on-f": AntiJoin(Scan("R_b"), Compose(Scan("R_a"), Scan("R_b")), "T", "F"),
+    "antijoin-on-t": AntiJoin(Scan("R_b"), Scan("R_a"), "F", "T"),
+    "union": Union((Scan("R_a"), Compose(Scan("R_a"), Scan("R_b")))),
+    "except": Difference(
+        Fixpoint(_BASE), Compose(Scan("R_b"), Fixpoint(Scan("R_a")))
+    ),
+    "intersect": Intersect(Fixpoint(_BASE), Union((Scan("R_b"), Scan("R_a")))),
+    "fixpoint": Fixpoint(_BASE),
+    "fixpoint-composed-base": Fixpoint(Compose(Scan("R_a"), Scan("R_b"))),
+    "fixpoint-source-anchored": Fixpoint(_BASE, source_anchor=Scan("R_a")),
+    "fixpoint-backward": Fixpoint(_BASE, target_anchor=Scan("R_a")),
+    "recursive-union": RecursiveUnion(
+        TagProject(SemiJoin(Scan("R_a"), Scan("R_r"), "F", "T"), "a"),
+        (EdgeStep(Scan("R_b"), "a", "b"), EdgeStep(Scan("R_a"), "b", "a")),
+    ),
+}
+
+
+def _demands(seed):
+    """Seeded demands over ``cyclic``'s F values, with absent values mixed in."""
+    rng = random.Random(seed)
+    values = ["_", 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, "none"]
+    return [set()] + [set(rng.sample(values, rng.randint(1, 6))) for _ in range(6)]
+
+
+class TestDemandedEvaluation:
+    """Under a demand, an expression returns exactly the full result's rows
+    with F in the demand (never a superset), on a cold store and on one
+    whose table already holds the temporaries' full or demanded results."""
+
+    @pytest.mark.parametrize("case", sorted(_DEMAND_CASES))
+    def test_demanded_rows_are_the_full_result_restricted(self, cyclic, case):
+        expr = _DEMAND_CASES[case]
+        full = Executor(cyclic).evaluate(expr)
+        index = full.columns.index("F")
+        store = ColumnarDatabase(cyclic)
+        for demand in _demands(case):
+            want = {row for row in full.rows if row[index] in demand}
+            for target in (ColumnarDatabase(cyclic), store):
+                codes = frozenset(map(target.dictionary.encode, demand))
+                executor = ColumnarExecutor(target)
+                got = executor._evaluate(expr, columnar._Scope(None, {}), codes)
+                assert executor._decode(got).rows == want, (case, demand)
+
+    @pytest.mark.parametrize("case", sorted(_DEMAND_CASES))
+    def test_temporaries_under_demands_match_the_tuple_executor(self, cyclic, case):
+        # The case as a temporary three live programs share, read under two
+        # demands and then in full: every answer is exact, each demand is
+        # cached on the shared entry, and the full result replaces them.
+        store = columnar_store(cyclic)
+        programs = [
+            Program(
+                [Assignment("t", _DEMAND_CASES[case])],
+                Select(Scan("t"), (Condition("F", "=", origin),)),
+            )
+            for origin in (1, 3)
+        ]
+        programs.append(Program([Assignment("t", _DEMAND_CASES[case])], Scan("t")))
+        entry = store.temps_for(programs[0])["t"]
+        for count, program in enumerate(programs, 1):
+            assert ColumnarExecutor(store).run(program) == Executor(cyclic).run(program)
+            assert store.temps_for(program)["t"] is entry
+            if count < len(programs):
+                assert entry.relation is None and len(entry.demanded) == count
+        assert entry.relation is not None and entry.demanded == {}
+
+    def test_a_demanded_result_is_cached_on_its_entry(self, cyclic):
+        program = _closure_program(
+            "x", Select(Scan("x_lfp"), (Condition("F", "=", 1),))
+        )
+        store = columnar_store(cyclic)
+        cold = ColumnarExecutor(store)
+        cold.run(program)
+        assert cold.stats.temporaries_evaluated == 2
+        # x_lfp ran only from origin 1; its base x_ab ran in full.
+        assert cold.stats.temporaries_demanded == 1
+        assert cold.stats.fixpoint_iterations == 1
+        entries = store.temps_for(program)
+        assert entries["x_ab"].relation is not None
+        assert entries["x_lfp"].relation is None
+        (demand,) = entries["x_lfp"].demanded
+        assert demand == frozenset({store.dictionary.encode(1)})
+        warm = ColumnarExecutor(store)
+        assert warm.run(program) == Executor(cyclic).run(program)
+        assert warm.stats.temporaries_evaluated == 0
+        assert warm.stats.temporaries_demanded_reused == 1
+        assert warm.stats.fixpoint_iterations == 0
+
+    def test_apply_delta_drops_demanded_results(self, cyclic):
+        program = _closure_program(
+            "x", Select(Scan("x_lfp"), (Condition("F", "=", 1),))
+        )
+        store = columnar_store(cyclic)
+        ColumnarExecutor(store).run(program)
+        entry = store.temps_for(program)["x_lfp"]
+        assert entry.demanded
+        delta = ShredDelta.build(
+            deletes={"R_b": [(1, 2, "b-2")]}, inserts={"R_b": [(1, 9, "b-9")]}
+        )
+        apply_delta_to_database(cyclic, delta)
+        store.apply_delta(delta, cyclic.version)
+        assert store.temps_for(program)["x_lfp"] is not entry
+        patched = ColumnarExecutor(store)
+        assert patched.run(program) == Executor(cyclic).run(program)
+        assert patched.stats.temporaries_reused == 0
 
 
 def _closure_program(prefix, result=None):
@@ -707,6 +885,48 @@ class TestSharedTemporaries:
         assert second.stats["temporaries_evaluated"] == 0
         assert second.stats["temporaries_reused"] >= 1
         assert second.node_ids() == first.node_ids()
+
+
+def _rows_held(store):
+    """Rows the shared table keeps: full results plus demanded ones."""
+    return sum(
+        (0 if entry.relation is None else len(entry.relation))
+        + sum(len(relation) for relation in entry.demanded.values())
+        for entry in store.shared_temporaries()
+    )
+
+
+class TestPaperQueriesUnderDemand:
+    QUERIES = list(CROSS_QUERIES.values()) + [SCALABILITY_QUERY]
+
+    def test_a_warm_rerun_evaluates_no_temporary(self, cross_dtd, cross_shredded):
+        translator = XPathToSQLTranslator(cross_dtd)
+        programs = [translator.translate(query).program for query in self.QUERIES]
+        store = ColumnarDatabase(cross_shredded.database)
+        cold = [ColumnarExecutor(store) for _ in programs]
+        answers = [executor.run(p) for executor, p in zip(cold, programs)]
+        assert sum(executor.stats.temporaries_demanded for executor in cold) > 0
+        for program, answer in zip(programs, answers):
+            warm = ColumnarExecutor(store)
+            assert warm.run(program) == answer
+            stats = warm.stats
+            assert stats.temporaries_evaluated == stats.temporaries_demanded == 0
+            assert stats.join_output_rows == stats.fixpoint_iterations == 0
+            assert stats.temporaries_reused >= 1
+
+    def test_the_table_keeps_only_rows_an_answer_reaches(self, cross_dtd):
+        # The recursive-scan benchmark's document: 8,016 elements.  Computed
+        # for every origin, the five queries' temporaries held 231,592 rows.
+        spec = DocumentSpec(x_l=14, x_r=4, max_elements=8000, seed=0)
+        database = shred_document(spec.generate(cross_dtd), cross_dtd).database
+        translator = XPathToSQLTranslator(
+            cross_dtd, config=EngineConfig(result_cache_size=0)
+        )
+        programs = [translator.translate(query).program for query in self.QUERIES]
+        store = ColumnarDatabase(database)
+        for program in programs:
+            ColumnarExecutor(store).run(program)
+        assert _rows_held(store) <= 80_000
 
 
 class TestMemoryBackend:

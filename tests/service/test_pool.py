@@ -10,6 +10,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.dtd import samples
 from repro.errors import (
     ConfigError,
@@ -21,8 +22,10 @@ from repro.errors import (
     XPathSyntaxError,
 )
 from repro.fuzz.cases import DocumentSpec
+from repro.live.mutations import DeleteSubtree
 from repro.service import PoolAnswer, ProcessQueryService, QueryService
 from repro.service.pool import WORKER_GC_THRESHOLD
+from repro.workloads.queries import CROSS_QUERIES, SCALABILITY_QUERY
 from repro.xmltree.generator import generate_document
 
 pytestmark = pytest.mark.skipif(
@@ -244,6 +247,91 @@ class TestRegistration:
             assert pool.document_ids() == ["d"]
 
 
+def _counts(pool, index):
+    """A worker's own counters and histogram counts, by metric name."""
+    snapshot = pool._call(index, "snapshot")
+    return {
+        name: metric.get("value", metric.get("count", 0))
+        for name, metric in snapshot.items()
+    }
+
+
+class TestWarmupAtRegistration:
+    WARM = list(CROSS_QUERIES.values()) + [SCALABILITY_QUERY, "a//c"]
+
+    def test_workers_start_without_translating(self):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, start_method="fork", warmup=self.WARM
+        ) as pool:
+            for index in range(2):
+                assert _counts(pool, index).get("cache.plan.misses", 0) == 0
+
+    def test_each_owner_answers_the_queries_routed_to_it(self, monkeypatch):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork", warmup=self.WARM
+        ) as pool:
+            shares = {}
+            submit = pool._submit
+
+            def record(index, kind, *rest):
+                if kind == "register_spec":
+                    shares[index] = rest[-1]
+                return submit(index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_submit", record)
+            owners = pool.register_generated("d", DocumentSpec(max_elements=200))
+            monkeypatch.undo()
+            assert sorted(shares) == sorted(owners)
+            assert sorted(q for share in shares.values() for q in share) == sorted(
+                self.WARM
+            )
+            assert all(shares.values())  # both owners got some of the seven
+            for index, share in shares.items():
+                assert all(pool._route(q, "d", False)[0] == index for q in share)
+                counts = _counts(pool, index)
+                assert counts["service.queries"] == len(share)
+                assert counts["cache.plan.misses"] == len(share)
+
+    @pytest.mark.parametrize("result_cache_size", [128, 0])
+    def test_first_answers_after_registration_are_warm(self, result_cache_size):
+        dtd = samples.cross_dtd()
+        config = EngineConfig(result_cache_size=result_cache_size)
+        with ProcessQueryService(
+            dtd, config=config, workers=2, replicas=2, start_method="fork",
+            warmup=self.WARM,
+        ) as pool:
+            owners = pool.register_generated("d", DocumentSpec(max_elements=300))
+            before = {index: _counts(pool, index) for index in owners}
+            for query in self.WARM:
+                pool.answer(query, "d", include_nodes=False)
+            for index in owners:
+                after = _counts(pool, index)
+                answered = after["service.queries"] - before[index]["service.queries"]
+                assert answered > 0
+                if result_cache_size:
+                    hits = "cache.result.hits"
+                    assert after[hits] - before[index].get(hits, 0) == answered
+                else:
+                    # Each answer ran one operator, its root selection: every
+                    # temporary came from the store's shared table.
+                    ops = "executor.batch_rows"
+                    assert after[ops] - before[index][ops] == answered
+
+    def test_a_failing_warmup_query_does_not_fail_registration(self):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork",
+            warmup=["a[[", "a//d", "nosuch//d"],
+        ) as pool:
+            owners = pool.register_generated("d", DocumentSpec(max_elements=60))
+            assert len(owners) == 2
+            assert pool.answer("a//d", "d").node_ids == pool.answer("a//d", "d").node_ids
+            with pytest.raises(XPathSyntaxError):
+                pool.answer("a[[", "d")
+
+
 class TestConcurrentCallers:
     def test_racing_answers_and_batches_match_serial(self, serial):
         # More caller threads than cores, switching every 10 us: a reply
@@ -302,6 +390,24 @@ class TestCrashRecovery:
                 assert list(answer.node_ids) == expected
             stats = pool.stats()
             assert stats["metrics"]["pool.respawns"]["value"] >= 2
+
+    def test_a_respawned_owner_warms_after_replaying_the_log(self):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=1, replicas=1, start_method="fork", warmup=["a//d"]
+        ) as pool:
+            pool.register_generated("d", DocumentSpec(max_elements=200, seed=5))
+            tree = DocumentSpec(max_elements=200, seed=5).generate(dtd)
+            target = next(node for node in tree.nodes() if node.label == "d")
+            pool.update_document([DeleteSubtree(target.node_id)], "d")
+            expected = list(pool.answer("a//d", "d").node_ids)
+            pool._kill_worker(0)
+            assert list(pool.answer("a//d", "d").node_ids) == expected
+            counts = _counts(pool, 0)
+            # The replacement answered the warm-up query once after the
+            # replay, so the answer above was a result-cache hit.
+            assert counts["worker.starts"] == 1
+            assert (counts["cache.result.misses"], counts["cache.result.hits"]) == (1, 1)
 
     def test_respawned_worker_recovers_generated_documents(self):
         dtd = samples.cross_dtd()

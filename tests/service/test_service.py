@@ -214,6 +214,97 @@ class TestCachingLayers:
             assert service.cache_info().evictions > 0
 
 
+class TestParsing:
+    def _count_parses(self, monkeypatch):
+        import repro.core.pipeline
+        import repro.service.service
+
+        calls = []
+        for module in (repro.core.pipeline, repro.service.service):
+            original = getattr(module, "parse_xpath", None)
+            if original is None:
+                continue
+
+            def counting(text, _original=original):
+                calls.append(text)
+                return _original(text)
+
+            monkeypatch.setattr(module, "parse_xpath", counting)
+        return calls
+
+    @pytest.mark.parametrize("result_cache_size", [128, 0])
+    def test_a_repeated_query_is_not_parsed_again(
+        self, cross_setup, monkeypatch, result_cache_size
+    ):
+        dtd, tree = cross_setup
+        config = EngineConfig(result_cache_size=result_cache_size)
+        with QueryService(dtd, config=config) as service:
+            service.register_document("d1", tree)
+            calls = self._count_parses(monkeypatch)
+            first = service.execute("a//d", "d1")
+            assert calls
+            calls.clear()
+            assert service.execute("a//d", "d1").node_ids() == first.node_ids()
+            assert calls == []
+
+    def test_whitespace_variants_share_one_result_entry(self, cross_setup):
+        dtd, tree = cross_setup
+        with QueryService(dtd) as service:
+            service.register_document("d1", tree)
+            first = service.execute("a//d", "d1")
+            assert service.execute("a // d", "d1") is first
+            assert service.execute(" a//d ", "d1") is first
+            info = service.result_cache_info()
+            assert (info.hits, info.misses, info.size) == (2, 1, 1)
+
+
+class TestWarm:
+    QUERIES = list(CROSS_QUERIES.values())
+
+    def test_memory_store_answers_warm_with_the_result_cache_off(self, cross_setup):
+        dtd, tree = cross_setup
+        with QueryService(dtd, config=EngineConfig(result_cache_size=0)) as service:
+            service.register_document("d1", tree)
+            service.warm(self.QUERIES, "d1")
+            for query in self.QUERIES:
+                stats = service.execute(query, "d1").stats
+                assert stats["temporaries_evaluated"] == 0, query
+                assert stats["temporaries_reused"] >= 1, query
+
+    def test_a_result_cache_answers_warm_queries(self, cross_setup):
+        dtd, tree = cross_setup
+        with QueryService(dtd, config=EngineConfig(backend="sqlite")) as service:
+            service.register_document("d1", tree)
+            service.warm(self.QUERIES, "d1")
+            before = service.result_cache_info()
+            for query in self.QUERIES:
+                service.execute(query, "d1")
+            after = service.result_cache_info()
+            assert after.hits - before.hits == len(self.QUERIES)
+            assert after.misses == before.misses
+
+    def test_sqlite_without_a_result_cache_only_prepares(self, cross_setup, monkeypatch):
+        dtd, tree = cross_setup
+        config = EngineConfig(backend="sqlite", result_cache_size=0)
+        with QueryService(dtd, config=config) as service:
+            store = service.register_document("d1", tree)
+            executed = []
+            monkeypatch.setattr(store.backend, "execute_prepared", executed.append)
+            service.warm(self.QUERIES, "d1")
+            assert executed == []
+            assert service.cache_info().misses == len(self.QUERIES)
+            prepared = store._prepared.cache_info()
+            assert (prepared.misses, prepared.size) == (len(self.QUERIES),) * 2
+
+    def test_a_failing_query_is_skipped(self, cross_setup):
+        dtd, tree = cross_setup
+        with QueryService(dtd) as service:
+            service.register_document("d1", tree)
+            service.warm(["a[[", "no-such-element", "a//d"], "d1")
+            assert service.result_cache_info().size >= 1
+            assert service.execute("a//d", "d1") is service.execute("a//d", "d1")
+
+
 class TestLifecycle:
     def test_closed_service_rejects_calls(self, cross_setup):
         dtd, tree = cross_setup
