@@ -15,21 +15,11 @@ paper evaluates on (Fig. 11b).  This example:
 Run with ``python examples/bioml_lineage.py``.
 """
 
-from repro import EngineConfig, generate_document
+from repro import generate_document
 from repro.dtd.samples import bioml_dtd, describe
-from repro.experiments.harness import Approach, format_table, measure_query
+from repro.experiments.harness import default_approaches, format_table, measure_query
 from repro.shredding.shredder import shred_document
 from repro.workloads.queries import BIOML_CASES
-
-# The paper's three curves as named engine configurations: SQLGen-R
-# (SQL'99 recursion, no selection pushing), CycleE and CycleEX (both with
-# the Sect. 5.2 optimised lowering).  One knob set, one object.
-APPROACH_CONFIGS = {
-    "R": EngineConfig(strategy="recursive-union"),
-    "E": EngineConfig(strategy="cyclee", push_selections=True),
-    "X": EngineConfig(strategy="cycleex", push_selections=True),
-}
-
 
 def main() -> None:
     dtd = bioml_dtd()
@@ -42,10 +32,10 @@ def main() -> None:
           f"({document.labels()})\n")
 
     queries = {"gene//locus": "loci below a gene", "gene//dna": "DNA fragments below a gene"}
-    approaches = [
-        Approach.from_config(name, config)
-        for name, config in APPROACH_CONFIGS.items()
-    ]
+    # The paper's three curves, each a named engine configuration: SQLGen-R
+    # (SQL'99 recursion, no selection pushing), CycleE and CycleEX (both
+    # with the Sect. 5.2 optimised lowering).
+    approaches = default_approaches()
     translators = {a.name: a.translator(dtd) for a in approaches}
 
     rows = []
@@ -74,9 +64,9 @@ def main() -> None:
 
     print("\nTable 4 cases over the extracted sub-DTDs (CycleEX only):")
     case_rows = []
+    cycleex = approaches[-1]
     for case in BIOML_CASES:
         case_dtd = case.dtd()
-        cycleex = Approach.from_config("X", APPROACH_CONFIGS["X"])
         translator = cycleex.translator(case_dtd)
         measured = measure_query(
             cycleex,

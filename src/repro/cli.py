@@ -672,29 +672,28 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import exp1, exp2, exp3, exp4, exp5
 
-    modules = {"exp1": exp1, "exp2": exp2, "exp3": exp3, "exp4": exp4, "exp5": exp5}
-    module = modules[args.name]
-    argv: List[str] = ["--quick"] if args.quick else []
-    execution_flags = []
-    if args.backend != "memory":
-        execution_flags.append(f"--backend={args.backend}")
-    if args.seed is not None:
-        execution_flags.append(f"--seed={args.seed}")
-    if args.elements is not None:
-        execution_flags.append(f"--elements={args.elements}")
-    if args.optimize_level is not None:
-        execution_flags.append(f"--optimize-level={args.optimize_level}")
-    if execution_flags:
-        if args.name == "exp5":
-            # Exp-5 reports static operator counts of the raw lowering;
-            # nothing executes and no document is generated.
+    if args.name == "exp5":
+        # Exp-5 reports static operator counts of the raw lowering;
+        # nothing executes and no document is generated.
+        flags = (args.seed, args.elements, args.optimize_level)
+        if args.backend != "memory" or any(flag is not None for flag in flags):
             print(
                 "note: exp5 is translation-only, "
                 "--backend/--seed/--elements/--optimize-level have no effect"
             )
-        else:
-            argv.extend(execution_flags)
-    return module.main(argv)
+        print(exp5.report())
+        return 0
+    module = {"exp1": exp1, "exp2": exp2, "exp3": exp3, "exp4": exp4}[args.name]
+    print(
+        module.report(
+            quick=args.quick,
+            backend=args.backend,
+            seed=args.seed,
+            elements=args.elements,
+            optimize_level=args.optimize_level,
+        )
+    )
+    return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:

@@ -10,12 +10,12 @@ Each ``expN`` module regenerates one table or figure:
   Example 4.2 operator-growth comparison.
 
 Every module exposes ``run(...)`` returning structured rows and a
-``main()`` that prints the same series the paper plots; ``python -m
-repro.experiments.expN`` regenerates the artifact from the command line.
-Dataset sizes are scaled down from the paper's 120,000-element DB2
-documents by ``repro.workloads.datasets.DEFAULT_SCALE`` because the
-relational engine is pure Python; pass ``scale=1`` to run paper-sized
-inputs if you have the patience.
+``report(...)`` that returns the same series the paper plots as text;
+``repro experiment expN`` prints it.  Dataset sizes are scaled down from
+the paper's 120,000-element DB2 documents by
+``repro.workloads.datasets.DEFAULT_SCALE`` because the relational engine
+is pure Python; pass ``scale=1`` to run paper-sized inputs if you have
+the patience.
 """
 
 from repro._support import lazy_exports

@@ -9,14 +9,11 @@ X = CycleEX) over documents of a fixed element budget whose *shape* varies:
 
 The paper fixes the document at 120,000 elements on DB2; the default here
 is that size divided by ``DEFAULT_SCALE`` (see
-:mod:`repro.workloads.datasets`).  Run with
-``python -m repro.experiments.exp1 [--quick]``.
+:mod:`repro.workloads.datasets`).
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.backends import create_backend
@@ -27,20 +24,22 @@ from repro.experiments.harness import (
     default_approaches,
     format_table,
     measure_query,
-    parse_backend_arg,
-    parse_int_arg,
 )
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
 from repro.workloads.queries import CROSS_QUERIES
 
-__all__ = ["run", "main", "PAPER_ELEMENTS", "XL_VALUES", "XR_VALUES"]
+__all__ = ["run", "report", "PAPER_ELEMENTS", "XL_VALUES", "XR_VALUES", "QUICK_SWEEP"]
 
 PAPER_ELEMENTS = 120_000
 XL_VALUES = (8, 12, 16, 20)
 XR_VALUES = (4, 6, 8, 10)
 FIXED_XR = 4
 FIXED_XL = 12
+SEED = 11
+# The reduced sweep of ``--quick``: two X_L and two X_R values on a small
+# document.  (X_L=12, X_R=4) lies on both series, so it is measured twice.
+QUICK_SWEEP = {"max_elements": 1500, "xl_values": (8, 12), "xr_values": (4, 8)}
 
 
 def _measure_for_spec(
@@ -80,7 +79,7 @@ def run(
     xr_values: Sequence[int] = XR_VALUES,
     queries: Optional[Dict[str, str]] = None,
     approaches: Optional[Sequence[Approach]] = None,
-    seed: int = 11,
+    seed: int = SEED,
     backend: str = "memory",
 ) -> List[MeasuredQuery]:
     """Run the Fig. 12 sweep and return one measurement per (query, approach, dataset)."""
@@ -122,34 +121,21 @@ def summarize(rows: List[MeasuredQuery]) -> str:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point: print the Fig. 12 series."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    backend = parse_backend_arg(argv)
-    seed = parse_int_arg(argv, "--seed", 11)
-    elements = parse_int_arg(argv, "--elements")
-    optimize_level = parse_int_arg(argv, "--optimize-level")
-    approaches = (
-        default_approaches(optimize_level=optimize_level)
-        if optimize_level is not None
-        else None
+def report(
+    quick: bool = False,
+    backend: str = "memory",
+    seed: Optional[int] = None,
+    elements: Optional[int] = None,
+    optimize_level: Optional[int] = None,
+) -> str:
+    """The Fig. 12 series as ``repro experiment exp1`` prints them."""
+    sweep = dict(QUICK_SWEEP) if quick else {}
+    if elements:
+        sweep["max_elements"] = elements
+    rows = run(
+        **sweep,
+        seed=SEED if seed is None else seed,
+        backend=backend,
+        approaches=default_approaches(optimize_level=optimize_level),
     )
-    quick = "--quick" in argv
-    if quick:
-        rows = run(
-            max_elements=elements or 1500,
-            xl_values=(8, 12),
-            xr_values=(4, 8),
-            seed=seed,
-            backend=backend,
-            approaches=approaches,
-        )
-    else:
-        rows = run(max_elements=elements, seed=seed, backend=backend, approaches=approaches)
-    print("Exp-1 (Fig. 12): Qa-Qd over the cross-cycle DTD")
-    print(summarize(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())
+    return "Exp-1 (Fig. 12): Qa-Qd over the cross-cycle DTD\n" + summarize(rows)

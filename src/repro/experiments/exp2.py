@@ -13,37 +13,30 @@ Identifiers are modelled with text values: the generator assigns each
 ``b``/``d`` element a value ``label-k`` with ``k < distinct_values``, so a
 ``text() = "b-0"`` qualifier selects roughly ``count(b) / distinct_values``
 elements; the sweep varies ``distinct_values`` to hit the requested
-selected-set sizes.  Run with ``python -m repro.experiments.exp2``.
+selected-set sizes.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.config import EngineConfig
 from repro.backends import create_backend
-from repro.core.optimize import push_selection_options, standard_options
-from repro.core.pipeline import XPathToSQLTranslator
-from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd.samples import cross_dtd
-from repro.experiments.harness import (
-    Approach,
-    MeasuredQuery,
-    format_table,
-    measure_query,
-    parse_backend_arg,
-    parse_int_arg,
-)
+from repro.experiments.harness import Approach, format_table, measure_query
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
 
-__all__ = ["run", "main", "PAPER_SELECTED_SIZES"]
+__all__ = ["run", "report", "PAPER_SELECTED_SIZES", "QUICK_SWEEP"]
 
 PAPER_ELEMENTS = 120_000
 PAPER_SELECTED_SIZES = (100, 1_000, 10_000, 50_000)
 FIXED_XL = 12
 FIXED_XR = 8
+SEED = 23
+# The reduced sweep of ``--quick``: two selected-set sizes on a small document.
+QUICK_SWEEP = {"max_elements": 1500, "selected_sizes": (100, 1000)}
 
 # Exp-2 queries: the qualifier value selects a subset of b (Qe) or d (Qf).
 QUERY_TEMPLATES: Dict[str, Tuple[str, str]] = {
@@ -88,7 +81,7 @@ def run(
     max_elements: Optional[int] = None,
     selected_sizes: Sequence[int] = PAPER_SELECTED_SIZES,
     scale: int = 16,
-    seed: int = 23,
+    seed: int = SEED,
     backend: str = "memory",
     optimize_level: Optional[int] = None,
 ) -> List[PushMeasurement]:
@@ -96,11 +89,9 @@ def run(
     max_elements = max_elements or scaled_elements(PAPER_ELEMENTS)
     dtd = cross_dtd()
     push = Approach(
-        "push", DescendantStrategy.CYCLEEX, push_selection_options(), optimize_level
+        "push", EngineConfig(push_selections=True, optimize_level=optimize_level)
     )
-    nopush = Approach(
-        "no-push", DescendantStrategy.CYCLEEX, standard_options(), optimize_level
-    )
+    nopush = Approach("no-push", EngineConfig(optimize_level=optimize_level))
     results: List[PushMeasurement] = []
     for query_name, (template, label) in QUERY_TEMPLATES.items():
         for paper_selected in selected_sizes:
@@ -155,30 +146,21 @@ def summarize(rows: List[PushMeasurement]) -> str:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point: print the Fig. 13 series."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    backend = parse_backend_arg(argv)
-    seed = parse_int_arg(argv, "--seed", 23)
-    elements = parse_int_arg(argv, "--elements")
-    optimize_level = parse_int_arg(argv, "--optimize-level")
-    quick = "--quick" in argv
-    if quick:
-        rows = run(
-            max_elements=elements or 1500,
-            selected_sizes=(100, 1000),
-            seed=seed,
-            backend=backend,
-            optimize_level=optimize_level,
-        )
-    else:
-        rows = run(
-            max_elements=elements, seed=seed, backend=backend, optimize_level=optimize_level
-        )
-    print("Exp-2 (Fig. 13): pushing selections into the LFP operator")
-    print(summarize(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())
+def report(
+    quick: bool = False,
+    backend: str = "memory",
+    seed: Optional[int] = None,
+    elements: Optional[int] = None,
+    optimize_level: Optional[int] = None,
+) -> str:
+    """The Fig. 13 series as ``repro experiment exp2`` prints them."""
+    sweep = dict(QUICK_SWEEP) if quick else {}
+    if elements:
+        sweep["max_elements"] = elements
+    rows = run(
+        **sweep,
+        seed=SEED if seed is None else seed,
+        backend=backend,
+        optimize_level=optimize_level,
+    )
+    return "Exp-2 (Fig. 13): pushing selections into the LFP operator\n" + summarize(rows)

@@ -5,12 +5,11 @@ X_L = 16 while growing the document from 60,000 to 480,000 elements,
 comparing R (SQLGen-R), E (CycleE) and X (CycleEX).  Dataset sizes are
 scaled down by ``DEFAULT_SCALE`` here; the relative ordering (X fastest, E
 slowest at the largest size, R degrading faster than X) is the result the
-figure demonstrates.  Run with ``python -m repro.experiments.exp3``.
+figure demonstrates.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import List, Optional, Sequence
 
 from repro.backends import create_backend
@@ -21,25 +20,26 @@ from repro.experiments.harness import (
     default_approaches,
     format_table,
     measure_query,
-    parse_backend_arg,
-    parse_int_arg,
 )
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
 from repro.workloads.queries import SCALABILITY_QUERY
 
-__all__ = ["run", "main", "PAPER_SIZES"]
+__all__ = ["run", "report", "PAPER_SIZES", "QUICK_SWEEP"]
 
 PAPER_SIZES = (60_000, 120_000, 240_000, 480_000)
 FIXED_XL = 16
 FIXED_XR = 4
+SEED = 5
+# The reduced sweep of ``--quick``: two small documents.
+QUICK_SWEEP = {"sizes": (1000, 2000)}
 
 
 def run(
     sizes: Optional[Sequence[int]] = None,
     approaches: Optional[Sequence[Approach]] = None,
     query: str = SCALABILITY_QUERY,
-    seed: int = 5,
+    seed: int = SEED,
     backend: str = "memory",
 ) -> List[MeasuredQuery]:
     """Run the Fig. 14 sweep over increasing (scaled) dataset sizes."""
@@ -86,37 +86,24 @@ def summarize(rows: List[MeasuredQuery]) -> str:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point: print the Fig. 14 series."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    backend = parse_backend_arg(argv)
-    seed = parse_int_arg(argv, "--seed", 5)
-    elements = parse_int_arg(argv, "--elements")
-    optimize_level = parse_int_arg(argv, "--optimize-level")
-    approaches = (
-        default_approaches(optimize_level=optimize_level)
-        if optimize_level is not None
-        else None
+def report(
+    quick: bool = False,
+    backend: str = "memory",
+    seed: Optional[int] = None,
+    elements: Optional[int] = None,
+    optimize_level: Optional[int] = None,
+) -> str:
+    """The Fig. 14 series as ``repro experiment exp3`` prints them.
+
+    ``elements`` replaces the sweep with that one document size.
+    """
+    sweep = dict(QUICK_SWEEP) if quick else {}
+    if elements:
+        sweep["sizes"] = (elements,)
+    rows = run(
+        **sweep,
+        seed=SEED if seed is None else seed,
+        backend=backend,
+        approaches=default_approaches(optimize_level=optimize_level),
     )
-    quick = "--quick" in argv
-    if quick:
-        rows = run(
-            sizes=(elements,) if elements else (1000, 2000),
-            seed=seed,
-            backend=backend,
-            approaches=approaches,
-        )
-    else:
-        rows = run(
-            sizes=(elements,) if elements else None,
-            seed=seed,
-            backend=backend,
-            approaches=approaches,
-        )
-    print("Exp-3 (Fig. 14): scalability of a//d over the cross-cycle DTD")
-    print(summarize(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())
+    return "Exp-3 (Fig. 14): scalability of a//d over the cross-cycle DTD\n" + summarize(rows)

@@ -9,13 +9,10 @@ Part B (Fig. 17): ``even//data`` over the 9-cycle GedML DTD of Fig. 11(c),
 varying X_L in {13, 14, 15} with X_R = 6, and X_R in {6, 7, 8} with
 X_L = 16 (dataset sizes scaled down from the paper's multi-million-element
 documents).
-
-Run with ``python -m repro.experiments.exp4 [--quick]``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import List, Optional, Sequence
 
 from repro.backends import create_backend
@@ -26,14 +23,12 @@ from repro.experiments.harness import (
     default_approaches,
     format_table,
     measure_query,
-    parse_backend_arg,
-    parse_int_arg,
 )
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
 from repro.workloads.queries import BIOML_CASES, GEDML_QUERY
 
-__all__ = ["run_bioml", "run_gedml", "main"]
+__all__ = ["run_bioml", "run_gedml", "report", "QUICK_BIOML", "QUICK_GEDML"]
 
 # The paper's BIOML dataset has 1,990,858 elements; GedML datasets range
 # from ~0.3M to ~5M elements.  Both are scaled down via scaled_elements().
@@ -44,13 +39,20 @@ GEDML_XL_VALUES = (13, 14, 15)
 GEDML_XR_VALUES = (6, 7, 8)
 GEDML_FIXED_XR = 6
 GEDML_FIXED_XL = 16
+# One seed steers both halves; GedML keeps its offset so the two documents
+# stay distinct.
+SEED = 31
+GEDML_SEED_OFFSET = 6
+# The reduced sweeps of ``--quick``: small documents, one GedML shape.
+QUICK_BIOML = {"max_elements": 2000}
+QUICK_GEDML = {"max_elements": 2000, "xl_values": (13,), "xr_values": (6,)}
 
 
 def run_bioml(
     max_elements: Optional[int] = None,
     approaches: Optional[Sequence[Approach]] = None,
     cases=BIOML_CASES,
-    seed: int = 31,
+    seed: int = SEED,
     backend: str = "memory",
 ) -> List[MeasuredQuery]:
     """Fig. 16: the Table 4 cases over one dataset of the 4-cycle BIOML DTD.
@@ -99,7 +101,7 @@ def run_gedml(
     approaches: Optional[Sequence[Approach]] = None,
     xl_values: Sequence[int] = GEDML_XL_VALUES,
     xr_values: Sequence[int] = GEDML_XR_VALUES,
-    seed: int = 37,
+    seed: int = SEED + GEDML_SEED_OFFSET,
     backend: str = "memory",
 ) -> List[MeasuredQuery]:
     """Fig. 17: even//data over the 9-cycle GedML DTD, varying X_L and X_R."""
@@ -160,51 +162,30 @@ def summarize(rows: List[MeasuredQuery]) -> str:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point: print the Fig. 16 and Fig. 17 series."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    backend = parse_backend_arg(argv)
-    bioml_seed = parse_int_arg(argv, "--seed", 31)
-    # One --seed flag steers both halves; GedML keeps its offset so the two
-    # documents stay distinct, as in the seeded defaults.
-    gedml_seed = bioml_seed + 6
-    elements = parse_int_arg(argv, "--elements")
-    optimize_level = parse_int_arg(argv, "--optimize-level")
-    approaches = (
-        default_approaches(optimize_level=optimize_level)
-        if optimize_level is not None
-        else None
+def report(
+    quick: bool = False,
+    backend: str = "memory",
+    seed: Optional[int] = None,
+    elements: Optional[int] = None,
+    optimize_level: Optional[int] = None,
+) -> str:
+    """The Fig. 16 and Fig. 17 series as ``repro experiment exp4`` prints them."""
+    bioml = dict(QUICK_BIOML) if quick else {}
+    gedml = dict(QUICK_GEDML) if quick else {}
+    if elements:
+        bioml["max_elements"] = gedml["max_elements"] = elements
+    seed = SEED if seed is None else seed
+    approaches = default_approaches(optimize_level=optimize_level)
+    bioml_rows = run_bioml(**bioml, seed=seed, backend=backend, approaches=approaches)
+    gedml_rows = run_gedml(
+        **gedml, seed=seed + GEDML_SEED_OFFSET, backend=backend, approaches=approaches
     )
-    quick = "--quick" in argv
-    if quick:
-        bioml_rows = run_bioml(
-            max_elements=elements or 2000,
-            seed=bioml_seed,
-            backend=backend,
-            approaches=approaches,
-        )
-        gedml_rows = run_gedml(
-            max_elements=elements or 2000,
-            xl_values=(13,),
-            xr_values=(6,),
-            seed=gedml_seed,
-            backend=backend,
-            approaches=approaches,
-        )
-    else:
-        bioml_rows = run_bioml(
-            max_elements=elements, seed=bioml_seed, backend=backend, approaches=approaches
-        )
-        gedml_rows = run_gedml(
-            max_elements=elements, seed=gedml_seed, backend=backend, approaches=approaches
-        )
-    print("Exp-4a (Fig. 16): BIOML cases of Table 4")
-    print(summarize(bioml_rows))
-    print()
-    print("Exp-4b (Fig. 17): even//data over the 9-cycle GedML DTD")
-    print(summarize(gedml_rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())
+    return "\n".join(
+        [
+            "Exp-4a (Fig. 16): BIOML cases of Table 4",
+            summarize(bioml_rows),
+            "",
+            "Exp-4b (Fig. 17): even//data over the 9-cycle GedML DTD",
+            summarize(gedml_rows),
+        ]
+    )

@@ -9,15 +9,12 @@ path from ``A`` to ``B``.
 Example 4.2 contrasts the growth of the number of '/'-operators produced by
 CycleE (Theta(2^n)) and CycleEX (Theta(n^2)) on the complete-DAG DTD family
 ``D1(n)`` of Fig. 3(c); :func:`operator_growth` reproduces that comparison.
-
-Run with ``python -m repro.experiments.exp5``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.core.cycleex import CycleEXIndex
 from repro.core.expath_to_sql import ExtendedToSQL
@@ -31,7 +28,7 @@ from repro.expath.metrics import count_operators
 from repro.experiments.harness import format_table
 from repro.shredding.inlining import SimpleMapping
 
-__all__ = ["TableFiveRow", "run", "operator_growth", "main"]
+__all__ = ["TableFiveRow", "run", "operator_growth", "report"]
 
 # The DTDs of Table 5, in the paper's row order.
 TABLE5_DTDS: Sequence[Tuple[str, Callable[[], DTD]]] = (
@@ -157,22 +154,15 @@ def summarize(rows: List[TableFiveRow]) -> str:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point: print Table 5 and the Example 4.2 growth table."""
-    rows = run()
-    print("Exp-5 (Table 5): number of operations (min/max/average)")
-    print(summarize(rows))
-    print()
-    growth = operator_growth()
-    print("Example 4.2: '/'-operators of rec(A1, An) on the complete-DAG DTD D1(n)")
-    print(
-        format_table(
-            ["n", "CycleE slashes", "CycleEX slashes"],
-            [(n, e, x) for n, e, x in growth],
-        )
+def report() -> str:
+    """Table 5 and the Example 4.2 growth table as ``repro experiment exp5``
+    prints them; nothing executes, so there is no backend or document."""
+    return "\n".join(
+        [
+            "Exp-5 (Table 5): number of operations (min/max/average)",
+            summarize(run()),
+            "",
+            "Example 4.2: '/'-operators of rec(A1, An) on the complete-DAG DTD D1(n)",
+            format_table(["n", "CycleE slashes", "CycleEX slashes"], operator_growth()),
+        ]
     )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

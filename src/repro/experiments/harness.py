@@ -1,28 +1,25 @@
 """Shared infrastructure for the experiment modules.
 
-An :class:`Approach` names one translator configuration (the paper's "R",
-"E" and "X" curves); :func:`measure_query` runs one query under one
-approach over a shredded document and records translation time, execution
-time and result size.  Measurements carry a *backend* axis: the same
-translated program can be executed on any registered execution backend
-(``memory`` — the in-memory engine — or ``sqlite``), so exp1–exp5 can
-compare engines as well as translation strategies.  The experiment modules
-assemble these measurements into the rows/series of the paper's figures;
+An :class:`Approach` names one engine configuration (the paper's "R", "E"
+and "X" curves); :func:`measure_query` runs one query under one approach
+over a shredded document and records translation time, execution time and
+result size.  Measurements carry a *backend* axis: the same translated
+program can be executed on any registered execution backend (``memory`` —
+the in-memory engine — or ``sqlite``), so exp1–exp4 compare engines as well
+as translation strategies.  The experiment modules assemble these
+measurements into the rows/series of the paper's figures;
 :func:`format_table` renders them as plain-text tables for the console.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.api.config import EngineConfig
-from repro.backends import Backend, backend_names, create_backend
-from repro.core.expath_to_sql import TranslationOptions
-from repro.core.optimize import push_selection_options, standard_options
+from repro.backends import Backend, create_backend
 from repro.core.pipeline import XPathToSQLTranslator
-from repro.core.xpath_to_expath import DescendantStrategy
 from repro.dtd.model import DTD
 from repro.shredding.shredder import ShreddedDocument
 
@@ -32,14 +29,12 @@ __all__ = [
     "default_approaches",
     "measure_query",
     "format_table",
-    "parse_backend_arg",
-    "parse_int_arg",
 ]
 
 
 @dataclass(frozen=True)
 class Approach:
-    """One translator configuration measured by the experiments.
+    """One named engine configuration measured by the experiments.
 
     The paper's three curves are:
 
@@ -52,39 +47,14 @@ class Approach:
     ``E`` and ``X`` both use the optimised lowering of Sect. 5.2 (prefix
     joins and selections pushed into the LFP operator); they differ only in
     how ``//`` is expanded, which is exactly the comparison the paper makes.
-
-    The knobs resolve through :class:`~repro.api.EngineConfig`
-    (:meth:`engine_config`), so an approach is just a *named* engine
-    configuration; :meth:`from_config` builds one straight from a config.
     """
 
     name: str
-    strategy: DescendantStrategy
-    options: TranslationOptions
-    optimize_level: Optional[int] = None
-
-    @classmethod
-    def from_config(cls, name: str, config: EngineConfig) -> "Approach":
-        """Name an engine configuration as an experiment approach."""
-        return cls(
-            name,
-            config.strategy,
-            config.translation_options(),
-            config.optimize_level,
-        )
-
-    def engine_config(self) -> EngineConfig:
-        """This approach's knobs as one :class:`EngineConfig`."""
-        return EngineConfig(
-            strategy=self.strategy,
-            optimize_level=self.optimize_level,
-            use_small_seed=self.options.use_small_seed,
-            push_selections=self.options.push_selections,
-        )
+    config: EngineConfig
 
     def translator(self, dtd: DTD) -> XPathToSQLTranslator:
         """Build a translator for this approach over ``dtd``."""
-        return XPathToSQLTranslator(dtd, config=self.engine_config())
+        return XPathToSQLTranslator(dtd, config=self.config)
 
 
 def default_approaches(
@@ -96,17 +66,14 @@ def default_approaches(
     (``None`` = the pipeline default), giving the experiments an optimizer
     axis alongside backends.
     """
-    approaches = [
-        Approach(
-            "R", DescendantStrategy.RECURSIVE_UNION, standard_options(), optimize_level
-        ),
-    ]
+    level = optimize_level
+    approaches = [Approach("R", EngineConfig(strategy="recursive-union", optimize_level=level))]
     if include_cyclee:
         approaches.append(
-            Approach("E", DescendantStrategy.CYCLEE, push_selection_options(), optimize_level)
+            Approach("E", EngineConfig(strategy="cyclee", push_selections=True, optimize_level=level))
         )
     approaches.append(
-        Approach("X", DescendantStrategy.CYCLEEX, push_selection_options(), optimize_level)
+        Approach("X", EngineConfig(strategy="cycleex", push_selections=True, optimize_level=level))
     )
     return approaches
 
@@ -185,70 +152,6 @@ def measure_query(
         document_elements=shredded.tree.size(),
         backend=backend,
     )
-
-
-def parse_backend_arg(argv: List[str], default: str = "memory") -> str:
-    """Extract ``--backend NAME`` / ``--backend=NAME`` from an argv list.
-
-    The experiment ``main``s parse flags by hand (they predate argparse
-    use); this helper gives them a uniform backend axis.  The recognised
-    tokens are *removed* from ``argv`` in place.
-    """
-    backend = default
-    remaining: List[str] = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token == "--backend":
-            if index + 1 >= len(argv):
-                raise SystemExit("--backend requires a value")
-            backend = argv[index + 1]
-            index += 2
-            continue
-        if token.startswith("--backend="):
-            backend = token.split("=", 1)[1]
-            index += 1
-            continue
-        remaining.append(token)
-        index += 1
-    argv[:] = remaining
-    if backend not in backend_names():
-        known = ", ".join(backend_names())
-        raise SystemExit(f"unknown backend {backend!r} (known: {known})")
-    return backend
-
-
-def parse_int_arg(argv: List[str], flag: str, default: Optional[int] = None) -> Optional[int]:
-    """Extract ``<flag> N`` / ``<flag>=N`` from an argv list (like the backend axis).
-
-    Used for the reproducibility knobs (``--seed``, ``--elements``) the CLI
-    forwards to the experiment mains.  Recognised tokens are removed from
-    ``argv`` in place; an absent flag yields ``default``.
-    """
-    value = default
-    remaining: List[str] = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        raw: Optional[str] = None
-        if token == flag:
-            if index + 1 >= len(argv):
-                raise SystemExit(f"{flag} requires a value")
-            raw = argv[index + 1]
-            index += 2
-        elif token.startswith(flag + "="):
-            raw = token.split("=", 1)[1]
-            index += 1
-        else:
-            remaining.append(token)
-            index += 1
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SystemExit(f"{flag} expects an integer, got {raw!r}") from None
-    argv[:] = remaining
-    return value
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

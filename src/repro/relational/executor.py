@@ -1,6 +1,9 @@
-"""Execution of relational-algebra programs over a database.
+"""The reference row-at-a-time executor of relational-algebra programs.
 
-The executor supports the two evaluation strategies discussed in Sect. 5.2:
+No backend runs it: the memory backend serves with the columnar executor
+(:mod:`repro.relational.columnar`), and the executor-equivalence tests
+check that one against this one.  It supports the two evaluation
+strategies discussed in Sect. 5.2:
 
 * **eager** — evaluate every assignment in order, then the result;
 * **lazy (top-down)** — evaluate the result expression and materialise a
@@ -9,7 +12,8 @@ The executor supports the two evaluation strategies discussed in Sect. 5.2:
 Joins are hash joins; fixpoints are semi-naive (each iteration extends only
 the frontier discovered in the previous one), matching how the simple LFP
 operator behaves in Oracle/DB2.  Execution statistics (iterations, tuples
-produced, join probes) are collected for the benchmark harness.
+materialized, join output rows) count the work each operator does, so
+tests can state an optimisation's effect as counts rather than times.
 """
 
 from __future__ import annotations
@@ -65,8 +69,7 @@ class Executor:
         """Execute a program and return the result relation.
 
         ``stats`` is reset first, so a reused executor reports per-run
-        numbers instead of silently accumulating across runs (the
-        repeated-measurement harnesses depend on this).
+        numbers instead of silently accumulating across runs.
         """
         self.stats.reset()
         start = time.perf_counter()

@@ -779,28 +779,33 @@ class ProcessQueryService:
     ) -> List[PoolAnswer]:
         """Answer many queries, fanned out across the document's replicas.
 
-        Queries are chunked round-robin over the owning workers, every
-        chunk is sent before any reply is awaited, and results come back
-        in input order.  One round trip per worker (not per query) keeps
-        IPC overhead amortized for large batches.
+        Each query goes to the owner :meth:`answer` would route it to, so
+        it lands on the engine that warmed and cached it.  Each owner gets
+        one ``batch`` message with its queries, every message is sent
+        before any reply is awaited, and results come back in input order.
+        One round trip per owner (not per query) keeps IPC overhead
+        amortized for large batches.
         """
         self._check_open()
         document_id, owner_indices = self._resolve_document(document_id)
         texts = [str(query) for query in queries]
         if not texts:
             return []
-        stride = len(owner_indices)
+        positions: Dict[int, List[int]] = {}
+        for position, text in enumerate(texts):
+            positions.setdefault(self._replica(text, owner_indices), []).append(position)
         start = time.perf_counter()
         replies, failures = self._fan_out(
             [
-                (owner, "batch", document_id, texts[offset::stride], include_nodes)
-                for offset, owner in enumerate(owner_indices[: len(texts)])
+                (owner, "batch", document_id, [texts[p] for p in share], include_nodes)
+                for owner, share in positions.items()
             ]
         )
         _raise_first(failures)
         results: List[Any] = [None] * len(texts)
-        for offset, answers in enumerate(replies):
-            results[offset::stride] = answers
+        for share, answers in zip(positions.values(), replies):
+            for position, answer in zip(share, answers):
+                results[position] = answer
         self._observe("pool.batch_seconds", start)
         return results
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import importlib
 import json
 import re
 
@@ -502,11 +503,52 @@ class TestOptimizerFlags:
         # Same matches and node lines; only the timing stats differ.
         assert level0.splitlines()[1:] == level2.splitlines()[1:]
 
-    def test_experiment_forwards_optimize_level(self, capsys):
+
+class TestExperimentFlags:
+    @pytest.mark.parametrize("name", ["exp1", "exp2", "exp3", "exp4"])
+    def test_experiment_forwards_execution_flags(self, name, monkeypatch, capsys):
+        module = importlib.import_module(f"repro.experiments.{name}")
+        runs = ["run_bioml", "run_gedml"] if name == "exp4" else ["run"]
+        calls = {}
+
+        def spy(label):
+            def run(**kwargs):
+                calls[label] = kwargs
+                return []
+
+            return run
+
+        for label in runs:
+            monkeypatch.setattr(module, label, spy(label))
         assert main(
-            ["experiment", "exp3", "--quick", "--optimize-level", "1"]
+            ["experiment", name, "--quick", "--backend", "sqlite", "--seed", "7",
+             "--elements", "400", "--optimize-level", "1"]
         ) == 0
-        assert "Fig. 14" in capsys.readouterr().out
+        assert sorted(calls) == sorted(runs)
+        for label, kwargs in calls.items():
+            assert kwargs["backend"] == "sqlite"
+            # exp4's GedML half keeps its offset from the BIOML seed.
+            assert kwargs["seed"] == (13 if label == "run_gedml" else 7)
+            if name == "exp3":
+                assert kwargs["sizes"] == (400,)
+            else:
+                assert kwargs["max_elements"] == 400
+            if name == "exp2":
+                assert kwargs["optimize_level"] == 1
+            else:
+                levels = [approach.config.optimize_level for approach in kwargs["approaches"]]
+                assert levels == [1, 1, 1]
+        assert capsys.readouterr().out.startswith("Exp-")
+
+    def test_experiment_rejects_an_unknown_backend(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "exp3", "--backend", "duckdb"])
+
+    def test_exp5_notes_that_execution_flags_have_no_effect(self, capsys):
+        assert main(["experiment", "exp5", "--backend", "sqlite"]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("note: exp5 is translation-only")
+        assert "Exp-5 (Table 5)" in output
 
 
 class TestServiceFlags:

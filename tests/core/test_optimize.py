@@ -479,3 +479,35 @@ class TestPushSelectionEffect:
             translator = XPathToSQLTranslator(cross_dtd, config=config)
             got = set(rdbms_ids(translator, query, cross_shredded))
             assert got == expected
+
+
+class TestSmallSeedEffect:
+    """Sect. 5.2's small ``(E)*`` seed (``use_small_seed``), stated as the
+    programs and counts it produces rather than as times."""
+
+    @pytest.mark.parametrize("strategy", ["cycleex", "recursive-union"])
+    def test_small_seed_changes_no_program_without_cyclee(self, cross_dtd, strategy):
+        for query in CROSS_QUERIES.values():
+            small, full = (
+                XPathToSQLTranslator(
+                    cross_dtd, config=EngineConfig(strategy=strategy, use_small_seed=seed)
+                ).translate(query).program
+                for seed in (True, False)
+            )
+            assert str(small) == str(full), query
+
+    def test_small_seed_keeps_cyclee_answers_and_join_work(self, cross_dtd, cross_shredded):
+        # Only the seeds' sizes differ; which of the two materializes more
+        # tuples depends on the document, so no direction is asserted.
+        for query in CROSS_QUERIES.values():
+            runs = []
+            for seed in (True, False):
+                program = XPathToSQLTranslator(
+                    cross_dtd, config=EngineConfig(strategy="cyclee", use_small_seed=seed)
+                ).translate(query).program
+                executor = Executor(cross_shredded.database)
+                answer = executor.run(program).column_values(T_COLUMN)
+                runs.append((answer, executor.stats.join_output_rows))
+            small, full = runs
+            assert small[0] == full[0], query
+            assert small[1] == full[1] > 0, query

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import XPathToSQLTranslator
 from repro.core.xpath_to_expath import (
     VIRTUAL_ROOT,
     DescendantStrategy,
@@ -105,6 +106,17 @@ class TestStaticPruning:
         )
         plain = xpath_to_extended(parse_xpath("dept/course"), samples.dept_dtd())
         assert str(with_neg.result) == str(plain.result)
+
+    def test_a_folded_qualifier_leaves_the_unqualified_program(self):
+        # Over cross, d has only c children, so [not b/a] always holds and
+        # folds away; [not c] depends on the document and keeps its difference.
+        translator = XPathToSQLTranslator(samples.cross_dtd())
+        folded = translator.translate("a//d[not b/a]").program
+        assert str(folded) == str(translator.translate("a//d").program)
+        profile = folded.operator_profile()
+        assert (profile.joins, profile.differences) == (11, 0)
+        kept = translator.translate("a//d[not c]").program.operator_profile()
+        assert (kept.joins, kept.differences) == (12, 1)
 
     def test_text_qualifier_on_non_text_type_is_false(self):
         extended = xpath_to_extended(

@@ -1,11 +1,15 @@
 """Tests for the experiment harness and the per-figure experiment modules.
 
-These run tiny ("--quick"-sized) configurations so they are fast; the actual
-figure-scale runs are driven from the benchmarks and the CLI entry points.
+Most run tiny configurations so they are fast; the answer-size checks run
+the ``--quick`` sweeps themselves.  The figure-scale runs are
+``repro experiment expN``, whose timings are reported, not asserted.
 """
+
+from collections import defaultdict
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.dtd import samples
 from repro.experiments import exp1, exp2, exp3, exp4, exp5
 from repro.experiments.harness import (
@@ -14,10 +18,6 @@ from repro.experiments.harness import (
     format_table,
     measure_query,
 )
-from repro.core.xpath_to_expath import DescendantStrategy
-from repro.core.optimize import standard_options
-from repro.shredding.shredder import shred_document
-from repro.workloads.datasets import DatasetSpec
 
 
 class TestHarness:
@@ -28,7 +28,7 @@ class TestHarness:
         assert names_without_e == ["R", "X"]
 
     def test_measure_query_records_fields(self, cross_dtd, cross_shredded):
-        approach = Approach("X", DescendantStrategy.CYCLEEX, standard_options())
+        approach = Approach("X", EngineConfig())
         measured = measure_query(approach, cross_dtd, cross_shredded, "a//d", "unit")
         assert measured.approach == "X"
         assert measured.dataset == "unit"
@@ -48,7 +48,8 @@ class TestHarness:
         lines = text.splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("name")
-        assert all(len(line) == len(lines[0]) or True for line in lines)
+        # Every cell is padded to its column's width, so every line is too.
+        assert {len(line) for line in lines} == {len(lines[0])}
 
 
 class TestExperimentModules:
@@ -114,11 +115,54 @@ class TestExperimentModules:
         assert cyclee[-1] >= 2 ** (8 - 2) - 1
         assert cycleex[-1] <= 8 * 8
 
-    def test_exp3_main_quick(self, capsys):
-        assert exp3.main(["--quick"]) == 0
-        output = capsys.readouterr().out
-        assert "Fig. 14" in output
-        assert "exec_s" in output
+    def test_exp5_cycleex_never_needs_more_operators_than_cyclee(self):
+        rows = exp5.run()
+        assert [row.dtd_name for row in rows] == [name for name, _ in exp5.TABLE5_DTDS]
+        for row in rows:
+            # At min, max and average, for LFPs and for all operators.
+            for cycleex, cyclee in ((row.cycleex_lfp, row.cyclee_lfp),
+                                    (row.cycleex_all, row.cyclee_all)):
+                assert all(x <= e for x, e in zip(cycleex, cyclee)), row
+        gedml = rows[-1]
+        assert (gedml.cycleex_all[1], gedml.cyclee_all[1]) == (37, 102)
+
+    def test_exp3_report_quick(self):
+        text = exp3.report(quick=True)
+        assert text.startswith("Exp-3 (Fig. 14)")
+        assert "exec_s" in text
+
+
+def _answer_sizes(rows):
+    sizes = defaultdict(set)
+    for row in rows:
+        sizes[(row.query, row.dataset)].add(row.result_rows)
+    return sizes
+
+
+class TestQuickSweepAnswers:
+    """R, E and X return the same answer on every (query, document) of the
+    ``--quick`` sweeps, on both backends."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_exp1(self, backend):
+        sizes = _answer_sizes(exp1.run(**exp1.QUICK_SWEEP, backend=backend))
+        assert len(sizes) == 12  # 4 queries x 3 distinct document shapes
+        assert all(len(answers) == 1 for answers in sizes.values()), sizes
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_exp3(self, backend):
+        sizes = _answer_sizes(exp3.run(**exp3.QUICK_SWEEP, backend=backend))
+        assert len(sizes) == 2
+        assert all(len(answers) == 1 for answers in sizes.values()), sizes
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_exp4(self, backend):
+        rows = exp4.run_bioml(**exp4.QUICK_BIOML, backend=backend) + exp4.run_gedml(
+            **exp4.QUICK_GEDML, backend=backend
+        )
+        sizes = _answer_sizes(rows)
+        assert len(sizes) == len(exp4.BIOML_CASES) + 2
+        assert all(len(answers) == 1 for answers in sizes.values()), sizes
 
 
 class TestBackendAxis:
@@ -131,29 +175,3 @@ class TestBackendAxis:
         assert memory.backend == "memory"
         assert sqlite.backend == "sqlite"
         assert memory.result_rows == sqlite.result_rows
-
-    def test_parse_backend_arg_strips_tokens(self):
-        from repro.experiments.harness import parse_backend_arg
-
-        argv = ["--quick", "--backend", "sqlite"]
-        assert parse_backend_arg(argv) == "sqlite"
-        assert argv == ["--quick"]
-        argv = ["--backend=memory"]
-        assert parse_backend_arg(argv) == "memory"
-        assert argv == []
-
-    def test_parse_backend_arg_rejects_unknown(self):
-        import pytest
-
-        from repro.experiments.harness import parse_backend_arg
-
-        with pytest.raises(SystemExit):
-            parse_backend_arg(["--backend", "duckdb"])
-
-    def test_parse_backend_arg_rejects_missing_value(self):
-        import pytest
-
-        from repro.experiments.harness import parse_backend_arg
-
-        with pytest.raises(SystemExit, match="requires a value"):
-            parse_backend_arg(["--quick", "--backend"])

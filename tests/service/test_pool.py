@@ -319,6 +319,24 @@ class TestWarmupAtRegistration:
                     ops = "executor.batch_rows"
                     assert after[ops] - before[index][ops] == answered
 
+    def test_a_batch_after_registration_reads_every_answer_from_cache(self):
+        # A batch routes each query as answer does, so every query lands on
+        # the owner that answered it at registration and cached the result.
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork", warmup=self.WARM
+        ) as pool:
+            owners = pool.register_generated("d", DocumentSpec(max_elements=300))
+            assert len({pool._route(q, "d", False)[0] for q in self.WARM}) == 2
+            before = {index: _counts(pool, index) for index in owners}
+            batch = pool.answer_batch(self.WARM, "d", include_nodes=False)
+            assert [answer.query for answer in batch] == self.WARM
+            hits = "cache.result.hits"
+            assert sum(
+                _counts(pool, index)[hits] - before[index].get(hits, 0)
+                for index in owners
+            ) == len(self.WARM)
+
     def test_a_failing_warmup_query_does_not_fail_registration(self):
         dtd = samples.cross_dtd()
         with ProcessQueryService(
