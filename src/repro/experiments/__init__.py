@@ -14,8 +14,8 @@ Every module exposes ``run(...)`` returning structured rows and a
 ``repro experiment expN`` prints it.  Dataset sizes are scaled down from
 the paper's 120,000-element DB2 documents by
 ``repro.workloads.datasets.DEFAULT_SCALE`` because the relational engine
-is pure Python; pass ``scale=1`` to run paper-sized inputs if you have
-the patience.
+is pure Python; ``--elements`` runs paper-sized inputs if you have the
+patience.
 """
 
 from repro._support import lazy_exports
