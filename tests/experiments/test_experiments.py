@@ -132,11 +132,12 @@ class TestExperimentModules:
         assert "exec_s" in text
 
 
-def _answer_sizes(rows):
+def _assert_one_answer_size_per_group(rows, groups):
     sizes = defaultdict(set)
     for row in rows:
         sizes[(row.query, row.dataset)].add(row.result_rows)
-    return sizes
+    assert len(sizes) == groups
+    assert all(len(answers) == 1 for answers in sizes.values()), dict(sizes)
 
 
 class TestQuickSweepAnswers:
@@ -145,24 +146,19 @@ class TestQuickSweepAnswers:
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_exp1(self, backend):
-        sizes = _answer_sizes(exp1.run(**exp1.QUICK_SWEEP, backend=backend))
-        assert len(sizes) == 12  # 4 queries x 3 distinct document shapes
-        assert all(len(answers) == 1 for answers in sizes.values()), sizes
+        rows = exp1.run(**exp1.QUICK_SWEEP, backend=backend)
+        _assert_one_answer_size_per_group(rows, 12)  # 4 queries x 3 distinct shapes
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_exp3(self, backend):
-        sizes = _answer_sizes(exp3.run(**exp3.QUICK_SWEEP, backend=backend))
-        assert len(sizes) == 2
-        assert all(len(answers) == 1 for answers in sizes.values()), sizes
+        _assert_one_answer_size_per_group(exp3.run(**exp3.QUICK_SWEEP, backend=backend), 2)
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_exp4(self, backend):
         rows = exp4.run_bioml(**exp4.QUICK_BIOML, backend=backend) + exp4.run_gedml(
             **exp4.QUICK_GEDML, backend=backend
         )
-        sizes = _answer_sizes(rows)
-        assert len(sizes) == len(exp4.BIOML_CASES) + 2
-        assert all(len(answers) == 1 for answers in sizes.values()), sizes
+        _assert_one_answer_size_per_group(rows, len(exp4.BIOML_CASES) + 2)
 
 
 class TestBackendAxis:
