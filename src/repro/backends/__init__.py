@@ -15,15 +15,19 @@ into.  Cross-backend correctness is checked by
 :class:`repro.fuzz.DifferentialOracle`, which answers every case on every
 backend of its engine grid against the XPath evaluator (``repro diff``
 replays the workload queries through it).
+
+Importing the package loads no engine.  Each backend class, and
+:data:`BACKENDS` with all of them, loads on first access, so a process
+that serves one backend never compiles the other (the memory engine's
+columnar executor, or ``sqlite3``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import List, Type
 
+from repro._support import lazy_exports
 from repro.backends.base import Backend, BackendResult, PreparedProgram
-from repro.backends.memory import MemoryBackend
-from repro.backends.sqlite import SqliteBackend, sqlite_schema_ddl
 from repro.relational.database import Database
 from repro.relational.sqlgen import SQLDialect
 
@@ -34,30 +38,43 @@ __all__ = [
     "MemoryBackend",
     "SqliteBackend",
     "BACKENDS",
+    "backend_class",
     "backend_names",
     "backend_dialect",
     "create_backend",
     "sqlite_schema_ddl",
 ]
 
-# Registry of available backends, keyed by the name used in CLI flags.
-BACKENDS: Dict[str, Type[Backend]] = {
-    MemoryBackend.name: MemoryBackend,
-    SqliteBackend.name: SqliteBackend,
-}
+# The registered backends: the name CLI flags and EngineConfig use -> the
+# name this package exports the class under (see the lazy exports below).
+_CLASS_NAMES = {"memory": "MemoryBackend", "sqlite": "SqliteBackend"}
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.backends.memory": ("MemoryBackend",),
+        "repro.backends.sqlite": ("SqliteBackend", "sqlite_schema_ddl"),
+        "repro.backends.registry": ("BACKENDS",),
+    },
+)
 
 
 def backend_names() -> List[str]:
-    """Names of all registered backends (sorted, for CLI choices)."""
-    return sorted(BACKENDS)
+    """Names of all registered backends (sorted, for CLI choices).
+
+    Loads no backend.
+    """
+    return sorted(_CLASS_NAMES)
 
 
-def _backend_class(name: str) -> Type[Backend]:
+def backend_class(name: str) -> Type[Backend]:
+    """The class of the backend registered under ``name``, loading its module."""
     try:
-        return BACKENDS[name]
+        class_name = _CLASS_NAMES[name]
     except KeyError:
         known = ", ".join(backend_names())
         raise ValueError(f"unknown backend {name!r} (known: {known})") from None
+    return __getattr__(class_name)  # type: ignore[return-value]
 
 
 def backend_dialect(name: str) -> SQLDialect:
@@ -66,7 +83,7 @@ def backend_dialect(name: str) -> SQLDialect:
     This is the dialect :meth:`repro.api.Engine.sql` renders in unless the
     caller names one — each backend declares it once on the class.
     """
-    return _backend_class(name).dialect
+    return backend_class(name).dialect
 
 
 def create_backend(name: object, database: Database) -> Backend:
@@ -80,4 +97,4 @@ def create_backend(name: object, database: Database) -> Backend:
     name = getattr(name, "backend", name)
     if not isinstance(name, str):
         raise ValueError(f"backend must be a name or an EngineConfig, got {name!r}")
-    return _backend_class(name)(database)
+    return backend_class(name)(database)

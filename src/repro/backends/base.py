@@ -11,9 +11,9 @@ across engines.
 
 Backends are the seam future engines (DuckDB, Postgres, sharded/batched
 execution) plug into: implement :meth:`Backend.execute`, register the class
-in :data:`repro.backends.BACKENDS` and every consumer — the CLI ``answer
---backend`` flag, the experiment harness backend axis and the differential
-test suite — picks it up.
+in :mod:`repro.backends` (its name and lazy export) and every consumer — the
+CLI ``answer --backend`` flag, the experiment harness backend axis and the
+differential test suite — picks it up.
 """
 
 from __future__ import annotations
@@ -115,11 +115,11 @@ class Backend(abc.ABC):
     :class:`~repro.errors.ExecutionError` on any cross-process use.
 
     :attr:`warms_by_executing` declares whether an execution leaves state
-    the next execution of the same or another plan reuses (the memory
-    backend's shared temporaries).  Warming a store for a query then means
-    executing it; otherwise translating and preparing it is all that
-    carries over, unless the store caches results
-    (:meth:`repro.service.QueryService.warm`).
+    the next execution of the same or another plan reuses: the memory
+    backend's shared temporaries, or the shared temp tables a SQLite
+    connection keeps.  Warming a store for a query then means executing it;
+    otherwise translating and preparing it is all that carries over, unless
+    the store caches results (:meth:`repro.service.QueryService.warm`).
     """
 
     name: str = "abstract"

@@ -15,20 +15,33 @@ such an operator.  The backend
    statement rendered in the :data:`~repro.relational.sqlgen.SQLDialect.SQLITE`
    dialect, then fetches the result SELECT.
 
+Temporaries are shared across plans and calls.  The backend keeps one
+:class:`~repro.relational.temporaries.SharedTemporaries` table, as the
+columnar store does: a temporary is keyed by its canonical expression, so
+the closures the paper's lowering emits for many queries over one DTD get
+one entry, and that entry one temp-table name.  Each connection creates a
+shared table the first time a plan on it needs one and keeps it for the
+next plan, so a warm plan runs its result SELECT alone.  A connection
+drops its own stale tables at its next use: all of them after
+:meth:`SqliteBackend.apply_delta`, and each one no live prepared plan
+uses any more.
+
 Concurrency: the default in-memory database is opened in SQLite's
 shared-cache mode under a unique URI, and every thread that touches the
 backend lazily gets its *own* connection to it.  Connections are never
 shared across threads (sidestepping "recursive use of cursors" and
 cross-thread errors wholesale), temporary tables are per-connection so
 parallel queries cannot collide, and the loaded base tables are only ever
-read after construction.
+read after construction.  Each connection also keeps its own record of the
+shared tables it holds; no thread ever touches another's connection.
 
 Prepared execution (:meth:`SqliteBackend.prepare` /
 :meth:`SqliteBackend.execute_prepared`) renders the statement list once per
-plan.  SQLite cannot parameterise DDL, so per-call temp-table creation
-remains, but repeated calls skip pruning and SQL generation.
-:meth:`SqliteBackend.execute` is prepare-then-execute, so a one-shot call
-runs exactly the statements a served one does.
+plan, each temporary under its shared table's name, and registers the
+plan's temporaries in the shared table for as long as the prepared plan
+lives.  :meth:`SqliteBackend.execute` is prepare-then-execute, so a
+one-shot call runs exactly the statements a served one does; its
+temporaries are released with its plan.
 
 The answer is read from the fetched ``T`` column alone: SQLite's TEXT
 affinity hands node ids back as strings, which
@@ -46,7 +59,7 @@ import threading
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
     from repro.live.delta import ShredDelta
@@ -54,10 +67,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
 from repro import obs
 from repro.backends.base import Backend, BackendResult, PreparedProgram
 from repro.errors import ExecutionError
-from repro.relational.algebra import Program
+from repro.relational.algebra import Assignment, Program, RAExpr, rename_scans
 from repro.relational.database import Database
 from repro.relational.schema import DOC_ORDER, DatabaseSchema, F, NODE_COLUMNS, PRE, T, V
 from repro.relational.sqlgen import SQLDialect, program_statements, quote_identifier
+from repro.relational.temporaries import SharedEntry, SharedTemporaries
 
 __all__ = ["SqliteBackend", "sqlite_schema_ddl", "IDENTITY_VIEW"]
 
@@ -114,12 +128,48 @@ def sqlite_schema_ddl(schema: DatabaseSchema) -> List[str]:
     return statements
 
 
+class _SharedTable(SharedEntry):
+    """A shared temporary on SQLite: the temp-table name every connection
+    creates it under (``#`` never occurs in a relation or temporary name
+    the translator emits)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, key: RAExpr, name: str) -> None:
+        super().__init__(key)
+        self.name = name
+
+
 @dataclass(frozen=True)
 class _SqlitePlan:
-    """The precomputed payload of a prepared program: rendered statements."""
+    """The precomputed payload of a prepared program: rendered statements.
+
+    ``statements`` holds one ``CREATE TEMPORARY TABLE`` per shared table in
+    ``tables``, then the result SELECT; ``targets`` names each created
+    table by the program's own temporary, for spans.
+    """
 
     statements: Tuple[str, ...]
     targets: Tuple[str, ...]
+    tables: Tuple[_SharedTable, ...]
+
+
+class _Connection:
+    """One thread's connection and the shared tables it holds.
+
+    ``version`` and ``removals`` are the backend's data version and the
+    shared table's removal count when the connection last dropped its stale
+    tables; ``created`` counts the tables it has created.
+    """
+
+    __slots__ = ("connection", "tables", "version", "removals", "created")
+
+    def __init__(self, connection: sqlite3.Connection) -> None:
+        self.connection = connection
+        self.tables: Set[_SharedTable] = set()
+        self.version = 0
+        self.removals = 0
+        self.created = 0
 
 
 class SqliteBackend(Backend):
@@ -142,6 +192,8 @@ class SqliteBackend(Backend):
     # fork/spawn boundary: instances are process-local and must be rebuilt in
     # each worker (the pool's worker initializers key off this flag).
     process_affine = True
+    # A connection keeps the shared tables an execution creates.
+    warms_by_executing = True
 
     _instance_ids = itertools.count()
 
@@ -164,11 +216,18 @@ class SqliteBackend(Backend):
         self._connections: List[Tuple[threading.Thread, sqlite3.Connection]] = []
         self._local = threading.local()
         self._closed = False
+        # Bumped after every applied delta: tables created before it are stale.
+        self._version = 0
+        table_ids = itertools.count()
+        self._temporaries: SharedTemporaries[_SharedTable] = SharedTemporaries(
+            database.__contains__,
+            lambda key: _SharedTable(key, f"shared#{next(table_ids)}"),
+        )
         # The anchor connection keeps the shared in-memory database alive for
         # the backend's whole lifetime (it would vanish with its last
         # connection otherwise) and performs the one-time DDL + bulk load.
         self._anchor = self._open_connection()
-        self._local.connection = self._anchor
+        self._local.state = _Connection(self._anchor)
         self._create_schema()
         self._load()
 
@@ -205,8 +264,8 @@ class SqliteBackend(Backend):
             stale.close()
         return connection
 
-    def _conn(self) -> sqlite3.Connection:
-        """This thread's connection, opened lazily on first use."""
+    def _state(self) -> _Connection:
+        """This thread's connection and its shared tables, opened lazily."""
         # The pid check must come first: after a fork the child inherits the
         # parent's thread-local *and* its connection object, but the
         # shared-cache database behind them belongs to the parent.  Touching
@@ -219,11 +278,14 @@ class SqliteBackend(Backend):
             )
         if self._closed:
             raise ExecutionError("sqlite backend is closed")
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._open_connection()
-            self._local.connection = connection
-        return connection
+        state = getattr(self._local, "state", None)
+        if state is None:
+            state = self._local.state = _Connection(self._open_connection())
+        return state
+
+    def _conn(self) -> sqlite3.Connection:
+        """This thread's connection, opened lazily on first use."""
+        return self._state().connection
 
     def __reduce__(self):
         # Refuse pickling (the multiprocessing transport) with a clear error
@@ -266,6 +328,8 @@ class SqliteBackend(Backend):
         a half-applied mutation.  The in-memory :class:`Database` the
         backend was built from is kept in sync afterwards: it is the
         recovery source when the backend is rebuilt in a fresh process.
+        Every connection drops the shared tables it built from the old rows
+        at its next use.
         """
         from repro.live.delta import apply_delta_to_database
 
@@ -306,16 +370,41 @@ class SqliteBackend(Backend):
             except sqlite3.Error as exc:
                 connection.rollback()
                 raise ExecutionError(f"sqlite delta application failed: {exc}") from exc
+            # After the commit: a table created from the old rows must never
+            # be recorded under the new version.
+            with self._lock:
+                self._version += 1
 
     # -- execution ---------------------------------------------------------------
 
     def prepare(self, program: Program) -> PreparedProgram:
-        """Prune and render once; repeated execution reuses the statements."""
+        """Prune and render once, each temporary under its shared table's name.
+
+        The pruned program's temporaries join the shared table
+        (:class:`~repro.relational.temporaries.SharedTemporaries`) for as
+        long as the returned plan lives.  Reads of a temporary are renamed
+        with it, except reads of one that shadows a base relation: those
+        read the base relation, as in the in-memory engines.
+        """
         with obs.span("prepare", backend=self.name) as sp:
             pruned = program.pruned()
+            view = self._temporaries.view(pruned)
+            renames: Dict[str, str] = {}
+            creates: Dict[_SharedTable, Tuple[str, Assignment]] = {}
+            for target, table in view.items():
+                if table not in creates:
+                    expression = rename_scans(pruned.expression_for(target), renames)
+                    creates[table] = (target, Assignment(table.name, expression))
+                if target not in self._database:
+                    renames[target] = table.name
+            shared = Program(
+                [assignment for _, assignment in creates.values()],
+                rename_scans(pruned.result, renames),
+            )
             plan = _SqlitePlan(
-                statements=tuple(program_statements(pruned, SQLDialect.SQLITE)),
-                targets=tuple(assignment.target for assignment in pruned.assignments),
+                statements=tuple(program_statements(shared, SQLDialect.SQLITE)),
+                targets=tuple(target for target, _ in creates.values()),
+                tables=tuple(creates),
             )
             sp.set(statements=len(plan.statements))
         return PreparedProgram(backend=self.name, program=pruned, payload=plan)
@@ -324,24 +413,28 @@ class SqliteBackend(Backend):
         """``EXPLAIN QUERY PLAN`` rows of every statement ``program`` runs.
 
         One ``(target, rows)`` pair per statement in execution order; the
-        result SELECT's target is ``<result>``.  Each temporary is created
-        after its plan is read, so the next statement is planned against
-        the table it will really scan; all are dropped before returning.
+        result SELECT's target is ``<result>``.  The program is rendered
+        under its own temporary names, not the shared tables', so explaining
+        leaves the shared tables alone.  Each temporary is created after its
+        plan is read, so the next statement is planned against the table it
+        will really scan; all are dropped before returning.
         """
-        plan = self.prepare(program).payload
+        pruned = program.pruned()
+        statements = program_statements(pruned, SQLDialect.SQLITE)
         cursor = self._conn().cursor()
         created: List[str] = []
         explained: List[Tuple[str, List[str]]] = []
         try:
-            for target, statement in zip(plan.targets, plan.statements):
-                explained.append((target, self._query_plan(cursor, statement)))
+            for assignment, statement in zip(pruned.assignments, statements):
+                explained.append((assignment.target, self._query_plan(cursor, statement)))
                 cursor.execute(statement)
-                created.append(target)
-            explained.append(("<result>", self._query_plan(cursor, plan.statements[-1])))
+                created.append(assignment.target)
+            explained.append(("<result>", self._query_plan(cursor, statements[-1])))
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite explain failed: {exc}") from exc
         finally:
             self._drop_temporaries(cursor, created)
+            cursor.close()
         return explained
 
     @staticmethod
@@ -360,8 +453,12 @@ class SqliteBackend(Backend):
         return lines
 
     def execute_prepared(self, prepared: PreparedProgram) -> BackendResult:
-        """Run a prepared plan on this thread's connection: temporaries as
-        temp tables, then the result SELECT."""
+        """Run a prepared plan on this thread's connection: the shared tables
+        the connection lacks, then the result SELECT.
+
+        ``temporaries_evaluated`` counts the tables this call created and
+        ``temporaries_reused`` the ones the connection already held.
+        """
         if prepared.backend != self.name:
             raise ValueError(
                 f"program was prepared for backend {prepared.backend!r}, "
@@ -369,18 +466,22 @@ class SqliteBackend(Backend):
             )
         plan = prepared.payload
         if not isinstance(plan, _SqlitePlan):  # prepared via the base class
-            plan = self.prepare(prepared.program).payload
+            prepared = self.prepare(prepared.program)
+            plan = prepared.payload
+        state = self._state()
         with obs.span("execute", backend=self.name) as sp:
+            created = state.created
             columns, rows, elapsed = self._run_plan(plan)
+            evaluated = state.created - created
             # The result SELECT may fetch a row more than once; ``rows``
             # counts each distinct row once, as the memory backend does.
-            distinct = len(set(rows))
-            sp.set(rows=distinct)
-        stats: Dict[str, float] = {
-            "rows": distinct,
-            "elapsed_seconds": elapsed,
-            "temporaries_evaluated": len(plan.targets),
-        }
+            counts = {
+                "rows": len(set(rows)),
+                "temporaries_evaluated": evaluated,
+                "temporaries_reused": len(plan.tables) - evaluated,
+            }
+            sp.set(**counts)
+        stats: Dict[str, float] = {"elapsed_seconds": elapsed, **counts}
         return BackendResult(self.name, map(itemgetter(columns.index(T)), rows), stats)
 
     def execute(self, program: Program) -> BackendResult:
@@ -396,22 +497,28 @@ class SqliteBackend(Backend):
     def _run_plan(self, plan: _SqlitePlan) -> Tuple[List[str], List[tuple], float]:
         """Execute a rendered plan on this thread's connection.
 
-        Returns ``(columns, rows, elapsed)``: the result's column names,
-        its fetched rows and the time spent in the translated statements
-        alone.  The temp-table teardown is backend bookkeeping, and timing
-        it would bias every memory-vs-sqlite comparison the backend axis
-        exists to make.
+        Drops the connection's stale shared tables, creates the plan's
+        tables the connection lacks and fetches the result.  Returns
+        ``(columns, rows, elapsed)``: the result's column names, its
+        fetched rows and the time spent in the translated statements alone.
+        Dropping stale tables is backend bookkeeping, and timing it would
+        bias every memory-vs-sqlite comparison the backend axis exists to
+        make.
         """
-        cursor = self._conn().cursor()
-        created: List[str] = []
+        state = self._state()
+        cursor = state.connection.cursor()
         elapsed = 0.0
         try:
-            for target, statement in zip(plan.targets, plan.statements):
+            self._drop_stale(state, cursor)
+            for target, table, statement in zip(plan.targets, plan.tables, plan.statements):
+                if table in state.tables:
+                    continue
                 with obs.span("sql-statement", target=target):
                     start = time.perf_counter()
                     cursor.execute(statement)
                     elapsed += time.perf_counter() - start
-                created.append(target)
+                state.tables.add(table)
+                state.created += 1
             with obs.span("sql-statement", target="<result>"):
                 start = time.perf_counter()
                 cursor.execute(plan.statements[-1])
@@ -421,8 +528,24 @@ class SqliteBackend(Backend):
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite execution failed: {exc}") from exc
         finally:
-            self._drop_temporaries(cursor, created)
+            cursor.close()
         return columns, rows, elapsed
+
+    def _drop_stale(self, state: _Connection, cursor: sqlite3.Cursor) -> None:
+        """Drop ``state``'s tables built before the last delta, and the ones
+        no live prepared plan uses any more."""
+        version, removals = self._version, self._temporaries.removals
+        if state.version != version:
+            stale = list(state.tables)
+        elif state.removals != removals:
+            holds = self._temporaries.holds
+            stale = [table for table in state.tables if not holds(table)]
+        else:
+            return
+        for table in stale:
+            cursor.execute(f"DROP TABLE IF EXISTS temp.{_quoted(table.name)}")
+            state.tables.discard(table)
+        state.version, state.removals = version, removals
 
     @staticmethod
     def _drop_temporaries(cursor: sqlite3.Cursor, names: List[str]) -> None:

@@ -14,7 +14,7 @@ is that size divided by ``DEFAULT_SCALE`` (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import create_backend
 from repro.dtd.samples import cross_dtd
@@ -38,7 +38,8 @@ FIXED_XR = 4
 FIXED_XL = 12
 SEED = 11
 # The reduced sweep of ``--quick``: two X_L and two X_R values on a small
-# document.  (X_L=12, X_R=4) lies on both series, so it is measured twice.
+# document.  (X_L=12, X_R=4) lies on both series; it is measured once and
+# its rows are printed in both.
 QUICK_SWEEP = {"max_elements": 1500, "xl_values": (8, 12), "xr_values": (4, 8)}
 
 
@@ -82,22 +83,25 @@ def run(
     seed: int = SEED,
     backend: str = "memory",
 ) -> List[MeasuredQuery]:
-    """Run the Fig. 12 sweep and return one measurement per (query, approach, dataset)."""
+    """Run the Fig. 12 sweep and return one measurement per (query, approach, dataset).
+
+    The X_L series comes first, then the X_R series.  A shape on both series
+    is measured once and its rows appear in both.
+    """
     max_elements = max_elements or scaled_elements(PAPER_ELEMENTS)
     queries = queries or dict(CROSS_QUERIES)
     approaches = list(approaches or default_approaches())
     dtd = cross_dtd()
+    shapes = [(x_l, FIXED_XR) for x_l in xl_values] + [(FIXED_XL, x_r) for x_r in xr_values]
+    measured: Dict[Tuple[int, int], List[MeasuredQuery]] = {}
     rows: List[MeasuredQuery] = []
-    for x_l in xl_values:
-        spec = DatasetSpec(dtd, x_l=x_l, x_r=FIXED_XR, max_elements=max_elements, seed=seed)
-        rows.extend(
-            _measure_for_spec(spec, queries, approaches, f"XL={x_l},XR={FIXED_XR}", backend)
-        )
-    for x_r in xr_values:
-        spec = DatasetSpec(dtd, x_l=FIXED_XL, x_r=x_r, max_elements=max_elements, seed=seed)
-        rows.extend(
-            _measure_for_spec(spec, queries, approaches, f"XL={FIXED_XL},XR={x_r}", backend)
-        )
+    for x_l, x_r in shapes:
+        if (x_l, x_r) not in measured:
+            spec = DatasetSpec(dtd, x_l=x_l, x_r=x_r, max_elements=max_elements, seed=seed)
+            measured[x_l, x_r] = _measure_for_spec(
+                spec, queries, approaches, f"XL={x_l},XR={x_r}", backend
+            )
+        rows.extend(measured[x_l, x_r])
     return rows
 
 

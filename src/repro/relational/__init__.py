@@ -16,7 +16,10 @@ substrate the translation targets:
   arrays (:mod:`repro.relational.columnar`), the engine the memory backend
   runs, evaluating assignments lazily (top-down), and the row-at-a-time
   tuple executor it is checked against (:mod:`repro.relational.executor`),
-  which has a lazy and an eager evaluation strategy, and
+  which has a lazy and an eager evaluation strategy,
+* the table of temporaries shared across programs by canonical
+  expression, which the columnar store and the SQLite backend both keep
+  (:mod:`repro.relational.temporaries`), and
 * a SQL text emitter so every translated program can be inspected as real
   SQL in generic, Oracle CONNECT BY or DB2 recursive-CTE dialects, or run
   on SQLite (:mod:`repro.relational.sqlgen`).

@@ -39,22 +39,16 @@ equivalence between the two.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import itertools
 import threading
 import time
-import weakref
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import (
     Callable,
-    Deque,
     Dict,
     FrozenSet,
-    Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -84,12 +78,12 @@ from repro.relational.algebra import (
     SemiJoin,
     TagProject,
     Union,
-    rename_scans,
 )
 from repro.relational.database import Database
 from repro.relational.stats import ExecutionStats
 from repro.relational.relation import Relation
 from repro.relational.schema import F, NODE_COLUMNS, PRE, SIZE, T, V
+from repro.relational.temporaries import SharedEntry, SharedTemporaries
 
 __all__ = [
     "ValueDictionary",
@@ -284,30 +278,24 @@ class ColumnarRelation:
         return value
 
 
-class TemporaryEntry:
+class TemporaryEntry(SharedEntry):
     """One temporary in a store's shared table (see :meth:`ColumnarDatabase.temps_for`).
 
-    ``key`` is the temporary's canonical expression, ``relation`` its full
-    materialized value (``None`` until a run evaluates it in full),
-    ``demanded`` its results under a demand (a frozenset of ``F`` codes ->
-    exactly the rows of the full result with those ``F`` codes), and
-    ``users`` the number of live programs whose namespace holds the entry.
-    A full result serves every demand, so publishing one drops the demanded
-    results.  Entries compare and hash by identity, so a canonical key can
-    name the temporaries it reads by their entries.
+    Beside the canonical ``key`` and the count of live ``users``
+    (:class:`~repro.relational.temporaries.SharedEntry`), ``relation`` is
+    the full materialized value (``None`` until a run evaluates it in full)
+    and ``demanded`` the results under a demand (a frozenset of ``F``
+    codes -> exactly the rows of the full result with those ``F`` codes).
+    A full result serves every demand, so publishing one drops the
+    demanded results.
     """
 
-    __slots__ = ("key", "relation", "demanded", "users")
+    __slots__ = ("relation", "demanded")
 
     def __init__(self, key: RAExpr) -> None:
-        self.key = key
+        super().__init__(key)
         self.relation: Optional[ColumnarRelation] = None
         self.demanded: Dict[FrozenSet[int], ColumnarRelation] = {}
-        self.users = 0
-
-    def __str__(self) -> str:
-        # How keys that read this entry print: its own key, braced.
-        return f"{{{self.key}}}"
 
     def __repr__(self) -> str:
         state = "empty" if self.relation is None else f"rows={len(self.relation)}"
@@ -346,17 +334,9 @@ class ColumnarDatabase:
         self._dictionary = ValueDictionary()
         self._relations: Dict[str, ColumnarRelation] = {}
         self._identity: Optional[ColumnarRelation] = None
-        # The shared temporary table and each live program's view of it.
-        # ``_lock`` guards both; a program's weakref callback only queues
-        # its release on ``_released`` and applies it if the lock is free,
-        # because the callback can run inside ``temps_for`` on the thread
-        # that holds the lock (see ``_drain``).
-        self._entries: Dict[RAExpr, TemporaryEntry] = {}
-        self._views: Dict[int, Tuple[weakref.ref, Dict[str, TemporaryEntry]]] = {}
-        self._lock = threading.Lock()
-        self._released: Deque[
-            Tuple[int, weakref.ref, Tuple[TemporaryEntry, ...]]
-        ] = collections.deque()
+        self._temporaries: SharedTemporaries[TemporaryEntry] = SharedTemporaries(
+            self.__contains__, TemporaryEntry
+        )
 
     @property
     def database(self) -> Database:
@@ -457,11 +437,7 @@ class ColumnarDatabase:
                 for row in insert_rows:
                     rows.add(tuple(map(encode, row)))
             self._relations[name] = ColumnarRelation(old.columns, rows=rows, name=name)
-        with self._locked():
-            # Dropping the views drops their weakrefs, so the callbacks of
-            # the programs they served never fire against the new table.
-            self._entries.clear()
-            self._views.clear()
+        self._temporaries.clear()
         self._version = version
 
     def temps_for(self, program: Program) -> Dict[str, TemporaryEntry]:
@@ -471,97 +447,17 @@ class ColumnarDatabase:
         prepared :class:`~repro.relational.algebra.Program` is itself
         immutable, so a temporary materialized against this store is valid
         for as long as both live — and so is any temporary of any program
-        computed the same way.  On a program's first call the store
-        canonicalizes it once: each assignment's expression, with every
-        temporary it reads renamed to that temporary's entry
-        (:func:`~repro.relational.algebra.rename_scans`), is looked up in
-        the table, and equal keys share one entry.  A temporary that shadows
-        a base relation or is read before its assignment is renamed to a
-        fresh placeholder instead, so keys that read it are never shared.
-
-        Each entry counts the live programs that use it.  When a program is
-        garbage-collected (the plan cache evicted it), a weakref callback
-        releases its entries, and an entry no live program uses leaves the
-        table — so the table never holds more than the per-program
-        namespaces it replaced.  :meth:`apply_delta` drops the whole table.
+        computed the same way.  Programs share entries by canonical
+        expression, and an entry lives while some program that uses it
+        lives (:meth:`SharedTemporaries.view
+        <repro.relational.temporaries.SharedTemporaries.view>`).
+        :meth:`apply_delta` drops the whole table.
         """
-        program_id = id(program)
-        record = self._views.get(program_id)
-        if record is not None and record[0]() is program:
-            return record[1]
-        with self._locked():
-            record = self._views.get(program_id)
-            if record is not None and record[0]() is program:
-                view = record[1]
-            else:
-                view = self._canonicalize(program)
-                entries = tuple(set(view.values()))
-                for entry in entries:
-                    entry.users += 1
-                store = weakref.ref(self)
-
-                def release(ref: weakref.ref) -> None:
-                    owner = store()
-                    if owner is not None:
-                        owner._released.append((program_id, ref, entries))
-                        owner._drain()
-
-                self._views[program_id] = (weakref.ref(program, release), view)
-        return view
+        return self._temporaries.view(program)
 
     def shared_temporaries(self) -> Tuple[TemporaryEntry, ...]:
         """A snapshot of the entries in the shared temporary table."""
-        with self._locked():
-            entries = tuple(self._entries.values())
-        return entries
-
-    def _canonicalize(self, program: Program) -> Dict[str, TemporaryEntry]:
-        """Map each temporary of ``program`` to its table entry (lock held)."""
-        renames: Dict[str, Hashable] = {name: object() for name in program.temporaries()}
-        view: Dict[str, TemporaryEntry] = {}
-        for assignment in program.assignments:
-            name = assignment.target
-            if name in view:
-                continue  # the first assignment of a name is the one that runs
-            key = rename_scans(assignment.expression, renames)
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = TemporaryEntry(key)
-            view[name] = entry
-            if name not in self:
-                renames[name] = entry
-        return view
-
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Hold the table lock, then apply the releases queued meanwhile."""
-        try:
-            with self._lock:
-                yield
-        finally:
-            self._drain()
-
-    def _drain(self) -> None:
-        """Apply queued releases, unless another frame holds the lock.
-
-        Every frame that takes the lock goes through :meth:`_locked`, which
-        drains after letting go, so a release queued meanwhile is never
-        stranded.
-        """
-        released = self._released
-        while released and self._lock.acquire(blocking=False):
-            try:
-                while released:
-                    program_id, ref, entries = released.popleft()
-                    record = self._views.get(program_id)
-                    if record is not None and record[0] is ref:
-                        del self._views[program_id]
-                    for entry in entries:
-                        entry.users -= 1
-                        if not entry.users and self._entries.get(entry.key) is entry:
-                            del self._entries[entry.key]
-            finally:
-                self._lock.release()
+        return self._temporaries.entries()
 
 
 def columnar_store(database: Database) -> ColumnarDatabase:

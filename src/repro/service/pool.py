@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro import errors as _errors
 from repro import obs
 from repro.api.config import EngineConfig
+from repro.backends import backend_class
 from repro.core.plancache import dtd_fingerprint
 from repro.dtd.model import DTD
 from repro.errors import (
@@ -404,7 +405,7 @@ class ProcessQueryService:
         (the routing :meth:`answer` uses), every owner at once, so first
         requests find warm stores: the owner executes its share where an
         execution leaves something the next answer reuses (a result cache,
-        or the memory backend's shared temporaries) and otherwise translates
+        or either backend's shared temporaries) and otherwise translates
         and prepares it (:meth:`~repro.service.QueryService.warm`).  A
         respawned owner warms again after replaying its mutation log.  A
         warm-up query that fails is skipped.
@@ -451,6 +452,9 @@ class ProcessQueryService:
         self._closed = False
         self._final_snapshots: List[Dict[str, Any]] = []
         self._metrics = obs.MetricsRegistry()  # parent-side, pool-local
+        # Load the configured engine before forking, so workers inherit it
+        # compiled; the other engine never loads.
+        backend_class(self._config.backend)
         self._workers: List[_Worker] = [
             _Worker(index, self._context, self._target_args)
             for index in range(workers)

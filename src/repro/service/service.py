@@ -425,10 +425,10 @@ class QueryService:
 
         Each query is executed where an execution leaves something the next
         answer reuses: the store's result cache, or a backend that
-        :attr:`~repro.backends.base.Backend.warms_by_executing` (the memory
-        backend's shared temporaries).  Otherwise it is only translated and
-        prepared.  A query that raises :class:`~repro.errors.ReproError` is
-        skipped: a real request for it reports the error.
+        :attr:`~repro.backends.base.Backend.warms_by_executing` (both
+        backends keep shared temporaries).  Otherwise it is only translated
+        and prepared.  A query that raises :class:`~repro.errors.ReproError`
+        is skipped: a real request for it reports the error.
         """
         store = self.store(document_id)
         executes = self._result_capacity > 0 or store.backend.warms_by_executing

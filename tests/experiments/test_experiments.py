@@ -153,6 +153,21 @@ class TestQuickSweepAnswers:
     def test_exp3(self, backend):
         _assert_one_answer_size_per_group(exp3.run(**exp3.QUICK_SWEEP, backend=backend), 2)
 
+    def test_exp1_measures_each_shape_once(self, monkeypatch):
+        # (X_L=12, X_R=4) lies on both series: one measurement, printed twice.
+        measure = exp1._measure_for_spec
+        specs = []
+
+        def counting(spec, *args):
+            specs.append((spec.x_l, spec.x_r))
+            return measure(spec, *args)
+
+        monkeypatch.setattr(exp1, "_measure_for_spec", counting)
+        rows = exp1.run(**exp1.QUICK_SWEEP)
+        assert sorted(specs) == [(8, 4), (12, 4), (12, 8)]
+        datasets = [row.dataset for row in rows[:: len(rows) // 4]]
+        assert datasets == ["XL=8,XR=4", "XL=12,XR=4", "XL=12,XR=4", "XL=12,XR=8"]
+
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_exp4(self, backend):
         rows = exp4.run_bioml(**exp4.QUICK_BIOML, backend=backend) + exp4.run_gedml(

@@ -23,7 +23,7 @@ from repro.errors import ExecutionError, SchemaError
 from repro.fuzz.cases import DocumentSpec
 from repro.backends.memory import MemoryBackend
 from repro.live.delta import ShredDelta, apply_delta_to_database
-from repro.relational import columnar
+from repro.relational import columnar, temporaries
 from repro.relational.algebra import (
     AntiJoin,
     Assignment,
@@ -829,7 +829,7 @@ class TestSharedTemporaries:
         doomed = [Program([Assignment("t", Compose(Scan("R_b"), Scan("R_a")))], Scan("t"))]
         ColumnarExecutor(store).run(doomed[0])
         inside, resume = threading.Event(), threading.Event()
-        rename = columnar.rename_scans
+        rename = temporaries.rename_scans
 
         def collect():
             doomed.clear()
@@ -844,7 +844,7 @@ class TestSharedTemporaries:
                 resume.wait(10)
             return rename(expr, renames)
 
-        monkeypatch.setattr(columnar, "rename_scans", rename_then_wait)
+        monkeypatch.setattr(temporaries, "rename_scans", rename_then_wait)
         survivor = Program([Assignment("u", Compose(Scan("R_a"), Scan("R_b")))], Scan("u"))
         worker = threading.Thread(target=store.temps_for, args=(survivor,), daemon=True)
         worker.start()
