@@ -29,9 +29,8 @@ class MemoryBackend(Backend):
     encoded.  Temporaries stay in the store's shared table, in full or for
     the origins an answer reached (see
     :class:`~repro.relational.columnar.ColumnarExecutor`), for the next plan
-    that needs them; since an execution leaves that state behind,
-    registration warms a store by executing its warm-up queries
-    (:attr:`~repro.backends.base.Backend.warms_by_executing`).
+    that needs them; registration warms a store by executing its warm-up
+    queries (:meth:`repro.service.QueryService.warm`).
 
     Every :meth:`execute` call builds a fresh executor over the store, so
     concurrent calls from many threads are lock-free reads — there is no
@@ -49,7 +48,6 @@ class MemoryBackend(Backend):
 
     name = "memory"
     dialect = SQLDialect.GENERIC
-    warms_by_executing = True
 
     def __init__(self, database: Database) -> None:
         super().__init__(database)

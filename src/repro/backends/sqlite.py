@@ -157,19 +157,15 @@ class _SqlitePlan:
 class _Connection:
     """One thread's connection and the shared tables it holds.
 
-    ``version`` and ``removals`` are the backend's data version and the
-    shared table's removal count when the connection last dropped its stale
-    tables; ``created`` counts the tables it has created.
+    ``version`` is the backend's data version the tables were built at.
     """
 
-    __slots__ = ("connection", "tables", "version", "removals", "created")
+    __slots__ = ("connection", "tables", "version")
 
     def __init__(self, connection: sqlite3.Connection) -> None:
         self.connection = connection
         self.tables: Set[_SharedTable] = set()
         self.version = 0
-        self.removals = 0
-        self.created = 0
 
 
 class SqliteBackend(Backend):
@@ -192,8 +188,6 @@ class SqliteBackend(Backend):
     # fork/spawn boundary: instances are process-local and must be rebuilt in
     # each worker (the pool's worker initializers key off this flag).
     process_affine = True
-    # A connection keeps the shared tables an execution creates.
-    warms_by_executing = True
 
     _instance_ids = itertools.count()
 
@@ -468,11 +462,8 @@ class SqliteBackend(Backend):
         if not isinstance(plan, _SqlitePlan):  # prepared via the base class
             prepared = self.prepare(prepared.program)
             plan = prepared.payload
-        state = self._state()
         with obs.span("execute", backend=self.name) as sp:
-            created = state.created
-            columns, rows, elapsed = self._run_plan(plan)
-            evaluated = state.created - created
+            columns, rows, elapsed, evaluated = self._run_plan(plan)
             # The result SELECT may fetch a row more than once; ``rows``
             # counts each distinct row once, as the memory backend does.
             counts = {
@@ -494,20 +485,21 @@ class SqliteBackend(Backend):
 
     # -- statement running -------------------------------------------------------
 
-    def _run_plan(self, plan: _SqlitePlan) -> Tuple[List[str], List[tuple], float]:
+    def _run_plan(self, plan: _SqlitePlan) -> Tuple[List[str], List[tuple], float, int]:
         """Execute a rendered plan on this thread's connection.
 
         Drops the connection's stale shared tables, creates the plan's
         tables the connection lacks and fetches the result.  Returns
-        ``(columns, rows, elapsed)``: the result's column names, its
-        fetched rows and the time spent in the translated statements alone.
-        Dropping stale tables is backend bookkeeping, and timing it would
-        bias every memory-vs-sqlite comparison the backend axis exists to
-        make.
+        ``(columns, rows, elapsed, created)``: the result's column names,
+        its fetched rows, the time spent in the translated statements alone
+        and the number of tables created.  Dropping stale tables is backend
+        bookkeeping, and timing it would bias every memory-vs-sqlite
+        comparison the backend axis exists to make.
         """
         state = self._state()
         cursor = state.connection.cursor()
         elapsed = 0.0
+        created = 0
         try:
             self._drop_stale(state, cursor)
             for target, table, statement in zip(plan.targets, plan.tables, plan.statements):
@@ -518,7 +510,7 @@ class SqliteBackend(Backend):
                     cursor.execute(statement)
                     elapsed += time.perf_counter() - start
                 state.tables.add(table)
-                state.created += 1
+                created += 1
             with obs.span("sql-statement", target="<result>"):
                 start = time.perf_counter()
                 cursor.execute(plan.statements[-1])
@@ -529,23 +521,22 @@ class SqliteBackend(Backend):
             raise ExecutionError(f"sqlite execution failed: {exc}") from exc
         finally:
             cursor.close()
-        return columns, rows, elapsed
+        return columns, rows, elapsed, created
 
     def _drop_stale(self, state: _Connection, cursor: sqlite3.Cursor) -> None:
         """Drop ``state``'s tables built before the last delta, and the ones
         no live prepared plan uses any more."""
-        version, removals = self._version, self._temporaries.removals
+        version = self._version
         if state.version != version:
             stale = list(state.tables)
-        elif state.removals != removals:
-            holds = self._temporaries.holds
-            stale = [table for table in state.tables if not holds(table)]
         else:
-            return
+            # Read without the shared table's lock: ``users`` reaches 0 only
+            # as its entry leaves the table, and a left entry never returns.
+            stale = [table for table in state.tables if not table.users]
         for table in stale:
             cursor.execute(f"DROP TABLE IF EXISTS temp.{_quoted(table.name)}")
             state.tables.discard(table)
-        state.version, state.removals = version, removals
+        state.version = version
 
     @staticmethod
     def _drop_temporaries(cursor: sqlite3.Cursor, names: List[str]) -> None:

@@ -38,9 +38,11 @@ class SharedEntry:
     """One temporary in a :class:`SharedTemporaries` table.
 
     ``key`` is the temporary's canonical expression and ``users`` the
-    number of live programs whose view holds the entry.  Entries compare
-    and hash by identity, so a canonical key can name the temporaries it
-    reads by their entries.
+    number of live programs whose view holds the entry.  An entry whose
+    ``users`` falls to 0 has left the table for good: a later program that
+    computes the same key gets a new entry.  Entries compare and hash by
+    identity, so a canonical key can name the temporaries it reads by their
+    entries.
     """
 
     __slots__ = ("key", "users")
@@ -86,7 +88,6 @@ class SharedTemporaries(Generic[E]):
         self._released: Deque[Tuple[int, weakref.ref, Tuple[E, ...]]] = (
             collections.deque()
         )
-        self._removals = 0
 
     def view(self, program: Program) -> Dict[str, E]:
         """``program``'s temporaries: name → shared entry, in assignment order.
@@ -129,20 +130,6 @@ class SharedTemporaries(Generic[E]):
             entries = tuple(self._entries.values())
         return entries
 
-    def holds(self, entry: E) -> bool:
-        """Whether ``entry`` is still in the table (some live program uses it)."""
-        return self._entries.get(entry.key) is entry
-
-    @property
-    def removals(self) -> int:
-        """How many times entries have left the table.
-
-        A holder of per-entry state compares it with the count it last
-        saw and looks for entries that left (:meth:`holds`) only when it
-        moved.
-        """
-        return self._removals
-
     def clear(self) -> None:
         """Drop every entry and every program's view.
 
@@ -152,7 +139,6 @@ class SharedTemporaries(Generic[E]):
         with self._locked():
             self._entries.clear()
             self._views.clear()
-            self._removals += 1
 
     def _canonicalize(self, program: Program) -> Dict[str, E]:
         """Map each temporary of ``program`` to its entry (lock held)."""
@@ -199,6 +185,5 @@ class SharedTemporaries(Generic[E]):
                         entry.users -= 1
                         if not entry.users and self._entries.get(entry.key) is entry:
                             del self._entries[entry.key]
-                            self._removals += 1
             finally:
                 self._lock.release()

@@ -423,21 +423,16 @@ class QueryService:
     ) -> None:
         """Make the first answers to ``queries`` on a store warm.
 
-        Each query is executed where an execution leaves something the next
-        answer reuses: the store's result cache, or a backend that
-        :attr:`~repro.backends.base.Backend.warms_by_executing` (both
-        backends keep shared temporaries).  Otherwise it is only translated
-        and prepared.  A query that raises :class:`~repro.errors.ReproError`
-        is skipped: a real request for it reports the error.
+        Each query is executed once: that leaves its plan prepared, its
+        temporaries in the backend's shared table (both backends keep them
+        for the next plan) and, with a result cache, its answer.  A query
+        that raises :class:`~repro.errors.ReproError` is skipped: a real
+        request for it reports the error.
         """
         store = self.store(document_id)
-        executes = self._result_capacity > 0 or store.backend.warms_by_executing
         for query in queries:
             try:
-                if executes:
-                    self._execute(store, query)
-                else:
-                    store.prepared_program(self._key(query), self.plan(query))
+                self._execute(store, query)
             except ReproError:
                 continue
 

@@ -79,9 +79,9 @@ class TestAnswerForm:
         run_plan = SqliteBackend._run_plan
 
         def counting_run_plan(self, plan):
-            columns, rows, elapsed = run_plan(self, plan)
+            columns, rows, *rest = run_plan(self, plan)
             fetched.append((len(rows), len(set(rows))))
-            return columns, rows, elapsed
+            return (columns, rows, *rest)
 
         monkeypatch.setattr(SqliteBackend, "_run_plan", counting_run_plan)
         with create_backend(backend_name, shredded.database) as backend:
