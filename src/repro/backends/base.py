@@ -106,19 +106,14 @@ class Backend(abc.ABC):
     resources (connections, files) override :meth:`close`; all backends
     support use as context managers.
 
-    :attr:`process_affine` declares whether instances are bound to the
-    process that created them.  Affine backends (SQLite: shared-cache
-    in-memory URIs embed the pid, and connections cannot cross ``fork`` or
-    ``spawn``) must be *rebuilt* inside each worker process rather than
-    shipped; the multiprocess serving tier keys its worker initializers off
-    this flag, and affine backends raise
+    A backend is built where it runs: the multiprocess serving tier ships
+    recipes and each worker builds its own stores.  The SQLite backend
+    cannot cross ``fork`` or ``spawn`` at all and raises
     :class:`~repro.errors.ExecutionError` on any cross-process use.
     """
 
     name: str = "abstract"
     dialect: SQLDialect = SQLDialect.GENERIC
-    #: True when instances must not cross a process boundary (see class doc).
-    process_affine: bool = False
 
     def __init__(self, database: Database) -> None:
         self._database = database

@@ -11,7 +11,7 @@ from repro.errors import ExecutionError
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
     from repro.live.delta import ShredDelta
 from repro.relational.algebra import Program
-from repro.relational.columnar import ColumnarDatabase, ColumnarExecutor, columnar_store
+from repro.relational.columnar import ColumnarDatabase, ColumnarExecutor
 from repro.relational.database import Database
 from repro.relational.schema import T
 from repro.relational.sqlgen import SQLDialect
@@ -24,10 +24,11 @@ class MemoryBackend(Backend):
 
     Every plan runs on :class:`~repro.relational.columnar.ColumnarExecutor`,
     the batched operator-at-a-time engine over dictionary-encoded column
-    arrays, whatever the size of the database.  The store encodes each
-    base relation on its first read, so a relation no plan reads is never
-    encoded.  Temporaries stay in the store's shared table, in full or for
-    the origins an answer reached (see
+    arrays, whatever the size of the database.  The backend builds and
+    keeps its own :class:`~repro.relational.columnar.ColumnarDatabase`,
+    which encodes each base relation on its first read, so a relation no
+    plan reads is never encoded.  Temporaries stay in the store's shared
+    table, in full or for the origins an answer reached (see
     :class:`~repro.relational.columnar.ColumnarExecutor`), for the next plan
     that needs them; registration warms a store by executing its warm-up
     queries (:meth:`repro.service.QueryService.warm`).
@@ -37,8 +38,9 @@ class MemoryBackend(Backend):
     shared mutable state outside the append-only columnar store.  The
     database is immutable outside :meth:`apply_delta`, which is the one
     sanctioned mutation route; a database mutated behind the backend's back
-    trips the registration-version guard and queries raise
+    no longer matches the store's version, and queries raise
     :class:`~repro.errors.ExecutionError` instead of silently re-encoding.
+    A pickled backend ships its database and builds a new store on load.
 
     Parameters
     ----------
@@ -51,24 +53,23 @@ class MemoryBackend(Backend):
 
     def __init__(self, database: Database) -> None:
         super().__init__(database)
-        # Create the store here, once, so concurrent first executions share
-        # it.  It encodes each base relation on the first read of it.
-        columnar_store(database)
-        # Snapshot of database.version: queries refuse to run against a
-        # database mutated behind the backend's back (see apply_delta).
-        self._registered_version = database.version
+        self._store = ColumnarDatabase(database)
+
+    def __reduce__(self):
+        # The store is derived from the database (and holds locks).
+        return type(self), (self._database,)
 
     def apply_delta(self, delta: "ShredDelta") -> None:
         """Mutate the backing :class:`Database` in place from a delta.
 
         Each touched relation is replaced via ``set_relation``, which bumps
-        the database version.  When the current columnar store still matches
-        the pre-delta version it is patched in place — the shared value
-        dictionary and every untouched relation's encoding (and memoized
-        join structures) survive — instead of being thrown away and
-        re-encoded from scratch on the next query.  The backend's own
-        registration snapshot is resynced, so queries keep flowing — this is
-        the one sanctioned way to mutate a registered document's database.
+        the database version.  When the store still matches the pre-delta
+        version it is patched in place — the shared value dictionary and
+        every untouched relation's encoding (and memoized join structures)
+        survive — instead of being thrown away and re-encoded from scratch.
+        A store the database moved past outside this route is encoded
+        again.  This is the one sanctioned way to mutate a registered
+        document's database.
         """
         from repro.live.delta import apply_delta_to_database
 
@@ -79,25 +80,12 @@ class MemoryBackend(Backend):
             rows_deleted=delta.delete_count(),
             rows_inserted=delta.insert_count(),
         ):
-            store = getattr(self._database, "_columnar_store", None)
-            pre_version = self._database.version
+            current = self._store.version == self._database.version
             apply_delta_to_database(self._database, delta)
-            if (
-                isinstance(store, ColumnarDatabase)
-                and store.database is self._database
-                and store.version == pre_version
-            ):
-                store.apply_delta(delta, self._database.version)
-            self._registered_version = self._database.version
-
-    def _check_not_stale(self) -> None:
-        if self._database.version != self._registered_version:
-            raise ExecutionError(
-                "database mutated since registration "
-                f"(version {self._database.version} != registered "
-                f"{self._registered_version}); route mutations through "
-                "Backend.apply_delta so derived state stays consistent"
-            )
+            if current:
+                self._store.apply_delta(delta)
+            else:
+                self._store = ColumnarDatabase(self._database)
 
     def execute(self, program: Program) -> BackendResult:
         """Run ``program`` and read the answer from the still-encoded result.
@@ -105,8 +93,14 @@ class MemoryBackend(Backend):
         Only the result's distinct ``T`` codes are decoded; no result row is.
         """
         with obs.span("execute", backend=self.name) as sp:
-            self._check_not_stale()
-            store = columnar_store(self._database)
+            store = self._store
+            if store.version != self._database.version:
+                raise ExecutionError(
+                    "database mutated since its store was encoded (version "
+                    f"{self._database.version} != encoded {store.version}); "
+                    "route mutations through Backend.apply_delta so derived "
+                    "state stays consistent"
+                )
             executor = ColumnarExecutor(store)
             relation = executor.run_encoded(program)
             codes = relation.column(relation.column_index(T))

@@ -19,21 +19,21 @@ Temporaries are shared across plans and calls.  The backend keeps one
 :class:`~repro.relational.temporaries.SharedTemporaries` table, as the
 columnar store does: a temporary is keyed by its canonical expression, so
 the closures the paper's lowering emits for many queries over one DTD get
-one entry, and that entry one temp-table name.  Each connection creates a
-shared table the first time a plan on it needs one and keeps it for the
-next plan, so a warm plan runs its result SELECT alone.  A connection
-drops its own stale tables at its next use: all of them after
-:meth:`SqliteBackend.apply_delta`, and each one no live prepared plan
-uses any more.
+one entry, and that entry one temp-table name.  The backend creates a
+shared table the first time a plan needs it and keeps it for the next
+plan, so a warm plan runs its result SELECT alone.
+:meth:`SqliteBackend.apply_delta` drops every shared table right after its
+commit, and each run first drops the tables no live prepared plan uses any
+more.
 
-Concurrency: the default in-memory database is opened in SQLite's
-shared-cache mode under a unique URI, and every thread that touches the
-backend lazily gets its *own* connection to it.  Connections are never
-shared across threads (sidestepping "recursive use of cursors" and
-cross-thread errors wholesale), temporary tables are per-connection so
-parallel queries cannot collide, and the loaded base tables are only ever
-read after construction.  Each connection also keeps its own record of the
-shared tables it holds; no thread ever touches another's connection.
+Concurrency: the backend opens one private in-memory database on one
+connection, and one lock serializes every use of it.  Any thread may call
+the backend, and temporary tables belong to the connection, so a shared
+table one thread creates serves every thread's later plans.  A server
+answers in parallel through the process pool, one backend per worker.
+The connection cannot cross ``fork`` or ``spawn``: pickling refuses, and
+a forked child that inherits the backend gets
+:class:`~repro.errors.ExecutionError` on first use.
 
 Prepared execution (:meth:`SqliteBackend.prepare` /
 :meth:`SqliteBackend.execute_prepared`) renders the statement list once per
@@ -52,6 +52,7 @@ form :class:`~repro.backends.memory.MemoryBackend` answers in too.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import sqlite3
@@ -59,7 +60,7 @@ import threading
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
     from repro.live.delta import ShredDelta
@@ -129,7 +130,7 @@ def sqlite_schema_ddl(schema: DatabaseSchema) -> List[str]:
 
 
 class _SharedTable(SharedEntry):
-    """A shared temporary on SQLite: the temp-table name every connection
+    """A shared temporary on SQLite: the temp-table name the backend
     creates it under (``#`` never occurs in a relation or temporary name
     the translator emits)."""
 
@@ -154,20 +155,6 @@ class _SqlitePlan:
     tables: Tuple[_SharedTable, ...]
 
 
-class _Connection:
-    """One thread's connection and the shared tables it holds.
-
-    ``version`` is the backend's data version the tables were built at.
-    """
-
-    __slots__ = ("connection", "tables", "version")
-
-    def __init__(self, connection: sqlite3.Connection) -> None:
-        self.connection = connection
-        self.tables: Set[_SharedTable] = set()
-        self.version = 0
-
-
 class SqliteBackend(Backend):
     """Execute translated programs on SQLite.
 
@@ -175,135 +162,72 @@ class SqliteBackend(Backend):
     ----------
     database:
         The shredded database; its schema is turned into DDL and its
-        relations bulk-loaded at construction time.
-    path:
-        SQLite database path.  The default ``":memory:"`` becomes a unique
-        shared-cache in-memory database so per-thread connections all see
-        the same loaded tables.
+        relations bulk-loaded into a private in-memory SQLite database at
+        construction time.
     """
 
     name = "sqlite"
     dialect = SQLDialect.SQLITE
-    # Shared-cache URIs embed the pid and sqlite3 connections cannot cross a
-    # fork/spawn boundary: instances are process-local and must be rebuilt in
-    # each worker (the pool's worker initializers key off this flag).
-    process_affine = True
 
-    _instance_ids = itertools.count()
-
-    def __init__(self, database: Database, path: str = ":memory:") -> None:
+    def __init__(self, database: Database) -> None:
         super().__init__(database)
         self._pid = os.getpid()
-        if path == ":memory:":
-            self._uri = (
-                f"file:repro-sqlite-{os.getpid()}-{next(self._instance_ids)}"
-                "?mode=memory&cache=shared"
-            )
-            self._is_uri = True
-        else:
-            self._uri = path
-            self._is_uri = False
+        # Any thread may use the connection, one at a time under ``_lock``.
+        self._connection = sqlite3.connect(":memory:", check_same_thread=False)
         self._lock = threading.Lock()
-        # (owning thread, connection) pairs; dead threads' connections are
-        # reaped whenever a new one opens, so short-lived caller threads
-        # cannot leak handles.
-        self._connections: List[Tuple[threading.Thread, sqlite3.Connection]] = []
-        self._local = threading.local()
         self._closed = False
-        # Bumped after every applied delta: tables created before it are stale.
-        self._version = 0
+        # The shared tables that exist on the connection.
+        self._tables: Set[_SharedTable] = set()
         table_ids = itertools.count()
         self._temporaries: SharedTemporaries[_SharedTable] = SharedTemporaries(
             database.__contains__,
             lambda key: _SharedTable(key, f"shared#{next(table_ids)}"),
         )
-        # The anchor connection keeps the shared in-memory database alive for
-        # the backend's whole lifetime (it would vanish with its last
-        # connection otherwise) and performs the one-time DDL + bulk load.
-        self._anchor = self._open_connection()
-        self._local.state = _Connection(self._anchor)
-        self._create_schema()
-        self._load()
+        self._load(self._connection)
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
+        if os.getpid() != self._pid:
+            return  # a forked child leaves the parent's connection alone
         with self._lock:
-            self._closed = True
-            connections, self._connections = self._connections, []
-        for _, connection in connections:
-            connection.close()
+            if not self._closed:
+                self._closed = True
+                self._connection.close()
 
-    def _open_connection(self) -> sqlite3.Connection:
-        # check_same_thread=False so close() can reap connections owned by
-        # worker threads; each connection is still *used* by one thread only.
-        connection = sqlite3.connect(
-            self._uri, uri=self._is_uri, check_same_thread=False
-        )
-        with self._lock:
-            if self._closed:
-                connection.close()
-                raise ExecutionError("sqlite backend is closed")
-            dead = [
-                (thread, conn)
-                for thread, conn in self._connections
-                if not thread.is_alive()
-            ]
-            if dead:
-                self._connections = [
-                    entry for entry in self._connections if entry not in dead
-                ]
-            self._connections.append((threading.current_thread(), connection))
-        for _, stale in dead:
-            stale.close()
-        return connection
-
-    def _state(self) -> _Connection:
-        """This thread's connection and its shared tables, opened lazily."""
-        # The pid check must come first: after a fork the child inherits the
-        # parent's thread-local *and* its connection object, but the
-        # shared-cache database behind them belongs to the parent.  Touching
-        # it would silently read an empty (or freshly re-created) database.
+    @contextlib.contextmanager
+    def _connected(self) -> Iterator[sqlite3.Connection]:
+        """The connection, held under the backend's lock."""
+        # The pid check comes before the lock: a forked child inherits the
+        # lock as it was at the fork, possibly held by a parent thread that
+        # does not exist in the child, and waiting for it would hang.
         if os.getpid() != self._pid:
             raise ExecutionError(
                 f"sqlite backend is process-affine: created in pid {self._pid}, "
                 f"used in pid {os.getpid()}; rebuild the store inside the "
                 "worker process instead of sharing it across fork/spawn"
             )
-        if self._closed:
-            raise ExecutionError("sqlite backend is closed")
-        state = getattr(self._local, "state", None)
-        if state is None:
-            state = self._local.state = _Connection(self._open_connection())
-        return state
-
-    def _conn(self) -> sqlite3.Connection:
-        """This thread's connection, opened lazily on first use."""
-        return self._state().connection
+        with self._lock:
+            if self._closed:
+                raise ExecutionError("sqlite backend is closed")
+            yield self._connection
 
     def __reduce__(self):
         # Refuse pickling (the multiprocessing transport) with a clear error
         # instead of the opaque "cannot pickle '_thread.lock'" TypeError.
         raise ExecutionError(
-            "SqliteBackend cannot be pickled: shared-cache in-memory URIs and "
-            "connections do not survive fork/spawn; ship the Database and "
+            "SqliteBackend cannot be pickled: its in-memory database and "
+            "connection do not survive fork/spawn; ship the Database and "
             "rebuild the backend in the worker process"
         )
 
-    # -- loading -----------------------------------------------------------------
-
-    def _create_schema(self) -> None:
-        cursor = self._conn().cursor()
+    def _load(self, connection: sqlite3.Connection) -> None:
+        """Create the schema's tables and bulk-load the database's rows."""
         for statement in sqlite_schema_ddl(self._database.schema):
-            cursor.execute(statement)
-        self._conn().commit()
-
-    def _load(self) -> None:
-        connection = self._conn()
+            connection.execute(statement)
         for name in self._database.schema.relation_names:
             relation = self._database.relation(name)
-            width = len(relation.columns)
-            placeholders = ", ".join("?" * width)
+            placeholders = ", ".join("?" * len(relation.columns))
             connection.executemany(
                 f"INSERT INTO {_quoted(name)} VALUES ({placeholders})",
                 [tuple(str(value) for value in row) for row in relation.rows],
@@ -322,26 +246,24 @@ class SqliteBackend(Backend):
         a half-applied mutation.  The in-memory :class:`Database` the
         backend was built from is kept in sync afterwards: it is the
         recovery source when the backend is rebuilt in a fresh process.
-        Every connection drops the shared tables it built from the old rows
-        at its next use.
+        Every shared table was built from the old rows, so all of them are
+        dropped right after the commit, before any other call runs.
         """
         from repro.live.delta import apply_delta_to_database
 
-        connection = self._conn()
         with obs.span(
             "apply_delta",
             backend=self.name,
             relations=len(delta.relations()),
             rows_deleted=delta.delete_count(),
             rows_inserted=delta.insert_count(),
-        ):
+        ), self._connected() as connection:
             # Validate against (and update) the Python-side database first:
             # a delta that does not apply cleanly there must not reach SQLite.
             apply_delta_to_database(self._database, delta)
             try:
-                cursor = connection.cursor()
                 if not connection.in_transaction:
-                    cursor.execute("BEGIN")
+                    connection.execute("BEGIN")
                 for name in delta.relations():
                     columns = self._database.schema.relation(name).columns
                     removals = delta.deletes.get(name, frozenset())
@@ -349,14 +271,14 @@ class SqliteBackend(Backend):
                         predicate = " AND ".join(
                             f"{_quoted(column)} = ?" for column in columns
                         )
-                        cursor.executemany(
+                        connection.executemany(
                             f"DELETE FROM {_quoted(name)} WHERE {predicate}",
                             [tuple(str(value) for value in row) for row in removals],
                         )
                     additions = delta.inserts.get(name, frozenset())
                     if additions:
                         placeholders = ", ".join("?" * len(columns))
-                        cursor.executemany(
+                        connection.executemany(
                             f"INSERT INTO {_quoted(name)} VALUES ({placeholders})",
                             [tuple(str(value) for value in row) for row in additions],
                         )
@@ -364,10 +286,7 @@ class SqliteBackend(Backend):
             except sqlite3.Error as exc:
                 connection.rollback()
                 raise ExecutionError(f"sqlite delta application failed: {exc}") from exc
-            # After the commit: a table created from the old rows must never
-            # be recorded under the new version.
-            with self._lock:
-                self._version += 1
+            self._drop_tables(connection, list(self._tables))
 
     # -- execution ---------------------------------------------------------------
 
@@ -415,20 +334,24 @@ class SqliteBackend(Backend):
         """
         pruned = program.pruned()
         statements = program_statements(pruned, SQLDialect.SQLITE)
-        cursor = self._conn().cursor()
         created: List[str] = []
         explained: List[Tuple[str, List[str]]] = []
-        try:
-            for assignment, statement in zip(pruned.assignments, statements):
-                explained.append((assignment.target, self._query_plan(cursor, statement)))
-                cursor.execute(statement)
-                created.append(assignment.target)
-            explained.append(("<result>", self._query_plan(cursor, statements[-1])))
-        except sqlite3.Error as exc:
-            raise ExecutionError(f"sqlite explain failed: {exc}") from exc
-        finally:
-            self._drop_temporaries(cursor, created)
-            cursor.close()
+        with self._connected() as connection:
+            cursor = connection.cursor()
+            try:
+                for assignment, statement in zip(pruned.assignments, statements):
+                    explained.append(
+                        (assignment.target, self._query_plan(cursor, statement))
+                    )
+                    cursor.execute(statement)
+                    created.append(assignment.target)
+                explained.append(("<result>", self._query_plan(cursor, statements[-1])))
+            except sqlite3.Error as exc:
+                raise ExecutionError(f"sqlite explain failed: {exc}") from exc
+            finally:
+                for name in created:
+                    cursor.execute(f"DROP TABLE IF EXISTS temp.{_quoted(name)}")
+                cursor.close()
         return explained
 
     @staticmethod
@@ -447,11 +370,11 @@ class SqliteBackend(Backend):
         return lines
 
     def execute_prepared(self, prepared: PreparedProgram) -> BackendResult:
-        """Run a prepared plan on this thread's connection: the shared tables
-        the connection lacks, then the result SELECT.
+        """Run a prepared plan: the shared tables that do not exist yet,
+        then the result SELECT.
 
         ``temporaries_evaluated`` counts the tables this call created and
-        ``temporaries_reused`` the ones the connection already held.
+        ``temporaries_reused`` the ones that already existed.
         """
         if prepared.backend != self.name:
             raise ValueError(
@@ -486,65 +409,56 @@ class SqliteBackend(Backend):
     # -- statement running -------------------------------------------------------
 
     def _run_plan(self, plan: _SqlitePlan) -> Tuple[List[str], List[tuple], float, int]:
-        """Execute a rendered plan on this thread's connection.
+        """Execute a rendered plan under the lock.
 
-        Drops the connection's stale shared tables, creates the plan's
-        tables the connection lacks and fetches the result.  Returns
-        ``(columns, rows, elapsed, created)``: the result's column names,
-        its fetched rows, the time spent in the translated statements alone
-        and the number of tables created.  Dropping stale tables is backend
-        bookkeeping, and timing it would bias every memory-vs-sqlite
-        comparison the backend axis exists to make.
+        Drops the shared tables no live prepared plan uses any more, creates
+        the plan's tables that do not exist yet and fetches the result.
+        Returns ``(columns, rows, elapsed, created)``: the result's column
+        names, its fetched rows, the time spent in the translated statements
+        alone and the number of tables created.  Dropping stale tables is
+        backend bookkeeping, and timing it would bias every memory-vs-sqlite
+        comparison the backend axis exists to make.  The drop happens here,
+        not when a plan is released: a release runs inside garbage
+        collection on any thread, which must not touch the connection.
         """
-        state = self._state()
-        cursor = state.connection.cursor()
         elapsed = 0.0
         created = 0
-        try:
-            self._drop_stale(state, cursor)
-            for target, table, statement in zip(plan.targets, plan.tables, plan.statements):
-                if table in state.tables:
-                    continue
-                with obs.span("sql-statement", target=target):
+        with self._connected() as connection:
+            cursor = connection.cursor()
+            try:
+                # Read without the shared table's lock: ``users`` reaches 0
+                # only as its entry leaves the table, and a left entry never
+                # returns.
+                self._drop_tables(
+                    connection, [table for table in self._tables if not table.users]
+                )
+                for target, table, statement in zip(
+                    plan.targets, plan.tables, plan.statements
+                ):
+                    if table in self._tables:
+                        continue
+                    with obs.span("sql-statement", target=target):
+                        start = time.perf_counter()
+                        cursor.execute(statement)
+                        elapsed += time.perf_counter() - start
+                    self._tables.add(table)
+                    created += 1
+                with obs.span("sql-statement", target="<result>"):
                     start = time.perf_counter()
-                    cursor.execute(statement)
+                    cursor.execute(plan.statements[-1])
+                    columns = [description[0] for description in cursor.description]
+                    rows = cursor.fetchall()
                     elapsed += time.perf_counter() - start
-                state.tables.add(table)
-                created += 1
-            with obs.span("sql-statement", target="<result>"):
-                start = time.perf_counter()
-                cursor.execute(plan.statements[-1])
-                columns = [description[0] for description in cursor.description]
-                rows = cursor.fetchall()
-                elapsed += time.perf_counter() - start
-        except sqlite3.Error as exc:
-            raise ExecutionError(f"sqlite execution failed: {exc}") from exc
-        finally:
-            cursor.close()
+            except sqlite3.Error as exc:
+                raise ExecutionError(f"sqlite execution failed: {exc}") from exc
+            finally:
+                cursor.close()
         return columns, rows, elapsed, created
 
-    def _drop_stale(self, state: _Connection, cursor: sqlite3.Cursor) -> None:
-        """Drop ``state``'s tables built before the last delta, and the ones
-        no live prepared plan uses any more."""
-        version = self._version
-        if state.version != version:
-            stale = list(state.tables)
-        else:
-            # Read without the shared table's lock: ``users`` reaches 0 only
-            # as its entry leaves the table, and a left entry never returns.
-            stale = [table for table in state.tables if not table.users]
-        for table in stale:
-            cursor.execute(f"DROP TABLE IF EXISTS temp.{_quoted(table.name)}")
-            state.tables.discard(table)
-        state.version = version
-
-    @staticmethod
-    def _drop_temporaries(cursor: sqlite3.Cursor, names: List[str]) -> None:
-        for name in names:
-            try:
-                cursor.execute(f"DROP TABLE IF EXISTS temp.{_quoted(name)}")
-            except sqlite3.Error:
-                # Best-effort teardown: a failed DROP (e.g. close() raced an
-                # in-flight query on another thread) must not mask the real
-                # error; temp tables die with the connection anyway.
-                break
+    def _drop_tables(
+        self, connection: sqlite3.Connection, tables: List[_SharedTable]
+    ) -> None:
+        """Drop shared tables from the connection (lock held)."""
+        for table in tables:
+            connection.execute(f"DROP TABLE IF EXISTS temp.{_quoted(table.name)}")
+            self._tables.discard(table)

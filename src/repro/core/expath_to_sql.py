@@ -20,7 +20,7 @@ sub-expression and ``v`` is ``t``'s text value.  The cases are:
 * ``DESC(A, B)`` markers -> the SQL'99 multi-relation recursive union used
   by the SQLGen-R baseline;
 * ``INTERVAL(A, B)`` markers -> a non-recursive range join against the
-  ``DOC_ORDER`` pre/post numbering (the interval descendant strategy).
+  ``DOC_ORDER`` pre/size numbering (the interval descendant strategy).
 
 The final result is wrapped in ``sigma_{F = '_'}`` so only tuples rooted at
 the document root remain, as in Fig. 10 line 26.
@@ -322,7 +322,7 @@ class _Lowering:
         return Project(selected, (F, T, V), (F, T, V))
 
     def _translate_intervals(self, expr: EIntervals, left: Optional[Scan]) -> RAExpr:
-        """Range join over the pre/post numbering (the interval strategy).
+        """Range join over the pre/size numbering (the interval strategy).
 
         The ancestor candidates are the targets of the preceding step when
         one is available, otherwise all ``source``-typed nodes; the

@@ -23,7 +23,7 @@ The descendant axis is delegated to a pluggable strategy:
   (baseline "R", SQLGen-R-style);
 * ``INTERVAL`` — opaque :class:`~repro.expath.ast.EIntervals` markers that
   EXpToSQL maps to range-predicate joins over the shredded document's
-  pre/post (interval) numbering — the XPath-accelerator encoding; no
+  pre/size (interval) numbering — the XPath-accelerator encoding; no
   recursion at all.
 
 A *virtual root* context (``VIRTUAL_ROOT``) whose only child is the DTD root

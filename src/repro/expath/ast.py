@@ -199,7 +199,7 @@ class EDescendants(Expr):
 
 
 class EIntervals(Expr):
-    """Opaque descendant marker for the interval (pre/post) strategy.
+    """Opaque descendant marker for the interval (pre/size) strategy.
 
     ``EIntervals(source, target)`` denotes the same proper-descendant
     relation as :class:`EDescendants`, but the lowering answers it with a

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import create_backend
 from repro.dtd.samples import cross_dtd
 from repro.experiments.harness import (
     Approach,
     MeasuredQuery,
     default_approaches,
     format_table,
-    measure_query,
+    measure_cases,
 )
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
@@ -50,27 +49,16 @@ def _measure_for_spec(
     dataset_label: str,
     backend: str = "memory",
 ) -> List[MeasuredQuery]:
-    tree = spec.generate()
-    shredded = shred_document(tree, spec.dtd)
+    shredded = shred_document(spec.generate(), spec.dtd)
     translators = {a.name: a.translator(spec.dtd) for a in approaches}
-    rows: List[MeasuredQuery] = []
-    engine = create_backend(backend, shredded.database)
-    try:
-        for query_name, query in queries.items():
-            for approach in approaches:
-                measured = measure_query(
-                    approach,
-                    spec.dtd,
-                    shredded,
-                    query,
-                    dataset_label=dataset_label,
-                    translator=translators[approach.name],
-                    engine=engine,
-                )
-                measured.query = query_name
-                rows.append(measured)
-    finally:
-        engine.close()
+    pairs = [(name, approach) for name in queries for approach in approaches]
+    rows = measure_cases(
+        shredded,
+        [(a, translators[a.name], queries[name], dataset_label) for name, a in pairs],
+        backend,
+    )
+    for row, (name, _) in zip(rows, pairs):
+        row.query = name
     return rows
 
 

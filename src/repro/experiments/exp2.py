@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import EngineConfig
-from repro.backends import create_backend
 from repro.dtd.samples import cross_dtd
-from repro.experiments.harness import Approach, format_table, measure_query
+from repro.experiments.harness import Approach, format_table, measure_cases
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
 
@@ -103,16 +102,11 @@ def run(
             actual = sum(
                 1 for node in tree.nodes_with_label(label) if node.value == f"{label}-0"
             )
-            engine = create_backend(backend, shredded.database)
-            try:
-                push_row = measure_query(
-                    push, dtd, shredded, query, dataset_label=query_name, engine=engine
-                )
-                nopush_row = measure_query(
-                    nopush, dtd, shredded, query, dataset_label=query_name, engine=engine
-                )
-            finally:
-                engine.close()
+            push_row, nopush_row = measure_cases(
+                shredded,
+                [(a, a.translator(dtd), query, query_name) for a in (push, nopush)],
+                backend,
+            )
             results.append(
                 PushMeasurement(
                     query=query_name,

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.backends import create_backend
 from repro.dtd.samples import cross_dtd
 from repro.experiments.harness import (
     Approach,
     MeasuredQuery,
     default_approaches,
     format_table,
-    measure_query,
+    measure_cases,
 )
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
@@ -49,23 +48,13 @@ def run(
     rows: List[MeasuredQuery] = []
     for size in sizes:
         spec = DatasetSpec(dtd, x_l=FIXED_XL, x_r=FIXED_XR, max_elements=size, seed=seed)
-        tree = spec.generate()
-        shredded = shred_document(tree, dtd)
-        engine = create_backend(backend, shredded.database)
-        try:
-            for approach in approaches:
-                rows.append(
-                    measure_query(
-                        approach,
-                        dtd,
-                        shredded,
-                        query,
-                        dataset_label=f"{size} elements",
-                        engine=engine,
-                    )
-                )
-        finally:
-            engine.close()
+        shredded = shred_document(spec.generate(), dtd)
+        label = f"{size} elements"
+        rows.extend(
+            measure_cases(
+                shredded, [(a, a.translator(dtd), query, label) for a in approaches], backend
+            )
+        )
     return rows
 
 

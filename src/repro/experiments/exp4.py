@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.backends import create_backend
 from repro.dtd.samples import bioml_dtd, gedml_dtd
 from repro.experiments.harness import (
     Approach,
     MeasuredQuery,
     default_approaches,
     format_table,
-    measure_query,
+    measure_cases,
 )
 from repro.shredding.shredder import shred_document
 from repro.workloads.datasets import DatasetSpec, scaled_elements
@@ -66,33 +65,28 @@ def run_bioml(
     approaches = list(approaches or default_approaches())
     full_dtd = bioml_dtd()
     spec = DatasetSpec(full_dtd, x_l=BIOML_XL, x_r=BIOML_XR, max_elements=max_elements, seed=seed)
-    tree = spec.generate()
-    shredded = shred_document(tree, full_dtd)
-    rows: List[MeasuredQuery] = []
-    engine = create_backend(backend, shredded.database)
-    try:
-        for case in cases:
-            case_dtd = case.dtd()
-            # The sub-DTD's relations coincide (by name) with the full DTD's,
-            # so the shredded database can serve every case; the translators
-            # are rebuilt per case because the DTD graph differs.
-            for approach in approaches:
-                translator = approach.translator(case_dtd)
-                # Reuse the shredded document but answer through the
-                # sub-DTD's mapping (same relation names).
-                measured = measure_query(
-                    approach,
-                    case_dtd,
-                    shredded,
-                    case.query,
-                    dataset_label=f"case {case.name} ({case.cycles} cycles)",
-                    translator=translator,
-                    engine=engine,
-                )
-                measured.query = f"{case.name}:{case.query}"
-                rows.append(measured)
-    finally:
-        engine.close()
+    shredded = shred_document(spec.generate(), full_dtd)
+    # The sub-DTD's relations coincide (by name) with the full DTD's, so the
+    # shredded document serves every case, answered through the sub-DTD's
+    # mapping; the translators are built per case because the DTD graph
+    # differs.
+    pairs = [(case, approach) for case in cases for approach in approaches]
+    dtds = {case.name: case.dtd() for case in cases}
+    rows = measure_cases(
+        shredded,
+        [
+            (
+                approach,
+                approach.translator(dtds[case.name]),
+                case.query,
+                f"case {case.name} ({case.cycles} cycles)",
+            )
+            for case, approach in pairs
+        ],
+        backend,
+    )
+    for row, (case, _) in zip(rows, pairs):
+        row.query = f"{case.name}:{case.query}"
     return rows
 
 
@@ -108,39 +102,19 @@ def run_gedml(
     max_elements = max_elements or scaled_elements(PAPER_GEDML_ELEMENTS, scale=32)
     approaches = list(approaches or default_approaches())
     dtd = gedml_dtd()
+    shapes = [(x_l, GEDML_FIXED_XR) for x_l in xl_values]
+    shapes += [(GEDML_FIXED_XL, x_r) for x_r in xr_values]
     rows: List[MeasuredQuery] = []
-    for x_l in xl_values:
-        spec = DatasetSpec(dtd, x_l=x_l, x_r=GEDML_FIXED_XR, max_elements=max_elements, seed=seed)
-        tree = spec.generate()
-        shredded = shred_document(tree, dtd)
-        engine = create_backend(backend, shredded.database)
-        try:
-            for approach in approaches:
-                rows.append(
-                    measure_query(
-                        approach, dtd, shredded, GEDML_QUERY,
-                        dataset_label=f"XL={x_l},XR={GEDML_FIXED_XR}",
-                        engine=engine,
-                    )
-                )
-        finally:
-            engine.close()
-    for x_r in xr_values:
-        spec = DatasetSpec(dtd, x_l=GEDML_FIXED_XL, x_r=x_r, max_elements=max_elements, seed=seed)
-        tree = spec.generate()
-        shredded = shred_document(tree, dtd)
-        engine = create_backend(backend, shredded.database)
-        try:
-            for approach in approaches:
-                rows.append(
-                    measure_query(
-                        approach, dtd, shredded, GEDML_QUERY,
-                        dataset_label=f"XL={GEDML_FIXED_XL},XR={x_r}",
-                        engine=engine,
-                    )
-                )
-        finally:
-            engine.close()
+    for x_l, x_r in shapes:
+        spec = DatasetSpec(dtd, x_l=x_l, x_r=x_r, max_elements=max_elements, seed=seed)
+        label = f"XL={x_l},XR={x_r}"
+        rows.extend(
+            measure_cases(
+                shred_document(spec.generate(), dtd),
+                [(a, a.translator(dtd), GEDML_QUERY, label) for a in approaches],
+                backend,
+            )
+        )
     return rows
 
 

@@ -3,18 +3,19 @@
 An :class:`Approach` names one engine configuration (the paper's "R", "E"
 and "X" curves); :func:`measure_query` runs one query under one approach
 over a shredded document and records translation time, execution time and
-result size.  Measurements carry a *backend* axis: the same translated
-program can be executed on any registered execution backend (``memory`` —
-the in-memory engine — or ``sqlite``), so exp1–exp4 compare engines as well
-as translation strategies.  The experiment modules assemble these
+result size, and :func:`measure_cases` measures many on one engine.
+Measurements carry a *backend* axis: the same translated program can be
+executed on any registered execution backend (``memory`` — the in-memory
+engine — or ``sqlite``), so exp1–exp4 compare engines as well as
+translation strategies.  The experiment modules assemble these
 measurements into the rows/series of the paper's figures;
 :func:`format_table` renders them as plain-text tables for the console.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.api.config import EngineConfig
@@ -28,6 +29,7 @@ __all__ = [
     "MeasuredQuery",
     "default_approaches",
     "measure_query",
+    "measure_cases",
     "format_table",
 ]
 
@@ -82,7 +84,9 @@ def default_approaches(
 class MeasuredQuery:
     """One (approach, query, dataset, backend) measurement.
 
-    ``result_rows`` is the answer size: the number of matched nodes.
+    ``result_rows`` is the answer size: the number of matched nodes, and
+    ``stats`` the backend result's execution counters (e.g.
+    ``temporaries_evaluated``).
     """
 
     approach: str
@@ -93,6 +97,7 @@ class MeasuredQuery:
     result_rows: int
     document_elements: int
     backend: str = "memory"
+    stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -121,10 +126,15 @@ def measure_query(
     measurement (the caller keeps ownership and closes it).  The reported
     execution time covers query execution only, never the document load
     (mirroring how the paper reports warm-database query times).
+
+    The program is translated fresh, never taken from the translator's plan
+    cache, and dies with the measurement.  An engine keeps a temporary in
+    its shared table only while some live program uses it, so a later
+    measurement on the same engine never reads what this one computed.
     """
     translator = translator or approach.translator(dtd)
     with obs.Timer() as translation_timer:
-        result = translator.translate(query)
+        result = translator.translate_uncached(query)
     translation_seconds = translation_timer.seconds
 
     owned = engine is None
@@ -151,7 +161,43 @@ def measure_query(
         result_rows=len(executed.node_ids()),
         document_elements=shredded.tree.size(),
         backend=backend,
+        stats=dict(executed.stats),
     )
+
+
+def measure_cases(
+    shredded: ShreddedDocument,
+    cases: Sequence[Tuple[Approach, XPathToSQLTranslator, str, str]],
+    backend: str = "memory",
+) -> List[MeasuredQuery]:
+    """Measure each ``(approach, translator, query, dataset_label)`` case,
+    in order, on one engine over ``shredded``.
+
+    The engine loads the document once and first runs every case once,
+    untimed, so the first measurement pays no one-time cost the last one
+    skips (the memory engine encodes a base relation on its first read).
+    Each program, in that pass and in the measurements, is translated fresh
+    and dies before the next case runs (see :func:`measure_query`), so what
+    a case evaluates does not depend on the order of the cases.
+    """
+    engine = create_backend(backend, shredded.database)
+    try:
+        for _, translator, query, _ in cases:
+            engine.execute(translator.translate_uncached(query).program)
+        return [
+            measure_query(
+                approach,
+                translator.dtd,
+                shredded,
+                query,
+                dataset_label=label,
+                translator=translator,
+                engine=engine,
+            )
+            for approach, translator, query, label in cases
+        ]
+    finally:
+        engine.close()
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

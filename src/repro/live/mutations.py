@@ -313,7 +313,7 @@ class DocumentMutator:
     def defer_order(self) -> None:
         """Suspend per-mutation ``DOC_ORDER`` diffing until :meth:`flush_order`.
 
-        One structural mutation shifts the pre/post ranks of every node after
+        One structural mutation shifts the pre-order ranks of every node after
         the edit point, so diffing the renumbering per mutation makes a
         k-mutation script pay k full renumbering passes.  Deferring collapses
         them into a single start-vs-end diff — deltas returned by

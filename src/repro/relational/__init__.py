@@ -57,7 +57,6 @@ __all__ = [
     "ColumnarDatabase",
     "ColumnarExecutor",
     "ValueDictionary",
-    "columnar_store",
     "SQLDialect",
     "program_to_sql",
 ]
@@ -95,7 +94,6 @@ __getattr__, __dir__ = lazy_exports(
             "ColumnarExecutor",
             "ColumnarRelation",
             "ValueDictionary",
-            "columnar_store",
         ),
         "repro.relational.sqlgen": ("SQLDialect", "program_to_sql"),
     },

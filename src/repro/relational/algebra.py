@@ -351,7 +351,7 @@ class IntervalJoin(RAExpr):
     """Descendant step as a range join over the interval numbering.
 
     ``left`` and ``right`` are ``(F, T, V)`` relations and ``order`` is the
-    document-order relation ``DOC_ORDER(T, PRE, POST, SIZE)``.  The output
+    document-order relation ``DOC_ORDER(T, PRE, SIZE)``.  The output
     has columns ``(F, T, V)``: one row per pair ``(a, d)`` where ``a`` is a
     ``T`` of ``left``, ``d`` a ``T`` of ``right`` and ``d``'s ``PRE`` lies
     in the half-open window ``(pre_a, pre_a + size_a]`` — i.e. ``d`` is a *proper*

@@ -91,7 +91,6 @@ __all__ = [
     "TemporaryEntry",
     "ColumnarDatabase",
     "ColumnarExecutor",
-    "columnar_store",
 ]
 
 _TAG_COLUMNS = (F, T, V, "TAG")
@@ -104,8 +103,8 @@ class ValueDictionary:
     the ``'_'`` sentinels); encoding everything through one dictionary makes
     every column a flat list of ints where code equality is value equality.
     The dictionary is append-only: reads are lock-free (safe under the GIL),
-    writes take a lock so concurrent backends sharing one store cannot hand
-    two values the same code.
+    writes take a lock so concurrent runs on one store cannot hand two
+    values the same code.
     """
 
     __slots__ = ("_codes", "_values", "_lock")
@@ -312,9 +311,11 @@ class ColumnarDatabase:
     relations share one :class:`ValueDictionary`), so a relation no plan
     reads — ``DOC_ORDER`` outside the interval strategy — is never encoded.
     The identity relation ``R_id`` is built once and cached — the tuple
-    executor rebuilds it per executor instance.  The store snapshots the
-    database's version counter; :func:`columnar_store` rebuilds stale stores
-    after ``set_relation`` mutations.
+    executor rebuilds it per executor instance.  The store records the
+    database version it encodes, and :meth:`apply_delta` moves it along
+    with a delta; a ``set_relation`` outside that route leaves the store
+    stale, which its owner (:class:`~repro.backends.memory.MemoryBackend`)
+    detects by comparing versions.
 
     The store also keeps one table of materialized temporaries for every
     :class:`~repro.relational.algebra.Program` run against it, keyed by each
@@ -392,7 +393,7 @@ class ColumnarDatabase:
             self._identity = ColumnarRelation(NODE_COLUMNS, rows=rows, name="R_id")
         return self._identity
 
-    def apply_delta(self, delta: object, version: int) -> None:
+    def apply_delta(self, delta: object) -> None:
         """Patch the encoding in place from a live-update row delta.
 
         ``delta`` is duck-typed (:class:`repro.live.delta.ShredDelta`): two
@@ -405,12 +406,11 @@ class ColumnarDatabase:
         identity relation is rebuilt only when a node relation changed, and
         the shared temporary table, with every demanded result on its
         entries, is dropped wholesale (its entries may read any relation).
-        ``version`` is the database version counter after the delta was
-        applied to the row store; adopting it keeps :func:`columnar_store`
-        returning this patched store instead of re-encoding from scratch.
+        The delta must already be applied to the row database; the store
+        then adopts the database's version.
 
         Relations where the delta is as large as the relation itself (the
-        common case for ``DOC_ORDER``, whose pre/post numbers shift globally
+        common case for ``DOC_ORDER``, whose pre-order ranks shift globally
         on any structural edit) are re-encoded wholesale from the row store
         — encoding ``n`` final rows beats encoding ``2n`` delta rows on top
         of a full set copy.
@@ -438,7 +438,7 @@ class ColumnarDatabase:
                     rows.add(tuple(map(encode, row)))
             self._relations[name] = ColumnarRelation(old.columns, rows=rows, name=name)
         self._temporaries.clear()
-        self._version = version
+        self._version = self._database.version
 
     def temps_for(self, program: Program) -> Dict[str, TemporaryEntry]:
         """``program``'s temporaries on this store: name → shared table entry.
@@ -458,25 +458,6 @@ class ColumnarDatabase:
     def shared_temporaries(self) -> Tuple[TemporaryEntry, ...]:
         """A snapshot of the entries in the shared temporary table."""
         return self._temporaries.entries()
-
-
-def columnar_store(database: Database) -> ColumnarDatabase:
-    """The (cached) columnar encoding of ``database``.
-
-    The store is stashed on the database object and rebuilt whenever the
-    database's version counter moved (``set_relation`` bumps it), so callers
-    sharing one shredded document — the memory backend, the pipeline, every
-    fuzz-grid arm — share one encoding and its warm caches.
-    """
-    store = getattr(database, "_columnar_store", None)
-    if (
-        not isinstance(store, ColumnarDatabase)
-        or store.database is not database
-        or store.version != database.version
-    ):
-        store = ColumnarDatabase(database)
-        database._columnar_store = store  # type: ignore[attr-defined]
-    return store
 
 
 class _Scope:
@@ -504,6 +485,9 @@ class ColumnarExecutor:
     decoded :class:`~repro.relational.relation.Relation`, so callers cannot
     tell the executors apart except by speed; :meth:`run_encoded` returns
     the same result still encoded, for callers that read only part of it.
+    Given a :class:`~repro.relational.database.Database`, the executor
+    encodes a store of its own; executors that should share encodings and
+    temporaries are given one :class:`ColumnarDatabase`.
 
     Evaluation is demand-driven.  :meth:`_evaluate` takes an optional
     *demand*, the set of ``F`` codes its caller will read, and returns
@@ -539,7 +523,7 @@ class ColumnarExecutor:
         if isinstance(database, ColumnarDatabase):
             self._store = database
         else:
-            self._store = columnar_store(database)
+            self._store = ColumnarDatabase(database)
         self.stats = ExecutionStats()
         self._batch_rows = obs.registry().histogram("executor.batch_rows")
 

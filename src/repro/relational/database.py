@@ -39,8 +39,9 @@ class Database:
     def version(self) -> int:
         """Mutation counter: bumped by every :meth:`set_relation`.
 
-        Derived structures (the columnar store's dictionary-encoded copy)
-        snapshot this to detect staleness instead of re-encoding per use.
+        A derived structure (a memory backend's columnar store) records
+        the version it encodes, so a mutation outside its owner's
+        ``apply_delta`` shows as a version mismatch.
         """
         return self._version
 
@@ -74,13 +75,6 @@ class Database:
     def __repr__(self) -> str:
         sizes = {name: len(rel) for name, rel in self._relations.items()}
         return f"Database({sizes})"
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The columnar store is a derived cache (and holds a lock); each
-        # process rebuilds it lazily rather than shipping it across pickles.
-        state = dict(self.__dict__)
-        state.pop("_columnar_store", None)
-        return state
 
     def total_rows(self) -> int:
         """Total number of rows across all base relations."""

@@ -23,7 +23,6 @@ __all__ = [
     "NODE_COLUMNS",
     "DOC_ORDER",
     "PRE",
-    "POST",
     "SIZE",
     "ORDER_COLUMNS",
 ]
@@ -35,18 +34,17 @@ V = "V"  # text value of the T node ('_' when absent)
 
 NODE_COLUMNS: Tuple[str, str, str] = (F, T, V)
 
-# The interval (pre/post/size) document-order side relation.  One row per
-# document node: ``(T, PRE, POST, SIZE)`` where ``SIZE`` counts the proper
+# The interval (pre/size) document-order side relation.  One row per
+# document node: ``(T, PRE, SIZE)`` where ``SIZE`` counts the proper
 # descendants, which are exactly the nodes with ``PRE`` in the half-open
 # window ``(pre, pre + size]``.  It is *not* a node relation (its rows are not
 # ``(F, T, V)`` edges), so it never contributes to ``R_id`` or the
 # ``ALL_NODES`` view.
 DOC_ORDER = "DOC_ORDER"
 PRE = "PRE"
-POST = "POST"
 SIZE = "SIZE"
 
-ORDER_COLUMNS: Tuple[str, str, str, str] = (T, PRE, POST, SIZE)
+ORDER_COLUMNS: Tuple[str, str, str] = (T, PRE, SIZE)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ shares one entry.
 The table itself holds keys and counts.  Each engine subclasses
 :class:`SharedEntry` for what it keeps per entry: the columnar store the
 entry's materialized rows (:class:`repro.relational.columnar.TemporaryEntry`),
-the SQLite backend the name of a temp table each connection creates once
+the SQLite backend the name of a temp table it creates once
 (:mod:`repro.backends.sqlite`).
 
 An entry counts the live programs that use it.  When a program is

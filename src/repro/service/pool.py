@@ -11,9 +11,8 @@
   request id; a fan-out sends to every worker before it waits on any;
 * documents are *sharded*: every document id hashes (together with the DTD
   fingerprint) onto ``replicas`` owning workers, and requests route to an
-  owner — stores are rebuilt inside each owner rather than shipped,
-  because backends may be process-affine
-  (:attr:`~repro.backends.base.Backend.process_affine`);
+  owner — every owner builds its own store from the recipe (a SQLite
+  connection cannot cross a process boundary, and no backend is shipped);
 * each worker sizes its cyclic garbage collector for bulk relational
   allocation once at start (:data:`WORKER_GC_THRESHOLD`) and meters every
   collection into ``worker.gc_collections.gen<N>`` / ``worker.gc_seconds``;

@@ -26,8 +26,9 @@ ways:
   ``EngineConfig(result_cache_size=0)`` to measure the plan cache alone;
 * **answering is thread-safe** — the plan cache and store registry take
   locks only around dictionary operations, the memory engine's reads are
-  lock-free, and the SQLite backend hands each thread its own connection,
-  so many threads may call :meth:`answer` on one service at once.
+  lock-free, and each SQLite store runs one call at a time on its one
+  connection, so many threads may call :meth:`answer` on one service at
+  once.
 
 The caches are semantically invisible: for any query, document and
 configuration, :meth:`answer` returns node-for-node what the XPath

@@ -90,8 +90,8 @@ class SimpleMapping:
         """Build the :class:`DatabaseSchema` for this mapping.
 
         Besides one ``R_A(F, T, V)`` relation per element type, the schema
-        carries the ``DOC_ORDER(T, PRE, POST, SIZE)`` side relation holding
-        the interval (pre/post) node numbering; it is deliberately not a
+        carries the ``DOC_ORDER(T, PRE, SIZE)`` side relation holding
+        the interval (pre/size) node numbering; it is deliberately not a
         node relation, so ``R_id`` and the ``ALL_NODES`` view are unchanged.
         """
         schemas = [

@@ -47,22 +47,21 @@ class ShreddedDocument:
         return [node(node_id) for node_id in node_ids]
 
 
-def interval_numbering(tree: XMLTree) -> Set[Tuple[int, int, int, int]]:
-    """The pre/post/size document-order numbering of ``tree``.
+def interval_numbering(tree: XMLTree) -> Set[Tuple[int, int, int]]:
+    """The pre/size document-order numbering of ``tree``.
 
-    One ``(node_id, pre, post, size)`` tuple per node, where ``pre`` is the
-    depth-first visit rank, ``post`` the finish rank and ``size`` the number
-    of proper descendants.  Pre-order ranks are contiguous per subtree, so
-    the proper descendants of a node are exactly the nodes whose ``pre``
-    lies in the half-open window ``(pre, pre + size]`` — the range predicate the
-    ``interval`` descendant strategy joins on.
+    One ``(node_id, pre, size)`` tuple per node, where ``pre`` is the
+    depth-first visit rank and ``size`` the number of proper descendants.
+    Pre-order ranks are contiguous per subtree, so the proper descendants
+    of a node are exactly the nodes whose ``pre`` lies in the half-open
+    window ``(pre, pre + size]`` — the range predicate the ``interval``
+    descendant strategy joins on.
     """
-    rows: Set[Tuple[int, int, int, int]] = set()
+    rows: Set[Tuple[int, int, int]] = set()
     if tree.root is None:
         return rows
     pre_of: Dict[int, int] = {}
     pre_counter = 0
-    post_counter = 0
     stack: List[Tuple[XMLNode, bool]] = [(tree.root, False)]
     while stack:
         node, finished = stack.pop()
@@ -74,9 +73,7 @@ def interval_numbering(tree: XMLTree) -> Set[Tuple[int, int, int, int]]:
                 stack.append((child, False))
         else:
             pre = pre_of[node.node_id]
-            size = pre_counter - pre - 1
-            rows.add((node.node_id, pre, post_counter, size))
-            post_counter += 1
+            rows.add((node.node_id, pre, pre_counter - pre - 1))
     return rows
 
 
@@ -89,7 +86,7 @@ def shred_document(
     parent's node id (``'_'`` for the document root), its own node id, and
     its text value (``'_'`` when absent), exactly as in Table 1.  The
     ``DOC_ORDER`` side relation additionally records every node's interval
-    (pre/post/size) numbering for the range-join descendant strategy.
+    (pre/size) numbering for the range-join descendant strategy.
     """
     mapping = mapping or SimpleMapping(dtd)
     schema = mapping.database_schema()

@@ -119,7 +119,7 @@ SIGNATURES = {
         ["self", "dtd", "config", "translator"],
     ),
     "MemoryBackend.__init__": (MemoryBackend.__init__, ["self", "database"]),
-    "SqliteBackend.__init__": (SqliteBackend.__init__, ["self", "database", "path"]),
+    "SqliteBackend.__init__": (SqliteBackend.__init__, ["self", "database"]),
     "create_backend": (create_backend, ["name", "database"]),
     "QueryService.answer_batch": (
         QueryService.answer_batch,

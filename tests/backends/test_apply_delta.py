@@ -12,7 +12,7 @@ from repro.dtd import samples
 from repro.errors import ExecutionError
 from repro.live.delta import ShredDelta
 from repro.live.mutations import DocumentMutator
-from repro.relational.columnar import columnar_store
+from repro.relational.columnar import ColumnarDatabase
 from repro.relational.relation import Relation
 from repro.shredding.shredder import shred_document
 from repro.xmltree.generator import generate_document
@@ -78,7 +78,7 @@ class TestColumnarInPlacePatch:
         dtd, tree, shredded, program = _setup(max_elements)
         backend = create_backend(EngineConfig(backend="memory"), shredded.database)
         backend.execute(program)
-        store = columnar_store(shredded.database)
+        store = backend._store
         untouched = {
             name: store.relation(name)
             for name in shredded.database
@@ -88,7 +88,7 @@ class TestColumnarInPlacePatch:
         delta = mutator.replace_text(text_node, "patched-in-place")
         backend.apply_delta(delta)
         # Same store object, adopted version: no from-scratch re-encode.
-        assert columnar_store(shredded.database) is store
+        assert backend._store is store
         assert store.version == shredded.database.version
         # Relations outside the delta keep their encodings.
         for name, relation in untouched.items():
@@ -104,9 +104,9 @@ class TestColumnarInPlacePatch:
         text_nodes = [n for n in tree.nodes() if n.label in dtd.text_types]
         backend.apply_delta(mutator.replace_text(text_nodes[0], "round-1"))
         backend.apply_delta(mutator.replace_text(text_nodes[-1], "round-2"))
-        patched = columnar_store(shredded.database)
+        patched = backend._store
         scratch = shred_document(tree, dtd)
-        fresh = columnar_store(scratch.database)
+        fresh = ColumnarDatabase(scratch.database)
         for name in scratch.database:
             assert set(map(tuple, _decoded_rows(patched, name))) == set(
                 map(tuple, _decoded_rows(fresh, name))

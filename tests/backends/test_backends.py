@@ -300,17 +300,19 @@ class TestSqliteExplain:
 
 
 class TestSqliteThreadedConnections:
-    def test_each_thread_gets_its_own_connection(self, dept_dtd, dept_shredded):
+    def test_threads_share_one_connection(self, dept_dtd, dept_shredded):
         import threading
 
         program = XPathToSQLTranslator(dept_dtd).translate("dept//project").program
         with SqliteBackend(dept_shredded.database) as backend:
-            expected = backend.execute(program).node_ids()
+            prepared = backend.prepare(program)
+            first = backend.execute_prepared(prepared)
+            assert first.stats["temporaries_evaluated"] >= 1
             results, errors = [], []
 
             def worker():
                 try:
-                    results.append(backend.execute(program).node_ids())
+                    results.append(backend.execute_prepared(prepared))
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -318,37 +320,50 @@ class TestSqliteThreadedConnections:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(30)
+                assert not thread.is_alive()
             assert not errors
-            assert all(ids == expected for ids in results)
+            assert len(results) == 4
+            assert all(result.node_ids() == first.node_ids() for result in results)
+            # The tables the first answer created serve the other threads.
+            assert all(result.stats["temporaries_evaluated"] == 0 for result in results)
 
-    def test_two_backends_do_not_share_the_shared_cache_db(self, dept_shredded):
+    def test_two_backends_do_not_share_the_db(self, dept_shredded):
         first = SqliteBackend(dept_shredded.database)
         second = SqliteBackend(dept_shredded.database)  # must not collide on DDL
         try:
-            cursor_a = first._conn().execute("SELECT COUNT(*) FROM ALL_NODES")
-            cursor_b = second._conn().execute("SELECT COUNT(*) FROM ALL_NODES")
-            assert cursor_a.fetchone() == cursor_b.fetchone()
+            with first._connected() as one, second._connected() as two:
+                cursor_a = one.execute("SELECT COUNT(*) FROM ALL_NODES")
+                cursor_b = two.execute("SELECT COUNT(*) FROM ALL_NODES")
+                assert cursor_a.fetchone() == cursor_b.fetchone()
         finally:
             first.close()
             second.close()
 
-    def test_dead_thread_connections_are_reaped(self, dept_dtd, dept_shredded):
-        """Short-lived worker threads must not leak connections (Issue 3)."""
+    def test_short_lived_threads_leave_one_connection(self, dept_dtd, dept_shredded):
+        """Short-lived caller threads open no connection of their own."""
+        import sqlite3
         import threading
 
         program = XPathToSQLTranslator(dept_dtd).translate("dept//project").program
         with SqliteBackend(dept_shredded.database) as backend:
-            for _ in range(5):  # each round: a thread that opens a connection
-                thread = threading.Thread(target=lambda: backend.execute(program))
+            connection = backend._connection
+            expected = backend.execute(program).node_ids()
+            answers = []
+            for _ in range(5):
+                thread = threading.Thread(
+                    target=lambda: answers.append(backend.execute(program).node_ids())
+                )
                 thread.start()
-                thread.join()
-            # Each new thread's open reaps all previously-dead owners, so at
-            # most the *last* dead thread's connection lingers; the total
-            # never grows with the number of dead threads.
-            dead = [t for t, _ in backend._connections if not t.is_alive()]
-            assert len(dead) <= 1
-            assert len(backend._connections) <= 2  # anchor + last thread
+                thread.join(30)
+                assert not thread.is_alive()
+            assert answers == [expected] * 5
+            connections = [
+                value for value in vars(backend).values()
+                if isinstance(value, sqlite3.Connection)
+            ]
+            assert connections == [connection]
+            assert backend.execute(program).node_ids() == expected
 
 
 class TestIdentifierAndLiteralEdgeCases:

@@ -1,10 +1,10 @@
 """Process-affinity regression tests for execution backends.
 
-The multiprocess serving tier ships work, never stores: backends declare
-whether instances survive a process boundary (``Backend.process_affine``)
-and the affine SQLite backend must fail *loudly* — not silently serve an
-empty database — when an instance leaks across ``fork``, and refuse
-pickling (the ``spawn`` transport) with a clear error.
+The multiprocess serving tier ships work, never stores: every worker
+builds its own.  The SQLite backend must fail *loudly* — not silently
+serve an empty database, and not hang on a lock a parent thread held at
+the fork — when an instance leaks across ``fork``, and refuse pickling
+(the ``spawn`` transport) with a clear error.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
 from repro.api import EngineConfig
-from repro.backends.base import Backend
-from repro.backends.memory import MemoryBackend
-from repro.backends.sqlite import SqliteBackend
 from repro.dtd import samples
 from repro.errors import ExecutionError
 from repro.service import QueryService
@@ -42,17 +39,6 @@ def _make_service(backend: str = "sqlite") -> QueryService:
     service = QueryService(dtd, config=EngineConfig(backend=backend))
     service.register_document("doc", generate_document(dtd, seed=3))
     return service
-
-
-class TestAffinityDeclaration:
-    def test_sqlite_is_process_affine(self):
-        assert SqliteBackend.process_affine is True
-
-    def test_memory_is_not_process_affine(self):
-        assert MemoryBackend.process_affine is False
-
-    def test_base_default_is_not_affine(self):
-        assert Backend.process_affine is False
 
 
 class TestPickleRefusal:
@@ -101,6 +87,25 @@ class TestForkLeak:
         assert "process-affine" in message
         # The parent's store is untouched by the child's failure.
         assert service.answer("a//d", "doc")
+        service.close()
+
+    def test_forked_child_fails_fast_on_a_lock_held_at_the_fork(self):
+        ctx = multiprocessing.get_context("fork")
+        service = _make_service("sqlite")
+        queue = ctx.Queue()
+        # As if another parent thread were running a query at the fork: the
+        # child inherits the backend's lock held, by a thread it lacks.
+        with service.store("doc").backend._lock:
+            child = ctx.Process(target=_fork_child_probe, args=(service, "a//c", queue))
+            child.start()
+        try:
+            kind, message = queue.get(timeout=30)
+            child.join(timeout=30)
+        finally:
+            if child.is_alive():  # pragma: no cover - the failure being tested
+                child.kill()
+        assert kind == "execution-error", (kind, message)
+        assert "process-affine" in message
         service.close()
 
 

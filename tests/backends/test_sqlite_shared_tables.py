@@ -1,8 +1,9 @@
 """SQLite's shared temporaries: one temp table per canonical expression.
 
-Every connection creates a shared table once and keeps it for later plans.
-It drops its own tables at its next use after an update, and drops each
-table no live cached plan uses any more.
+The backend creates a shared table once, on its one connection, and keeps
+it for later plans on any thread.  An update drops every shared table at
+once, and each run first drops the tables no live cached plan uses any
+more.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ def _document(max_elements=300):
 
 
 def _temp_tables(backend):
-    """The temp tables of this thread's connection."""
-    rows = backend._conn().execute(
-        "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
-    )
+    """The temp tables on the backend's connection."""
+    with backend._connected() as connection:
+        rows = connection.execute(
+            "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
+        ).fetchall()
     return {name for (name,) in rows}
 
 
@@ -152,8 +154,39 @@ class TestThreads:
             assert store.backend._temporaries.entries() == ()
 
 
+    def test_four_threads_create_each_shared_table_once(self):
+        dtd, tree = _document()
+        config = EngineConfig(backend="sqlite", result_cache_size=0)
+        with QueryService(dtd, config=config) as service:
+            store = service.register_document("doc", tree)
+            barrier = threading.Barrier(4)
+            created, failures = [], []
+
+            def run():
+                try:
+                    barrier.wait(10)
+                    for _ in range(3):
+                        for query in QUERIES:
+                            stats = service.execute(query, "doc").stats
+                            created.append(stats["temporaries_evaluated"])
+                except Exception as exc:  # reported below
+                    failures.append(repr(exc))
+
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert not failures, failures[:3]
+            tables = set().union(*(_table_names(service, store, q) for q in QUERIES))
+            assert len(created) == 4 * 3 * len(QUERIES)
+            assert sum(created) == len(tables)
+            assert _temp_tables(store.backend) == tables
+
+
 class TestUpdate:
-    def test_no_shared_table_survives_an_update_on_any_connection(self):
+    def test_an_update_drops_every_shared_table_at_once(self):
         dtd, tree = _document()
         query = QUERIES[0]
         config = EngineConfig(backend="sqlite", result_cache_size=0)
@@ -165,29 +198,30 @@ class TestUpdate:
             def answer():
                 return threading.get_ident(), service.execute(query, "doc")
 
-            threads = (one, two)
-            for pool in threads:  # each thread warms its own connection
-                pool.submit(answer).result()
-                _, warm = pool.submit(answer).result()
-                assert warm.stats["temporaries_evaluated"] == 0
-            before = warm.node_ids()
+            _, before = one.submit(answer).result()
+            assert _temp_tables(service.store("doc").backend)
             generator = RandomMutationGenerator(
                 dtd, random.Random(7), MutationGenConfig(mutations=5)
             )
             service.update_document(generator.script(tree), "doc")
+            assert _temp_tables(service.store("doc").backend) == set()
             live_tree = service.store("doc").shredded.tree
             expected = tuple(
                 sorted(n.node_id for n in evaluate_xpath(live_tree, parse_xpath(query)))
             )
-            assert expected != before  # the update changes the answer
-            idents = set()
-            for pool in threads:
+            assert expected != before.node_ids()  # the update changes the answer
+            idents, answers = set(), []
+            for pool in (one, two):
                 ident, after = pool.submit(answer).result()
                 idents.add(ident)
-                assert after.stats["temporaries_reused"] == 0
-                assert after.stats["temporaries_evaluated"] >= 1
-                assert after.node_ids() == expected
+                answers.append(after)
             assert len(idents) == 2
+            assert all(after.node_ids() == expected for after in answers)
+            first, second = answers
+            assert first.stats["temporaries_reused"] == 0
+            assert first.stats["temporaries_evaluated"] >= 1
+            assert second.stats["temporaries_evaluated"] == 0
+            assert second.stats["temporaries_reused"] == first.stats["temporaries_evaluated"]
 
 
 def test_a_one_shot_execute_releases_its_tables_at_the_next_use(cross_dtd, cross_shredded):

@@ -169,6 +169,25 @@ class TestQuickSweepAnswers:
         assert datasets == ["XL=8,XR=4", "XL=12,XR=4", "XL=12,XR=4", "XL=12,XR=8"]
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_exp1_temporaries_do_not_depend_on_the_order_of_approaches(self, backend):
+        # On one engine per dataset, a measurement evaluates its own
+        # program's temporaries whatever ran before it.
+        def evaluated(approaches):
+            rows = exp1.run(**exp1.QUICK_SWEEP, approaches=approaches, backend=backend)
+            counts = defaultdict(set)
+            for row in rows:
+                counts[row.query, row.dataset, row.approach].add(
+                    row.stats["temporaries_evaluated"]
+                )
+            return counts
+
+        approaches = default_approaches()
+        forward = evaluated(approaches)
+        assert len(forward) == 4 * 3 * 3  # queries x distinct shapes x approaches
+        assert all(len(counts) == 1 for counts in forward.values())
+        assert evaluated(approaches[::-1]) == forward
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_exp4(self, backend):
         rows = exp4.run_bioml(**exp4.QUICK_BIOML, backend=backend) + exp4.run_gedml(
             **exp4.QUICK_GEDML, backend=backend

@@ -3,8 +3,8 @@
 The node-for-node equivalence of the two executors over real translated
 programs lives in ``tests/properties/test_executor_equivalence.py``; this
 module pins the columnar substrate itself — the value dictionary, the
-lazy cols/rows representations, the store cache and its invalidation, the
-shared temporary table, and operator/error parity with the tuple
+lazy cols/rows representations, who owns a store and when it is encoded
+again, the shared temporary table, and operator/error parity with the tuple
 executor on a hand-built database.
 """
 
@@ -50,7 +50,6 @@ from repro.relational.columnar import (
     ColumnarExecutor,
     ColumnarRelation,
     ValueDictionary,
-    columnar_store,
 )
 from repro.relational.database import Database
 from repro.relational.executor import Executor
@@ -165,28 +164,46 @@ class TestColumnarRelation:
 
 
 class TestColumnarStore:
-    def test_store_is_cached_on_the_database(self, database):
-        assert columnar_store(database) is columnar_store(database)
+    def test_each_memory_backend_owns_its_store(self, database):
+        first, second = MemoryBackend(database), MemoryBackend(database)
+        assert first._store is not second._store
+        assert first._store.database is second._store.database is database
 
-    def test_store_rebuilds_after_mutation(self, database):
-        stale = columnar_store(database)
+    def test_a_delta_after_an_out_of_band_mutation_re_encodes_the_store(self, database):
+        backend = MemoryBackend(database)
+        stale = backend._store
+        stale.relation("R_r")
         database.set_relation(
             "R_r", Relation(NODE_COLUMNS, {("_", 0, "_"), ("_", 9, "_")})
         )
-        fresh = columnar_store(database)
+        with pytest.raises(ExecutionError, match="apply_delta"):
+            backend.execute(Program([], Scan("R_r")))
+        backend.apply_delta(ShredDelta.build({}, {"R_b": [(5, 8, "b-8")]}))
+        fresh = backend._store
         assert fresh is not stale
         assert fresh.version == database.version
         assert len(fresh.relation("R_r")) == 2
+        assert backend.execute(Program([], Scan("R_b"))).node_ids() == (3, 4, 6, 8)
+
+    def test_a_pickled_backend_builds_its_own_store(self, database):
+        backend = MemoryBackend(database)
+        backend.execute(Program([], Scan("R_a")))
+        clone = pickle.loads(pickle.dumps(backend))
+        assert clone._store is not backend._store
+        assert clone._store.database is clone.database
+        assert clone._store._relations == {}  # encoded again on first read
+        program = Program([], Scan("R_a"))
+        assert clone.execute(program).node_ids() == backend.execute(program).node_ids()
 
     def test_base_relations_round_trip_through_the_dictionary(self, database):
-        store = columnar_store(database)
+        store = ColumnarDatabase(database)
         encoded = store.relation("R_a")
         assert store.dictionary.decode_rows(encoded.rows()) == set(
             database.relation("R_a").rows
         )
 
     def test_identity_built_once_and_correct(self, database):
-        store = columnar_store(database)
+        store = ColumnarDatabase(database)
         identity = store.identity()
         assert identity is store.identity()
         decoded = store.dictionary.decode_rows(identity.rows())
@@ -197,11 +214,11 @@ class TestColumnarStore:
         }
 
     def test_pickled_database_drops_the_store(self, database):
-        columnar_store(database)
+        ColumnarDatabase(database)
         clone = pickle.loads(pickle.dumps(database))
         assert not hasattr(clone, "_columnar_store")
         # And the clone rebuilds its own on demand.
-        assert columnar_store(clone).database is clone
+        assert ColumnarDatabase(clone).database is clone
 
     def test_base_relations_are_encoded_on_first_read(self, cross_dtd, cross_tree):
         database = shred_document(cross_tree, cross_dtd).database
@@ -223,7 +240,7 @@ class TestColumnarStore:
         }
 
     def test_apply_delta_leaves_unencoded_relations_to_their_first_read(self, database):
-        store = columnar_store(database)
+        store = ColumnarDatabase(database)
         store.relation("R_a")
         store.identity()
         delta = ShredDelta.build(
@@ -232,7 +249,7 @@ class TestColumnarStore:
         )
         encoded_r = store.relation("R_r")
         apply_delta_to_database(database, delta)
-        store.apply_delta(delta, database.version)
+        store.apply_delta(delta)
         assert "R_b" in store and store.relation("R_r") is encoded_r
         for name in ("R_a", "R_b"):
             decoded = store.dictionary.decode_rows(store.relation(name).rows())
@@ -242,7 +259,7 @@ class TestColumnarStore:
         ).evaluate(IdentityRelation())
 
     def test_temps_namespace_is_per_program_and_weak(self, database):
-        store = columnar_store(database)
+        store = ColumnarDatabase(database)
         program = Program([], Scan("R_a"))
         temps = store.temps_for(program)
         temps["x"] = store.relation("R_a")
@@ -471,10 +488,11 @@ class TestProgramsAndWarmTemps:
         # The store keeps each program's temporaries for the store's life,
         # so re-running a cached plan skips straight to the result expression.
         program = self._program()
-        first = ColumnarExecutor(database)
+        store = ColumnarDatabase(database)
+        first = ColumnarExecutor(store)
         first_result = first.run(program)
         assert first.stats.temporaries_evaluated == 1
-        second = ColumnarExecutor(database)
+        second = ColumnarExecutor(store)
         assert second.run(program) == first_result
         assert second.stats.temporaries_evaluated == 0
 
@@ -587,7 +605,7 @@ class TestDemandedEvaluation:
         # The case as a temporary three live programs share, read under two
         # demands and then in full: every answer is exact, each demand is
         # cached on the shared entry, and the full result replaces them.
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         programs = [
             Program(
                 [Assignment("t", _DEMAND_CASES[case])],
@@ -608,7 +626,7 @@ class TestDemandedEvaluation:
         program = _closure_program(
             "x", Select(Scan("x_lfp"), (Condition("F", "=", 1),))
         )
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         cold = ColumnarExecutor(store)
         cold.run(program)
         assert cold.stats.temporaries_evaluated == 2
@@ -630,7 +648,7 @@ class TestDemandedEvaluation:
         program = _closure_program(
             "x", Select(Scan("x_lfp"), (Condition("F", "=", 1),))
         )
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         ColumnarExecutor(store).run(program)
         entry = store.temps_for(program)["x_lfp"]
         assert entry.demanded
@@ -638,7 +656,7 @@ class TestDemandedEvaluation:
             deletes={"R_b": [(1, 2, "b-2")]}, inserts={"R_b": [(1, 9, "b-9")]}
         )
         apply_delta_to_database(cyclic, delta)
-        store.apply_delta(delta, cyclic.version)
+        store.apply_delta(delta)
         assert store.temps_for(program)["x_lfp"] is not entry
         patched = ColumnarExecutor(store)
         assert patched.run(program) == Executor(cyclic).run(program)
@@ -669,7 +687,7 @@ class TestSharedTemporaries:
         second = _closure_program(
             "y", Select(Scan("y_lfp"), (Condition("F", "=", 1),))
         )
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         cold = ColumnarExecutor(store)
         assert cold.run(first) == Executor(cyclic).run(first)
         assert cold.stats.temporaries_evaluated == 2
@@ -701,7 +719,7 @@ class TestSharedTemporaries:
         ids=["semijoin-columns", "project-aliases", "condition-type"],
     )
     def test_distinct_temporaries_are_not_shared(self, cyclic, first, second):
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         programs = [Program([Assignment("t", e)], Scan("t")) for e in (first, second)]
         for program in programs:
             executor = ColumnarExecutor(store)
@@ -727,14 +745,14 @@ class TestSharedTemporaries:
             ],
             Scan("t"),
         )
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         for program in (shadowing, plain):
             assert ColumnarExecutor(store).run(program) == Executor(cyclic).run(program)
         assert _keys(store).count("R_b") == 1
         assert len(store.shared_temporaries()) == 3
 
     def test_an_entry_lives_while_a_program_uses_it(self, cyclic):
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         survivor = _closure_program("x")
         doomed = Program(
             [
@@ -759,7 +777,7 @@ class TestSharedTemporaries:
         assert store.shared_temporaries() == ()
 
     def test_apply_delta_drops_the_table(self, cyclic):
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         programs = [_closure_program("x"), _closure_program("y", Scan("y_ab"))]
         for program in programs:
             ColumnarExecutor(store).run(program)
@@ -768,8 +786,8 @@ class TestSharedTemporaries:
             deletes={"R_b": [(3, 1, "b-1")]}, inserts={"R_b": [(7, 2, "b-9")]}
         )
         apply_delta_to_database(cyclic, delta)
-        store.apply_delta(delta, cyclic.version)
-        assert columnar_store(cyclic) is store
+        store.apply_delta(delta)
+        assert store.version == cyclic.version
         assert store.shared_temporaries() == ()
         fresh = ColumnarDatabase(cyclic)
         for program in programs:
@@ -825,7 +843,7 @@ class TestSharedTemporaries:
     def test_collection_inside_temps_for_does_not_deadlock(
         self, cyclic, monkeypatch, same_thread
     ):
-        store = columnar_store(cyclic)
+        store = ColumnarDatabase(cyclic)
         doomed = [Program([Assignment("t", Compose(Scan("R_b"), Scan("R_a")))], Scan("t"))]
         ColumnarExecutor(store).run(doomed[0])
         inside, resume = threading.Event(), threading.Event()

@@ -1,8 +1,8 @@
 """Concurrency: 8 threads x 50 mixed queries == the serial answers (Issue 3).
 
-The service's thread-safety claims, pinned: per-thread SQLite connections
-(no "recursive use of cursors", no cross-connection errors), lock-free
-reads on the memory engine, and a thread-safe plan/result cache.  Each
+The service's thread-safety claims, pinned: each SQLite store's one
+connection used by one thread at a time (no "recursive use of cursors"),
+lock-free reads on the memory engine, and a thread-safe plan/result cache.  Each
 thread answers its own 50-query mixed workload and must observe exactly
 the answers the same workload produces serially.
 """

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dtd import samples
 from repro.errors import ShreddingError
-from repro.relational.schema import DOC_ORDER, NODE_COLUMNS, ORDER_COLUMNS
+from repro.relational.schema import DOC_ORDER, NODE_COLUMNS
 from repro.shredding.inlining import SimpleMapping, shared_inlining
 
 
@@ -34,7 +34,7 @@ class TestSimpleMapping:
         }
         for name in schema.relation_names:
             if name == DOC_ORDER:
-                assert schema.relation(name).columns == ORDER_COLUMNS
+                assert schema.relation(name).columns == ("T", "PRE", "SIZE")
             else:
                 assert schema.relation(name).columns == NODE_COLUMNS
         # The document-order side table is not a node relation: queries
