@@ -183,7 +183,7 @@ class SqliteBackend(Backend):
             database.__contains__,
             lambda key: _SharedTable(key, f"shared#{next(table_ids)}"),
         )
-        self._load(self._connection)
+        self._load()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -221,8 +221,9 @@ class SqliteBackend(Backend):
             "rebuild the backend in the worker process"
         )
 
-    def _load(self, connection: sqlite3.Connection) -> None:
+    def _load(self) -> None:
         """Create the schema's tables and bulk-load the database's rows."""
+        connection = self._connection
         for statement in sqlite_schema_ddl(self._database.schema):
             connection.execute(statement)
         for name in self._database.schema.relation_names:
