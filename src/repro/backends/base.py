@@ -116,12 +116,7 @@ class Backend(abc.ABC):
     dialect: SQLDialect = SQLDialect.GENERIC
 
     def __init__(self, database: Database) -> None:
-        self._database = database
-
-    @property
-    def database(self) -> Database:
-        """The database this backend executes over."""
-        return self._database
+        self._schema = database.schema
 
     @abc.abstractmethod
     def execute(self, program: Program) -> BackendResult:
@@ -150,14 +145,17 @@ class Backend(abc.ABC):
     # -- live updates ------------------------------------------------------------
 
     def apply_delta(self, delta: "ShredDelta") -> None:
-        """Apply a :class:`~repro.live.delta.ShredDelta` to the backing store.
+        """Apply a :class:`~repro.live.delta.ShredDelta` to the backend's store.
 
-        The sanctioned route for mutating a registered document: the delta
+        The one route for mutating a registered document: the delta
         (produced by :class:`~repro.live.mutations.DocumentMutator`) carries
-        row-level inserts/deletes per base relation, and the backend updates
-        whatever materialisation it owns so subsequent queries observe the
-        post-mutation document.  Backends without incremental-update support
-        keep the read-only default and raise.
+        row-level inserts/deletes per base relation, and the backend applies
+        it to the one store it owns, so subsequent queries observe the
+        post-mutation document.  The database the backend was built from is
+        never written.  A delta that deletes an absent row raises
+        :class:`~repro.errors.ExecutionError` and changes nothing.
+        Backends without incremental-update support keep the read-only
+        default and raise.
         """
         raise ExecutionError(
             f"backend {self.name!r} does not support incremental deltas; "
@@ -174,4 +172,4 @@ class Backend(abc.ABC):
         self.close()
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(database={self._database!r})"
+        return f"{type(self).__name__}({self._schema!r})"

@@ -6,7 +6,6 @@ from typing import TYPE_CHECKING, Dict
 
 from repro import obs
 from repro.backends.base import Backend, BackendResult
-from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (avoids a cycle)
     from repro.live.delta import ShredDelta
@@ -36,11 +35,10 @@ class MemoryBackend(Backend):
     Every :meth:`execute` call builds a fresh executor over the store, so
     concurrent calls from many threads are lock-free reads — there is no
     shared mutable state outside the append-only columnar store.  The
-    database is immutable outside :meth:`apply_delta`, which is the one
-    sanctioned mutation route; a database mutated behind the backend's back
-    no longer matches the store's version, and queries raise
-    :class:`~repro.errors.ExecutionError` instead of silently re-encoding.
-    A pickled backend ships its database and builds a new store on load.
+    database the backend is built from is read, never written:
+    :meth:`apply_delta` changes the store alone, and a ``set_relation`` on
+    the database afterwards changes no answer.  A pickled backend ships the
+    store's current rows and builds a new store on load.
 
     Parameters
     ----------
@@ -56,23 +54,12 @@ class MemoryBackend(Backend):
         self._store = ColumnarDatabase(database)
 
     def __reduce__(self):
-        # The store is derived from the database (and holds locks).
-        return type(self), (self._database,)
+        # The store holds locks: ship its rows, deltas included.
+        return type(self), (self._store.snapshot(),)
 
     def apply_delta(self, delta: "ShredDelta") -> None:
-        """Mutate the backing :class:`Database` in place from a delta.
-
-        Each touched relation is replaced via ``set_relation``, which bumps
-        the database version.  When the store still matches the pre-delta
-        version it is patched in place — the shared value dictionary and
-        every untouched relation's encoding (and memoized join structures)
-        survive — instead of being thrown away and re-encoded from scratch.
-        A store the database moved past outside this route is encoded
-        again.  This is the one sanctioned way to mutate a registered
-        document's database.
-        """
-        from repro.live.delta import apply_delta_to_database
-
+        """Patch the store in place, after checking the whole delta (see
+        :meth:`~repro.relational.columnar.ColumnarDatabase.apply_delta`)."""
         with obs.span(
             "apply_delta",
             backend=self.name,
@@ -80,12 +67,7 @@ class MemoryBackend(Backend):
             rows_deleted=delta.delete_count(),
             rows_inserted=delta.insert_count(),
         ):
-            current = self._store.version == self._database.version
-            apply_delta_to_database(self._database, delta)
-            if current:
-                self._store.apply_delta(delta)
-            else:
-                self._store = ColumnarDatabase(self._database)
+            self._store.apply_delta(delta)
 
     def execute(self, program: Program) -> BackendResult:
         """Run ``program`` and read the answer from the still-encoded result.
@@ -94,13 +76,6 @@ class MemoryBackend(Backend):
         """
         with obs.span("execute", backend=self.name) as sp:
             store = self._store
-            if store.version != self._database.version:
-                raise ExecutionError(
-                    "database mutated since its store was encoded (version "
-                    f"{self._database.version} != encoded {store.version}); "
-                    "route mutations through Backend.apply_delta so derived "
-                    "state stays consistent"
-                )
             executor = ColumnarExecutor(store)
             relation = executor.run_encoded(program)
             codes = relation.column(relation.column_index(T))

@@ -69,7 +69,7 @@ from repro import obs
 from repro.backends.base import Backend, BackendResult, PreparedProgram
 from repro.errors import ExecutionError
 from repro.relational.algebra import Assignment, Program, RAExpr, rename_scans
-from repro.relational.database import Database
+from repro.relational.database import Database, absent_rows_error
 from repro.relational.schema import DOC_ORDER, DatabaseSchema, F, NODE_COLUMNS, PRE, T, V
 from repro.relational.sqlgen import SQLDialect, program_statements, quote_identifier
 from repro.relational.temporaries import SharedEntry, SharedTemporaries
@@ -180,10 +180,10 @@ class SqliteBackend(Backend):
         self._tables: Set[_SharedTable] = set()
         table_ids = itertools.count()
         self._temporaries: SharedTemporaries[_SharedTable] = SharedTemporaries(
-            database.__contains__,
+            self._schema.has_relation,
             lambda key: _SharedTable(key, f"shared#{next(table_ids)}"),
         )
-        self._load()
+        self._load(database)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -221,13 +221,13 @@ class SqliteBackend(Backend):
             "rebuild the backend in the worker process"
         )
 
-    def _load(self) -> None:
+    def _load(self, database: Database) -> None:
         """Create the schema's tables and bulk-load the database's rows."""
         connection = self._connection
-        for statement in sqlite_schema_ddl(self._database.schema):
+        for statement in sqlite_schema_ddl(self._schema):
             connection.execute(statement)
-        for name in self._database.schema.relation_names:
-            relation = self._database.relation(name)
+        for name in self._schema.relation_names:
+            relation = database.relation(name)
             placeholders = ", ".join("?" * len(relation.columns))
             connection.executemany(
                 f"INSERT INTO {_quoted(name)} VALUES ({placeholders})",
@@ -241,17 +241,18 @@ class SqliteBackend(Backend):
         """Apply a shred delta as DELETE/INSERT batches in one transaction.
 
         Deletes match full rows (every column in the ``WHERE`` clause —
-        shredded rows are unique per relation, so this removes exactly one
-        row each); inserts reuse the bulk-load path.  Any SQLite failure
-        rolls the whole transaction back, so the loaded tables never expose
-        a half-applied mutation.  The in-memory :class:`Database` the
-        backend was built from is kept in sync afterwards: it is the
-        recovery source when the backend is rebuilt in a fresh process.
-        Every shared table was built from the old rows, so all of them are
-        dropped right after the commit, before any other call runs.
+        shredded rows are unique per relation, so each removes at most one
+        row), and each relation's batch must remove exactly as many rows as
+        the delta lists; a delete row of the wrong width matches none.
+        Inserts reuse the bulk-load path.  A batch that removes too few
+        rows, or any SQLite failure, rolls the whole transaction back and
+        raises :class:`~repro.errors.ExecutionError`, so the loaded tables
+        never expose a half-applied mutation and answers stay the old
+        ones.  The tables are the backend's one store: the database it was
+        built from is never written.  Every shared table was built from the
+        old rows, so all of them are dropped right after the commit, before
+        any other call runs.
         """
-        from repro.live.delta import apply_delta_to_database
-
         with obs.span(
             "apply_delta",
             backend=self.name,
@@ -259,23 +260,22 @@ class SqliteBackend(Backend):
             rows_deleted=delta.delete_count(),
             rows_inserted=delta.insert_count(),
         ), self._connected() as connection:
-            # Validate against (and update) the Python-side database first:
-            # a delta that does not apply cleanly there must not reach SQLite.
-            apply_delta_to_database(self._database, delta)
             try:
                 if not connection.in_transaction:
                     connection.execute("BEGIN")
                 for name in delta.relations():
-                    columns = self._database.schema.relation(name).columns
+                    columns = self._schema.relation(name).columns
                     removals = delta.deletes.get(name, frozenset())
                     if removals:
                         predicate = " AND ".join(
                             f"{_quoted(column)} = ?" for column in columns
                         )
-                        connection.executemany(
+                        removed = connection.executemany(
                             f"DELETE FROM {_quoted(name)} WHERE {predicate}",
-                            [tuple(str(value) for value in row) for row in removals],
-                        )
+                            [tuple(map(str, row)) for row in removals if len(row) == len(columns)],
+                        ).rowcount
+                        if removed != len(removals):
+                            raise absent_rows_error(name, len(removals) - removed)
                     additions = delta.inserts.get(name, frozenset())
                     if additions:
                         placeholders = ", ".join("?" * len(columns))
@@ -284,9 +284,11 @@ class SqliteBackend(Backend):
                             [tuple(str(value) for value in row) for row in additions],
                         )
                 connection.commit()
-            except sqlite3.Error as exc:
+            except BaseException as exc:
                 connection.rollback()
-                raise ExecutionError(f"sqlite delta application failed: {exc}") from exc
+                if isinstance(exc, sqlite3.Error):
+                    raise ExecutionError(f"sqlite delta application failed: {exc}") from exc
+                raise
             self._drop_tables(connection, list(self._tables))
 
     # -- execution ---------------------------------------------------------------
@@ -309,7 +311,7 @@ class SqliteBackend(Backend):
                 if table not in creates:
                     expression = rename_scans(pruned.expression_for(target), renames)
                     creates[table] = (target, Assignment(table.name, expression))
-                if target not in self._database:
+                if not self._schema.has_relation(target):
                     renames[target] = table.name
             shared = Program(
                 [assignment for _, assignment in creates.values()],

@@ -14,6 +14,7 @@ measurements into the rows/series of the paper's figures;
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -131,8 +132,11 @@ def measure_query(
     cache, and dies with the measurement.  An engine keeps a temporary in
     its shared table only while some live program uses it, so a later
     measurement on the same engine never reads what this one computed.
+    Each timed step starts right after a full garbage collection, so it
+    does not pay for collecting what earlier measurements allocated.
     """
     translator = translator or approach.translator(dtd)
+    gc.collect()
     with obs.Timer() as translation_timer:
         result = translator.translate_uncached(query)
     translation_seconds = translation_timer.seconds
@@ -143,6 +147,7 @@ def measure_query(
     else:
         backend = engine.name
     try:
+        gc.collect()
         executed = engine.execute(result.program)
         # Use the backend's own timing: it covers exactly the query work,
         # excluding backend bookkeeping (e.g. the sqlite backend's

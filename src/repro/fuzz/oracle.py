@@ -203,9 +203,10 @@ class DifferentialOracle:
             tree = case.tree()
             delta = None
             if case.mutations:
-                base = case.tree()
-                # One mutator run yields both the reference tree and the
-                # delta every delta-arm backend applies.
+                # The delta arm's backends share one shred of the base
+                # document; one mutator run then yields both the reference
+                # tree and the delta each of them applies.
+                base = shred_document(tree, dtd).database
                 delta = DocumentMutator(tree, dtd).apply_script(case.mutations)
             outcome.expected = frozenset(
                 node.node_id for node in evaluate_xpath(tree, query)
@@ -219,9 +220,7 @@ class DifferentialOracle:
             return create_backend(config, shared)
 
         def delta_backend(config: EngineConfig) -> Backend:
-            # apply_delta mutates the database in place, so every delta-arm
-            # backend gets its own shred of the base document.
-            backend = create_backend(config, shred_document(base, dtd).database)
+            backend = create_backend(config, base)
             if not delta.is_empty():
                 backend.apply_delta(delta)
             return backend

@@ -14,10 +14,9 @@ insert carried by a *later* delta, never spontaneously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
-from repro.errors import ExecutionError
-from repro.relational.database import Database
+from repro.relational.database import Database, absent_rows_error
 from repro.relational.relation import Relation
 
 __all__ = ["ShredDelta", "merge_deltas", "apply_delta_to_database"]
@@ -103,25 +102,26 @@ def merge_deltas(first: ShredDelta, second: ShredDelta) -> ShredDelta:
 
 
 def apply_delta_to_database(database: Database, delta: ShredDelta) -> None:
-    """Apply ``delta`` to an in-memory :class:`Database` via ``set_relation``.
+    """Apply ``delta`` to a :class:`Database` via ``set_relation``: all of it, or none.
 
-    Each ``set_relation`` bumps the database's version counter, so derived
-    caches (the columnar store) notice the mutation and re-encode lazily.
-    Raises :class:`ExecutionError` when a delete targets a row that is not
-    present — the delta was computed against a different database state.
+    The reference the mutation tests compare backend stores against; no
+    backend calls it.  Every relation the delta touches is checked before
+    any is replaced: a delete of a row that is not present raises
+    :class:`~repro.errors.ExecutionError` (the delta was computed against
+    a different database state) and leaves the database unchanged, and so
+    does an inserted row of the wrong width
+    (:class:`~repro.errors.SchemaError`).
     """
+    updated: Dict[str, Relation] = {}
     for name in delta.relations():
         relation = database.relation(name)
-        rows: Set[Row] = set(relation.rows)
         removals = delta.deletes.get(name, _EMPTY)
-        missing = removals - rows
+        missing = removals - relation.rows
         if missing:
-            sample = sorted(missing)[0]
-            raise ExecutionError(
-                f"delta deletes {len(missing)} row(s) absent from relation "
-                f"{name!r} (e.g. {sample!r}); the delta was computed against "
-                "a different database state"
-            )
-        rows -= removals
-        rows |= delta.inserts.get(name, _EMPTY)
-        database.set_relation(name, Relation(relation.columns, rows, name=name))
+            raise absent_rows_error(name, len(missing), min(missing, key=repr))
+        additions = Relation(relation.columns, delta.inserts.get(name, _EMPTY))
+        rows = relation.rows - removals
+        rows |= additions.rows
+        updated[name] = Relation._from_parts(relation.columns, rows, name)
+    for name, relation in updated.items():
+        database.set_relation(name, relation)

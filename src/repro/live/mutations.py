@@ -296,35 +296,32 @@ class DocumentMutator:
     def apply_script(self, mutations: Sequence[Mutation]) -> ShredDelta:
         """Apply a mutation sequence, returning the merged delta.
 
-        A failing mutation raises after the preceding ones were applied; use
-        per-mutation :meth:`apply` when the caller needs the partial delta.
-        ``DOC_ORDER`` renumbering is diffed once for the whole script (see
-        :meth:`defer_order`), not once per mutation.
+        ``DOC_ORDER`` renumbering is diffed once for the whole script, not
+        once per mutation: one structural mutation shifts the pre-order
+        ranks of every node after the edit point, so per-mutation diffs
+        would make a k-mutation script pay k full renumbering passes.
+
+        A failing mutation leaves the preceding ones applied to the tree
+        and raises :class:`~repro.errors.MutationError` whose ``delta`` is
+        their merged delta, ``DOC_ORDER`` diff included: the caller applies
+        it to its store, so store and tree stay in step.
         """
         delta = ShredDelta()
-        self.defer_order()
+        self._order_deferred = True
         try:
             for mutation in mutations:
                 delta = merge_deltas(delta, self.apply(mutation))
-        finally:
-            delta = merge_deltas(delta, self.flush_order())
-        return delta
+        except MutationError as exc:
+            exc.delta = merge_deltas(delta, self._flush_order())
+            raise
+        except BaseException:
+            self._flush_order()
+            raise
+        return merge_deltas(delta, self._flush_order())
 
-    def defer_order(self) -> None:
-        """Suspend per-mutation ``DOC_ORDER`` diffing until :meth:`flush_order`.
-
-        One structural mutation shifts the pre-order ranks of every node after
-        the edit point, so diffing the renumbering per mutation makes a
-        k-mutation script pay k full renumbering passes.  Deferring collapses
-        them into a single start-vs-end diff — deltas returned by
-        :meth:`apply` meanwhile carry no ``DOC_ORDER`` rows, and the caller
-        must merge :meth:`flush_order`'s delta before applying anything to a
-        backend.
-        """
-        self._order_deferred = True
-
-    def flush_order(self) -> ShredDelta:
-        """Resume order tracking; return the ``DOC_ORDER`` diff accrued while deferred."""
+    def _flush_order(self) -> ShredDelta:
+        """Resume order tracking; return the ``DOC_ORDER`` diff accrued since
+        :meth:`apply_script` deferred it."""
         self._order_deferred = False
         deletes: Dict[str, Set[Tuple]] = {}
         inserts: Dict[str, Set[Tuple]] = {}

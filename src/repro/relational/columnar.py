@@ -79,7 +79,7 @@ from repro.relational.algebra import (
     TagProject,
     Union,
 )
-from repro.relational.database import Database
+from repro.relational.database import Database, absent_rows_error
 from repro.relational.stats import ExecutionStats
 from repro.relational.relation import Relation
 from repro.relational.schema import F, NODE_COLUMNS, PRE, SIZE, T, V
@@ -140,6 +140,10 @@ class ValueDictionary:
             code = get(value)
             append(code if code is not None else encode(value))
         return out
+
+    def lookup(self, value: object) -> Optional[int]:
+        """The code of ``value``, or ``None`` if it was never interned."""
+        return self._codes.get(value)
 
     def decode(self, code: int) -> object:
         """The value behind ``code``."""
@@ -305,17 +309,19 @@ class TemporaryEntry(SharedEntry):
 
 
 class ColumnarDatabase:
-    """A :class:`~repro.relational.database.Database` encoded columnarly.
+    """The memory engine's store: a database's base relations, encoded columnarly.
 
-    Every base relation is dictionary-encoded once, on its first read (all
-    relations share one :class:`ValueDictionary`), so a relation no plan
-    reads — ``DOC_ORDER`` outside the interval strategy — is never encoded.
-    The identity relation ``R_id`` is built once and cached — the tuple
-    executor rebuilds it per executor instance.  The store records the
-    database version it encodes, and :meth:`apply_delta` moves it along
-    with a delta; a ``set_relation`` outside that route leaves the store
-    stale, which its owner (:class:`~repro.backends.memory.MemoryBackend`)
-    detects by comparing versions.
+    The store is built from a :class:`~repro.relational.database.Database`
+    and keeps that database's row sets, copying no row.  Each base relation
+    lives in one form: its source value rows until its first read, then its
+    dictionary codes (all relations share one :class:`ValueDictionary`), so
+    a relation no plan reads — ``DOC_ORDER`` outside the interval strategy
+    — is never encoded.  The identity relation ``R_id`` is built once and
+    cached — the tuple executor rebuilds it per executor instance.
+    :meth:`apply_delta` is the one route that changes the store's rows; a
+    later ``set_relation`` on the database replaces the database's relation,
+    not the store's, so it changes no answer.  :meth:`snapshot` reads the
+    current rows back as a database.
 
     The store also keeps one table of materialized temporaries for every
     :class:`~repro.relational.algebra.Program` run against it, keyed by each
@@ -330,24 +336,17 @@ class ColumnarDatabase:
     """
 
     def __init__(self, database: Database) -> None:
-        self._database = database
-        self._version = database.version
+        self._schema = database.schema
+        # A relation's value rows until its first read encodes it.
+        self._sources: Dict[str, Set[Tuple]] = {
+            name: database.relation(name).rows for name in database
+        }
         self._dictionary = ValueDictionary()
         self._relations: Dict[str, ColumnarRelation] = {}
         self._identity: Optional[ColumnarRelation] = None
         self._temporaries: SharedTemporaries[TemporaryEntry] = SharedTemporaries(
-            self.__contains__, TemporaryEntry
+            self._schema.has_relation, TemporaryEntry
         )
-
-    @property
-    def database(self) -> Database:
-        """The underlying row database this store encodes."""
-        return self._database
-
-    @property
-    def version(self) -> int:
-        """The database version this store was encoded from."""
-        return self._version
 
     @property
     def dictionary(self) -> ValueDictionary:
@@ -355,24 +354,26 @@ class ColumnarDatabase:
         return self._dictionary
 
     def __contains__(self, name: str) -> bool:
-        return name in self._relations or name in self._database
+        return self._schema.has_relation(name)
 
     def relation(self, name: str) -> ColumnarRelation:
         """The encoded base relation named ``name`` (encoded on first read)."""
         relation = self._relations.get(name)
         if relation is not None:
             return relation
-        source = self._database.relation(name)  # SchemaError if unknown
+        columns = self._schema.relation(name).columns  # SchemaError if unknown
+        source = self._sources.get(name)
+        if source is None:  # another thread encoded it since the first lookup
+            return self._relations[name]
         encode = self._dictionary.encode_column
-        cols = tuple(
-            encode(map(itemgetter(index), source.rows))
-            for index in range(len(source.columns))
-        )
+        cols = tuple(encode(map(itemgetter(i), source)) for i in range(len(columns)))
         # Two threads may encode one relation; both encodings are equal,
         # and every reader keeps the first one published.
-        return self._relations.setdefault(
-            name, ColumnarRelation(source.columns, cols=cols, name=name)
+        relation = self._relations.setdefault(
+            name, ColumnarRelation(columns, cols=cols, name=name)
         )
+        self._sources.pop(name, None)
+        return relation
 
     def identity(self) -> ColumnarRelation:
         """The identity relation ``R_id`` (built once, cached).
@@ -382,9 +383,7 @@ class ColumnarDatabase:
         """
         if self._identity is None:
             rows: Set[Tuple[int, ...]] = set()
-            for name in self._database.schema.node_relations:
-                if name not in self._database:
-                    continue
+            for name in self._schema.node_relations:
                 relation = self.relation(name)
                 cols = relation.cols()
                 t_col = cols[relation.column_index(T)]
@@ -393,65 +392,84 @@ class ColumnarDatabase:
             self._identity = ColumnarRelation(NODE_COLUMNS, rows=rows, name="R_id")
         return self._identity
 
+    def snapshot(self) -> Database:
+        """A :class:`Database` of the store's current rows (a copy)."""
+        database = Database(self._schema)
+        for name in self._schema.relation_names:
+            rows = self._sources.get(name)
+            if rows is None:  # encoded, and published before its source was dropped
+                rows = self._dictionary.decode_rows(self._relations[name].iter_rows())
+            database.set_relation(name, Relation(self._schema.relation(name).columns, rows))
+        return database
+
     def apply_delta(self, delta: object) -> None:
-        """Patch the encoding in place from a live-update row delta.
+        """Apply a live-update row delta to the store: all of it, or none.
 
         ``delta`` is duck-typed (:class:`repro.live.delta.ShredDelta`): two
         mappings ``deletes`` / ``inserts`` from relation name to sets of
-        value rows.  Only the touched relations that are already encoded
-        are re-materialized — the shared dictionary is append-only so every
-        existing code stays valid, untouched relations keep their encodings
-        *and* their memoized join structures, and a relation not encoded yet
-        is left to its first read, which encodes the updated rows.  The
-        identity relation is rebuilt only when a node relation changed, and
-        the shared temporary table, with every demanded result on its
-        entries, is dropped wholesale (its entries may read any relation).
-        The delta must already be applied to the row database; the store
-        then adopts the database's version.
-
-        Relations where the delta is as large as the relation itself (the
-        common case for ``DOC_ORDER``, whose pre-order ranks shift globally
-        on any structural edit) are re-encoded wholesale from the row store
-        — encoding ``n`` final rows beats encoding ``2n`` delta rows on top
-        of a full set copy.
+        value rows.  Every relation it touches is checked before any
+        changes: a delete of an absent row raises
+        :class:`~repro.errors.ExecutionError`, and an encoded relation's
+        rows are looked up without interning a value.  Then an encoded
+        relation's codes are patched (the shared dictionary is append-only,
+        so every existing code stays valid) and a relation not encoded yet
+        gets a new source row set, left to its first read.  Untouched
+        relations keep their encodings *and* their memoized join
+        structures.  The identity relation is rebuilt only when a node
+        relation changed, and the shared temporary table, with every
+        demanded result on its entries, is dropped wholesale (its entries
+        may read any relation).
         """
-        encode = self._dictionary.encode
         deletes: Mapping[str, Iterable[Tuple]] = delta.deletes  # type: ignore[attr-defined]
         inserts: Mapping[str, Iterable[Tuple]] = delta.inserts  # type: ignore[attr-defined]
-        node_relations = set(self._database.schema.node_relations)
-        for name in set(deletes) | set(inserts):
-            if name in node_relations:
-                self._identity = None
-            old = self._relations.get(name)
-            if old is None:
-                continue
-            delete_rows = deletes.get(name, ())
-            insert_rows = inserts.get(name, ())
-            if len(delete_rows) + len(insert_rows) >= len(old):
-                current = self._database.relation(name)
-                rows = {tuple(map(encode, row)) for row in current.rows}
+        touched = set(deletes) | set(inserts)
+        lookup = self._dictionary.lookup
+        for name in touched:
+            self._schema.relation(name)  # SchemaError if unknown
+            encoded = self._relations.get(name)
+            if encoded is None:
+                present = self._sources[name]
+                missing = [row for row in deletes.get(name, ()) if row not in present]
             else:
-                rows = set(old.rows())
-                for row in delete_rows:
-                    rows.discard(tuple(map(encode, row)))
-                for row in insert_rows:
-                    rows.add(tuple(map(encode, row)))
-            self._relations[name] = ColumnarRelation(old.columns, rows=rows, name=name)
+                present = encoded.rows()
+                missing = [
+                    row for row in deletes.get(name, ())
+                    if tuple(map(lookup, row)) not in present
+                ]
+            if missing:
+                raise absent_rows_error(name, len(missing), min(missing, key=repr))
+        encode = self._dictionary.encode
+        for name in touched:
+            encoded = self._relations.get(name)
+            if encoded is None:
+                rows = self._sources[name].difference(deletes.get(name, ()))
+                rows.update(inserts.get(name, ()))
+                self._sources[name] = rows
+            else:
+                codes = set(encoded.rows())
+                codes.difference_update(
+                    tuple(map(lookup, row)) for row in deletes.get(name, ())
+                )
+                codes.update(tuple(map(encode, row)) for row in inserts.get(name, ()))
+                self._relations[name] = ColumnarRelation(
+                    encoded.columns, rows=codes, name=name
+                )
+        if touched.intersection(self._schema.node_relations):
+            self._identity = None
         self._temporaries.clear()
-        self._version = self._database.version
 
     def temps_for(self, program: Program) -> Dict[str, TemporaryEntry]:
         """``program``'s temporaries on this store: name → shared table entry.
 
-        The store encodes an immutable snapshot of the database and a
-        prepared :class:`~repro.relational.algebra.Program` is itself
-        immutable, so a temporary materialized against this store is valid
-        for as long as both live — and so is any temporary of any program
-        computed the same way.  Programs share entries by canonical
-        expression, and an entry lives while some program that uses it
-        lives (:meth:`SharedTemporaries.view
+        The store's rows change only in :meth:`apply_delta`, which drops
+        the whole table, and a prepared
+        :class:`~repro.relational.algebra.Program` is immutable, so a
+        temporary materialized against this store is valid for as long as
+        the program lives — and so is any temporary of any program computed
+        the same way.  Programs share entries by canonical expression, and
+        an entry lives while some program that uses it lives
+        (:meth:`SharedTemporaries.view
         <repro.relational.temporaries.SharedTemporaries.view>`).
-        :meth:`apply_delta` drops the whole table.
         """
         return self._temporaries.view(program)
 

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from repro.errors import SchemaError
+from repro.errors import ExecutionError, SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import DatabaseSchema, NODE_COLUMNS, T, V
 
-__all__ = ["Database"]
+__all__ = ["Database", "absent_rows_error"]
+
+
+def absent_rows_error(name: str, count: int, example: Optional[Tuple] = None) -> ExecutionError:
+    """The error a store raises, changing nothing, for a delta that deletes
+    ``count`` rows absent from relation ``name``."""
+    example_text = "" if example is None else f" (e.g. {example!r})"
+    return ExecutionError(
+        f"delta deletes {count} row(s) absent from relation {name!r}{example_text}; "
+        "the delta was computed against a different database state"
+    )
 
 
 class Database:
@@ -21,7 +31,6 @@ class Database:
 
     def __init__(self, schema: DatabaseSchema, relations: Optional[Mapping[str, Relation]] = None) -> None:
         self._schema = schema
-        self._version = 0
         self._relations: Dict[str, Relation] = {}
         for name in schema.relation_names:
             self._relations[name] = Relation(schema.relation(name).columns, name=name)
@@ -34,16 +43,6 @@ class Database:
     def schema(self) -> DatabaseSchema:
         """The database schema."""
         return self._schema
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped by every :meth:`set_relation`.
-
-        A derived structure (a memory backend's columnar store) records
-        the version it encodes, so a mutation outside its owner's
-        ``apply_delta`` shows as a version mismatch.
-        """
-        return self._version
 
     def relation(self, name: str) -> Relation:
         """Return the relation named ``name``."""
@@ -61,7 +60,6 @@ class Database:
                 f"got {list(relation.columns)}"
             )
         self._relations[name] = relation.copy(name=name)
-        self._version += 1
 
     def __getitem__(self, name: str) -> Relation:
         return self.relation(name)

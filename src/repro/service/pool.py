@@ -402,12 +402,12 @@ class ProcessQueryService:
     warmup:
         Queries answered at registration by the owner each query routes to
         (the routing :meth:`answer` uses), every owner at once, so first
-        requests find warm stores: the owner executes its share where an
-        execution leaves something the next answer reuses (a result cache,
-        or either backend's shared temporaries) and otherwise translates
-        and prepares it (:meth:`~repro.service.QueryService.warm`).  A
-        respawned owner warms again after replaying its mutation log.  A
-        warm-up query that fails is skipped.
+        requests find warm stores: the owner executes its share once, which
+        leaves each plan prepared, its temporaries in the backend's shared
+        table and, with a result cache, its answer
+        (:meth:`~repro.service.QueryService.warm`).  A respawned owner warms
+        again after replaying its mutation log.  A warm-up query that fails
+        is skipped.
     """
 
     def __init__(

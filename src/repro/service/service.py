@@ -68,6 +68,10 @@ __all__ = ["DocumentStore", "QueryService"]
 class DocumentStore:
     """One registered document: shredded once, backend kept loaded.
 
+    ``shredded`` is what the document was registered from.  Its tree is
+    the live document, which updates mutate in place; its database stays
+    the registration input, and the live rows are the backend's.
+
     The store also memoizes prepared programs and — because the document
     only changes through the service's ``update_document``, which clears
     them — finished backend results: each answer's node ids plus its
@@ -332,9 +336,10 @@ class QueryService:
         """Apply a mutation script to a registered document and invalidate.
 
         Each mutation (a :mod:`repro.live.mutations` record or its JSON
-        object form) is DTD-validated and applied to the store's tree; the
+        object form) is DTD-validated and applied to the store's tree by
+        :meth:`~repro.live.mutations.DocumentMutator.apply_script`; the
         merged :class:`~repro.live.delta.ShredDelta` then reaches the
-        backend through ``apply_delta`` in one shot, so the relational side
+        backend through ``apply_delta`` in one shot, so the backend's store
         tracks the tree without re-shredding.  Invalidation is
         version-aware: the store's result LRU is dropped (its entries were
         computed over the old rows), while the plan cache and the store's
@@ -342,21 +347,21 @@ class QueryService:
         query alone, never of the data.
 
         A mutation that fails validation raises :class:`MutationError`
-        *after* the preceding mutations of the script were applied and
-        flushed to the backend (the tree and the relational store never
-        diverge); callers wanting all-or-nothing should validate scripts on
-        a scratch copy first.  Updates on one store serialize on a lock;
-        interleaving an update with in-flight queries on the *same* store
-        from other threads is the caller's race to avoid (the process pool
-        serializes per worker, so the serving tier is safe).  The result
-        cache is safe either way: an answer whose execution began before
-        the invalidation is never memoized (:meth:`DocumentStore.store_result`).
+        *after* the preceding mutations of the script were applied to the
+        tree and their delta (the error's ``delta``) to the backend, so
+        tree and store never diverge; callers wanting all-or-nothing should
+        validate scripts on a scratch copy first.  Updates on one store
+        serialize on a lock; interleaving an update with in-flight queries
+        on the *same* store from other threads is the caller's race to
+        avoid (the process pool serializes per worker, so the serving tier
+        is safe).  The result cache is safe either way: an answer whose
+        execution began before the invalidation is never memoized
+        (:meth:`DocumentStore.store_result`).
 
         Returns a summary dict: applied mutation count and delta row counts.
         """
         # Imported here, not at module level: only updates need the live
         # subsystem, so answering never loads it.
-        from repro.live.delta import ShredDelta, merge_deltas
         from repro.live.mutations import mutation_from_dict
 
         self._check_open()
@@ -368,22 +373,13 @@ class QueryService:
             "update", document=store.document_id, mutations=len(normalized)
         ) as update_sp:
             mutator = store.mutator(self._dtd)
-            delta = ShredDelta()
+            before = mutator.applied
             error: Optional[MutationError] = None
-            applied = 0
-            # Defer DOC_ORDER diffing: one renumbering pass per script, not
-            # one per mutation (the flush covers exactly the applied prefix).
-            mutator.defer_order()
             try:
-                for mutation in normalized:
-                    try:
-                        delta = merge_deltas(delta, mutator.apply(mutation))
-                        applied += 1
-                    except MutationError as exc:
-                        error = exc
-                        break
-            finally:
-                delta = merge_deltas(delta, mutator.flush_order())
+                delta = mutator.apply_script(normalized)
+            except MutationError as exc:
+                error, delta = exc, exc.delta
+            applied = mutator.applied - before
             if not delta.is_empty():
                 store.backend.apply_delta(delta)
             store.invalidate_results()

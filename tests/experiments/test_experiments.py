@@ -10,8 +10,9 @@ from collections import defaultdict
 import pytest
 
 from repro.api import EngineConfig
+from repro.backends import create_backend
 from repro.dtd import samples
-from repro.experiments import exp1, exp2, exp3, exp4, exp5
+from repro.experiments import exp1, exp2, exp3, exp4, exp5, harness
 from repro.experiments.harness import (
     Approach,
     default_approaches,
@@ -42,6 +43,34 @@ class TestHarness:
             for approach in default_approaches()
         ]
         assert len({row.result_rows for row in rows}) == 1
+
+    def test_each_timed_step_starts_right_after_a_collection(
+        self, cross_dtd, cross_shredded, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(harness.gc, "collect", lambda: calls.append("collect"))
+        approach = Approach("X", EngineConfig())
+        translator = approach.translator(cross_dtd)
+        translate = translator.translate_uncached
+
+        def translate_spy(query):
+            calls.append("translate")
+            return translate(query)
+
+        monkeypatch.setattr(translator, "translate_uncached", translate_spy)
+        engine = create_backend("memory", cross_shredded.database)
+        execute = engine.execute
+
+        def execute_spy(program):
+            calls.append("execute")
+            return execute(program)
+
+        monkeypatch.setattr(engine, "execute", execute_spy)
+        measure_query(
+            approach, cross_dtd, cross_shredded, "a//d",
+            translator=translator, engine=engine,
+        )
+        assert calls == ["collect", "translate", "collect", "execute"]
 
     def test_format_table_alignment(self):
         text = format_table(["name", "value"], [("a", 1), ("longer", 22)])

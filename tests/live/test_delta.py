@@ -109,21 +109,25 @@ class TestMergeDeltas:
 
 
 class TestApplyDeltaToDatabase:
-    def test_bumps_database_version(self):
-        tree = tiny_tree()
-        shredded = shred_document(tree, TINY_DTD)
-        before = shredded.database.version
-        mutator = DocumentMutator(tree, TINY_DTD)
-        delta = mutator.replace_text(tree.root.children[0].children[0], "changed")
-        apply_delta_to_database(shredded.database, delta)
-        assert shredded.database.version > before
-
     def test_missing_delete_row_raises(self):
         tree = tiny_tree()
         shredded = shred_document(tree, TINY_DTD)
         bogus = ShredDelta.build({"R_name": {("999", 999, "ghost")}}, {})
         with pytest.raises(ExecutionError, match="different database state"):
             apply_delta_to_database(shredded.database, bogus)
+
+    def test_rejected_delta_leaves_the_database_unchanged(self):
+        """A bad delete in a later relation used to leave the earlier
+        relations (in sorted order) already replaced."""
+        shredded = shred_document(tiny_tree(), TINY_DTD)
+        before = db_rows(shredded.database)
+        present = next(iter(shredded.database.relation("DOC_ORDER").rows))
+        bogus = ShredDelta.build(
+            {"DOC_ORDER": {present}, "R_name": {("999", 999, "ghost")}}, {}
+        )
+        with pytest.raises(ExecutionError, match="different database state"):
+            apply_delta_to_database(shredded.database, bogus)
+        assert db_rows(shredded.database) == before
 
     def test_applied_delta_equals_scratch_reshred(self):
         """The paper invariant over time: delta-patched db == reshred(mutated)."""

@@ -210,6 +210,24 @@ class TestApplyScript:
             mutator.apply_script(script)
         assert tree.size() == before + 2  # the valid prefix was applied
 
+    def test_rejected_script_carries_the_applied_prefix_delta(self):
+        tree = tiny_tree()
+        shredded = shred_document(tree, TINY_DTD)
+        mutator = DocumentMutator(tree, TINY_DTD)
+        script = [
+            InsertSubtree(tree.root.node_id, ("item", None, (("name", "nX", ()),)), 0),
+            ReplaceText(tree.root.children[1].children[0].node_id, "renamed"),
+            DeleteSubtree(10_000),
+        ]
+        with pytest.raises(MutationError) as raised:
+            mutator.apply_script(script)
+        # The prefix's delta, DOC_ORDER renumbering included.
+        assert "DOC_ORDER" in raised.value.delta.inserts
+        assert_tracks_scratch(tree, TINY_DTD, shredded, raised.value.delta)
+        # Order tracking resumed: the next script's delta tracks too.
+        delta = mutator.apply_script([DeleteSubtree(tree.root.children[0].node_id)])
+        assert_tracks_scratch(tree, TINY_DTD, shredded, delta)
+
     def test_script_on_generated_paper_document_tracks_scratch(self):
         dtd = samples.paper_dtds()["dept"]
         tree = generate_document(dtd, x_l=7, x_r=3, seed=19, max_elements=200)

@@ -167,30 +167,16 @@ class TestColumnarStore:
     def test_each_memory_backend_owns_its_store(self, database):
         first, second = MemoryBackend(database), MemoryBackend(database)
         assert first._store is not second._store
-        assert first._store.database is second._store.database is database
-
-    def test_a_delta_after_an_out_of_band_mutation_re_encodes_the_store(self, database):
-        backend = MemoryBackend(database)
-        stale = backend._store
-        stale.relation("R_r")
-        database.set_relation(
-            "R_r", Relation(NODE_COLUMNS, {("_", 0, "_"), ("_", 9, "_")})
-        )
-        with pytest.raises(ExecutionError, match="apply_delta"):
-            backend.execute(Program([], Scan("R_r")))
-        backend.apply_delta(ShredDelta.build({}, {"R_b": [(5, 8, "b-8")]}))
-        fresh = backend._store
-        assert fresh is not stale
-        assert fresh.version == database.version
-        assert len(fresh.relation("R_r")) == 2
-        assert backend.execute(Program([], Scan("R_b"))).node_ids() == (3, 4, 6, 8)
+        first.apply_delta(ShredDelta.build({}, {"R_b": [(5, 8, "b-8")]}))
+        program = Program([], Scan("R_b"))
+        assert first.execute(program).node_ids() == (3, 4, 6, 8)
+        assert second.execute(program).node_ids() == (3, 4, 6)
 
     def test_a_pickled_backend_builds_its_own_store(self, database):
         backend = MemoryBackend(database)
         backend.execute(Program([], Scan("R_a")))
         clone = pickle.loads(pickle.dumps(backend))
         assert clone._store is not backend._store
-        assert clone._store.database is clone.database
         assert clone._store._relations == {}  # encoded again on first read
         program = Program([], Scan("R_a"))
         assert clone.execute(program).node_ids() == backend.execute(program).node_ids()
@@ -218,7 +204,7 @@ class TestColumnarStore:
         clone = pickle.loads(pickle.dumps(database))
         assert not hasattr(clone, "_columnar_store")
         # And the clone rebuilds its own on demand.
-        assert ColumnarDatabase(clone).database is clone
+        assert ColumnarDatabase(clone).snapshot().relation("R_a") == database.relation("R_a")
 
     def test_base_relations_are_encoded_on_first_read(self, cross_dtd, cross_tree):
         database = shred_document(cross_tree, cross_dtd).database
@@ -787,7 +773,6 @@ class TestSharedTemporaries:
         )
         apply_delta_to_database(cyclic, delta)
         store.apply_delta(delta)
-        assert store.version == cyclic.version
         assert store.shared_temporaries() == ()
         fresh = ColumnarDatabase(cyclic)
         for program in programs:
