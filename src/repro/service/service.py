@@ -348,15 +348,15 @@ class QueryService:
 
         A mutation that fails validation raises :class:`MutationError`
         *after* the preceding mutations of the script were applied to the
-        tree and their delta (the error's ``delta``) to the backend, so
-        tree and store never diverge; callers wanting all-or-nothing should
-        validate scripts on a scratch copy first.  Updates on one store
-        serialize on a lock; interleaving an update with in-flight queries
-        on the *same* store from other threads is the caller's race to
-        avoid (the process pool serializes per worker, so the serving tier
-        is safe).  The result cache is safe either way: an answer whose
-        execution began before the invalidation is never memoized
-        (:meth:`DocumentStore.store_result`).
+        tree and their delta (the error's ``delta``) to the backend, so a
+        rejected mutation leaves tree and store in step; callers wanting
+        all-or-nothing should validate scripts on a scratch copy first.
+        Updates on one store serialize on a lock; interleaving an update
+        with in-flight queries on the *same* store from other threads is the
+        caller's race to avoid (the process pool serializes per worker, so
+        the serving tier is safe).  The result cache is safe either way: an
+        answer whose execution began before the invalidation is never
+        memoized (:meth:`DocumentStore.store_result`).
 
         Returns a summary dict: applied mutation count and delta row counts.
         """
