@@ -42,12 +42,9 @@ class MutationError(ValidationError):
     Covers mutations that would leave the tree non-conforming to its DTD
     (so the invariant Q(T) = Q'(tau_d(T)) would no longer be checkable),
     mutations referencing unknown nodes, and malformed mutation payloads.
-    Raised from ``DocumentMutator.apply_script``, ``delta`` is the merged
-    shred delta of the script's mutations applied before the rejected one;
-    otherwise it is ``None``.
+    A script with a rejected mutation applies not at all: the tree and
+    every store are left as they were before the script.
     """
-
-    delta = None
 
 
 class RelationalError(ReproError):

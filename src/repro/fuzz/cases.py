@@ -84,10 +84,7 @@ class FuzzCase:
 
         dtd = self.dtd()
         tree = self.document.generate(dtd)
-        if self.mutations:
-            mutator = DocumentMutator(tree, dtd)
-            for mutation in self.mutations:
-                mutator.apply(mutation)
+        DocumentMutator(tree, dtd).apply_script(self.mutations)
         return tree
 
     # -- serialization ----------------------------------------------------------

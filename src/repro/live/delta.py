@@ -6,9 +6,10 @@ database of the pre-mutation tree yields exactly the database that
 :func:`~repro.shredding.shredder.shred_document` would produce for the
 post-mutation tree.  Deltas compose: ``merge_deltas(d1, d2)`` is the delta
 of applying the two underlying mutations in sequence.  Composition is sound
-because node ids are never reused (``XMLTree`` hands out strictly
-increasing ids), so a row deleted by one mutation can only reappear via an
-insert carried by a *later* delta, never spontaneously.
+because the ids of committed deletes are never reused (``XMLTree`` hands
+out increasing ids, and gives back only a rolled-back script's, whose
+delta no store kept), so a row deleted by one mutation can only reappear
+via an insert carried by a *later* delta, never spontaneously.
 """
 
 from __future__ import annotations

@@ -11,12 +11,12 @@ the DTD *before* touching anything: an insert must keep the parent's child
 sequence inside its content model and the grafted subtree must conform
 recursively; a delete must leave the remaining siblings matching the model
 and may not remove the root; a text replacement is only allowed on declared
-text types.  A rejected mutation raises :class:`~repro.errors.MutationError`
-and leaves the tree untouched.
+text types.  A rejected mutation raises :class:`~repro.errors.MutationError`,
+and a script applies whole or not at all (:meth:`DocumentMutator.apply_script`).
 
-Each accepted mutation yields a :class:`~repro.live.delta.ShredDelta` — the
+Each applied script yields a :class:`~repro.live.delta.ShredDelta` — the
 exact row-level difference between shredding the tree before and after the
-mutation, including the renumbered ``DOC_ORDER`` interval rows — so backends
+script, including the renumbered ``DOC_ORDER`` interval rows — so backends
 can apply the change without re-shredding the document.
 
 Subtrees travel as hashable nested tuples ``(label, value, (child, ...))``
@@ -27,8 +27,9 @@ equivalent ``{"label", "value", "children"}`` object form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
 from repro.dtd.model import DTD
@@ -56,6 +57,9 @@ __all__ = [
 
 # (label, value-or-None, (child spec, ...)) — hashable, order-preserving.
 SubtreeSpec = Tuple[str, Optional[str], Tuple["SubtreeSpec", ...]]
+
+# The steps that undo a script's applied mutations, run in reverse on failure.
+UndoSteps = List[Callable[[], object]]
 
 
 @dataclass(frozen=True)
@@ -151,12 +155,6 @@ def subtree_from_dict(payload: Dict) -> SubtreeSpec:
     return (label, value, tuple(subtree_from_dict(child) for child in children))
 
 
-def subtree_size(spec: SubtreeSpec) -> int:
-    """Number of nodes in a subtree spec."""
-    _, _, children = spec
-    return 1 + sum(subtree_size(child) for child in children)
-
-
 # -- mutation (de)serialization -------------------------------------------------
 
 
@@ -249,12 +247,11 @@ class DocumentMutator:
         self._order: Set[Tuple] = (
             set(interval_numbering(tree)) if self._track_order else set()
         )
-        self._order_deferred = False
         self.applied = 0
 
     @property
     def tree(self) -> XMLTree:
-        """The live tree (mutated in place by :meth:`apply`)."""
+        """The live tree (mutated in place by :meth:`apply_script`)."""
         return self._tree
 
     # -- public mutation API ----------------------------------------------------
@@ -281,52 +278,52 @@ class DocumentMutator:
 
     def apply(self, mutation: Mutation) -> ShredDelta:
         """Validate ``mutation``, apply it to the tree, return its delta."""
-        if isinstance(mutation, InsertSubtree):
-            delta = self._apply_insert(mutation)
-        elif isinstance(mutation, DeleteSubtree):
-            delta = self._apply_delete(mutation)
-        elif isinstance(mutation, ReplaceText):
-            delta = self._apply_replace_text(mutation)
-        else:
-            raise MutationError(f"unknown mutation {mutation!r}")
-        self.applied += 1
-        obs.registry().counter("live.mutations").inc()
-        return delta
+        return self.apply_script((mutation,))
 
-    def apply_script(self, mutations: Sequence[Mutation]) -> ShredDelta:
-        """Apply a mutation sequence, returning the merged delta.
+    def apply_script(
+        self,
+        mutations: Sequence[Mutation],
+        commit: Optional[Callable[[ShredDelta], object]] = None,
+    ) -> ShredDelta:
+        """Apply a mutation sequence whole or not at all; return the merged delta.
 
-        ``DOC_ORDER`` renumbering is diffed once for the whole script, not
-        once per mutation: one structural mutation shifts the pre-order
-        ranks of every node after the edit point, so per-mutation diffs
-        would make a k-mutation script pay k full renumbering passes.
+        ``commit``, when given, receives the script's non-empty delta before
+        the script counts as applied; the query service passes its backend's
+        ``apply_delta``.  When a mutation is rejected, or ``commit`` raises,
+        every mutation already applied is undone in reverse: grafted
+        subtrees are detached, deleted ones reattached at their old index
+        with their old ids, replaced values restored.  The tree's next free
+        id and the ``DOC_ORDER`` snapshot are restored, :attr:`applied`
+        stays, and the exception propagates.  The ids of the rolled-back
+        inserts are handed out again; the ids of committed deletes never are.
 
-        A failing mutation leaves the preceding ones applied to the tree
-        and raises :class:`~repro.errors.MutationError` whose ``delta`` is
-        their merged delta, ``DOC_ORDER`` diff included: the caller applies
-        it to its store, so store and tree stay in step.
+        ``DOC_ORDER`` renumbering is diffed once for the whole script, and
+        only when the script changes the tree's shape: one structural
+        mutation shifts the pre-order ranks of every node after the edit
+        point, so per-mutation diffs would make a k-mutation script pay k
+        full renumbering passes.
         """
+        next_id, order = self._tree.next_id, self._order
+        undo: UndoSteps = []
         delta = ShredDelta()
-        self._order_deferred = True
         try:
             for mutation in mutations:
-                delta = merge_deltas(delta, self.apply(mutation))
-        except MutationError as exc:
-            exc.delta = merge_deltas(delta, self._flush_order())
-            raise
+                delta = merge_deltas(delta, self._apply(mutation, undo))
+            if self._track_order and any(
+                not isinstance(mutation, ReplaceText) for mutation in mutations
+            ):
+                delta = merge_deltas(delta, self._order_delta())
+            if commit is not None and not delta.is_empty():
+                commit(delta)
         except BaseException:
-            self._flush_order()
+            for step in reversed(undo):
+                step()
+            self._tree.release_ids(next_id)
+            self._order = order
             raise
-        return merge_deltas(delta, self._flush_order())
-
-    def _flush_order(self) -> ShredDelta:
-        """Resume order tracking; return the ``DOC_ORDER`` diff accrued since
-        :meth:`apply_script` deferred it."""
-        self._order_deferred = False
-        deletes: Dict[str, Set[Tuple]] = {}
-        inserts: Dict[str, Set[Tuple]] = {}
-        self._order_delta(deletes, inserts)
-        return ShredDelta.build(deletes, inserts)
+        self.applied += len(mutations)
+        obs.registry().counter("live.mutations").inc(len(mutations))
+        return delta
 
     # -- internals --------------------------------------------------------------
 
@@ -358,22 +355,22 @@ class DocumentMutator:
         for child in children:
             self._validate_spec(child)
 
-    def _order_delta(
-        self, deletes: Dict[str, Set[Tuple]], inserts: Dict[str, Set[Tuple]]
-    ) -> None:
-        """Diff the recomputed interval numbering into the delta maps."""
-        if not self._track_order or self._order_deferred:
-            return
-        new_order = set(interval_numbering(self._tree))
-        gone = self._order - new_order
-        fresh = new_order - self._order
-        if gone:
-            deletes[DOC_ORDER] = gone
-        if fresh:
-            inserts[DOC_ORDER] = fresh
-        self._order = new_order
+    def _order_delta(self) -> ShredDelta:
+        """The ``DOC_ORDER`` rows renumbering the tree changes since the last call."""
+        old, self._order = self._order, set(interval_numbering(self._tree))
+        return ShredDelta.build({DOC_ORDER: old - self._order}, {DOC_ORDER: self._order - old})
 
-    def _apply_insert(self, mutation: InsertSubtree) -> ShredDelta:
+    def _apply(self, mutation: Mutation, undo: UndoSteps) -> ShredDelta:
+        """Validate and apply one mutation; append the step that undoes it."""
+        if isinstance(mutation, InsertSubtree):
+            return self._apply_insert(mutation, undo)
+        if isinstance(mutation, DeleteSubtree):
+            return self._apply_delete(mutation, undo)
+        if isinstance(mutation, ReplaceText):
+            return self._apply_replace_text(mutation, undo)
+        raise MutationError(f"unknown mutation {mutation!r}")
+
+    def _apply_insert(self, mutation: InsertSubtree, undo: UndoSteps) -> ShredDelta:
         parent = self._node(mutation.parent_id)
         spec = as_subtree(mutation.subtree)
         index = mutation.index
@@ -391,20 +388,19 @@ class DocumentMutator:
         self._validate_spec(spec)
 
         inserts: Dict[str, Set[Tuple]] = {}
-        deletes: Dict[str, Set[Tuple]] = {}
 
-        def graft(under: XMLNode, node_spec: SubtreeSpec, at: Optional[int]) -> None:
+        def graft(under: XMLNode, node_spec: SubtreeSpec, at: Optional[int]) -> XMLNode:
             label, value, children = node_spec
             node = self._tree.insert_child(under, label, value, index=at)
             inserts.setdefault(self._mapping.relation_for(label), set()).add(self._row(node))
             for child_spec in children:
                 graft(node, child_spec, None)
+            return node
 
-        graft(parent, spec, index)
-        self._order_delta(deletes, inserts)
-        return ShredDelta.build(deletes, inserts)
+        undo.append(functools.partial(self._tree.remove_subtree, graft(parent, spec, index)))
+        return ShredDelta.build({}, inserts)
 
-    def _apply_delete(self, mutation: DeleteSubtree) -> ShredDelta:
+    def _apply_delete(self, mutation: DeleteSubtree, undo: UndoSteps) -> ShredDelta:
         node = self._node(mutation.node_id)
         if node.parent is None:
             raise MutationError("cannot delete the document root")
@@ -416,16 +412,16 @@ class DocumentMutator:
                 f"children of {parent.label!r} outside its content model"
             )
         deletes: Dict[str, Set[Tuple]] = {}
-        inserts: Dict[str, Set[Tuple]] = {}
         for gone in node.descendants_or_self():
             deletes.setdefault(self._mapping.relation_for(gone.label), set()).add(
                 self._row(gone)
             )
+        index = parent.children.index(node)
         self._tree.remove_subtree(node)
-        self._order_delta(deletes, inserts)
-        return ShredDelta.build(deletes, inserts)
+        undo.append(functools.partial(self._tree.restore_subtree, node, parent, index))
+        return ShredDelta.build(deletes, {})
 
-    def _apply_replace_text(self, mutation: ReplaceText) -> ShredDelta:
+    def _apply_replace_text(self, mutation: ReplaceText, undo: UndoSteps) -> ShredDelta:
         node = self._node(mutation.node_id)
         value = mutation.value
         if value is not None:
@@ -436,6 +432,7 @@ class DocumentMutator:
                     f"element type {node.label!r} does not carry text"
                 )
         old_row = self._row(node)
+        undo.append(functools.partial(setattr, node, "value", node.value))
         node.value = value
         new_row = self._row(node)
         if old_row == new_row:

@@ -22,7 +22,9 @@
   (:meth:`~repro.service.QueryService.warm`) while the others answer
   theirs, so first requests find warm stores;
 * updates hold one lock from sending a script to every owner to logging
-  it, so all owners apply scripts in the mutation log's order;
+  it, so all owners apply scripts, each whole or not at all, in the
+  mutation log's order, and an owner whose update failed for any reason
+  but a rejected script is respawned from the log;
 * worker crashes are detected (end of file on the worker's pipe fails
   every request pending on it), the worker is respawned, its documents
   re-registered from the recipes the parent retains — with every retained
@@ -581,15 +583,19 @@ class ProcessQueryService:
         """Apply a mutation script to *every* replica owning the document.
 
         Mutations may be :mod:`repro.live.mutations` records or their JSON
-        object forms.  Workers are deterministic, and every owner applies
-        the scripts in the mutation log's order (one lock, which reads do
-        not take, spans sending a script to every owner, waiting for each
-        and logging it), so even a script that fails validation mid-way
-        leaves every replica with the same applied prefix.  The script is
-        logged when at least one owner applied it, or its valid prefix, so
-        a respawned owner that replays registration plus the log converges
+        object forms.  Workers are deterministic, every owner applies the
+        scripts in the mutation log's order (one lock, which reads do not
+        take, spans sending a script to every owner, waiting for each and
+        logging it), and each owner applies a script whole or not at all
+        (:meth:`~repro.service.QueryService.update_document`).  A script
+        that fails validation is rejected by every owner and changes none.
+        The script is logged when at least one owner applied it, so a
+        respawned owner that replays registration plus the log converges
         on the others' state; one no owner applied stays out of the log.
-        The first failure in owner order is raised once every owner ran.
+        An owner whose update failed with anything but
+        :class:`~repro.errors.MutationError` (a failed backend write, a
+        crash) is killed and respawned from the log.  Then the first
+        failure in owner order is raised.
 
         Returns the last owner's summary dict plus the owner indices.
         """
@@ -606,12 +612,14 @@ class ProcessQueryService:
             summaries, failures = self._fan_out(
                 [(index, "update", document_id, script) for index in owner_indices]
             )
-            if any(
-                failure is None or isinstance(failure, MutationError)
-                for failure in failures
-            ):
+            if any(failure is None for failure in failures):
                 with self._lock:
                     self._mutation_log.setdefault(document_id, []).append(script)
+            for index, failure in zip(owner_indices, failures):
+                in_step = failure is None or isinstance(failure, MutationError)
+                if not (in_step or self._closed):  # a closed pool respawns none
+                    self._kill_worker(index)
+                    self._respawn(index)
         self._metrics.counter("pool.updates").inc()
         self._observe("pool.update_seconds", start)
         _raise_first(failures)
@@ -694,13 +702,7 @@ class ProcessQueryService:
             for document_id, kind, payload, owners, scripts in to_restore:
                 self._request(replacement, kind, document_id, payload, ())
                 for script in scripts:
-                    try:
-                        self._request(replacement, "update", document_id, script)
-                    except MutationError:
-                        # A script that failed validation originally fails
-                        # the same (deterministic) way on replay; its
-                        # applied prefix keeps the replica consistent.
-                        pass
+                    self._request(replacement, "update", document_id, script)
                 # Warmed last, so the warm state is the replayed document's.
                 share = self._warmup_share(worker_index, owners)
                 if share:
@@ -863,7 +865,7 @@ class ProcessQueryService:
             worker.close(timeout)
 
     def _kill_worker(self, worker_index: int) -> None:
-        """Test hook: kill a worker abruptly (simulates a crash)."""
+        """Kill a worker abruptly (an owner whose update failed; crash tests)."""
         self._workers[worker_index].process.kill()
         self._workers[worker_index].process.join(timeout=10)
 

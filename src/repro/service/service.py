@@ -51,7 +51,6 @@ from repro.dtd.model import DTD
 from repro.errors import (
     ConfigError,
     DuplicateDocumentError,
-    MutationError,
     ReproError,
     SessionClosedError,
     UnknownDocumentError,
@@ -337,26 +336,24 @@ class QueryService:
 
         Each mutation (a :mod:`repro.live.mutations` record or its JSON
         object form) is DTD-validated and applied to the store's tree by
-        :meth:`~repro.live.mutations.DocumentMutator.apply_script`; the
-        merged :class:`~repro.live.delta.ShredDelta` then reaches the
-        backend through ``apply_delta`` in one shot, so the backend's store
-        tracks the tree without re-shredding.  Invalidation is
-        version-aware: the store's result LRU is dropped (its entries were
-        computed over the old rows), while the plan cache and the store's
-        prepared programs survive — both are functions of the DTD and the
-        query alone, never of the data.
+        :meth:`~repro.live.mutations.DocumentMutator.apply_script`, which
+        commits the merged :class:`~repro.live.delta.ShredDelta` to the
+        backend through ``apply_delta``, so the backend's store tracks the
+        tree without re-shredding.  The script applies whole or not at all:
+        a rejected mutation (:class:`~repro.errors.MutationError`) or a
+        failed backend write leaves the tree, the store and its result cache
+        as they were, and the error propagates.
 
-        A mutation that fails validation raises :class:`MutationError`
-        *after* the preceding mutations of the script were applied to the
-        tree and their delta (the error's ``delta``) to the backend, so a
-        rejected mutation leaves tree and store in step; callers wanting
-        all-or-nothing should validate scripts on a scratch copy first.
-        Updates on one store serialize on a lock; interleaving an update
-        with in-flight queries on the *same* store from other threads is the
-        caller's race to avoid (the process pool serializes per worker, so
-        the serving tier is safe).  The result cache is safe either way: an
-        answer whose execution began before the invalidation is never
-        memoized (:meth:`DocumentStore.store_result`).
+        After a script applied, invalidation is version-aware: the store's
+        result LRU is dropped (its entries were computed over the old rows),
+        while the plan cache and the store's prepared programs survive —
+        both are functions of the DTD and the query alone, never of the
+        data.  Updates on one store serialize on a lock; interleaving an
+        update with in-flight queries on the *same* store from other
+        threads is the caller's race to avoid (the process pool serializes
+        per worker, so the serving tier is safe).  The result cache is safe
+        either way: an answer whose execution began before the invalidation
+        is never memoized (:meth:`DocumentStore.store_result`).
 
         Returns a summary dict: applied mutation count and delta row counts.
         """
@@ -372,29 +369,20 @@ class QueryService:
         with store._update_lock, obs.span(
             "update", document=store.document_id, mutations=len(normalized)
         ) as update_sp:
-            mutator = store.mutator(self._dtd)
-            before = mutator.applied
-            error: Optional[MutationError] = None
-            try:
-                delta = mutator.apply_script(normalized)
-            except MutationError as exc:
-                error, delta = exc, exc.delta
-            applied = mutator.applied - before
-            if not delta.is_empty():
-                store.backend.apply_delta(delta)
+            delta = store.mutator(self._dtd).apply_script(
+                normalized, commit=store.backend.apply_delta
+            )
             store.invalidate_results()
             obs.registry().counter("service.invalidations").inc()
             if update_sp:
                 update_sp.set(
-                    applied=applied,
+                    applied=len(normalized),
                     rows_deleted=delta.delete_count(),
                     rows_inserted=delta.insert_count(),
                 )
-        if error is not None:
-            raise error
         summary: Dict[str, object] = dict(delta.summary())
         summary["document"] = store.document_id
-        summary["applied"] = applied
+        summary["applied"] = len(normalized)
         return summary
 
     def store(self, document_id: Optional[str] = None) -> DocumentStore:

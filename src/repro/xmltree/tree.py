@@ -126,9 +126,10 @@ class XMLTree:
     ) -> XMLNode:
         """Insert a new child at ``index`` (append when ``None``) and return it.
 
-        The new node gets the next free id; ids of deleted nodes are never
-        reused, so a node id names at most one element over the lifetime of
-        the tree (the live-update delta machinery relies on this).
+        The new node gets the next free id.  Removed nodes' ids are not handed
+        out again, except through :meth:`release_ids` after a rolled-back
+        script, so a committed delete's ids never come back (the live-update
+        delta machinery relies on this).
         """
         if parent.node_id not in self._by_id or self._by_id[parent.node_id] is not parent:
             raise KeyError(f"node {parent.node_id} is not part of this tree")
@@ -150,7 +151,7 @@ class XMLTree:
         """Detach ``node`` (and its subtree) from the tree.
 
         Returns the removed nodes in document order.  The root cannot be
-        removed.  Freed ids are *not* recycled: ``_next_id`` only ever grows.
+        removed.  Freed ids are *not* recycled (see :meth:`insert_child`).
         """
         if node.node_id not in self._by_id or self._by_id[node.node_id] is not node:
             raise KeyError(f"node {node.node_id} is not part of this tree")
@@ -162,6 +163,22 @@ class XMLTree:
         for gone in removed:
             del self._by_id[gone.node_id]
         return removed
+
+    def restore_subtree(self, node: XMLNode, parent: XMLNode, index: int) -> None:
+        """Undo :meth:`remove_subtree`: ``node`` is child ``index`` of ``parent`` again."""
+        parent.children.insert(index, node)
+        node.parent = parent
+        for restored in node.iter_descendants():
+            self._by_id[restored.node_id] = restored
+
+    @property
+    def next_id(self) -> int:
+        """The id the next inserted node gets."""
+        return self._next_id
+
+    def release_ids(self, next_id: int) -> None:
+        """Hand ids from ``next_id`` on out again (their nodes were rolled back)."""
+        self._next_id = next_id
 
     def copy(self) -> "XMLTree":
         """Return a deep copy preserving node ids and child order."""

@@ -17,3 +17,13 @@ def rdbms_ids(translator, query, shredded) -> Tuple[int, ...]:
     """
     program = translator.translate(query).program
     return MemoryBackend(shredded.database).execute(program).node_ids()
+
+
+def tree_state(tree):
+    """Each node's (id, label, value, parent id) in document order, the id
+    index's size and the next free id: what a rolled-back update restores."""
+    nodes = [
+        (node.node_id, node.label, node.value, None if node.parent is None else node.parent.node_id)
+        for node in tree.nodes()
+    ]
+    return nodes, tree.size(), tree.next_id

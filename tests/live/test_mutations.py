@@ -4,7 +4,7 @@ import pytest
 
 from repro.dtd import samples
 from repro.dtd.parser import parse_dtd
-from repro.errors import MutationError
+from repro.errors import ExecutionError, MutationError
 from repro.live.delta import apply_delta_to_database, merge_deltas
 from repro.live.mutations import (
     DeleteSubtree,
@@ -17,9 +17,11 @@ from repro.live.mutations import (
     subtree_from_dict,
     subtree_to_dict,
 )
-from repro.shredding.shredder import shred_document
+from repro.shredding.shredder import interval_numbering, shred_document
 from repro.xmltree.generator import generate_document
 from repro.xmltree.tree import build_tree
+
+from ..helpers import tree_state
 
 TINY_DTD = parse_dtd(
     """root db
@@ -46,6 +48,17 @@ def tiny_tree():
 
 def db_rows(database):
     return {name: frozenset(database.relation(name).rows) for name in database}
+
+
+def valid_prefix(tree):
+    """Valid inserts, deletes and a text replacement on :func:`tiny_tree`."""
+    first_item = tree.root.children[0]
+    return [
+        InsertSubtree(tree.root.node_id, ("item", None, (("name", "nX", ()),)), 0),
+        DeleteSubtree(first_item.children[2].node_id),
+        ReplaceText(first_item.children[0].node_id, "renamed"),
+        DeleteSubtree(tree.root.children[1].node_id),
+    ]
 
 
 def assert_tracks_scratch(tree, dtd, shredded, delta):
@@ -198,35 +211,53 @@ class TestApplyScript:
         assert script_delta.deletes == step_delta.deletes
         assert script_delta.inserts == step_delta.inserts
 
-    def test_failing_script_raises_after_applying_prefix(self):
+    @pytest.mark.parametrize("failure", ["rejected", "commit"])
+    def test_failed_script_leaves_the_tree_as_it_was(self, failure):
         tree = tiny_tree()
         mutator = DocumentMutator(tree, TINY_DTD)
-        before = tree.size()
-        script = [
-            InsertSubtree(tree.root.node_id, ("item", None, (("name", "nX", ()),))),
-            DeleteSubtree(10_000),
-        ]
-        with pytest.raises(MutationError):
-            mutator.apply_script(script)
-        assert tree.size() == before + 2  # the valid prefix was applied
+        before, order = tree_state(tree), mutator._order
+        script = valid_prefix(tree)
+        if failure == "rejected":
+            with pytest.raises(MutationError, match="unknown node id"):
+                mutator.apply_script(script + [DeleteSubtree(10_000)])
+        else:
+            committed = []
 
-    def test_rejected_script_carries_the_applied_prefix_delta(self):
+            def commit(delta):
+                committed.append(delta)
+                raise ExecutionError("store write failed")
+
+            with pytest.raises(ExecutionError, match="store write failed"):
+                mutator.apply_script(script, commit=commit)
+            assert len(committed) == 1
+        assert tree_state(tree) == before
+        assert mutator._order is order and order == interval_numbering(tree)
+        assert mutator.applied == 0
+
+    def test_script_after_a_failed_one_tracks_scratch(self):
         tree = tiny_tree()
         shredded = shred_document(tree, TINY_DTD)
         mutator = DocumentMutator(tree, TINY_DTD)
-        script = [
-            InsertSubtree(tree.root.node_id, ("item", None, (("name", "nX", ()),)), 0),
-            ReplaceText(tree.root.children[1].children[0].node_id, "renamed"),
-            DeleteSubtree(10_000),
-        ]
-        with pytest.raises(MutationError) as raised:
-            mutator.apply_script(script)
-        # The prefix's delta, DOC_ORDER renumbering included.
-        assert "DOC_ORDER" in raised.value.delta.inserts
-        assert_tracks_scratch(tree, TINY_DTD, shredded, raised.value.delta)
-        # Order tracking resumed: the next script's delta tracks too.
-        delta = mutator.apply_script([DeleteSubtree(tree.root.children[0].node_id)])
+        next_id = tree.next_id
+        with pytest.raises(MutationError):
+            mutator.apply_script(valid_prefix(tree) + [DeleteSubtree(10_000)])
+        committed = []
+        delta = mutator.apply_script(
+            [
+                InsertSubtree(tree.root.node_id, ("item", None, (("name", "nY", ()),))),
+                DeleteSubtree(tree.root.children[0].node_id),
+            ],
+            commit=committed.append,
+        )
+        assert committed == [delta] and mutator.applied == 2
         assert_tracks_scratch(tree, TINY_DTD, shredded, delta)
+        # The rolled-back inserts' ids were released; a committed delete's are not.
+        assert tree.root.children[-1].node_id == next_id
+        mutator.apply_script([DeleteSubtree(next_id)])
+        mutator.apply_script(
+            [InsertSubtree(tree.root.node_id, ("item", None, (("name", "nZ", ()),)))]
+        )
+        assert tree.root.children[-1].node_id == next_id + 2
 
     def test_script_on_generated_paper_document_tracks_scratch(self):
         dtd = samples.paper_dtds()["dept"]

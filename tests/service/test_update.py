@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import multiprocessing
+import os
 import random
 import sys
 import threading
@@ -14,13 +15,19 @@ import pytest
 
 from repro import obs
 from repro.api import EngineConfig
+from repro.backends.memory import MemoryBackend
 from repro.dtd import samples
-from repro.errors import MutationError, UnknownDocumentError, WorkerCrashError
+from repro.errors import (
+    ExecutionError,
+    MutationError,
+    UnknownDocumentError,
+    WorkerCrashError,
+)
 from repro.live.fuzzer import MutationGenConfig, RandomMutationGenerator
 from repro.live.mutations import (
     DeleteSubtree,
+    DocumentMutator,
     InsertSubtree,
-    ReplaceText,
     mutation_to_dict,
 )
 from repro.service import ProcessQueryService, QueryService
@@ -29,6 +36,8 @@ from repro.xmltree.generator import generate_document
 from repro.xmltree.tree import XMLTree
 from repro.xpath.evaluator import evaluate_xpath
 from repro.xpath.parser import parse_xpath
+
+from ..helpers import tree_state
 
 QUERY = "a//d"
 
@@ -56,6 +65,23 @@ def _crashed(index):
 
 def _evaluator_ids(tree, query=QUERY):
     return sorted(n.node_id for n in evaluate_xpath(tree, parse_xpath(query)))
+
+
+def _answer_ids(service, query=QUERY):
+    return sorted(n.node_id for n in service.answer(query, document_id="doc"))
+
+
+def _store_rows(backend):
+    """Every base relation's rows in the backend's own store."""
+    names = backend._schema.relation_names
+    if backend.name == "memory":
+        snapshot = backend._store.snapshot()
+        return {name: frozenset(snapshot.relation(name).rows) for name in names}
+    with backend._connected() as connection:
+        return {
+            name: frozenset(connection.execute(f'SELECT * FROM "{name}"'))
+            for name in names
+        }
 
 
 class TestQueryServiceUpdate:
@@ -140,25 +166,51 @@ class TestQueryServiceUpdate:
                 text_node.node_id
             ).value == "wired"
 
-    def test_failing_mutation_applies_prefix_and_stays_consistent(self):
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_failed_script_leaves_tree_store_and_cache_as_they_were(self, backend):
         dtd = samples.cross_dtd()
         tree = generate_document(dtd, seed=3, max_elements=200)
-        text_node = next(n for n in tree.nodes() if n.label in dtd.text_types)
-        with QueryService(dtd) as service:
-            service.register_document("doc", tree)
-            script = [
-                ReplaceText(text_node.node_id, "applied-before-failure"),
-                DeleteSubtree(99_999),  # unknown node: fails validation
-            ]
-            with pytest.raises(MutationError):
-                service.update_document(script, "doc")
-            live_tree = service.store("doc").shredded.tree
-            assert live_tree.node(text_node.node_id).value == "applied-before-failure"
-            # Tree and relational store did not diverge on the partial apply.
-            answered = sorted(
-                n.node_id for n in service.answer(QUERY, document_id="doc")
-            )
-            assert answered == _evaluator_ids(live_tree)
+        with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
+            store = service.register_document("doc", tree)
+            mutator = store.mutator(dtd)
+            answered = _answer_ids(service)
+            before = (tree_state(tree), _store_rows(store.backend), mutator.applied)
+            order, cached = mutator._order, service.result_cache_info()
+            script = _script(dtd, tree.copy(), seed=8)  # deletes and inserts d nodes
+            assert {type(m) for m in script} >= {InsertSubtree, DeleteSubtree}
+            with pytest.raises(MutationError, match="unknown node id"):
+                service.update_document([*script, DeleteSubtree(99_999)], "doc")
+            assert (tree_state(tree), _store_rows(store.backend), mutator.applied) == before
+            assert mutator._order is order
+            assert service.result_cache_info().size == cached.size
+            assert _answer_ids(service) == answered == _evaluator_ids(tree)
+            assert service.result_cache_info().hits == cached.hits + 1
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_failed_backend_write_leaves_tree_and_store_in_step(self, backend):
+        # The tree once kept a script whose backend write failed, so answers
+        # missed the inserted node and the next delete was refused.
+        dtd = samples.cross_dtd()
+        tree = generate_document(dtd, seed=3, max_elements=80)
+        with QueryService(dtd, config=EngineConfig(backend=backend)) as service:
+            store = service.register_document("doc", tree)
+            before = _evaluator_ids(tree)
+            apply_delta = store.backend.apply_delta
+
+            def fail_once(delta):
+                store.backend.apply_delta = apply_delta
+                raise ExecutionError("injected store write failure")
+
+            store.backend.apply_delta = fail_once
+            c_node = next(node for node in tree.nodes() if node.label == "c")
+            with pytest.raises(ExecutionError, match="injected"):
+                service.update_document(
+                    [InsertSubtree(c_node.node_id, ("d", "fresh", ()))], "doc"
+                )
+            assert _answer_ids(service) == _evaluator_ids(tree) == before
+            d_node = next(node for node in tree.nodes() if node.label == "d")
+            service.update_document([DeleteSubtree(d_node.node_id)], "doc")
+            assert _answer_ids(service) == _evaluator_ids(tree) != before
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_answer_computed_across_an_update_is_not_cached(self, backend):
@@ -263,6 +315,102 @@ class TestProcessPoolUpdate:
             # The dead owner respawns on this call and replays the log.
             respawned = pool._call(dead, "answer", "doc", QUERY, False)
             assert list(respawned.node_ids) == after
+
+    def test_rejected_script_changes_no_owner_and_stays_out_of_the_log(self):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork", warmup=[QUERY]
+        ) as pool:
+            tree = generate_document(dtd, seed=3, max_elements=200)
+            pool.register_document("doc", tree)
+            pids = [worker.process.pid for worker in pool._workers]
+            script = [*_script(dtd, tree.copy(), seed=8), DeleteSubtree(99_999)]
+            with pytest.raises(MutationError, match="unknown node id"):
+                pool.update_document(script, "doc")
+            assert pool._mutation_log.get("doc", []) == []
+            assert [worker.process.pid for worker in pool._workers] == pids
+            for index in pool.owners("doc"):
+                answer = pool._call(index, "answer", "doc", QUERY, False)
+                assert list(answer.node_ids) == _evaluator_ids(tree)
+
+    def test_owner_whose_store_write_failed_is_respawned(self, monkeypatch):
+        dtd = samples.cross_dtd()
+        failing_pid = multiprocessing.Value("i", 0)
+        apply_delta = MemoryBackend.apply_delta
+
+        def fail_in_one_worker(backend, delta):
+            if os.getpid() == failing_pid.value:
+                raise ExecutionError("injected store write failure")
+            return apply_delta(backend, delta)
+
+        # Forked workers inherit the patched class and the shared value.
+        monkeypatch.setattr(MemoryBackend, "apply_delta", fail_in_one_worker)
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork", warmup=[QUERY]
+        ) as pool:
+            tree = generate_document(dtd, seed=3, max_elements=200)
+            pool.register_document("doc", tree)
+            failing, healthy = pool.owners("doc")
+            failing_pid.value = pool._workers[failing].process.pid
+            healthy_pid = pool._workers[healthy].process.pid
+            script = _script(dtd, tree.copy(), seed=8)
+            with pytest.raises(ExecutionError, match="injected"):
+                pool.update_document(script, "doc")
+            assert pool._workers[failing].process.pid != failing_pid.value
+            assert pool._workers[healthy].process.pid == healthy_pid
+            assert len(pool._mutation_log["doc"]) == 1
+            DocumentMutator(tree, dtd).apply_script(script)
+            for index in (failing, healthy):
+                answer = pool._call(index, "answer", "doc", QUERY, False)
+                assert list(answer.node_ids) == _evaluator_ids(tree)
+
+    def test_a_closed_pool_respawns_no_owner(self, monkeypatch):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork"
+        ) as pool:
+            tree = generate_document(dtd, seed=3, max_elements=200)
+            pool.register_document("doc", tree)
+            pids = [worker.process.pid for worker in pool._workers]
+            submit = pool._submit
+
+            def close_then_crash(index, kind, *rest):
+                if kind == "update":
+                    pool._closed = True  # a close() raced the update
+                    return _crashed(index)
+                return submit(index, kind, *rest)
+
+            monkeypatch.setattr(pool, "_submit", close_then_crash)
+            with pytest.raises(WorkerCrashError):
+                pool.update_document(_script(dtd, tree), "doc")
+            monkeypatch.undo()
+            assert [worker.process.pid for worker in pool._workers] == pids
+            pool._closed = False  # so the context manager shuts the workers down
+
+    def test_rolled_back_insert_ids_are_the_next_inserts_on_every_owner(self):
+        dtd = samples.cross_dtd()
+        with ProcessQueryService(
+            dtd, workers=2, replicas=2, start_method="fork"
+        ) as pool:
+            tree = generate_document(dtd, seed=3, max_elements=200)
+            pool.register_document("doc", tree)
+            live, respawned = pool.owners("doc")
+            rejected = [
+                InsertSubtree(tree.root.node_id, ("b", "rolled-back", ())),
+                DeleteSubtree(99_999),
+            ]
+            with pytest.raises(MutationError):
+                pool.update_document(rejected, "doc")
+            killed_pid = pool._workers[respawned].process.pid
+            pool._kill_worker(respawned)  # respawns from the log on the update
+            pool.update_document(
+                [InsertSubtree(tree.root.node_id, ("b", "kept", ()))], "doc"
+            )
+            assert pool._workers[respawned].process.pid != killed_pid
+            query = 'a/b[text() = "kept"]'
+            for index in (live, respawned):
+                answer = pool._call(index, "answer", "doc", query, False)
+                assert list(answer.node_ids) == [tree.next_id]
 
     def test_concurrent_updates_reach_every_owner_in_one_order(self):
         # Writers race one-insert scripts at index 0 under the root, so
@@ -401,7 +549,7 @@ class TestHTTPUpdate:
         )
         assert status == 200
         # Verify against a locally mutated oracle tree.
-        from repro.live.mutations import DocumentMutator, mutation_from_dict
+        from repro.live.mutations import mutation_from_dict
 
         oracle_tree = tree.copy()
         DocumentMutator(oracle_tree, dtd).apply_script(
